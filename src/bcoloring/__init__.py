@@ -3,52 +3,27 @@
 The main algorithm is a dynamic program over rooted branch decompositions
 of bounded module-width; a vertex-cover-parameterized solver and a
 brute-force oracle provide independent routes to the same answers.
+The DP's building blocks (types, signatures, merge skeletons, class
+partitions) stay in their submodules.
 """
 
 from .bcol_dp import (
-    CONTAINS,
-    DEMAND,
-    NONE,
-    ClassType,
-    DPTable,
-    MergeSkeleton,
     PartialBColoring,
-    Signature,
     b_chromatic_number,
-    build_merge_skeleton,
-    combine_signatures,
-    compatible,
     compute_tables,
-    is_valid_class,
-    leaf_signatures,
-    merge_type,
-    reconstruct_witness,
     solve_bcoloring,
     solve_bcoloring_witness,
-    type_of_class,
 )
 from .decomposition import (
-    ClassPartition,
-    NodeOperator,
     RootedBranchDecomposition,
-    ValidationReport,
     best_decomposition,
-    equivalence_classes,
     linear_decomposition,
     module_width,
-    operator_of,
     validate,
 )
 from .errors import CapacityError, InputError, StructuralError
-from .fall_dp import (
-    FallType,
-    fall_compatible,
-    fall_merge_type,
-    fall_type_of_class,
-    solve_fallcoloring,
-    solve_fallcoloring_witness,
-)
-from .graph import Coloring, Graph, induced_subgraph, is_proper, neighbors
+from .fall_dp import solve_fallcoloring, solve_fallcoloring_witness
+from .graph import Coloring, Graph, is_proper
 from .oracle import (
     brute_force_bcoloring,
     brute_force_chi_b,
@@ -56,70 +31,33 @@ from .oracle import (
     is_b_coloring,
     is_fall_coloring,
 )
-from .vc_solver import (
-    CoverGuess,
-    cover_guesses,
-    min_vertex_cover,
-    small_extension_search,
-    solve_bcoloring_vc,
-    solve_bcoloring_vc_witness,
-)
+from .vc_solver import solve_bcoloring_vc, solve_bcoloring_vc_witness
 
 __all__ = [
-    "CONTAINS",
-    "DEMAND",
-    "NONE",
     "CapacityError",
-    "ClassPartition",
-    "ClassType",
     "Coloring",
-    "CoverGuess",
-    "DPTable",
-    "FallType",
     "Graph",
     "InputError",
-    "MergeSkeleton",
-    "NodeOperator",
     "PartialBColoring",
     "RootedBranchDecomposition",
-    "Signature",
     "StructuralError",
-    "ValidationReport",
     "b_chromatic_number",
     "best_decomposition",
     "brute_force_bcoloring",
     "brute_force_chi_b",
     "brute_force_fallcoloring",
-    "build_merge_skeleton",
-    "combine_signatures",
-    "compatible",
     "compute_tables",
-    "cover_guesses",
-    "equivalence_classes",
-    "fall_compatible",
-    "fall_merge_type",
-    "fall_type_of_class",
-    "induced_subgraph",
     "is_b_coloring",
     "is_fall_coloring",
     "is_proper",
-    "is_valid_class",
-    "leaf_signatures",
     "linear_decomposition",
-    "merge_type",
-    "min_vertex_cover",
     "module_width",
-    "neighbors",
-    "operator_of",
-    "reconstruct_witness",
-    "small_extension_search",
     "solve_bcoloring",
     "solve_bcoloring_vc",
     "solve_bcoloring_vc_witness",
     "solve_bcoloring_witness",
     "solve_fallcoloring",
     "solve_fallcoloring_witness",
-    "type_of_class",
     "validate",
 ]
 

@@ -24,20 +24,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .decomposition import (
-    ClassPartition,
-    NodeOperator,
-    RootedBranchDecomposition,
-    _operator_from_partitions,
-    equivalence_classes,
-)
+from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
 
 # Labels for how a color class relates to an equivalence class.
 NONE, CONTAINS, DEMAND = 0, 1, 2
-
-LABEL_NAMES = {NONE: "none", CONTAINS: "contains", DEMAND: "demand"}
 
 
 class ClassType(NamedTuple):
@@ -107,9 +99,6 @@ class PartialBColoring:
     def k(self) -> int:
         return len(self.classes)
 
-    def domain(self) -> frozenset[int]:
-        return frozenset(v for cls in self.classes for v in cls)
-
     def to_coloring(self, n: int) -> Coloring:
         """As a total Coloring; requires the classes to cover 0..n-1."""
         colors = [0] * n
@@ -119,69 +108,6 @@ class PartialBColoring:
         if any(c == 0 for c in colors):
             raise InputError("partial coloring is not total, cannot convert")
         return Coloring(tuple(colors), len(self.classes))
-
-
-# --- types of concrete color classes ---------------------------------------
-
-
-def type_of_class(
-    g: Graph,
-    d: RootedBranchDecomposition,
-    t: int,
-    class_vertices: Iterable[int],
-    b_vertices: Iterable[int],
-) -> ClassType:
-    """The type of color class C at node t, given the partial b-vertex set B
-    of the surrounding partial b-coloring.
-
-    Per equivalence class Q of V_t: CONTAINS if C meets Q; DEMAND if C
-    misses Q but some partial b-vertex in Q has no neighbor in C within
-    G_t; NONE otherwise.
-    """
-    cset = frozenset(class_vertices)
-    bset = frozenset(b_vertices)
-    vt = d.vertex_set(t)
-    if not cset <= vt:
-        raise InputError(f"class vertices {sorted(cset - vt)} outside V_t")
-    if not bset <= vt:
-        raise InputError(f"b-vertices {sorted(bset - vt)} outside V_t")
-    for u in cset:
-        if g.neighbors(u) & cset:
-            raise InputError("class is not independent")
-    cp = equivalence_classes(g, d, t)
-    cdesc = []
-    for cls in cp.classes:
-        if cset & frozenset(cls):
-            cdesc.append(CONTAINS)
-        elif any(
-            v in bset and not (g.neighbors(v) & vt & cset) for v in cls
-        ):
-            cdesc.append(DEMAND)
-        else:
-            cdesc.append(NONE)
-    return ClassType(tuple(cdesc), 1 if bset & cset else 0)
-
-
-def is_valid_class(
-    g: Graph,
-    d: RootedBranchDecomposition,
-    t: int,
-    class_vertices: Iterable[int],
-    b_vertices: Iterable[int],
-) -> bool:
-    """False iff some equivalence class both meets C and holds a partial
-    b-vertex with no closed-neighborhood contact with C in G_t."""
-    cset = frozenset(class_vertices)
-    bset = frozenset(b_vertices)
-    vt = d.vertex_set(t)
-    cp = equivalence_classes(g, d, t)
-    for cls in cp.classes:
-        if not cset & frozenset(cls):
-            continue
-        for v in cls:
-            if v in bset and not ((g.neighbors(v) & vt) | {v}) & cset:
-                return False
-    return True
 
 
 # --- compatibility and merging of types -------------------------------------
@@ -403,32 +329,8 @@ class DPTable:
     tables: dict[int, dict[Signature, tuple | None]]
     witness: bool
 
-    def signatures(self, t: int) -> set[Signature]:
-        return set(self.tables[t])
-
     def max_table_size(self) -> int:
         return max(len(m) for m in self.tables.values())
-
-    @property
-    def node_count(self) -> int:
-        return len(self.tables)
-
-
-def _annotate(g: Graph, d: RootedBranchDecomposition):
-    """Partitions for all nodes and operators for internal nodes, or raise."""
-    if sorted(d.vertex_set(d.root)) != list(range(g.n)):
-        raise StructuralError(
-            "leaf_map not bijective: decomposition does not cover V(G) exactly"
-        )
-    parts: dict[int, ClassPartition] = {
-        t: equivalence_classes(g, d, t) for t in d.postorder()
-    }
-    ops: dict[int, NodeOperator] = {}
-    for t in d.postorder():
-        if not d.is_leaf(t):
-            r, s = d.children(t)
-            ops[t] = _operator_from_partitions(g, parts[r], parts[s], parts[t])
-    return parts, ops
 
 
 def _run_dp(
@@ -441,7 +343,7 @@ def _run_dp(
 ) -> DPTable:
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
-    _, ops = _annotate(g, d)
+    ops = _annotate(g, d).operators
     leaf_table = {sig: None for sig in leaf_sigs}
     tables: dict[int, dict[Signature, tuple | None]] = {}
     for t in d.postorder():

@@ -1,9 +1,10 @@
 """Command-line front end: file formats, solver dispatch, result emission.
 
-Graphs are read in DIMACS edge format (`p edge <n> <m>` then `e <u> <v>`
-lines, 1-indexed, `c` comments ignored).  Decompositions are line-based:
-`n <id> internal <left> <right>` or `n <id> leaf <vertex>`, first listed
-node is the root.  Colorings are `<vertex> <color>` lines, 1-indexed.
+Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
+`e <u> <v>` lines, 1-indexed, `c` comments ignored).  Decompositions are
+line-based: `n <id> internal <left> <right>` or `n <id> leaf <vertex>`,
+first listed node is the root.  Colorings are `<vertex> <color>` lines,
+1-indexed.
 
 Results go to standard output as a JSON document with sorted keys.  Exit
 codes: 0 = ran (the answer is inside the document), 2 = input error,
@@ -38,7 +39,7 @@ EXIT_CAPACITY = 3
 
 def parse_graph_text(text: str) -> Graph:
     """DIMACS edge format to Graph (vertex ids shifted to 0-based)."""
-    n = None
+    n = m = problem_line = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -52,12 +53,12 @@ def parse_graph_text(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise InputError(f"line {lineno}: malformed problem line {line!r}")
             try:
-                n = int(parts[2])
-                int(parts[3])
+                n, m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise InputError(f"line {lineno}: malformed problem line {line!r}")
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
+            problem_line = lineno
         elif parts[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge line before problem line")
@@ -80,6 +81,11 @@ def parse_graph_text(text: str) -> Graph:
             raise InputError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise InputError("missing problem line")
+    if m != len(edges):
+        raise InputError(
+            f"line {problem_line}: problem line declares {m} edges, "
+            f"but {len(edges)} edge lines follow"
+        )
     return Graph(n, edges)
 
 
@@ -213,10 +219,22 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 # --- result emission ---------------------------------------------------------
 
 
-def _witness_json(coloring: Coloring, b_vertices) -> dict:
+def _checked_witness(problem: str, g: Graph, coloring: Coloring, b_vertices) -> dict:
+    """The witness as JSON, after the definitional check."""
+    check = oracle.is_fall_coloring if problem == "fallcol" else oracle.is_b_coloring
+    if not check(g, coloring):
+        raise StructuralError("witness failed verification before emission")
     return {
         "coloring": [[v + 1, coloring.colors[v]] for v in range(coloring.n)],
         "b_vertices": sorted(v + 1 for v in b_vertices),
@@ -236,108 +254,71 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
     }
 
 
-# --- solver plumbing ---------------------------------------------------------
+# --- solver routes -------------------------------------------------------------
+#
+# Each route decides one k: route(g, d, k, witness) returns the answer, a
+# witness (Coloring, b-vertices) when asked for and found, and the largest
+# DP table when the route has one.
 
 
-def _bounded_cover(g: Graph, limit: int):
-    """Some vertex cover of size <= limit, or None if none exists."""
-    edges = list(g.edges())
-
-    def search(remaining, budget, chosen):
-        if not remaining:
-            return chosen
-        if budget == 0:
-            return None
-        u, v = remaining[0]
-        for w in (u, v):
-            found = search(
-                [e for e in remaining if w not in e], budget - 1, chosen | {w}
-            )
-            if found is not None:
-                return found
-        return None
-
-    return search(edges, limit, frozenset())
+def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
+    table = bcol_dp.compute_tables(g, d, k, witness=witness)
+    answer = bcol_dp.accepting_signature(k) in table.tables[d.root]
+    found = None
+    if answer and witness:
+        found = _from_partial(g, bcol_dp.reconstruct_witness(table, g, d, k))
+    return answer, found, table.max_table_size()
 
 
-def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
-    if getattr(args, "dec", None):
-        return parse_decomposition(args.dec, g)
-    return best_decomposition(g, getattr(args, "dec_effort", "heuristic"))
+def _bcol_vc(g: Graph, d, k: int, witness: bool):
+    if not witness:
+        return vc_solver.solve_bcoloring_vc(g, k), None, None
+    partial = vc_solver.solve_bcoloring_vc_witness(g, k)
+    found = None if partial is None else _from_partial(g, partial)
+    return partial is not None, found, None
 
 
-def _resolve_solver(args, g: Graph, d: RootedBranchDecomposition | None) -> str:
-    if args.solver:
-        return args.solver
-    # Prefer the tractable exponent: fall back to the vertex-cover solver
-    # when the decomposition is wide but the cover is small.
-    if d is not None and module_width(g, d) > 8:
-        if _bounded_cover(g, 12) is not None:
-            return "vc"
-    return "cw"
+def _bcol_oracle(g: Graph, d, k: int, witness: bool):
+    coloring = oracle.brute_force_bcoloring(g, k)
+    found = None
+    if coloring is not None and witness:
+        found = (coloring, _b_vertices_of(g, coloring))
+    return coloring is not None, found, None
 
 
-SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle"}
+def _fall_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
+    if not witness:
+        return fall_dp.solve_fallcoloring(g, d, k), None, None
+    coloring = fall_dp.solve_fallcoloring_witness(g, d, k)
+    found = None if coloring is None else (coloring, g.vertices())
+    return coloring is not None, found, None
 
 
-# --- command handlers ---------------------------------------------------------
+def _fall_oracle(g: Graph, d, k: int, witness: bool):
+    coloring = oracle.brute_force_fallcoloring(g, k)
+    found = None
+    if coloring is not None and witness:
+        found = (coloring, g.vertices())
+    return coloring is not None, found, None
 
 
-def _cmd_bcol(args) -> dict:
-    g = parse_graph(args.graph)
-    k = args.k
-    if k < 1:
-        raise InputError(f"k must be positive, got {k}")
-    start = time.perf_counter()
-    d = None
-    solver = args.solver
-    if solver != "oracle":
-        if solver in (None, "cw"):
-            d = _load_decomposition(args, g) if g.n else None
-        solver = _resolve_solver(args, g, d)
-    witness = None
-    if k > g.n or g.n == 0:
-        answer = False
-        stats = _stats(start)
-    elif solver == "cw":
-        table = bcol_dp.compute_tables(g, d, k, witness=args.witness)
-        answer = bcol_dp.accepting_signature(k) in table.tables[d.root]
-        if answer and args.witness:
-            partial = bcol_dp.reconstruct_witness(table, g, d, k)
-            witness = _checked_b_witness(g, partial)
-        stats = _stats(start, d.node_count, table.max_table_size(), module_width(g, d))
-    elif solver == "vc":
-        if args.witness:
-            partial = vc_solver.solve_bcoloring_vc_witness(g, k)
-            answer = partial is not None
-            if partial is not None:
-                witness = _checked_b_witness(g, partial)
-        else:
-            answer = vc_solver.solve_bcoloring_vc(g, k)
-        stats = _stats(start)
-    else:
-        coloring = oracle.brute_force_bcoloring(g, k)
-        answer = coloring is not None
-        if coloring is not None and args.witness:
-            if not oracle.is_b_coloring(g, coloring):
-                raise StructuralError("oracle witness failed verification")
-            witness = _witness_json(coloring, _b_vertices_of(g, coloring))
-        stats = _stats(start)
-    return {
-        "problem": "bcol",
-        "k": k,
-        "answer": answer,
-        "solver": SOLVER_NAMES[solver],
-        "witness": witness,
-        "stats": stats,
-    }
+ROUTES = {
+    "bcol": {"cw": _bcol_cw, "vc": _bcol_vc, "oracle": _bcol_oracle},
+    "fallcol": {"cw": _fall_cw, "oracle": _fall_oracle},
+}
 
 
-def _checked_b_witness(g: Graph, partial: bcol_dp.PartialBColoring) -> dict:
-    coloring = partial.to_coloring(g.n)
-    if not oracle.is_b_coloring(g, coloring):
-        raise StructuralError("witness failed verification before emission")
-    return _witness_json(coloring, partial.b_vertices)
+def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None) -> int:
+    if solver == "cw":
+        return bcol_dp.b_chromatic_number(g, d)
+    if solver == "vc":
+        probes = range(1, g.max_degree() + 2)
+        return max((k for k in probes if vc_solver.solve_bcoloring_vc(g, k)), default=0)
+    return oracle.brute_force_chi_b(g)
+
+
+def _from_partial(g: Graph, partial: bcol_dp.PartialBColoring):
+    return partial.to_coloring(g.n), partial.b_vertices
 
 
 def _b_vertices_of(g: Graph, coloring: Coloring) -> list[int]:
@@ -356,93 +337,69 @@ def _b_vertices_of(g: Graph, coloring: Coloring) -> list[int]:
     return picks
 
 
-def _cmd_bchrom(args) -> dict:
+def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
+    if args.dec:
+        return parse_decomposition(args.dec, g)
+    return best_decomposition(g, args.dec_effort)
+
+
+def _auto_solver(problem: str, g: Graph, d: RootedBranchDecomposition | None) -> str:
+    # Prefer the tractable exponent: fall back to the vertex-cover solver
+    # when the decomposition is wide but the cover is small.  Fall coloring
+    # has no vertex-cover solver.
+    if problem != "fallcol" and d is not None and module_width(g, d) > 8:
+        if vc_solver.vertex_cover_within(g, 12) is not None:
+            return "vc"
+    return "cw"
+
+
+SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle"}
+
+
+# --- command handlers ---------------------------------------------------------
+
+
+def _cmd_solve(args) -> dict:
+    """bcol, bchrom and fallcol: parse the graph, check k, choose the route,
+    solve, check and emit the witness, write the stats."""
+    problem = args.command
     g = parse_graph(args.graph)
-    if g.n < 1:
+    k = getattr(args, "k", None)  # bchrom takes no k
+    if k is not None and k < 1:
+        raise InputError(f"k must be positive, got {k}")
+    if problem == "bchrom" and g.n < 1:
         raise InputError("b-chromatic number needs at least one vertex")
+    if problem == "fallcol" and args.solver == "vc":
+        raise InputError("fall coloring has no vertex-cover solver")
+    if args.dec and args.solver in ("vc", "oracle"):
+        raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
     d = None
-    solver = args.solver
-    if solver != "oracle":
-        if solver in (None, "cw"):
-            d = _load_decomposition(args, g)
-        solver = _resolve_solver(args, g, d)
-    if solver == "cw":
-        best = bcol_dp.b_chromatic_number(g, d)
-        stats = _stats(start, d.node_count, None, module_width(g, d))
-    elif solver == "vc":
-        best = 0
-        for k in range(1, g.max_degree() + 2):
-            if vc_solver.solve_bcoloring_vc(g, k):
-                best = k
-        stats = _stats(start)
-    else:
-        best = oracle.brute_force_chi_b(g)
-        stats = _stats(start)
-    witness = None
-    if args.witness and best >= 1:
-        if solver == "cw":
-            partial = bcol_dp.solve_bcoloring_witness(g, d, best)
-            witness = _checked_b_witness(g, partial)
-        elif solver == "vc":
-            partial = vc_solver.solve_bcoloring_vc_witness(g, best)
-            witness = _checked_b_witness(g, partial)
-        else:
-            coloring = oracle.brute_force_bcoloring(g, best)
-            witness = _witness_json(coloring, _b_vertices_of(g, coloring))
-    return {
-        "problem": "bchrom",
-        "k": None,
-        "answer": best,
-        "solver": SOLVER_NAMES[solver],
-        "witness": witness,
-        "stats": stats,
-    }
-
-
-def _cmd_fallcol(args) -> dict:
-    g = parse_graph(args.graph)
-    k = args.k
-    if k < 1:
-        raise InputError(f"k must be positive, got {k}")
-    if args.solver == "vc":
-        raise InputError("fall coloring has no vertex-cover solver")
-    solver = args.solver or "cw"
-    start = time.perf_counter()
-    witness = None
-    if k > g.n or g.n == 0:
-        answer = False
-        stats = _stats(start)
-    elif solver == "cw":
+    if args.solver in (None, "cw") and g.n:
         d = _load_decomposition(args, g)
-        if args.witness:
-            coloring = fall_dp.solve_fallcoloring_witness(g, d, k)
-            answer = coloring is not None
-            if coloring is not None:
-                witness = _checked_fall_witness(g, coloring)
-        else:
-            answer = fall_dp.solve_fallcoloring(g, d, k)
-        stats = _stats(start, d.node_count, None, module_width(g, d))
+    solver = args.solver or _auto_solver(problem, g, d)
+    found = max_table = None
+    solved = k is None or k <= g.n  # no coloring has more colors than vertices
+    if problem == "bchrom":
+        answer = _chi_b(solver, g, d)
+        if args.witness and answer >= 1:
+            _, found, _ = ROUTES["bcol"][solver](g, d, answer, True)
+    elif solved:
+        answer, found, max_table = ROUTES[problem][solver](g, d, k, args.witness)
     else:
-        coloring = oracle.brute_force_fallcoloring(g, k)
-        answer = coloring is not None
-        if coloring is not None and args.witness:
-            witness = _checked_fall_witness(g, coloring)
+        answer = False
+    if solver == "cw" and solved:
+        stats = _stats(start, d.node_count, max_table, module_width(g, d))
+    else:
         stats = _stats(start)
     return {
-        "problem": "fallcol",
+        "problem": problem,
         "k": k,
         "answer": answer,
         "solver": SOLVER_NAMES[solver],
-        "witness": witness,
+        "witness": None if found is None else _checked_witness(problem, g, *found),
         "stats": stats,
     }
-
-
-def _checked_fall_witness(g: Graph, coloring: Coloring) -> dict:
-    if not oracle.is_fall_coloring(g, coloring):
-        raise StructuralError("witness failed verification before emission")
-    return _witness_json(coloring, range(g.n))
 
 
 def _cmd_decompose(args) -> dict:
@@ -450,8 +407,7 @@ def _cmd_decompose(args) -> dict:
     start = time.perf_counter()
     d = best_decomposition(g, args.effort)
     width = module_width(g, d)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(format_decomposition(d))
+    _write(args.out, format_decomposition(d))
     return {
         "problem": "decompose",
         "k": None,
@@ -583,28 +539,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    bcol = subs.add_parser("bcol", help="decide b-coloring with k colors")
-    bcol.add_argument("--graph", required=True)
-    bcol.add_argument("--k", type=int, required=True)
-    _add_dec_arguments(bcol)
-    bcol.add_argument("--witness", action="store_true")
-    bcol.add_argument("--solver", choices=["cw", "vc", "oracle"])
-    bcol.set_defaults(handler=_cmd_bcol)
-
-    bchrom = subs.add_parser("bchrom", help="compute the b-chromatic number")
-    bchrom.add_argument("--graph", required=True)
-    _add_dec_arguments(bchrom)
-    bchrom.add_argument("--witness", action="store_true")
-    bchrom.add_argument("--solver", choices=["cw", "vc", "oracle"])
-    bchrom.set_defaults(handler=_cmd_bchrom)
-
-    fallcol = subs.add_parser("fallcol", help="decide fall coloring with k colors")
-    fallcol.add_argument("--graph", required=True)
-    fallcol.add_argument("--k", type=int, required=True)
-    _add_dec_arguments(fallcol)
-    fallcol.add_argument("--witness", action="store_true")
-    fallcol.add_argument("--solver", choices=["cw", "vc", "oracle"])
-    fallcol.set_defaults(handler=_cmd_fallcol)
+    for name, help_text in (
+        ("bcol", "decide b-coloring with k colors"),
+        ("bchrom", "compute the b-chromatic number"),
+        ("fallcol", "decide fall coloring with k colors"),
+    ):
+        solve = subs.add_parser(name, help=help_text)
+        solve.add_argument("--graph", required=True)
+        if name != "bchrom":
+            solve.add_argument("--k", type=int, required=True)
+        _add_dec_arguments(solve)
+        solve.add_argument("--witness", action="store_true")
+        solve.add_argument("--solver", choices=["cw", "vc", "oracle"])
+        solve.set_defaults(handler=_cmd_solve)
 
     decompose = subs.add_parser("decompose", help="build and save a decomposition")
     decompose.add_argument("--graph", required=True)

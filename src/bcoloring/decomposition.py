@@ -68,6 +68,15 @@ class ValidationReport:
         return self.ok
 
 
+@dataclass(frozen=True)
+class Annotation:
+    """What the DP reads from a decomposition of a graph: the operator of
+    every internal node, and the module-width (the largest class count)."""
+
+    operators: Mapping[int, NodeOperator]
+    width: int
+
+
 class RootedBranchDecomposition:
     """Rooted binary tree with a leaf <-> graph-vertex bijection.
 
@@ -78,7 +87,14 @@ class RootedBranchDecomposition:
     a bijection onto V(G) and operator consistency -- live in validate().
     """
 
-    __slots__ = ("root", "_children", "_leaf_vertex", "_parent", "_postorder", "_below")
+    __slots__ = (
+        "root",
+        "_children",
+        "_leaf_vertex",
+        "_postorder",
+        "_below",
+        "_annotation",
+    )
 
     def __init__(
         self,
@@ -94,7 +110,7 @@ class RootedBranchDecomposition:
         self.root = root
         self._children = tuple(children)
         self._leaf_vertex = dict(leaf_vertex)
-        self._parent: dict[int, int] = {}
+        self._annotation: tuple[Graph, Annotation] | None = None
 
         seen: set[int] = set()
         stack = [root]
@@ -117,7 +133,6 @@ class RootedBranchDecomposition:
             for c in kids:
                 if not (0 <= c < m):
                     raise StructuralError(f"node {t}: child {c} out of range")
-                self._parent[c] = t
                 stack.append(c)
         if len(seen) != m:
             missing = sorted(set(range(m)) - seen)
@@ -165,10 +180,6 @@ class RootedBranchDecomposition:
             raise InputError(f"node {t} is a leaf")
         return kids
 
-    def parent(self, t: int) -> int | None:
-        self._check_node(t)
-        return self._parent.get(t)
-
     def leaf_vertex(self, t: int) -> int:
         self._check_node(t)
         if self._children[t] is not None:
@@ -186,10 +197,6 @@ class RootedBranchDecomposition:
         """V_t: the graph vertices on leaves below t."""
         self._check_node(t)
         return self._below[t]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self._leaf_vertex)
 
     def _check_node(self, t: int) -> None:
         if not (0 <= t < len(self._children)):
@@ -252,15 +259,44 @@ def _operator_from_partitions(
     )
 
 
+def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
+    """The operators and module-width of d over g; StructuralError if d is
+    not a decomposition of g.
+
+    One postorder pass computes each node's class partition once and builds
+    each internal node's operator from its children's partitions.  Graphs
+    and decompositions are immutable, so the result is cached on d for this
+    graph object, matched by identity (d keeps g alive): validate,
+    module_width, operator_of, the DP and every k probe share it.
+    """
+    cached = d._annotation
+    if cached is not None and cached[0] is g:
+        return cached[1]
+    leaf_vertices = sorted(d.vertex_set(d.root))
+    if leaf_vertices != list(range(g.n)):
+        raise StructuralError(
+            f"leaf_map not bijective: decomposition covers {leaf_vertices}, "
+            f"graph has vertices 0..{g.n - 1}"
+        )
+    partitions: dict[int, ClassPartition] = {}
+    operators: dict[int, NodeOperator] = {}
+    for t in d.postorder():
+        partitions[t] = equivalence_classes(g, d, t)
+        if not d.is_leaf(t):
+            r, s = d.children(t)
+            operators[t] = _operator_from_partitions(
+                g, partitions[r], partitions[s], partitions[t]
+            )
+    annotation = Annotation(operators, max(len(cp) for cp in partitions.values()))
+    d._annotation = (g, annotation)
+    return annotation
+
+
 def operator_of(g: Graph, d: RootedBranchDecomposition, t: int) -> NodeOperator:
     """The operator of internal node t: h-edges plus both bubble maps."""
-    r, s = d.children(t)
-    return _operator_from_partitions(
-        g,
-        equivalence_classes(g, d, r),
-        equivalence_classes(g, d, s),
-        equivalence_classes(g, d, t),
-    )
+    if d.is_leaf(t):
+        raise InputError(f"node {t} is a leaf")
+    return _annotate(g, d).operators[t]
 
 
 def validate(g: Graph, d: RootedBranchDecomposition) -> ValidationReport:
@@ -271,30 +307,16 @@ def validate(g: Graph, d: RootedBranchDecomposition) -> ValidationReport:
     the leaf map must be a bijection onto V(g) and every internal node's
     inter-class adjacency must be all-or-nothing.
     """
-    problems: list[str] = []
-    leaf_vertices = sorted(d.vertex_set(d.root))
-    if leaf_vertices != list(range(g.n)):
-        problems.append(
-            f"leaf_map not bijective: decomposition covers {leaf_vertices}, "
-            f"graph has vertices 0..{g.n - 1}"
-        )
-        return ValidationReport(False, tuple(problems))
-    for t in d.postorder():
-        if d.is_leaf(t):
-            continue
-        try:
-            operator_of(g, d, t)
-        except StructuralError as exc:
-            problems.append(str(exc))
-    return ValidationReport(not problems, tuple(problems))
+    try:
+        _annotate(g, d)
+    except StructuralError as exc:
+        return ValidationReport(False, (str(exc),))
+    return ValidationReport(True)
 
 
 def module_width(g: Graph, d: RootedBranchDecomposition) -> int:
     """max over nodes t of the class count of V_t."""
-    report = validate(g, d)
-    if not report.ok:
-        raise StructuralError("; ".join(report.problems))
-    return max(len(equivalence_classes(g, d, t)) for t in d.postorder())
+    return _annotate(g, d).width
 
 
 def linear_decomposition(g: Graph, order: Sequence[int]) -> RootedBranchDecomposition:

@@ -25,7 +25,7 @@ from .bcol_dp import (
     _realize,
     _run_dp,
 )
-from .decomposition import NodeOperator, RootedBranchDecomposition, equivalence_classes
+from .decomposition import NodeOperator, RootedBranchDecomposition
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
 
@@ -34,62 +34,6 @@ class FallType(NamedTuple):
     """Type of a color class for fall coloring: per-class labels only."""
 
     cdesc: tuple[int, ...]
-
-
-def fall_type_of_class(
-    g: Graph,
-    d: RootedBranchDecomposition,
-    t: int,
-    class_vertices: Iterable[int],
-    coloring: dict[int, int],
-) -> FallType:
-    """The fall-type of color class C inside a proper total coloring of V_t.
-
-    Per equivalence class Q: CONTAINS if C meets Q; DEMAND if C misses Q and
-    some differently-colored vertex of Q has no neighbor in C within G_t;
-    NONE otherwise.
-    """
-    vt = d.vertex_set(t)
-    cset = frozenset(class_vertices)
-    if not cset <= vt:
-        raise InputError(f"class vertices {sorted(cset - vt)} outside V_t")
-    if set(coloring) != set(vt):
-        raise InputError("coloring must be total on V_t")
-    for u in vt:
-        for w in g.neighbors(u) & vt:
-            if coloring[u] == coloring[w]:
-                raise InputError("coloring is not proper on G_t")
-    cp = equivalence_classes(g, d, t)
-    cdesc = []
-    for cls in cp.classes:
-        if cset & frozenset(cls):
-            cdesc.append(CONTAINS)
-        elif any(not (g.neighbors(v) & vt & cset) for v in cls):
-            # every v here has another color, since C misses Q entirely
-            cdesc.append(DEMAND)
-        else:
-            cdesc.append(NONE)
-    return FallType(tuple(cdesc))
-
-
-def fall_class_is_valid(
-    g: Graph,
-    d: RootedBranchDecomposition,
-    t: int,
-    class_vertices: Iterable[int],
-) -> bool:
-    """False iff some equivalence class both meets C and contains a
-    differently-colored vertex with no neighbor in C within G_t."""
-    vt = d.vertex_set(t)
-    cset = frozenset(class_vertices)
-    cp = equivalence_classes(g, d, t)
-    for cls in cp.classes:
-        if not cset & frozenset(cls):
-            continue
-        for v in cls:
-            if v not in cset and not (g.neighbors(v) & vt & cset):
-                return False
-    return True
 
 
 def fall_compatible(rho: FallType, sigma: FallType, op: NodeOperator) -> bool:

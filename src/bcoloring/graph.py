@@ -40,10 +40,6 @@ class Graph:
         self._adj = tuple(frozenset(s) for s in adj)
         self._edges = tuple(sorted(seen))
 
-    @property
-    def vertex_count(self) -> int:
-        return self.n
-
     def vertices(self) -> range:
         return range(self.n)
 
@@ -52,9 +48,6 @@ class Graph:
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
         return self._adj[v]
-
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self.neighbors(v) | {v}
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -148,12 +141,6 @@ class Coloring:
     @property
     def n(self) -> int:
         return len(self.colors)
-
-    def color_of(self, v: int) -> int:
-        return self.colors[v]
-
-    def color_class(self, i: int) -> frozenset[int]:
-        return frozenset(v for v, c in enumerate(self.colors) if c == i)
 
     def classes(self) -> tuple[frozenset[int], ...]:
         """Color classes 1..k in order, empty ones included."""

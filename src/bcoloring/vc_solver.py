@@ -36,10 +36,11 @@ class CoverGuess:
         return dict(self.phi)
 
 
-def min_vertex_cover(g: Graph) -> frozenset[int]:
-    """A minimum vertex cover, found by branching on uncovered edges with an
-    increasing size budget."""
-    edges = list(g.edges())
+def vertex_cover_within(g: Graph, limit: int) -> frozenset[int] | None:
+    """Some vertex cover of at most limit vertices, or None if none exists.
+
+    Branches on the first uncovered edge: every cover holds one of its
+    endpoints."""
 
     def search(remaining, budget, chosen):
         if not remaining:
@@ -54,8 +55,13 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
                 return found
         return None
 
+    return search(list(g.edges()), limit, frozenset())
+
+
+def min_vertex_cover(g: Graph) -> frozenset[int]:
+    """A minimum vertex cover: the first size budget that admits one."""
     for size in range(g.n + 1):
-        found = search(edges, size, frozenset())
+        found = vertex_cover_within(g, size)
         if found is not None:
             return found
     return frozenset(range(g.n))

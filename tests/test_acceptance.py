@@ -17,7 +17,6 @@ from bcoloring import (
     brute_force_chi_b,
     brute_force_fallcoloring,
     compute_tables,
-    equivalence_classes,
     is_b_coloring,
     is_fall_coloring,
     linear_decomposition,
@@ -29,6 +28,7 @@ from bcoloring import (
     solve_fallcoloring,
     solve_fallcoloring_witness,
 )
+from bcoloring.decomposition import equivalence_classes
 from helpers import atlas_connected_corpus, enumerate_bcol_signatures, random_graph
 
 

@@ -3,34 +3,41 @@ import random
 import pytest
 
 from bcoloring import (
-    CONTAINS,
-    DEMAND,
-    NONE,
-    ClassType,
     Graph,
     InputError,
-    Signature,
     b_chromatic_number,
     best_decomposition,
     brute_force_bcoloring,
     brute_force_chi_b,
+    compute_tables,
+    is_b_coloring,
+    linear_decomposition,
+    solve_bcoloring,
+    solve_bcoloring_witness,
+)
+from bcoloring.bcol_dp import (
+    CONTAINS,
+    DEMAND,
+    NONE,
+    ClassType,
+    Signature,
+    accepting_signature,
+    all_types,
     build_merge_skeleton,
     combine_signatures,
     compatible,
-    compute_tables,
-    is_b_coloring,
-    is_valid_class,
     leaf_signatures,
-    linear_decomposition,
     merge_type,
-    operator_of,
     reconstruct_witness,
-    solve_bcoloring,
-    solve_bcoloring_witness,
+)
+from bcoloring.decomposition import operator_of
+from helpers import (
+    enumerate_bcol_signatures,
+    is_valid_class,
+    random_graph,
+    relabeled,
     type_of_class,
 )
-from bcoloring.bcol_dp import accepting_signature, all_types
-from helpers import enumerate_bcol_signatures, random_graph, relabeled
 
 C0 = ClassType((CONTAINS,), 0)
 C1 = ClassType((CONTAINS,), 1)
@@ -428,7 +435,7 @@ class TestTableInvariants:
                     for sig in table.tables[t]:
                         assert sum(c for _, c in sig.items) == k
                         observed.update(sig.types())
-                    from bcoloring import equivalence_classes
+                    from bcoloring.decomposition import equivalence_classes
 
                     bound = 2 * 3 ** len(equivalence_classes(g, d, t))
                     assert len(observed) <= bound

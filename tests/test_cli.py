@@ -58,6 +58,12 @@ class TestParseGraph:
         for g in (Graph.complete(4), Graph.edgeless(3), Graph.star(5)):
             assert parse_graph_text(format_graph(g)) == g
 
+    def test_edge_count_must_match(self):
+        with pytest.raises(InputError, match="line 1: problem line declares 5 edges"):
+            parse_graph_text("p edge 3 5\ne 1 2\n")
+        with pytest.raises(InputError, match="line 2: problem line declares -1 edges"):
+            parse_graph_text("c negative\np edge 3 -1\n")
+
 
 def shape(d, t=None):
     t = d.root if t is None else t
@@ -304,6 +310,31 @@ class TestExitCodes:
             ],
         )
         assert code == 3
+
+    def test_decompose_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "c5.col"
+        path.write_text(C5_COL)
+        out = tmp_path / "no-such-dir" / "c5.dec"
+        code, result, err = run(
+            capsys, ["decompose", "--graph", str(path), "--out", str(out)]
+        )
+        assert code == 2
+        assert result is None
+        assert "cannot write" in err
+
+    @pytest.mark.parametrize("solver", ["vc", "oracle"])
+    def test_dec_needs_cw_solver(self, tmp_path, capsys, solver):
+        path = tmp_path / "star.col"
+        path.write_text(STAR13_COL)
+        dec = str(tmp_path / "missing.dec")
+        for argv in (["bchrom"], ["bcol", "--k", "2"], ["fallcol", "--k", "2"]):
+            code, result, err = run(
+                capsys,
+                argv + ["--graph", str(path), "--solver", solver, "--dec", dec],
+            )
+            assert code == 2
+            assert result is None
+            assert "input error" in err
 
     def test_selftest_capacity(self, capsys):
         code, _, _ = run(capsys, ["selftest", "--n-max", "11", "--trials", "1"])

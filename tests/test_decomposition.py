@@ -9,12 +9,11 @@ from bcoloring import (
     RootedBranchDecomposition,
     StructuralError,
     best_decomposition,
-    equivalence_classes,
     linear_decomposition,
     module_width,
-    operator_of,
     validate,
 )
+from bcoloring.decomposition import equivalence_classes, operator_of
 from helpers import random_graph
 
 

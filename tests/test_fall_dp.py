@@ -3,29 +3,30 @@ import random
 import pytest
 
 from bcoloring import (
-    CONTAINS,
-    DEMAND,
-    NONE,
-    FallType,
     Graph,
     InputError,
     best_decomposition,
     brute_force_fallcoloring,
-    fall_compatible,
-    fall_merge_type,
-    fall_type_of_class,
     is_fall_coloring,
     linear_decomposition,
-    operator_of,
     solve_fallcoloring,
     solve_fallcoloring_witness,
 )
+from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE
+from bcoloring.decomposition import operator_of
 from bcoloring.fall_dp import (
+    FallType,
     compute_fall_tables,
-    fall_class_is_valid,
+    fall_compatible,
     fall_leaf_signature,
+    fall_merge_type,
 )
-from helpers import enumerate_fall_signatures, random_graph
+from helpers import (
+    enumerate_fall_signatures,
+    fall_class_is_valid,
+    fall_type_of_class,
+    random_graph,
+)
 
 FC = FallType((CONTAINS,))
 FD = FallType((DEMAND,))

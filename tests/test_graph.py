@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcoloring import Coloring, Graph, InputError, induced_subgraph, is_proper, neighbors
+from bcoloring import Coloring, Graph, InputError, is_proper
+from bcoloring.graph import induced_subgraph, neighbors
 
 
 class TestNeighbors:

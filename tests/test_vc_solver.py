@@ -4,13 +4,11 @@ import random
 from bcoloring import (
     Graph,
     brute_force_bcoloring,
-    cover_guesses,
     is_b_coloring,
-    min_vertex_cover,
-    small_extension_search,
     solve_bcoloring_vc,
     solve_bcoloring_vc_witness,
 )
+from bcoloring.vc_solver import cover_guesses, min_vertex_cover, small_extension_search
 from helpers import random_graph
 
 
