@@ -113,84 +113,62 @@ class PartialBColoring:
 # --- compatibility and merging of types -------------------------------------
 
 
-def _check_dimensions(rho: ClassType, sigma: ClassType, op: NodeOperator) -> None:
-    if len(rho.cdesc) != len(op.bubble_r) or len(sigma.cdesc) != len(op.bubble_s):
+def _merge(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType | None:
+    """The parent type of the union of two child classes of these types, or
+    None if they may not merge at this node.
+
+    Two CONTAINS bubbles joined by an h-edge would put adjacent vertices in
+    one class, and two b-vertices cannot share a class.  A DEMAND bubble is
+    fulfilled here by an h-neighbor labeled CONTAINS on the other side;
+    otherwise it stays open in its parent class, which then must not get a
+    CONTAINS bubble: a later neighbor of that parent class is adjacent to
+    the class's vertex there too, so it can never join the class.
+    """
+    desc_r, desc_s = rho.cdesc, sigma.cdesc
+    if len(desc_r) != len(op.bubble_r) or len(desc_s) != len(op.bubble_s):
         raise InputError("type width does not match operator class counts")
-
-
-def _desc_compatible(
-    desc_r: tuple[int, ...], desc_s: tuple[int, ...], op: NodeOperator
-) -> bool:
+    if rho.bvtx + sigma.bvtx > 1:
+        return None
+    met_r, met_s = set(), set()
     for i, j in op.h_edges:
         if desc_r[i] == CONTAINS and desc_s[j] == CONTAINS:
-            return False
-    contains_in = [False] * op.parent_class_count
-    for i, q in enumerate(op.bubble_r):
-        if desc_r[i] == CONTAINS:
-            contains_in[q] = True
-    for j, q in enumerate(op.bubble_s):
+            return None
         if desc_s[j] == CONTAINS:
-            contains_in[q] = True
-    # A demand sharing a parent class with some CONTAINS bubble must be
-    # fulfilled here, by an h-neighbor labeled CONTAINS on the other side.
-    for i, q in enumerate(op.bubble_r):
-        if desc_r[i] == DEMAND and contains_in[q]:
-            if not any(
-                (i, j) in op.h_edges and desc_s[j] == CONTAINS
-                for j in range(len(desc_s))
-            ):
-                return False
-    for j, q in enumerate(op.bubble_s):
-        if desc_s[j] == DEMAND and contains_in[q]:
-            if not any(
-                (i, j) in op.h_edges and desc_r[i] == CONTAINS
-                for i in range(len(desc_r))
-            ):
-                return False
-    return True
-
-
-def _merge_cdesc(
-    desc_r: tuple[int, ...], desc_s: tuple[int, ...], op: NodeOperator
-) -> tuple[int, ...]:
+            met_r.add(i)
+        if desc_r[i] == CONTAINS:
+            met_s.add(j)
     nq = op.parent_class_count
     contains_in = [False] * nq
     open_demand_in = [False] * nq
-    for i, q in enumerate(op.bubble_r):
-        if desc_r[i] == CONTAINS:
-            contains_in[q] = True
-        elif desc_r[i] == DEMAND and not any(
-            (i, j) in op.h_edges and desc_s[j] == CONTAINS
-            for j in range(len(desc_s))
-        ):
-            open_demand_in[q] = True
-    for j, q in enumerate(op.bubble_s):
-        if desc_s[j] == CONTAINS:
-            contains_in[q] = True
-        elif desc_s[j] == DEMAND and not any(
-            (i, j) in op.h_edges and desc_r[i] == CONTAINS
-            for i in range(len(desc_r))
-        ):
-            open_demand_in[q] = True
-    return tuple(
+    for desc, bubble, met in (
+        (desc_r, op.bubble_r, met_r),
+        (desc_s, op.bubble_s, met_s),
+    ):
+        for i, q in enumerate(bubble):
+            if desc[i] == CONTAINS:
+                contains_in[q] = True
+            elif desc[i] == DEMAND and i not in met:
+                open_demand_in[q] = True
+    if any(c and o for c, o in zip(contains_in, open_demand_in)):
+        return None
+    cdesc = tuple(
         CONTAINS if contains_in[q] else (DEMAND if open_demand_in[q] else NONE)
         for q in range(nq)
     )
+    return ClassType(cdesc, rho.bvtx + sigma.bvtx)
 
 
 def compatible(rho: ClassType, sigma: ClassType, op: NodeOperator) -> bool:
     """Whether color classes of these child types may merge at this node."""
-    _check_dimensions(rho, sigma, op)
-    if rho.bvtx + sigma.bvtx > 1:
-        return False
-    return _desc_compatible(rho.cdesc, sigma.cdesc, op)
+    return _merge(rho, sigma, op) is not None
 
 
 def merge_type(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType:
     """The parent type of the union of two compatible child classes."""
-    if not compatible(rho, sigma, op):
+    tau = _merge(rho, sigma, op)
+    if tau is None:
         raise InputError("merge_type requires a compatible pair of types")
-    return ClassType(_merge_cdesc(rho.cdesc, sigma.cdesc, op), rho.bvtx + sigma.bvtx)
+    return tau
 
 
 def all_types(class_count: int) -> list[ClassType]:
@@ -202,26 +180,19 @@ def all_types(class_count: int) -> list[ClassType]:
     ]
 
 
-def _build_skeleton(op, r_types, s_types, compat_fn, merge_fn) -> MergeSkeleton:
-    edges = []
-    for rho in r_types:
-        for sigma in s_types:
-            if compat_fn(rho, sigma, op):
-                edges.append((rho, sigma, merge_fn(rho, sigma, op)))
-    return MergeSkeleton(tuple(r_types), tuple(s_types), tuple(edges))
-
-
 def build_merge_skeleton(
     op: NodeOperator, r_types: Iterable[ClassType], s_types: Iterable[ClassType]
 ) -> MergeSkeleton:
-    """Skeleton over the given child type lists for the b-coloring merge."""
-
-    def merge_unchecked(rho, sigma, operator):
-        return ClassType(
-            _merge_cdesc(rho.cdesc, sigma.cdesc, operator), rho.bvtx + sigma.bvtx
-        )
-
-    return _build_skeleton(op, list(r_types), list(s_types), compatible, merge_unchecked)
+    """Skeleton over the given child type lists: one edge per compatible
+    pair, labeled with its merge type."""
+    r_types, s_types = tuple(r_types), tuple(s_types)
+    edges = []
+    for rho in r_types:
+        for sigma in s_types:
+            tau = _merge(rho, sigma, op)
+            if tau is not None:
+                edges.append((rho, sigma, tau))
+    return MergeSkeleton(r_types, s_types, tuple(edges))
 
 
 # --- signatures and their combination ---------------------------------------
@@ -338,7 +309,6 @@ def _run_dp(
     d: RootedBranchDecomposition,
     k: int,
     leaf_sigs: Iterable[Signature],
-    skeleton_fn,
     witness: bool,
 ) -> DPTable:
     if k < 1:
@@ -354,7 +324,7 @@ def _run_dp(
         op = ops[t]
         r_types = sorted({tau for sig in tables[r] for tau, _ in sig.items})
         s_types = sorted({tau for sig in tables[s] for tau, _ in sig.items})
-        skel = skeleton_fn(op, r_types, s_types)
+        skel = build_merge_skeleton(op, r_types, s_types)
         combined = combine_signatures(tables[r], tables[s], skel, k)
         if witness:
             tables[t] = combined
@@ -367,7 +337,7 @@ def compute_tables(
     g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
 ) -> DPTable:
     """Run the b-coloring DP and return the full per-node tables."""
-    return _run_dp(g, d, k, leaf_signatures(k), build_merge_skeleton, witness)
+    return _run_dp(g, d, k, leaf_signatures(k), witness)
 
 
 def accepting_signature(k: int) -> Signature:
@@ -401,62 +371,40 @@ def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
     return chosen
 
 
-def _realize(
-    table: DPTable,
-    d: RootedBranchDecomposition,
-    accepting: Signature,
-    leaf_realize,
-):
+def _realize(table: DPTable, d: RootedBranchDecomposition, accepting: Signature):
     """Replay stored annotations bottom-up into concrete classes.
 
-    leaf_realize(vertex, signature, k) must return (classes, types, B) for
-    a leaf; internal nodes pair off child classes along the stored edge
+    Returns the k classes and the b-vertices.  A leaf puts its vertex in the
+    class of type (CONTAINS,), and the vertex is a b-vertex iff that type's
+    bit is 1; internal nodes pair off child classes along the stored edge
     labeling and take unions.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
     chosen = _assign_top_down(table, d, accepting)
-    realized: dict[int, tuple] = {}
+    realized: dict[int, tuple] = {}  # node -> (classes by type, b-vertices)
     for t in d.postorder():
-        sig = chosen[t]
         if d.is_leaf(t):
-            realized[t] = leaf_realize(d.leaf_vertex(t), sig, table.k)
+            v = d.leaf_vertex(t)
+            pool = {
+                tau: [frozenset({v} if tau.cdesc == (CONTAINS,) else ())] * count
+                for tau, count in chosen[t].items
+            }
+            b_vertex = ClassType((CONTAINS,), 1) in pool
+            realized[t] = (pool, frozenset({v} if b_vertex else ()))
             continue
-        r, s = d.children(t)
-        _, _, labeling = table.tables[t][sig]
-        classes_r, types_r, b_r = realized[r]
-        classes_s, types_s, b_s = realized[s]
-        pool_r: dict = {}
-        for idx, tau in enumerate(types_r):
-            pool_r.setdefault(tau, []).append(idx)
-        pool_s: dict = {}
-        for idx, tau in enumerate(types_s):
-            pool_s.setdefault(tau, []).append(idx)
-        classes_t: list[frozenset[int]] = []
-        types_t: list = []
+        (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
+        _, _, labeling = table.tables[t][chosen[t]]
+        pool = {}
         for (rho, sigma, tau), x in labeling:
             for _ in range(x):
-                i = pool_r[rho].pop()
-                j = pool_s[sigma].pop()
-                classes_t.append(classes_r[i] | classes_s[j])
-                types_t.append(tau)
+                union = pool_r[rho].pop() | pool_s[sigma].pop()
+                pool.setdefault(tau, []).append(union)
         if any(pool_r.values()) or any(pool_s.values()):
             raise StructuralError("witness replay left unmatched color classes")
-        realized[t] = (classes_t, types_t, b_r | b_s)
-    return realized[d.root]
-
-
-def _bcol_leaf_realize(v: int, sig: Signature, k: int):
-    sig1, sig2 = leaf_signatures(k)
-    if sig == sig2:
-        classes = [frozenset({v})] + [frozenset()] * (k - 1)
-        types = [ClassType((CONTAINS,), 1)] + [ClassType((DEMAND,), 0)] * (k - 1)
-        return classes, types, frozenset({v})
-    if sig == sig1:
-        classes = [frozenset({v})] + [frozenset()] * (k - 1)
-        types = [ClassType((CONTAINS,), 0)] + [ClassType((NONE,), 0)] * (k - 1)
-        return classes, types, frozenset()
-    raise StructuralError(f"unexpected leaf signature {sig}")
+        realized[t] = (pool, b_r | b_s)
+    pool, b = realized[d.root]
+    return [cls for classes in pool.values() for cls in classes], b
 
 
 def reconstruct_witness(
@@ -467,7 +415,7 @@ def reconstruct_witness(
         raise InputError(
             "witness annotations missing; solver was run without witness mode"
         )
-    classes, _, b = _realize(table, d, accepting_signature(k), _bcol_leaf_realize)
+    classes, b = _realize(table, d, accepting_signature(k))
     ordered = sorted(classes, key=lambda cls: min(cls))
     return PartialBColoring(
         classes=tuple(tuple(sorted(cls)) for cls in ordered),

@@ -217,6 +217,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc})") from exc
 
 
 def _write(path: str, text: str) -> None:
@@ -343,11 +345,14 @@ def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
     return best_decomposition(g, args.dec_effort)
 
 
-def _auto_solver(problem: str, g: Graph, d: RootedBranchDecomposition | None) -> str:
+def _auto_solver(args, g: Graph, d: RootedBranchDecomposition | None) -> str:
     # Prefer the tractable exponent: fall back to the vertex-cover solver
-    # when the decomposition is wide but the cover is small.  Fall coloring
-    # has no vertex-cover solver.
-    if problem != "fallcol" and d is not None and module_width(g, d) > 8:
+    # when the heuristic decomposition is wide but the cover is small.  A
+    # decomposition given by --dec is for cw, and fall coloring has no
+    # vertex-cover solver.
+    if args.dec or args.command == "fallcol":
+        return "cw"
+    if d is not None and module_width(g, d) > 8:
         if vc_solver.vertex_cover_within(g, 12) is not None:
             return "vc"
     return "cw"
@@ -377,7 +382,7 @@ def _cmd_solve(args) -> dict:
     d = None
     if args.solver in (None, "cw") and g.n:
         d = _load_decomposition(args, g)
-    solver = args.solver or _auto_solver(problem, g, d)
+    solver = args.solver or _auto_solver(args, g, d)
     found = max_table = None
     solved = k is None or k <= g.n  # no coloring has more colors than vertices
     if problem == "bchrom":

@@ -1,63 +1,31 @@
 """Fall coloring (partition into independent dominating sets) decision.
 
-Reuses the b-coloring table machinery with three changes: types drop the
-b-vertex bit, a class owes a future neighbor to an equivalence class
-whenever *any* vertex there lacks contact with it, and every leaf seeds the
-single signature that claims its vertex as a b-vertex for its color.  The
-NONE label is kept even though it could be folded away, so the merge and
-signature code is shared verbatim with the b-coloring solver.
+Fall coloring is the b-coloring dynamic program with different seeds and a
+different accepting signature.  Every vertex must be a b-vertex, so every
+leaf seeds the one signature that claims its vertex for its own color: one
+CONTAINS class and k-1 DEMAND classes.  DEMAND then means what fall
+coloring needs, that some vertex of the equivalence class still lacks a
+neighbor in the color class.  Types are the b-coloring ClassType with the
+b-vertex bit always 0, which never blocks a merge (0 + 0 is not above 1),
+so the merge, skeleton, signature combination and witness replay are the
+b-coloring ones.  A fall coloring exists iff the root table holds k
+classes of type (CONTAINS,) with bit 0.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
-
 from .bcol_dp import (
     CONTAINS,
     DEMAND,
-    NONE,
+    ClassType,
     DPTable,
-    MergeSkeleton,
     Signature,
-    _build_skeleton,
-    _desc_compatible,
-    _merge_cdesc,
     _realize,
     _run_dp,
 )
-from .decomposition import NodeOperator, RootedBranchDecomposition
+from .decomposition import RootedBranchDecomposition
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
-
-
-class FallType(NamedTuple):
-    """Type of a color class for fall coloring: per-class labels only."""
-
-    cdesc: tuple[int, ...]
-
-
-def fall_compatible(rho: FallType, sigma: FallType, op: NodeOperator) -> bool:
-    """Like the b-coloring compatibility, minus the b-vertex condition."""
-    if len(rho.cdesc) != len(op.bubble_r) or len(sigma.cdesc) != len(op.bubble_s):
-        raise InputError("type width does not match operator class counts")
-    return _desc_compatible(rho.cdesc, sigma.cdesc, op)
-
-
-def fall_merge_type(rho: FallType, sigma: FallType, op: NodeOperator) -> FallType:
-    if not fall_compatible(rho, sigma, op):
-        raise InputError("fall_merge_type requires a compatible pair of types")
-    return FallType(_merge_cdesc(rho.cdesc, sigma.cdesc, op))
-
-
-def build_fall_skeleton(
-    op: NodeOperator, r_types: Iterable[FallType], s_types: Iterable[FallType]
-) -> MergeSkeleton:
-    def merge_unchecked(rho, sigma, operator):
-        return FallType(_merge_cdesc(rho.cdesc, sigma.cdesc, operator))
-
-    return _build_skeleton(
-        op, list(r_types), list(s_types), fall_compatible, merge_unchecked
-    )
 
 
 def fall_leaf_signature(k: int) -> Signature:
@@ -66,18 +34,18 @@ def fall_leaf_signature(k: int) -> Signature:
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     return Signature.from_counts(
-        {FallType((CONTAINS,)): 1, FallType((DEMAND,)): k - 1}, k
+        {ClassType((CONTAINS,), 0): 1, ClassType((DEMAND,), 0): k - 1}, k
     )
 
 
 def fall_accepting_signature(k: int) -> Signature:
-    return Signature.from_counts({FallType((CONTAINS,)): k}, k)
+    return Signature.from_counts({ClassType((CONTAINS,), 0): k}, k)
 
 
 def compute_fall_tables(
     g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
 ) -> DPTable:
-    return _run_dp(g, d, k, (fall_leaf_signature(k),), build_fall_skeleton, witness)
+    return _run_dp(g, d, k, (fall_leaf_signature(k),), witness)
 
 
 def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
@@ -99,14 +67,6 @@ def _prune(g: Graph, k: int) -> bool:
     return False
 
 
-def _fall_leaf_realize(v: int, sig: Signature, k: int):
-    if sig != fall_leaf_signature(k):
-        raise StructuralError(f"unexpected fall leaf signature {sig}")
-    classes = [frozenset({v})] + [frozenset()] * (k - 1)
-    types = [FallType((CONTAINS,))] + [FallType((DEMAND,))] * (k - 1)
-    return classes, types, frozenset()
-
-
 def solve_fallcoloring_witness(
     g: Graph, d: RootedBranchDecomposition, k: int
 ) -> Coloring | None:
@@ -118,7 +78,7 @@ def solve_fallcoloring_witness(
     table = compute_fall_tables(g, d, k, witness=True)
     if fall_accepting_signature(k) not in table.tables[d.root]:
         return None
-    classes, _, _ = _realize(table, d, fall_accepting_signature(k), _fall_leaf_realize)
+    classes, _ = _realize(table, d, fall_accepting_signature(k))
     colors = [0] * g.n
     for i, cls in enumerate(sorted(classes, key=min), start=1):
         for v in cls:

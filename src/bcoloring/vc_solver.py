@@ -1,15 +1,16 @@
 """Exact b-coloring solver parameterized by the vertex cover number.
 
 Strategy: instances with k at least two beyond the minimum cover size are
-rejected outright.  Otherwise every proper coloring of the cover S is tried
-together with every choice of cover vertices designated as b-vertices
-(distinct colors).  Colors lacking a designated b-vertex must be completable
-by a vertex outside S seeing all other colors; vertices outside S whose
-neighborhood already shows k-1 colors are forced.  What remains is, for
-each designated b-vertex and each color it still misses, a need set of
-outside vertices able to supply that color; needs with small candidate sets
-are solved exactly by a bounded backtracking search, large ones greedily
-afterwards (a small extension can never exhaust them).
+rejected outright.  Otherwise the proper colorings of the cover S, one per
+renaming of colors, are tried together with every choice of cover
+vertices designated as b-vertices (distinct colors).  Colors lacking a
+designated b-vertex must be completable by a vertex outside S seeing all
+other colors; vertices outside S whose neighborhood already shows k-1
+colors are forced.  What remains is, for each designated b-vertex and each
+color it still misses, a need set of outside vertices able to supply that
+color; needs with small candidate sets are solved exactly by a bounded
+backtracking search, large ones greedily afterwards (a small extension can
+never exhaust them).
 """
 
 from __future__ import annotations
@@ -103,38 +104,44 @@ def small_extension_search(
 
 
 def _proper_cover_colorings(g: Graph, cover: list[int], k: int):
-    """All proper colorings of G[cover] with colors 1..k, lexicographically,
-    each tagged with whether it is canonical under color permutation (new
-    colors appear in increasing order along the cover)."""
+    """The proper colorings of G[cover] with colors 1..k, one per renaming
+    of colors, lexicographically: each vertex takes a color already used
+    or the smallest unused one.
+
+    Trying only these is exact, and finds the same witness as trying every
+    proper coloring in lexicographic order:
+    - renaming colors maps a b-coloring to a b-coloring, and a guess
+      succeeds in _try_guess iff its renamed guess does: its b-vertices
+      keep distinct colors, the completer and need tests are made color by
+      color, and the extension search is exhaustive;
+    - the coloring kept here is the lexicographically first of its
+      renamings, so it and its guesses come before every other renaming's;
+    - hence the first successful guess over all proper colorings already
+      has a coloring kept here.
+    """
     assignment: dict[int, int] = {}
 
-    def extend(i: int, max_used: int, canonical: bool):
+    def extend(i: int, max_used: int):
         if i == len(cover):
-            yield dict(assignment), canonical
+            yield dict(assignment)
             return
         v = cover[i]
         forbidden = {assignment[u] for u in g.neighbors(v) if u in assignment}
-        for color in range(1, k + 1):
+        for color in range(1, min(k, max_used + 1) + 1):
             if color in forbidden:
                 continue
             assignment[v] = color
-            yield from extend(
-                i + 1,
-                max(max_used, color),
-                canonical and color <= max_used + 1,
-            )
+            yield from extend(i + 1, max(max_used, color))
             del assignment[v]
 
-    yield from extend(0, 0, True)
+    yield from extend(0, 0)
 
 
-def _b_vertex_guesses(cover: list[int], phi: dict[int, int], canonical: bool):
-    """Subsets of the cover with pairwise distinct colors.  The empty guess
-    pins no colors, so it is only tried for canonical colorings."""
-    if canonical:
-        yield frozenset()
+def _b_vertex_guesses(cover: list[int], phi: dict[int, int]):
+    """Subsets of the cover with pairwise distinct colors, the empty one
+    first."""
     m = len(cover)
-    for mask in range(1, 1 << m):
+    for mask in range(1 << m):
         chosen = [cover[i] for i in range(m) if mask >> i & 1]
         colors = {phi[v] for v in chosen}
         if len(colors) == len(chosen):
@@ -142,12 +149,11 @@ def _b_vertex_guesses(cover: list[int], phi: dict[int, int], canonical: bool):
 
 
 def cover_guesses(g: Graph, cover: frozenset[int], k: int):
-    """All (proper cover coloring, b-vertex subset) guesses, in a fixed
-    order.  Guesses without designated b-vertices pin no colors, so they are
-    only produced for canonical colorings."""
+    """All (proper cover coloring up to renaming, b-vertex subset) guesses,
+    in a fixed order."""
     cover_list = sorted(cover)
-    for phi, canonical in _proper_cover_colorings(g, cover_list, k):
-        for b_guess in _b_vertex_guesses(cover_list, phi, canonical):
+    for phi in _proper_cover_colorings(g, cover_list, k):
+        for b_guess in _b_vertex_guesses(cover_list, phi):
             yield CoverGuess(phi=tuple(sorted(phi.items())), b_vertices=b_guess)
 
 

@@ -16,7 +16,6 @@ from typing import Iterable
 from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE, ClassType, Signature
 from bcoloring.decomposition import RootedBranchDecomposition, equivalence_classes
 from bcoloring.errors import InputError
-from bcoloring.fall_dp import FallType
 from bcoloring.graph import Graph
 
 
@@ -101,7 +100,7 @@ def fall_type_of_class(
     t: int,
     class_vertices: Iterable[int],
     coloring: dict[int, int],
-) -> FallType:
+) -> ClassType:
     """The fall-type of color class C inside a proper total coloring of V_t.
 
     Per equivalence class Q: CONTAINS if C meets Q; DEMAND if C misses Q and
@@ -128,7 +127,7 @@ def fall_type_of_class(
             cdesc.append(DEMAND)
         else:
             cdesc.append(NONE)
-    return FallType(tuple(cdesc))
+    return ClassType(tuple(cdesc), 0)
 
 
 def fall_class_is_valid(

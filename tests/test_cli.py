@@ -11,6 +11,7 @@ from bcoloring.cli import (
     parse_decomposition_text,
     parse_graph_text,
 )
+from test_cli_contract import wide_bipartite
 
 K2_COL = "p edge 2 1\ne 1 2\n"
 STAR13_COL = "p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n"
@@ -238,6 +239,28 @@ class TestCommands:
         assert code == 0
         assert result["answer"] is True
 
+    def test_dec_without_solver_runs_cw(self, tmp_path, capsys):
+        # Without --dec the automatic route takes vc on this graph (heuristic
+        # width 10, 9-vertex cover); a given decomposition is run by cw.
+        g = wide_bipartite()
+        graph_path = tmp_path / "wide.col"
+        graph_path.write_text(format_graph(g))
+        dec_path = tmp_path / "wide.dec"
+        code, result, _ = run(
+            capsys,
+            ["decompose", "--graph", str(graph_path), "--out", str(dec_path)],
+        )
+        assert code == 0
+        assert result["answer"] == 10
+        code, result, _ = run(
+            capsys,
+            ["bcol", "--graph", str(graph_path), "--k", "2", "--dec", str(dec_path)],
+        )
+        assert code == 0
+        assert result["answer"] is True
+        assert result["solver"] == "cw-dp"
+        assert result["stats"]["module_width"] == 10
+
     def test_verify_modes(self, tmp_path, capsys):
         graph_path = tmp_path / "c4.col"
         graph_path.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
@@ -335,6 +358,25 @@ class TestExitCodes:
             assert code == 2
             assert result is None
             assert "input error" in err
+
+    @pytest.mark.parametrize("bad", ["graph", "dec", "coloring"])
+    def test_non_utf8_file(self, tmp_path, capsys, bad):
+        paths = {}
+        for name, text in (("graph", STAR13_COL), ("dec", ""), ("coloring", "")):
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(text)
+        paths[bad].write_bytes(b"\xffp edge 4 3\n")
+        if bad == "coloring":
+            argv = ["verify", "--coloring", str(paths[bad]), "--mode", "b"]
+        else:
+            argv = ["bcol", "--k", "2"]
+            if bad == "dec":
+                argv += ["--dec", str(paths[bad])]
+        code, result, err = run(capsys, argv + ["--graph", str(paths["graph"])])
+        assert code == 2
+        assert result is None
+        assert "input error" in err
+        assert str(paths[bad]) in err
 
     def test_selftest_capacity(self, capsys):
         code, _, _ = run(capsys, ["selftest", "--n-max", "11", "--trials", "1"])

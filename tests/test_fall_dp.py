@@ -12,15 +12,9 @@ from bcoloring import (
     solve_fallcoloring,
     solve_fallcoloring_witness,
 )
-from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE
+from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE, ClassType, compatible, merge_type
 from bcoloring.decomposition import operator_of
-from bcoloring.fall_dp import (
-    FallType,
-    compute_fall_tables,
-    fall_compatible,
-    fall_leaf_signature,
-    fall_merge_type,
-)
+from bcoloring.fall_dp import compute_fall_tables, fall_leaf_signature
 from helpers import (
     enumerate_fall_signatures,
     fall_class_is_valid,
@@ -28,9 +22,9 @@ from helpers import (
     random_graph,
 )
 
-FC = FallType((CONTAINS,))
-FD = FallType((DEMAND,))
-FN = FallType((NONE,))
+FC = ClassType((CONTAINS,), 0)
+FD = ClassType((DEMAND,), 0)
+FN = ClassType((NONE,), 0)
 
 
 class TestFallTypeOfClass:
@@ -63,28 +57,28 @@ class TestFallCompatibility:
         g = Graph.complete(2)
         d = linear_decomposition(g, [0, 1])
         op = operator_of(g, d, d.root)
-        assert not fall_compatible(FC, FC, op)
+        assert not compatible(FC, FC, op)
 
     def test_k2_contains_demand_merges_to_contains(self):
         g = Graph.complete(2)
         d = linear_decomposition(g, [0, 1])
         op = operator_of(g, d, d.root)
-        assert fall_compatible(FC, FD, op)
-        assert fall_merge_type(FC, FD, op) == FC
+        assert compatible(FC, FD, op)
+        assert merge_type(FC, FD, op) == FC
 
     def test_no_h_edge_demand_stays_open(self):
         g = Graph.edgeless(2)
         d = linear_decomposition(g, [0, 1])
         op = operator_of(g, d, d.root)
-        assert fall_compatible(FD, FN, op)
-        assert fall_merge_type(FD, FN, op) == FD
+        assert compatible(FD, FN, op)
+        assert merge_type(FD, FN, op) == FD
 
     def test_merge_requires_compatibility(self):
         g = Graph.complete(2)
         d = linear_decomposition(g, [0, 1])
         op = operator_of(g, d, d.root)
         with pytest.raises(InputError):
-            fall_merge_type(FC, FC, op)
+            merge_type(FC, FC, op)
 
 
 class TestLeafSignature:

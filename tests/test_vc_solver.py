@@ -106,6 +106,21 @@ class TestCoverGuesses:
         assert with_empty == [{1: 1}]
 
 
+    def test_one_coloring_per_renaming(self):
+        # An independent 3-vertex cover with k=3: of the 27 proper colorings,
+        # one per partition of the cover into color classes, Bell(3) = 5.
+        g = Graph(6, [(0, 3), (1, 4), (2, 5)])
+        colorings = {
+            guess.phi for guess in cover_guesses(g, frozenset({0, 1, 2}), 3)
+        }
+        assert len(colorings) == 5
+
+        def renamed_to_first_use(phi):
+            names: dict = {}
+            return tuple(names.setdefault(c, len(names) + 1) for _, c in phi)
+
+        assert len({renamed_to_first_use(phi) for phi in colorings}) == 5
+
 class TestSmallExtensionSearch:
     def test_no_needs(self):
         assert small_extension_search(Graph.complete(2), {}, 2) == {}
