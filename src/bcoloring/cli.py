@@ -1,5 +1,10 @@
 """Command-line front end: file formats, solver dispatch, result emission.
 
+The solve commands and selftest reach every solver through one table,
+ROUTES: one route per problem and solver, each returning a witness that has
+been checked once against the definition.  selftest compares every route
+with its problem's oracle route.
+
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored).  Decompositions are
 line-based: `n <id> internal <left> <right>` or `n <id> leaf <vertex>`,
@@ -232,17 +237,6 @@ def _write(path: str, text: str) -> None:
 # --- result emission ---------------------------------------------------------
 
 
-def _checked_witness(problem: str, g: Graph, coloring: Coloring, b_vertices) -> dict:
-    """The witness as JSON, after the definitional check."""
-    check = oracle.is_fall_coloring if problem == "fallcol" else oracle.is_b_coloring
-    if not check(g, coloring):
-        raise StructuralError("witness failed verification before emission")
-    return {
-        "coloring": [[v + 1, coloring.colors[v]] for v in range(coloring.n)],
-        "b_vertices": sorted(v + 1 for v in b_vertices),
-    }
-
-
 def _emit(result: dict) -> None:
     print(json.dumps(result, sort_keys=True, indent=2))
 
@@ -260,7 +254,9 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
 #
 # Each route decides one k: route(g, d, k, witness) returns the answer, a
 # witness (Coloring, b-vertices) when asked for and found, and the largest
-# DP table when the route has one.
+# DP table when the route has one.  A witness has passed the definitional
+# check exactly once: in _bcol_cw for the replayed DP witness, inside the
+# solver for the vc, fall and oracle routes.
 
 
 def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
@@ -268,7 +264,11 @@ def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
     answer = bcol_dp.accepting_signature(k) in table.tables[d.root]
     found = None
     if answer and witness:
-        found = _from_partial(g, bcol_dp.reconstruct_witness(table, g, d, k))
+        partial = bcol_dp.reconstruct_witness(table, g, d, k)
+        coloring = partial.to_coloring(g.n)
+        if not oracle.is_b_coloring(g, coloring):
+            raise StructuralError("replayed witness failed the b-coloring check")
+        found = (coloring, partial.b_vertices)
     return answer, found, table.max_table_size()
 
 
@@ -276,16 +276,16 @@ def _bcol_vc(g: Graph, d, k: int, witness: bool):
     if not witness:
         return vc_solver.solve_bcoloring_vc(g, k), None, None
     partial = vc_solver.solve_bcoloring_vc_witness(g, k)
-    found = None if partial is None else _from_partial(g, partial)
-    return partial is not None, found, None
+    if partial is None:
+        return False, None, None
+    return True, (partial.to_coloring(g.n), partial.b_vertices), None
 
 
 def _bcol_oracle(g: Graph, d, k: int, witness: bool):
     coloring = oracle.brute_force_bcoloring(g, k)
-    found = None
-    if coloring is not None and witness:
-        found = (coloring, _b_vertices_of(g, coloring))
-    return coloring is not None, found, None
+    if coloring is None or not witness:
+        return coloring is not None, None, None
+    return True, (coloring, _b_vertices_of(g, coloring)), None
 
 
 def _fall_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
@@ -298,10 +298,9 @@ def _fall_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
 
 def _fall_oracle(g: Graph, d, k: int, witness: bool):
     coloring = oracle.brute_force_fallcoloring(g, k)
-    found = None
-    if coloring is not None and witness:
-        found = (coloring, g.vertices())
-    return coloring is not None, found, None
+    if coloring is None or not witness:
+        return coloring is not None, None, None
+    return True, (coloring, g.vertices()), None
 
 
 ROUTES = {
@@ -319,24 +318,14 @@ def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None) -> int:
     return oracle.brute_force_chi_b(g)
 
 
-def _from_partial(g: Graph, partial: bcol_dp.PartialBColoring):
-    return partial.to_coloring(g.n), partial.b_vertices
-
-
 def _b_vertices_of(g: Graph, coloring: Coloring) -> list[int]:
-    """One b-vertex per class of a verified b-coloring."""
-    picks = []
-    all_colors = set(range(1, coloring.k + 1))
-    for i, cls in enumerate(coloring.classes(), start=1):
-        others = all_colors - {i}
-        picks.append(
-            min(
-                v
-                for v in cls
-                if others <= {coloring.colors[u] for u in g.neighbors(v)}
-            )
-        )
-    return picks
+    """The smallest b-vertex of each class of a verified b-coloring; it is
+    proper, so a b-vertex is one whose neighbors show k-1 colors."""
+    colors, k = coloring.colors, coloring.k
+    return [
+        min(v for v in cls if len({colors[u] for u in g.neighbors(v)}) == k - 1)
+        for cls in coloring.classes()
+    ]
 
 
 def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
@@ -366,7 +355,7 @@ SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle"}
 
 def _cmd_solve(args) -> dict:
     """bcol, bchrom and fallcol: parse the graph, check k, choose the route,
-    solve, check and emit the witness, write the stats."""
+    solve, emit the route's checked witness, write the stats."""
     problem = args.command
     g = parse_graph(args.graph)
     k = getattr(args, "k", None)  # bchrom takes no k
@@ -397,12 +386,19 @@ def _cmd_solve(args) -> dict:
         stats = _stats(start, d.node_count, max_table, module_width(g, d))
     else:
         stats = _stats(start)
+    emitted = None
+    if found is not None:
+        coloring, b_vertices = found
+        emitted = {
+            "coloring": [[v + 1, color] for v, color in enumerate(coloring.colors)],
+            "b_vertices": sorted(v + 1 for v in b_vertices),
+        }
     return {
         "problem": problem,
         "k": k,
         "answer": answer,
         "solver": SOLVER_NAMES[solver],
-        "witness": None if found is None else _checked_witness(problem, g, *found),
+        "witness": emitted,
         "stats": stats,
     }
 
@@ -427,7 +423,9 @@ def _cmd_verify(args) -> dict:
     g = parse_graph(args.graph)
     coloring = parse_coloring(args.coloring, g)
     start = time.perf_counter()
-    if args.mode == "b":
+    if coloring.k > g.n:
+        answer = False  # some class is empty; the checkers would build all k
+    elif args.mode == "b":
         answer = oracle.is_b_coloring(g, coloring)
     else:
         answer = oracle.is_fall_coloring(g, coloring)
@@ -467,45 +465,24 @@ def _cmd_selftest(args) -> dict:
         g = Graph(n, edges)
         d = best_decomposition(g, "heuristic")
         for k in range(1, n + 1):
-            expected = oracle.brute_force_bcoloring(g, k) is not None
-            got_cw = bcol_dp.solve_bcoloring(g, d, k)
-            got_vc = vc_solver.solve_bcoloring_vc(g, k)
-            checks += 2
-            if got_cw != expected or got_vc != expected:
-                mismatches.append(
-                    {
-                        "trial": trial,
-                        "problem": "bcol",
-                        "edges": edges,
-                        "k": k,
-                        "oracle": expected,
-                        "cw": got_cw,
-                        "vc": got_vc,
-                    }
-                )
-            if expected:
-                partial = bcol_dp.solve_bcoloring_witness(g, d, k)
-                if partial is None or not oracle.is_b_coloring(
-                    g, partial.to_coloring(g.n)
-                ):
-                    mismatches.append(
-                        {"trial": trial, "problem": "bcol-witness", "k": k}
-                    )
-                witnesses += 1
-            expected_fall = oracle.brute_force_fallcoloring(g, k) is not None
-            got_fall = fall_dp.solve_fallcoloring(g, d, k)
-            checks += 1
-            if got_fall != expected_fall:
-                mismatches.append(
-                    {
-                        "trial": trial,
-                        "problem": "fallcol",
-                        "edges": edges,
-                        "k": k,
-                        "oracle": expected_fall,
-                        "cw": got_fall,
-                    }
-                )
+            for problem, routes in ROUTES.items():
+                got = {name: route(g, d, k, True) for name, route in routes.items()}
+                witnesses += sum(found is not None for _, found, _ in got.values())
+                expected = got.pop("oracle")[0]
+                for name, (answer, found, _) in got.items():
+                    checks += 1
+                    if answer != expected or (answer and found is None):
+                        mismatches.append(
+                            {
+                                "trial": trial,
+                                "problem": problem,
+                                "edges": edges,
+                                "k": k,
+                                "oracle": expected,
+                                name: answer,
+                                "witness": found is not None,
+                            }
+                        )
     return {
         "problem": "selftest",
         "k": None,

@@ -166,9 +166,6 @@ class RootedBranchDecomposition:
     def node_count(self) -> int:
         return len(self._children)
 
-    def nodes(self) -> range:
-        return range(len(self._children))
-
     def is_leaf(self, t: int) -> bool:
         self._check_node(t)
         return self._children[t] is None

@@ -69,21 +69,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((len(a) for a in self._adj), default=0)
 
-    def induced_subgraph(self, s: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """The subgraph induced by s, together with the old->new id remap."""
-        kept = sorted(set(s))
-        for v in kept:
-            if not (0 <= v < self.n):
-                raise InputError(f"vertex {v} out of range for n={self.n}")
-        remap = {old: new for new, old in enumerate(kept)}
-        kept_set = set(kept)
-        edges = [
-            (remap[u], remap[v])
-            for u, v in self._edges
-            if u in kept_set and v in kept_set
-        ]
-        return Graph(len(kept), edges), remap
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -163,7 +148,3 @@ def is_proper(g: Graph, c: Coloring) -> bool:
     if c.n != g.n:
         raise InputError(f"coloring covers {c.n} vertices, graph has {g.n}")
     return all(c.colors[u] != c.colors[v] for u, v in g.edges())
-
-
-def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    return g.induced_subgraph(s)

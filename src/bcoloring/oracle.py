@@ -52,10 +52,10 @@ def is_fall_coloring(g: Graph, c: Coloring) -> bool:
     return True
 
 
-def _check_capacity(g: Graph, capacity: int) -> None:
-    if g.n > capacity:
+def _check_capacity(g: Graph) -> None:
+    if g.n > DEFAULT_CAPACITY:
         raise CapacityError(
-            f"brute force refused: n={g.n} exceeds capacity {capacity}"
+            f"brute force refused: n={g.n} exceeds capacity {DEFAULT_CAPACITY}"
         )
 
 
@@ -94,11 +94,9 @@ def _surjective_colorings(g: Graph, k: int):
     yield from extend(0, set())
 
 
-def brute_force_bcoloring(
-    g: Graph, k: int, capacity: int = DEFAULT_CAPACITY
-) -> Coloring | None:
+def brute_force_bcoloring(g: Graph, k: int) -> Coloring | None:
     """First b-coloring of g with k colors in lexicographic order, or None."""
-    _check_capacity(g, capacity)
+    _check_capacity(g)
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     for c in _surjective_colorings(g, k):
@@ -107,11 +105,9 @@ def brute_force_bcoloring(
     return None
 
 
-def brute_force_fallcoloring(
-    g: Graph, k: int, capacity: int = DEFAULT_CAPACITY
-) -> Coloring | None:
+def brute_force_fallcoloring(g: Graph, k: int) -> Coloring | None:
     """First fall coloring of g with k colors in lexicographic order, or None."""
-    _check_capacity(g, capacity)
+    _check_capacity(g)
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     for c in _surjective_colorings(g, k):
@@ -120,17 +116,17 @@ def brute_force_fallcoloring(
     return None
 
 
-def brute_force_chi_b(g: Graph, capacity: int = DEFAULT_CAPACITY) -> int:
+def brute_force_chi_b(g: Graph) -> int:
     """The b-chromatic number by probing every k in 1..max_degree+1.
 
     Existence of a k-b-coloring is not monotone in k, so all candidates are
     tried and the largest feasible one returned.
     """
-    _check_capacity(g, capacity)
+    _check_capacity(g)
     if g.n < 1:
         raise InputError("b-chromatic number needs at least one vertex")
     best = 0
     for k in range(1, g.max_degree() + 2):
-        if brute_force_bcoloring(g, k, capacity) is not None:
+        if brute_force_bcoloring(g, k) is not None:
             best = k
     return best

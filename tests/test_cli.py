@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from bcoloring import Graph, InputError, linear_decomposition
+from bcoloring import Graph, InputError, fall_dp, linear_decomposition, oracle, vc_solver
 from bcoloring.cli import (
     format_decomposition,
     format_graph,
@@ -16,6 +17,7 @@ from test_cli_contract import wide_bipartite
 K2_COL = "p edge 2 1\ne 1 2\n"
 STAR13_COL = "p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n"
 C5_COL = "p edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
+C6_COL = "p edge 6 6\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 6 1\n"
 
 
 def run(capsys, argv):
@@ -290,6 +292,80 @@ class TestCommands:
         assert result["answer"] is True
         assert result["mismatches"] == []
         assert result["stats"]["checks"] > 0
+
+    def test_verify_color_above_n(self, tmp_path, capsys):
+        # A color above n leaves a class empty: false, without building a
+        # class for every color up to the largest.
+        graph_path = tmp_path / "k2.col"
+        graph_path.write_text(K2_COL)
+        coloring_path = tmp_path / "k2.sol"
+        coloring_path.write_text("1 1\n2 300000\n")
+        for mode in ("b", "fall"):
+            argv = ["verify", "--graph", str(graph_path)]
+            argv += ["--coloring", str(coloring_path), "--mode", mode]
+            tracemalloc.start()
+            try:
+                code, result, _ = run(capsys, argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert result["answer"] is False
+            assert result["k"] == 300000
+            assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bcol", "--k", "3"],
+            ["bcol", "--k", "3", "--solver", "vc"],
+            ["fallcol", "--k", "3"],
+        ],
+        ids=["bcol-cw", "bcol-vc", "fallcol-cw"],
+    )
+    def test_witness_checked_once(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        for module, name in (
+            (oracle, "is_b_coloring"),
+            (oracle, "is_fall_coloring"),
+            (vc_solver, "is_b_coloring"),
+        ):
+
+            def counted(g, c, checker=getattr(module, name)):
+                calls.append(checker)
+                return checker(g, c)
+
+            monkeypatch.setattr(module, name, counted)
+        path = tmp_path / "c6.col"
+        path.write_text(C6_COL)
+        code, result, _ = run(capsys, argv + ["--graph", str(path), "--witness"])
+        assert code == 0
+        assert result["answer"] is True
+        assert result["witness"] is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "module, name, problem, route",
+        [
+            (vc_solver, "solve_bcoloring_vc_witness", "bcol", "vc"),
+            (fall_dp, "solve_fallcoloring_witness", "fallcol", "cw"),
+        ],
+        ids=["bcol-vc", "fallcol-cw"],
+    )
+    def test_selftest_reports_lost_witness(
+        self, capsys, monkeypatch, module, name, problem, route
+    ):
+        monkeypatch.setattr(module, name, lambda *args: None)
+        code, result, _ = run(
+            capsys, ["selftest", "--n-max", "4", "--trials", "6", "--seed", "3"]
+        )
+        assert code == 0
+        assert result["answer"] is False
+        assert result["mismatches"]
+        for record in result["mismatches"]:
+            assert record["problem"] == problem
+            assert record["oracle"] is True
+            assert record[route] is False
 
 
 class TestExitCodes:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcoloring import Coloring, Graph, InputError, is_proper
-from bcoloring.graph import induced_subgraph, neighbors
+from bcoloring.graph import neighbors
 
 
 class TestNeighbors:
@@ -54,23 +54,6 @@ class TestIsProper:
     def test_requires_total(self):
         with pytest.raises(InputError):
             is_proper(Graph.complete(3), Coloring((1, 2), 2))
-
-
-class TestInducedSubgraph:
-    def test_complete_to_edge(self):
-        sub, remap = induced_subgraph(Graph.complete(3), {0, 1})
-        assert sub == Graph.complete(2)
-        assert remap == {0: 0, 1: 1}
-
-    def test_path_endpoints(self):
-        sub, _ = induced_subgraph(Graph.path(4), {0, 2})
-        assert sub == Graph.edgeless(2)
-
-    def test_full_vertex_set_is_identity(self):
-        g = Graph(4, [(0, 1), (1, 2), (0, 3)])
-        sub, remap = induced_subgraph(g, g.vertices())
-        assert sub == g
-        assert remap == {v: v for v in g.vertices()}
 
 
 graphs = st.integers(1, 6).flatmap(
