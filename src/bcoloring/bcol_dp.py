@@ -16,13 +16,21 @@ whose per-type sums match the child signatures; per-label sums give the
 parent signature.  The enumeration is a depth-first search with
 residual-count pruning, generating parent signatures directly instead of
 testing candidate parent signatures one by one.
+
+compute_tables seeds every leaf with both leaf signatures and is the
+unpruned reference: its per-node tables are exactly the achievable
+signature sets.  The decision and witness entry points (solve_bcoloring,
+solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead,
+which seeds the b-vertex signature only at vertices of degree at least k-1;
+its docstring proves that this changes no answer.  b_chromatic_number
+probes k downward from the m-degree bound m(G).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate
 from .errors import InputError, StructuralError
@@ -308,17 +316,17 @@ def _run_dp(
     g: Graph,
     d: RootedBranchDecomposition,
     k: int,
-    leaf_sigs: Iterable[Signature],
+    seeds: Sequence[Iterable[Signature]],
     witness: bool,
 ) -> DPTable:
+    """The DP over d; seeds[v] lists the signatures of the leaf of vertex v."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
-    leaf_table = {sig: None for sig in leaf_sigs}
     tables: dict[int, dict[Signature, tuple | None]] = {}
     for t in d.postorder():
         if d.is_leaf(t):
-            tables[t] = dict(leaf_table)
+            tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
             continue
         r, s = d.children(t)
         op = ops[t]
@@ -337,7 +345,42 @@ def compute_tables(
     g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
 ) -> DPTable:
     """Run the b-coloring DP and return the full per-node tables."""
-    return _run_dp(g, d, k, leaf_signatures(k), witness)
+    return _run_dp(g, d, k, [leaf_signatures(k)] * g.n, witness)
+
+
+def _decision_tables(
+    g: Graph, d: RootedBranchDecomposition, k: int, witness: bool
+) -> DPTable:
+    """The DP with the b-vertex leaf signature seeded only at vertices of
+    degree at least k-1; every other leaf holds the non-b signature alone.
+
+    Root acceptance is the same as with compute_tables.  Each pair of
+    child signatures is combined exactly as in the reference: the skeleton
+    holds every compatible pair among the types of both child tables, so
+    the pair sees the same edges.  Hence a node's gated table is the
+    reference combination of a subset of its children's pairs, and by
+    induction from the leaves every gated table is a subset of the
+    reference table at its node; an accepting gated root gives an accepting
+    reference root.  Conversely, an accepting reference root comes from a
+    b-coloring with one designated b-vertex per class and no DEMAND left
+    open at the root.  The reference DP derives that root signature from
+    the signatures of the coloring's restrictions to each G_t, seeding the
+    b-vertex signature exactly at the designated vertices.  Each of those
+    has neighbors in all k-1 other colors, so its degree is at least k-1
+    and it keeps that seed here; the gated DP makes the same derivation and
+    accepts too.
+
+    Witnesses stay sound: replay follows stored annotations, each of which
+    is a step the reference DP also takes, so a replayed gated witness is a
+    b-coloring with k colors (and the callers check it against the
+    definition before handing it out).
+    """
+    plain, claimed = leaf_signatures(k)
+    seeds = [
+        (plain, claimed) if g.degree(v) >= k - 1 else (plain,)
+        for v in g.vertices()
+    ]
+    return _run_dp(g, d, k, seeds, witness)
 
 
 def accepting_signature(k: int) -> Signature:
@@ -350,7 +393,7 @@ def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
     """Does g have a b-coloring with k colors?"""
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
-    table = compute_tables(g, d, k)
+    table = _decision_tables(g, d, k, witness=False)
     return accepting_signature(k) in table.tables[d.root]
 
 
@@ -433,7 +476,7 @@ def solve_bcoloring_witness(
     """
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
-    table = compute_tables(g, d, k, witness=True)
+    table = _decision_tables(g, d, k, witness=True)
     if accepting_signature(k) not in table.tables[d.root]:
         return None
     witness = reconstruct_witness(table, g, d, k)
@@ -445,12 +488,14 @@ def solve_bcoloring_witness(
 
 
 def b_chromatic_number(g: Graph, d: RootedBranchDecomposition) -> int:
-    """The largest k admitting a b-coloring; not monotone, so every k in
-    1..max_degree+1 is probed."""
+    """The largest k admitting a b-coloring.
+
+    Feasibility is not monotone in k, but no k above the m-degree m(G) is
+    feasible (Irving & Manlove 1999: the k b-vertices have degree at least
+    k-1), and m(G) <= n.  So k is probed from m(G) down, and the first
+    feasible k is the largest.
+    """
     if g.n < 1:
         raise InputError("b-chromatic number needs at least one vertex")
-    best = 0
-    for k in range(1, g.max_degree() + 2):
-        if solve_bcoloring(g, d, k):
-            best = k
-    return best
+    probes = range(g.m_degree(), 0, -1)
+    return next((k for k in probes if solve_bcoloring(g, d, k)), 0)

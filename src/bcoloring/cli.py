@@ -260,7 +260,7 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
 
 
 def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
-    table = bcol_dp.compute_tables(g, d, k, witness=witness)
+    table = bcol_dp._decision_tables(g, d, k, witness)
     answer = bcol_dp.accepting_signature(k) in table.tables[d.root]
     found = None
     if answer and witness:
@@ -309,13 +309,17 @@ ROUTES = {
 }
 
 
-def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None) -> int:
-    if solver == "cw":
-        return bcol_dp.b_chromatic_number(g, d)
-    if solver == "vc":
-        probes = range(1, g.max_degree() + 2)
-        return max((k for k in probes if vc_solver.solve_bcoloring_vc(g, k)), default=0)
-    return oracle.brute_force_chi_b(g)
+def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None, witness: bool):
+    """The b-chromatic number by one bcol route, with that route's checked
+    witness at it when asked for.  No k above the m-degree m(G) (<= n) is
+    feasible, so probing k from m(G) down and stopping at the first feasible
+    k is exact, although feasibility is not monotone in k."""
+    route = ROUTES["bcol"][solver]
+    for k in range(g.m_degree(), 0, -1):
+        answer, found, _ = route(g, d, k, witness)
+        if answer:
+            return k, found
+    return 0, None
 
 
 def _b_vertices_of(g: Graph, coloring: Coloring) -> list[int]:
@@ -375,9 +379,7 @@ def _cmd_solve(args) -> dict:
     found = max_table = None
     solved = k is None or k <= g.n  # no coloring has more colors than vertices
     if problem == "bchrom":
-        answer = _chi_b(solver, g, d)
-        if args.witness and answer >= 1:
-            _, found, _ = ROUTES["bcol"][solver](g, d, answer, True)
+        answer, found = _chi_b(solver, g, d, args.witness)
     elif solved:
         answer, found, max_table = ROUTES[problem][solver](g, d, k, args.witness)
     else:
@@ -464,25 +466,35 @@ def _cmd_selftest(args) -> dict:
         ]
         g = Graph(n, edges)
         d = best_decomposition(g, "heuristic")
+        compared = []  # (problem, k, oracle's answer, route, its answer, witness)
         for k in range(1, n + 1):
             for problem, routes in ROUTES.items():
                 got = {name: route(g, d, k, True) for name, route in routes.items()}
                 witnesses += sum(found is not None for _, found, _ in got.values())
                 expected = got.pop("oracle")[0]
                 for name, (answer, found, _) in got.items():
-                    checks += 1
-                    if answer != expected or (answer and found is None):
-                        mismatches.append(
-                            {
-                                "trial": trial,
-                                "problem": problem,
-                                "edges": edges,
-                                "k": k,
-                                "oracle": expected,
-                                name: answer,
-                                "witness": found is not None,
-                            }
-                        )
+                    compared.append((problem, k, expected, name, answer, found))
+        # chi_b by each route's downward k loop, against the unpruned oracle
+        expected = oracle.brute_force_chi_b(g)
+        for name in ROUTES["bcol"]:
+            if name != "oracle":
+                chi_b, found = _chi_b(name, g, d, True)
+                witnesses += found is not None
+                compared.append(("bchrom", None, expected, name, chi_b, found))
+        for problem, k, expected, name, answer, found in compared:
+            checks += 1
+            if answer != expected or (answer and found is None):
+                mismatches.append(
+                    {
+                        "trial": trial,
+                        "problem": problem,
+                        "edges": edges,
+                        "k": k,
+                        "oracle": expected,
+                        name: answer,
+                        "witness": found is not None,
+                    }
+                )
     return {
         "problem": "selftest",
         "k": None,

@@ -45,7 +45,7 @@ def fall_accepting_signature(k: int) -> Signature:
 def compute_fall_tables(
     g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
 ) -> DPTable:
-    return _run_dp(g, d, k, (fall_leaf_signature(k),), witness)
+    return _run_dp(g, d, k, [(fall_leaf_signature(k),)] * g.n, witness)
 
 
 def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:

@@ -69,6 +69,12 @@ class Graph:
     def min_degree(self) -> int:
         return min((len(a) for a in self._adj), default=0)
 
+    def m_degree(self) -> int:
+        """m(G): the largest i such that at least i vertices have degree at
+        least i-1; an upper bound on the b-chromatic number."""
+        degrees = sorted((len(a) for a in self._adj), reverse=True)
+        return max((i for i, d in enumerate(degrees, 1) if d >= i - 1), default=0)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

@@ -21,6 +21,7 @@ from bcoloring.bcol_dp import (
     NONE,
     ClassType,
     Signature,
+    _decision_tables,
     accepting_signature,
     all_types,
     build_merge_skeleton,
@@ -32,6 +33,7 @@ from bcoloring.bcol_dp import (
 )
 from bcoloring.decomposition import operator_of
 from helpers import (
+    atlas_connected_corpus,
     enumerate_bcol_signatures,
     is_valid_class,
     random_graph,
@@ -408,6 +410,41 @@ class TestBChromaticNumber:
         g = Graph.path(4)
         assert b_chromatic_number(g, best_decomposition(g, "heuristic")) == 2
         assert brute_force_chi_b(g) == 2
+
+
+class TestDegreeGatedTables:
+    """The gated decision DP against the unpruned reference compute_tables,
+    over every connected graph with n <= 6 and every k."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        graphs = atlas_connected_corpus(6)
+        return [(g, best_decomposition(g, "heuristic")) for g in graphs]
+
+    def test_tables_are_subsets_with_the_same_acceptance(self, corpus):
+        for g, d in corpus:
+            for k in range(1, g.n + 1):
+                reference = compute_tables(g, d, k)
+                gated = _decision_tables(g, d, k, witness=False)
+                for t in d.postorder():
+                    assert set(gated.tables[t]) <= set(reference.tables[t])
+                accepting = accepting_signature(k)
+                assert (accepting in gated.tables[d.root]) == (
+                    accepting in reference.tables[d.root]
+                ), (g.edges(), k)
+
+    def test_low_degree_leaves_hold_no_b_vertex(self):
+        g = Graph.star(3)  # the leaves have degree 1 < k - 1 for k = 3
+        d = best_decomposition(g, "heuristic")
+        table = _decision_tables(g, d, 3, witness=False)
+        plain, claimed = leaf_signatures(3)
+        for t in d.leaves():
+            expected = {plain, claimed} if d.leaf_vertex(t) == 0 else {plain}
+            assert set(table.tables[t]) == expected
+
+    def test_chi_b_matches_oracle(self, corpus):
+        for g, d in corpus:
+            assert b_chromatic_number(g, d) == brute_force_chi_b(g), g.edges()
 
 
 class TestTableInvariants:

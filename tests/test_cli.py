@@ -1,9 +1,18 @@
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from bcoloring import Graph, InputError, fall_dp, linear_decomposition, oracle, vc_solver
+from bcoloring import (
+    Graph,
+    InputError,
+    bcol_dp,
+    fall_dp,
+    linear_decomposition,
+    oracle,
+    vc_solver,
+)
 from bcoloring.cli import (
     format_decomposition,
     format_graph,
@@ -12,6 +21,7 @@ from bcoloring.cli import (
     parse_decomposition_text,
     parse_graph_text,
 )
+from helpers import random_graph
 from test_cli_contract import wide_bipartite
 
 K2_COL = "p edge 2 1\ne 1 2\n"
@@ -344,16 +354,39 @@ class TestCommands:
         assert result["witness"] is not None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_bchrom_witness_runs_one_dp_per_probe(
+        self, tmp_path, capsys, monkeypatch, seed
+    ):
+        # k runs from m(G) down to chi_b, and the witness comes from the
+        # probe at chi_b: no DP is run again for it.
+        g = random_graph(random.Random(seed), 9, 0.35)
+        runs = []
+
+        def counted(*args, dp=bcol_dp._run_dp):
+            runs.append(args[2])
+            return dp(*args)
+
+        monkeypatch.setattr(bcol_dp, "_run_dp", counted)
+        path = tmp_path / "g.col"
+        path.write_text(format_graph(g))
+        argv = ["bchrom", "--graph", str(path), "--solver", "cw", "--witness"]
+        code, result, _ = run(capsys, argv)
+        assert code == 0
+        chi_b = result["answer"]
+        assert len({color for _, color in result["witness"]["coloring"]}) == chi_b
+        assert runs == list(range(g.m_degree(), chi_b - 1, -1))
+
     @pytest.mark.parametrize(
-        "module, name, problem, route",
+        "module, name, problem, route, also_chi_b",
         [
-            (vc_solver, "solve_bcoloring_vc_witness", "bcol", "vc"),
-            (fall_dp, "solve_fallcoloring_witness", "fallcol", "cw"),
+            (vc_solver, "solve_bcoloring_vc_witness", "bcol", "vc", True),
+            (fall_dp, "solve_fallcoloring_witness", "fallcol", "cw", False),
         ],
         ids=["bcol-vc", "fallcol-cw"],
     )
     def test_selftest_reports_lost_witness(
-        self, capsys, monkeypatch, module, name, problem, route
+        self, capsys, monkeypatch, module, name, problem, route, also_chi_b
     ):
         monkeypatch.setattr(module, name, lambda *args: None)
         code, result, _ = run(
@@ -362,7 +395,16 @@ class TestCommands:
         assert code == 0
         assert result["answer"] is False
         assert result["mismatches"]
+        chi_b_records = [r for r in result["mismatches"] if r["problem"] == "bchrom"]
+        # chi_b through the same route finds no k with a witness, once per trial
+        assert len(chi_b_records) == (6 if also_chi_b else 0)
+        for record in chi_b_records:
+            assert record["oracle"] >= 1
+            assert record[route] == 0
+            assert record["witness"] is False
         for record in result["mismatches"]:
+            if record in chi_b_records:
+                continue
             assert record["problem"] == problem
             assert record["oracle"] is True
             assert record[route] is False

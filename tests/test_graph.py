@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcoloring import Coloring, Graph, InputError, is_proper
+from bcoloring import Coloring, Graph, InputError, brute_force_chi_b, is_proper
 from bcoloring.graph import neighbors
 
 
@@ -87,6 +87,22 @@ def test_is_proper_invariant_under_color_permutation(g, data):
     relabel = {old: new for old, new in zip(range(1, k + 1), perm)}
     permuted = tuple(relabel[c] for c in colors)
     assert is_proper(g, Coloring(colors, k)) == is_proper(g, Coloring(permuted, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs)
+def test_m_degree_bounds_chi_b(g):
+    assert brute_force_chi_b(g) <= g.m_degree() <= g.max_degree() + 1
+
+
+class TestMDegree:
+    def test_small_families(self):
+        assert Graph.edgeless(3).m_degree() == 1
+        assert Graph.path(4).m_degree() == 2
+        assert Graph.star(3).m_degree() == 2
+        assert Graph.complete(5).m_degree() == 5
+        assert Graph.cycle(6).m_degree() == 3
+        assert Graph(0).m_degree() == 0
 
 
 class TestColoring:
