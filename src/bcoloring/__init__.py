@@ -8,7 +8,6 @@ partitions) stay in their submodules.
 """
 
 from .bcol_dp import (
-    PartialBColoring,
     b_chromatic_number,
     compute_tables,
     solve_bcoloring,
@@ -38,7 +37,6 @@ __all__ = [
     "Coloring",
     "Graph",
     "InputError",
-    "PartialBColoring",
     "RootedBranchDecomposition",
     "StructuralError",
     "b_chromatic_number",

@@ -24,6 +24,12 @@ solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead,
 which seeds the b-vertex signature only at vertices of degree at least k-1;
 its docstring proves that this changes no answer.  b_chromatic_number
 probes k downward from the m-degree bound m(G).
+
+A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
+class.  _realize replays the stored annotations of an accepting root into
+that pair, its classes numbered by smallest vertex, and
+reconstruct_witness, the one place a DP b-coloring witness is built,
+checks it against the definition before handing it out.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import oracle
 from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
@@ -87,35 +94,10 @@ class MergeSkeleton:
     """Bipartite graph over child types; edges are the compatible pairs,
     labeled with their merge type."""
 
-    left: tuple
-    right: tuple
     edges: tuple  # (r-type, s-type, merge type) triples
 
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-@dataclass(frozen=True)
-class PartialBColoring:
-    """A coloring of a vertex subset into classes, with designated partial
-    b-vertices (at most one per class)."""
-
-    classes: tuple[tuple[int, ...], ...]
-    b_vertices: frozenset[int]
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    def to_coloring(self, n: int) -> Coloring:
-        """As a total Coloring; requires the classes to cover 0..n-1."""
-        colors = [0] * n
-        for i, cls in enumerate(self.classes, start=1):
-            for v in cls:
-                colors[v] = i
-        if any(c == 0 for c in colors):
-            raise InputError("partial coloring is not total, cannot convert")
-        return Coloring(tuple(colors), len(self.classes))
 
 
 # --- compatibility and merging of types -------------------------------------
@@ -193,14 +175,14 @@ def build_merge_skeleton(
 ) -> MergeSkeleton:
     """Skeleton over the given child type lists: one edge per compatible
     pair, labeled with its merge type."""
-    r_types, s_types = tuple(r_types), tuple(s_types)
+    s_types = tuple(s_types)
     edges = []
     for rho in r_types:
         for sigma in s_types:
             tau = _merge(rho, sigma, op)
             if tau is not None:
                 edges.append((rho, sigma, tau))
-    return MergeSkeleton(r_types, s_types, tuple(edges))
+    return MergeSkeleton(tuple(edges))
 
 
 # --- signatures and their combination ---------------------------------------
@@ -372,7 +354,7 @@ def _decision_tables(
 
     Witnesses stay sound: replay follows stored annotations, each of which
     is a step the reference DP also takes, so a replayed gated witness is a
-    b-coloring with k colors (and the callers check it against the
+    b-coloring with k colors (and reconstruct_witness checks it against the
     definition before handing it out).
     """
     plain, claimed = leaf_signatures(k)
@@ -414,13 +396,15 @@ def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
     return chosen
 
 
-def _realize(table: DPTable, d: RootedBranchDecomposition, accepting: Signature):
+def _realize(
+    table: DPTable, d: RootedBranchDecomposition, accepting: Signature
+) -> tuple[Coloring, frozenset[int]]:
     """Replay stored annotations bottom-up into concrete classes.
 
-    Returns the k classes and the b-vertices.  A leaf puts its vertex in the
-    class of type (CONTAINS,), and the vertex is a b-vertex iff that type's
-    bit is 1; internal nodes pair off child classes along the stored edge
-    labeling and take unions.
+    Returns the coloring, its classes numbered by smallest vertex, and the
+    b-vertices.  A leaf puts its vertex in the class of type (CONTAINS,),
+    and the vertex is a b-vertex iff that type's bit is 1; internal nodes
+    pair off child classes along the stored edge labeling and take unions.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
@@ -447,44 +431,41 @@ def _realize(table: DPTable, d: RootedBranchDecomposition, accepting: Signature)
             raise StructuralError("witness replay left unmatched color classes")
         realized[t] = (pool, b_r | b_s)
     pool, b = realized[d.root]
-    return [cls for classes in pool.values() for cls in classes], b
+    classes = sorted((cls for group in pool.values() for cls in group), key=min)
+    color = {v: i for i, cls in enumerate(classes, start=1) for v in cls}
+    return Coloring(tuple(color[v] for v in range(len(color))), len(classes)), b
 
 
 def reconstruct_witness(
     table: DPTable, g: Graph, d: RootedBranchDecomposition, k: int
-) -> PartialBColoring:
-    """Replay the accepting root signature into a concrete b-coloring."""
+) -> tuple[Coloring, frozenset[int]]:
+    """Replay the accepting root signature into a b-coloring and its
+    b-vertices, one per class.
+
+    This is where every DP b-coloring witness is built, and it is checked
+    here, once, against the definition before it is handed out.
+    """
     if not table.witness:
         raise InputError(
             "witness annotations missing; solver was run without witness mode"
         )
-    classes, b = _realize(table, d, accepting_signature(k))
-    ordered = sorted(classes, key=lambda cls: min(cls))
-    return PartialBColoring(
-        classes=tuple(tuple(sorted(cls)) for cls in ordered),
-        b_vertices=frozenset(b),
-    )
+    coloring, b = _realize(table, d, accepting_signature(k))
+    if not oracle.is_b_coloring(g, coloring):
+        raise StructuralError("reconstructed witness failed the b-coloring check")
+    return coloring, b
 
 
 def solve_bcoloring_witness(
     g: Graph, d: RootedBranchDecomposition, k: int
-) -> PartialBColoring | None:
-    """A b-coloring witness with k colors, or None if none exists.
-
-    The returned witness is re-checked against the brute-force definition
-    before being handed out.
-    """
+) -> tuple[Coloring, frozenset[int]] | None:
+    """A b-coloring with k colors and one b-vertex per class, checked by
+    reconstruct_witness, or None if none exists."""
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
     table = _decision_tables(g, d, k, witness=True)
     if accepting_signature(k) not in table.tables[d.root]:
         return None
-    witness = reconstruct_witness(table, g, d, k)
-    from .oracle import is_b_coloring
-
-    if not is_b_coloring(g, witness.to_coloring(g.n)):
-        raise StructuralError("reconstructed witness failed the b-coloring check")
-    return witness
+    return reconstruct_witness(table, g, d, k)
 
 
 def b_chromatic_number(g: Graph, d: RootedBranchDecomposition) -> int:

@@ -253,10 +253,12 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
 # --- solver routes -------------------------------------------------------------
 #
 # Each route decides one k: route(g, d, k, witness) returns the answer, a
-# witness (Coloring, b-vertices) when asked for and found, and the largest
-# DP table when the route has one.  A witness has passed the definitional
-# check exactly once: in _bcol_cw for the replayed DP witness, inside the
-# solver for the vc, fall and oracle routes.
+# witness (Coloring, frozenset of b-vertices) when asked for and found, and
+# the largest DP table when the route has one.  The solver builds the pair
+# and checks it against the definition exactly once: reconstruct_witness
+# for the DP, _try_guess for vc, the brute force for the oracle routes and
+# solve_fallcoloring_witness for the fall DP.  The routes pass it on
+# unchanged; a fall coloring's b-vertices are all its vertices.
 
 
 def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
@@ -264,35 +266,29 @@ def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
     answer = bcol_dp.accepting_signature(k) in table.tables[d.root]
     found = None
     if answer and witness:
-        partial = bcol_dp.reconstruct_witness(table, g, d, k)
-        coloring = partial.to_coloring(g.n)
-        if not oracle.is_b_coloring(g, coloring):
-            raise StructuralError("replayed witness failed the b-coloring check")
-        found = (coloring, partial.b_vertices)
+        found = bcol_dp.reconstruct_witness(table, g, d, k)
     return answer, found, table.max_table_size()
 
 
 def _bcol_vc(g: Graph, d, k: int, witness: bool):
     if not witness:
         return vc_solver.solve_bcoloring_vc(g, k), None, None
-    partial = vc_solver.solve_bcoloring_vc_witness(g, k)
-    if partial is None:
-        return False, None, None
-    return True, (partial.to_coloring(g.n), partial.b_vertices), None
+    found = vc_solver.solve_bcoloring_vc_witness(g, k)
+    return found is not None, found, None
 
 
 def _bcol_oracle(g: Graph, d, k: int, witness: bool):
     coloring = oracle.brute_force_bcoloring(g, k)
     if coloring is None or not witness:
         return coloring is not None, None, None
-    return True, (coloring, _b_vertices_of(g, coloring)), None
+    return True, (coloring, oracle.b_vertices(g, coloring)), None
 
 
 def _fall_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
     if not witness:
         return fall_dp.solve_fallcoloring(g, d, k), None, None
     coloring = fall_dp.solve_fallcoloring_witness(g, d, k)
-    found = None if coloring is None else (coloring, g.vertices())
+    found = None if coloring is None else (coloring, frozenset(g.vertices()))
     return coloring is not None, found, None
 
 
@@ -300,7 +296,7 @@ def _fall_oracle(g: Graph, d, k: int, witness: bool):
     coloring = oracle.brute_force_fallcoloring(g, k)
     if coloring is None or not witness:
         return coloring is not None, None, None
-    return True, (coloring, g.vertices()), None
+    return True, (coloring, frozenset(g.vertices())), None
 
 
 ROUTES = {
@@ -320,16 +316,6 @@ def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None, witness: 
         if answer:
             return k, found
     return 0, None
-
-
-def _b_vertices_of(g: Graph, coloring: Coloring) -> list[int]:
-    """The smallest b-vertex of each class of a verified b-coloring; it is
-    proper, so a b-vertex is one whose neighbors show k-1 colors."""
-    colors, k = coloring.colors, coloring.k
-    return [
-        min(v for v in cls if len({colors[u] for u in g.neighbors(v)}) == k - 1)
-        for cls in coloring.classes()
-    ]
 
 
 def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:

@@ -78,12 +78,7 @@ def solve_fallcoloring_witness(
     table = compute_fall_tables(g, d, k, witness=True)
     if fall_accepting_signature(k) not in table.tables[d.root]:
         return None
-    classes, _ = _realize(table, d, fall_accepting_signature(k))
-    colors = [0] * g.n
-    for i, cls in enumerate(sorted(classes, key=min), start=1):
-        for v in cls:
-            colors[v] = i
-    witness = Coloring(tuple(colors), k)
+    witness, _ = _realize(table, d, fall_accepting_signature(k))
     from .oracle import is_fall_coloring
 
     if not is_fall_coloring(g, witness):

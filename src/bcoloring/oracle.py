@@ -5,6 +5,10 @@ exhaustive solvers refuse instances beyond a small capacity instead of
 silently running forever.  Enumeration is in lexicographic order of the
 assignment vector, and the first witness found is returned, so outputs are
 deterministic and usable as frozen test fixtures.
+
+b_vertices is the one b-vertex definition: is_b_coloring asks it whether
+a coloring is a b-coloring, and the oracle route pairs a brute-force
+coloring with its b-vertices through it.
 """
 
 from __future__ import annotations
@@ -15,24 +19,34 @@ from .graph import Coloring, Graph, is_proper
 DEFAULT_CAPACITY = 10
 
 
-def is_b_coloring(g: Graph, c: Coloring) -> bool:
-    """True iff c is proper, every class is nonempty, and every class
-    contains a vertex with neighbors in all other classes."""
+def b_vertices(g: Graph, c: Coloring) -> frozenset[int] | None:
+    """The smallest b-vertex of each class of c, or None if c is not a
+    b-coloring: proper, every class nonempty, and every class holding a
+    vertex with neighbors in all other classes."""
     if c.n != g.n:
         raise InputError(f"coloring covers {c.n} vertices, graph has {g.n}")
     if not is_proper(g, c):
-        return False
+        return None
     classes = c.classes()
     if any(not cls for cls in classes):
-        return False
+        return None
     all_colors = set(range(1, c.k + 1))
+    found = []
     for i, cls in enumerate(classes, start=1):
         others = all_colors - {i}
-        if not any(
-            others <= {c.colors[u] for u in g.neighbors(v)} for v in cls
-        ):
-            return False
-    return True
+        for v in sorted(cls):
+            if others <= {c.colors[u] for u in g.neighbors(v)}:
+                found.append(v)
+                break
+        else:
+            return None
+    return frozenset(found)
+
+
+def is_b_coloring(g: Graph, c: Coloring) -> bool:
+    """True iff c is proper, every class is nonempty, and every class
+    contains a vertex with neighbors in all other classes."""
+    return b_vertices(g, c) is not None
 
 
 def is_fall_coloring(g: Graph, c: Coloring) -> bool:

@@ -1,40 +1,30 @@
 """Exact b-coloring solver parameterized by the vertex cover number.
 
-Strategy: instances with k at least two beyond the minimum cover size are
-rejected outright.  Otherwise the proper colorings of the cover S, one per
-renaming of colors, are tried together with every choice of cover
-vertices designated as b-vertices (distinct colors).  Colors lacking a
-designated b-vertex must be completable by a vertex outside S seeing all
-other colors; vertices outside S whose neighborhood already shows k-1
-colors are forced.  What remains is, for each designated b-vertex and each
-color it still misses, a need set of outside vertices able to supply that
-color; needs with small candidate sets are solved exactly by a bounded
-backtracking search, large ones greedily afterwards (a small extension can
-never exhaust them).
+Strategy: instances with k above the m-degree m(G), or at least two beyond
+the minimum cover size, are rejected outright.  Otherwise the proper
+colorings of the cover S, one per renaming of colors, are tried together
+with every choice of cover vertices designated as b-vertices (distinct
+colors).  Colors lacking a designated b-vertex must be completable by a
+vertex outside S seeing all other colors; vertices outside S whose
+neighborhood already shows k-1 colors are forced.  What remains is, for
+each designated b-vertex and each color it still misses, a need set of
+outside vertices able to supply that color; needs with small candidate
+sets are solved exactly by a bounded backtracking search, large ones
+greedily afterwards (a small extension can never exhaust them).
+
+The witness is the (Coloring, b-vertices) pair the first successful guess
+builds: its designated b-vertices plus one completer per other color,
+checked against the definition once, in _try_guess.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bcol_dp import PartialBColoring
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
 from .oracle import is_b_coloring
 
 # (x_j, missing color) -> outside vertices that could take that color.
 NeedSet = dict[tuple[int, int], frozenset[int]]
-
-
-@dataclass(frozen=True)
-class CoverGuess:
-    """A proper coloring of the cover plus designated b-vertices in it."""
-
-    phi: tuple[tuple[int, int], ...]  # (vertex, color), sorted by vertex
-    b_vertices: frozenset[int]
-
-    def phi_map(self) -> dict[int, int]:
-        return dict(self.phi)
 
 
 def vertex_cover_within(g: Graph, limit: int) -> frozenset[int] | None:
@@ -149,23 +139,22 @@ def _b_vertex_guesses(cover: list[int], phi: dict[int, int]):
 
 
 def cover_guesses(g: Graph, cover: frozenset[int], k: int):
-    """All (proper cover coloring up to renaming, b-vertex subset) guesses,
-    in a fixed order."""
+    """All (phi, b-vertex subset) guesses, phi a proper coloring of the
+    cover up to renaming as a vertex -> color dict, in a fixed order."""
     cover_list = sorted(cover)
     for phi in _proper_cover_colorings(g, cover_list, k):
         for b_guess in _b_vertex_guesses(cover_list, phi):
-            yield CoverGuess(phi=tuple(sorted(phi.items())), b_vertices=b_guess)
+            yield phi, b_guess
 
 
 def _try_guess(
     g: Graph,
     cover_set: frozenset[int],
-    guess: CoverGuess,
+    phi: dict[int, int],
+    b_guess: frozenset[int],
     k: int,
 ) -> tuple[Coloring, frozenset[int]] | None:
     """Extend one cover guess to a full b-coloring, or show it cannot be."""
-    phi = guess.phi_map()
-    b_guess = guess.b_vertices
     outside = [x for x in g.vertices() if x not in cover_set]
     kset = frozenset(range(1, k + 1))
     nb_colors = {
@@ -233,11 +222,15 @@ def _try_guess(
 def _solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
+    # The k b-vertices have degree at least k-1, so k <= m(G) (Irving &
+    # Manlove 1999).
+    if k > g.m_degree():
+        return None
     cover = min_vertex_cover(g)
     if k >= len(cover) + 2:
         return None
-    for guess in cover_guesses(g, cover, k):
-        result = _try_guess(g, cover, guess, k)
+    for phi, b_guess in cover_guesses(g, cover, k):
+        result = _try_guess(g, cover, phi, b_guess, k)
         if result is not None:
             return result
     return None
@@ -248,13 +241,9 @@ def solve_bcoloring_vc(g: Graph, k: int) -> bool:
     return _solve(g, k) is not None
 
 
-def solve_bcoloring_vc_witness(g: Graph, k: int) -> PartialBColoring | None:
-    """A b-coloring witness with k colors, or None."""
-    result = _solve(g, k)
-    if result is None:
-        return None
-    coloring, b_vertices = result
-    return PartialBColoring(
-        classes=tuple(tuple(sorted(cls)) for cls in coloring.classes()),
-        b_vertices=b_vertices,
-    )
+def solve_bcoloring_vc_witness(
+    g: Graph, k: int
+) -> tuple[Coloring, frozenset[int]] | None:
+    """A b-coloring with k colors and one b-vertex per class, checked
+    against the definition, or None if none exists."""
+    return _solve(g, k)

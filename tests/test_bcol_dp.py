@@ -362,28 +362,28 @@ class TestSolveBColoring:
 class TestWitness:
     def test_k2(self):
         g, d, _ = k2_setup()
-        witness = solve_bcoloring_witness(g, d, 2)
-        assert witness.classes == ((0,), (1,))
-        assert witness.b_vertices == {0, 1}
+        coloring, b_vertices = solve_bcoloring_witness(g, d, 2)
+        assert coloring.classes() == ({0}, {1})
+        assert b_vertices == {0, 1}
 
     def test_k3_bijective(self):
         g = Graph.complete(3)
         d = best_decomposition(g, "heuristic")
-        witness = solve_bcoloring_witness(g, d, 3)
-        assert witness.classes == ((0,), (1,), (2,))
-        assert witness.b_vertices == {0, 1, 2}
+        coloring, b_vertices = solve_bcoloring_witness(g, d, 3)
+        assert coloring.classes() == ({0}, {1}, {2})
+        assert b_vertices == {0, 1, 2}
 
     def test_star_two_colors(self):
         g = Graph.star(3)
         d = best_decomposition(g, "heuristic")
-        witness = solve_bcoloring_witness(g, d, 2)
-        assert set(map(frozenset, witness.classes)) == {
+        coloring, b_vertices = solve_bcoloring_witness(g, d, 2)
+        assert set(coloring.classes()) == {
             frozenset({0}),
             frozenset({1, 2, 3}),
         }
-        assert 0 in witness.b_vertices
-        assert len(witness.b_vertices & {1, 2, 3}) == 1
-        assert is_b_coloring(g, witness.to_coloring(g.n))
+        assert 0 in b_vertices
+        assert len(b_vertices & {1, 2, 3}) == 1
+        assert is_b_coloring(g, coloring)
 
     def test_no_witness_for_no_instance(self):
         g, d, _ = k2_setup()

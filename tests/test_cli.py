@@ -5,8 +5,10 @@ import tracemalloc
 import pytest
 
 from bcoloring import (
+    Coloring,
     Graph,
     InputError,
+    best_decomposition,
     bcol_dp,
     fall_dp,
     linear_decomposition,
@@ -14,6 +16,7 @@ from bcoloring import (
     vc_solver,
 )
 from bcoloring.cli import (
+    ROUTES,
     format_decomposition,
     format_graph,
     main,
@@ -513,3 +516,45 @@ def test_deterministic_output_modulo_timing(tmp_path, capsys):
         del result["stats"]["wall_time_s"]
         results.append(result)
     assert results[0] == results[1]
+
+
+WITNESS_SOURCES = {
+    "solve_bcoloring_witness": bcol_dp.solve_bcoloring_witness,
+    "solve_bcoloring_vc_witness": lambda g, d, k: vc_solver.solve_bcoloring_vc_witness(
+        g, k
+    ),
+    **{
+        f"route-{name}": lambda g, d, k, route=route: route(g, d, k, True)[1]
+        for name, route in ROUTES["bcol"].items()
+    },
+}
+
+
+@pytest.mark.parametrize("source", sorted(WITNESS_SOURCES))
+def test_bcoloring_witness_is_coloring_with_one_b_vertex_per_class(source):
+    graphs = [
+        Graph.edgeless(2),
+        Graph.star(3),
+        Graph.path(5),
+        Graph.cycle(6),
+        Graph.cycle(5),
+        Graph.complete(3),
+        Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5)]),
+    ]
+    checked = 0
+    for g in graphs:
+        d = best_decomposition(g, "heuristic")
+        for k in range(1, g.n + 1):
+            if oracle.brute_force_bcoloring(g, k) is None:
+                continue
+            coloring, b_vertices = WITNESS_SOURCES[source](g, d, k)
+            assert isinstance(coloring, Coloring) and coloring.k == k
+            assert isinstance(b_vertices, frozenset)
+            assert sorted(coloring.colors[b] for b in b_vertices) == list(
+                range(1, k + 1)
+            )
+            for b in b_vertices:
+                seen = {coloring.colors[u] for u in g.neighbors(b)}
+                assert seen == set(range(1, k + 1)) - {coloring.colors[b]}
+            checked += 1
+    assert checked == 9

@@ -8,6 +8,7 @@ from bcoloring import (
     solve_bcoloring_vc,
     solve_bcoloring_vc_witness,
 )
+from bcoloring import vc_solver
 from bcoloring.vc_solver import cover_guesses, min_vertex_cover, small_extension_search
 from helpers import random_graph
 
@@ -65,6 +66,23 @@ class TestSolveBColoringVC:
                 expected = brute_force_bcoloring(g, k) is not None
                 assert solve_bcoloring_vc(g, k) == expected
 
+    def test_k_above_m_degree_searches_no_guess(self, monkeypatch):
+        # m(C_14) = 3: no b-coloring with 4 colors, and no cover guess is
+        # tried for it.
+        guesses = []
+
+        def counted(*args, enumerate_guesses=vc_solver.cover_guesses):
+            for guess in enumerate_guesses(*args):
+                guesses.append(guess)
+                yield guess
+
+        monkeypatch.setattr(vc_solver, "cover_guesses", counted)
+        g = Graph.cycle(14)
+        assert g.m_degree() == 3
+        assert solve_bcoloring_vc(g, 4) is False
+        assert solve_bcoloring_vc_witness(g, 4) is None
+        assert guesses == []
+
     def test_witnesses_pass_checker(self):
         rng = random.Random(63)
         found = 0
@@ -74,7 +92,7 @@ class TestSolveBColoringVC:
                 witness = solve_bcoloring_vc_witness(g, k)
                 if witness is not None:
                     found += 1
-                    assert is_b_coloring(g, witness.to_coloring(g.n))
+                    assert is_b_coloring(g, witness[0])
         assert found >= 15
 
 
@@ -84,13 +102,12 @@ class TestCoverGuesses:
         cover = min_vertex_cover(g)
         guesses = list(cover_guesses(g, cover, 2))
         assert guesses  # K_{1,3} with k=2 admits guesses
-        for guess in guesses:
-            phi = guess.phi_map()
+        for phi, b_guess in guesses:
             assert set(phi) == set(cover)
             for u, v in g.edges():
                 if u in phi and v in phi:
                     assert phi[u] != phi[v]
-            b_colors = [phi[b] for b in guess.b_vertices]
+            b_colors = [phi[b] for b in b_guess]
             assert len(b_colors) == len(set(b_colors))
 
     def test_empty_guess_only_for_canonical_colorings(self):
@@ -99,9 +116,7 @@ class TestCoverGuesses:
         g = Graph.path(3)
         cover = frozenset({1})
         with_empty = [
-            guess.phi_map()
-            for guess in cover_guesses(g, cover, 2)
-            if not guess.b_vertices
+            phi for phi, b_guess in cover_guesses(g, cover, 2) if not b_guess
         ]
         assert with_empty == [{1: 1}]
 
@@ -111,7 +126,8 @@ class TestCoverGuesses:
         # one per partition of the cover into color classes, Bell(3) = 5.
         g = Graph(6, [(0, 3), (1, 4), (2, 5)])
         colorings = {
-            guess.phi for guess in cover_guesses(g, frozenset({0, 1, 2}), 3)
+            tuple(sorted(phi.items()))
+            for phi, _ in cover_guesses(g, frozenset({0, 1, 2}), 3)
         }
         assert len(colorings) == 5
 
