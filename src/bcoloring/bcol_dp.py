@@ -13,9 +13,10 @@ Internal nodes are combined through a *merge skeleton*: the bipartite graph
 of compatible child-type pairs, each edge labeled with the resulting parent
 type.  Signature combination enumerates nonnegative integer edge labelings
 whose per-type sums match the child signatures; per-label sums give the
-parent signature.  The enumeration is a depth-first search with
-residual-count pruning, generating parent signatures directly instead of
-testing candidate parent signatures one by one.
+parent signature.  The enumeration is iterative: it fixes the labeling one
+skeleton edge at a time and keeps each reached state (s-class counts left,
+parent-type counts so far) once, so it generates parent signatures
+directly, and no recursion depth depends on the skeleton.
 
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
@@ -214,6 +215,8 @@ def combine_signatures(
     Returns a map from each achievable parent signature to one realizing
     annotation (sig_r, sig_s, labeling), where the labeling lists
     ((r-type, s-type, merge type), count) entries with positive count.
+    Child pairs are joined in table order, and a parent signature keeps the
+    annotation of the first pair and labeling that reach it.
     """
     adj: dict = {}
     for rho, sigma, tau in skel.edges:
@@ -226,56 +229,55 @@ def combine_signatures(
 
 
 def _combine_pair(sig_r, sig_s, adj, k, out) -> None:
-    col_caps = dict(sig_s.items)
+    """Add the parent signatures of one child signature pair to out.
+
+    A labeling puts x classes of type rho with x of type sigma, making x
+    parent classes of type tau, along each skeleton edge.  It is fixed one
+    edge at a time: rows (r-types) in sig_r order, a row's edges in
+    skeleton order, x increasing, the row's last edge taking what is left.
+    A state is one tuple: the s-class counts left, then the parent-type
+    counts made.  It fixes what the row has left, so two partial labelings
+    in one state have the same completions, adding the same parent types:
+    keeping each state once, with its first labeling, loses no signature.
+    Both sides count k classes and each row places all of its own, so at
+    the end every s-class is used and the positive parent-type counts sum
+    to k: the parent signature, needing no check.  States come in the
+    order of their first labelings, as a depth-first search over the same
+    steps meets them, so each signature keeps that search's first labeling.
+    """
+    col = {sigma: j for j, (sigma, _) in enumerate(sig_s.items)}
     rows = []
     for rho, cnt in sig_r.items:
-        edges = tuple(
-            (sigma, tau) for sigma, tau in adj.get(rho, ()) if sigma in col_caps
-        )
+        edges = [(sigma, tau) for sigma, tau in adj.get(rho, ()) if sigma in col]
         if not edges:
             return  # this type cannot pair with anything in sig_s
         rows.append((rho, cnt, edges))
-    reachable = {sigma for _, _, edges in rows for sigma, _ in edges}
-    if any(sigma not in reachable for sigma in col_caps):
-        return
-    caps = dict(col_caps)
-    label_counts: dict = {}
-    assignment: list = []
-
-    def fill_row(i: int) -> None:
-        if i == len(rows):
-            sig_t = Signature.from_counts(label_counts, k)
-            if sig_t not in out:
-                out[sig_t] = (sig_r, sig_s, tuple(assignment))
-            return
-        rho, cnt, edges = rows[i]
-
-        def place(j: int, remaining: int) -> None:
-            if j == len(edges):
-                if remaining == 0:
-                    fill_row(i + 1)
-                return
-            sigma, tau = edges[j]
-            tail = sum(caps[s2] for s2, _ in edges[j + 1 :])
-            lo = remaining - tail if remaining > tail else 0
-            hi = min(caps[sigma], remaining)
-            for x in range(lo, hi + 1):
-                if x:
-                    caps[sigma] -= x
-                    label_counts[tau] = label_counts.get(tau, 0) + x
-                    assignment.append(((rho, sigma, tau), x))
-                place(j + 1, remaining - x)
-                if x:
-                    caps[sigma] += x
-                    if label_counts[tau] == x:
-                        del label_counts[tau]
-                    else:
-                        label_counts[tau] -= x
-                    assignment.pop()
-
-        place(0, cnt)
-
-    fill_row(0)
+    taus = sorted({tau for _, _, edges in rows for _, tau in edges})
+    base = len(col)
+    made_at = {tau: base + i for i, tau in enumerate(taus)}
+    layer = {tuple(c for _, c in sig_s.items) + (0,) * len(taus): (0, ())}
+    for rho, cnt, edges in rows:
+        layer = {state: (cnt, labeling) for state, (_, labeling) in layer.items()}
+        for e, (sigma, tau) in enumerate(edges):
+            j, i, edge = col[sigma], made_at[tau], (rho, sigma, tau)
+            last = e == len(edges) - 1
+            nxt: dict = {}
+            for state, (left, labeling) in layer.items():
+                have = state[j]
+                for x in range(left if last else 0, min(have, left) + 1):
+                    key = state if not x else (
+                        state[:j] + (have - x,) + state[j + 1 : i]
+                        + (state[i] + x,) + state[i + 1 :]
+                    )
+                    if key not in nxt:
+                        step = ((edge, x),) if x else ()
+                        nxt[key] = (left - x, labeling + step)
+            layer = nxt
+    for state, (_, labeling) in layer.items():
+        made = tuple((tau, c) for tau, c in zip(taus, state[base:]) if c)
+        sig_t = Signature(made, k)
+        if sig_t not in out:
+            out[sig_t] = (sig_r, sig_s, labeling)
 
 
 # --- the dynamic program -----------------------------------------------------

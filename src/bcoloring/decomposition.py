@@ -27,17 +27,10 @@ class ClassPartition:
     index of a class is a stable, hashable handle for downstream tables.
     """
 
-    node: int
     classes: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def index_of(self, v: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise InputError(f"vertex {v} not in any class of node {self.node}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +68,14 @@ class Annotation:
 
     operators: Mapping[int, NodeOperator]
     width: int
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class RootedBranchDecomposition:
@@ -141,17 +142,19 @@ class RootedBranchDecomposition:
         vertices = sorted(self._leaf_vertex.values())
         if len(set(vertices)) != len(vertices):
             raise StructuralError("leaf_map not bijective: repeated vertex")
+        if vertices and vertices[0] < 0:
+            raise StructuralError(f"leaf_map not bijective: vertex {vertices[0]}")
 
-        # Iterative postorder plus V_t for every node, computed once.
+        # Iterative postorder plus V_t, as a bitmask, for every node.
         post: list[int] = []
-        below: dict[int, frozenset[int]] = {}
+        below: dict[int, int] = {}
         stack2: list[tuple[int, bool]] = [(root, False)]
         while stack2:
             t, expanded = stack2.pop()
             kids = self._children[t]
             if kids is None:
                 post.append(t)
-                below[t] = frozenset({self._leaf_vertex[t]})
+                below[t] = 1 << self._leaf_vertex[t]
             elif expanded:
                 post.append(t)
                 below[t] = below[kids[0]] | below[kids[1]]
@@ -190,67 +193,59 @@ class RootedBranchDecomposition:
         """All nodes, children before parents; the root is last."""
         return self._postorder
 
-    def vertex_set(self, t: int) -> frozenset[int]:
-        """V_t: the graph vertices on leaves below t."""
+    def vertex_mask(self, t: int) -> int:
+        """V_t as a bitmask: bit v is set iff vertex v is on a leaf below t."""
         self._check_node(t)
         return self._below[t]
+
+    def vertex_set(self, t: int) -> frozenset[int]:
+        """V_t: the graph vertices on leaves below t."""
+        return frozenset(_bits(self.vertex_mask(t)))
 
     def _check_node(self, t: int) -> None:
         if not (0 <= t < len(self._children)):
             raise InputError(f"unknown decomposition node {t}")
 
 
-def _partition_by_outside(g: Graph, vt: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    outside = frozenset(g.vertices()) - vt
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in sorted(vt):
-        groups.setdefault(g.neighbors(v) & outside, []).append(v)
-    return tuple(sorted((tuple(m) for m in groups.values()), key=lambda c: c[0]))
-
-
 def equivalence_classes(
     g: Graph, d: RootedBranchDecomposition, t: int
 ) -> ClassPartition:
     """Partition V_t by outside-neighborhood signature, canonically ordered."""
-    vt = d.vertex_set(t)
-    for v in vt:
-        if not (0 <= v < g.n):
-            raise StructuralError(f"leaf vertex {v} not in graph with n={g.n}")
-    return ClassPartition(node=t, classes=_partition_by_outside(g, vt))
+    vt = d.vertex_mask(t)
+    if vt >> g.n:
+        raise StructuralError(
+            f"leaf vertex {vt.bit_length() - 1} not in graph with n={g.n}"
+        )
+    masks = g.adjacency_masks()
+    outside = ~vt
+    # Vertices in increasing order, so each class is first met at its
+    # minimum and the classes come out canonically ordered.
+    groups: dict[int, list[int]] = {}
+    for v in _bits(vt):
+        groups.setdefault(masks[v] & outside, []).append(v)
+    return ClassPartition(tuple(tuple(cls) for cls in groups.values()))
 
 
 def _operator_from_partitions(
-    g: Graph,
+    masks: Sequence[int],
+    outside_t: int,
     cp_r: ClassPartition,
     cp_s: ClassPartition,
     cp_t: ClassPartition,
 ) -> NodeOperator:
-    h_edges = set()
-    for i, qr in enumerate(cp_r.classes):
-        for j, qs in enumerate(cp_s.classes):
-            adjacent = sum(1 for u in qr for v in qs if g.has_edge(u, v))
-            if adjacent == len(qr) * len(qs):
-                h_edges.add((i, j))
-            elif adjacent != 0:
-                # Impossible when classes come from the true equivalence
-                # relation; reaching this means graph/decomposition mismatch.
-                raise StructuralError(
-                    f"node {cp_t.node}: classes {qr} and {qs} are partially adjacent"
-                )
+    """The operator, from one representative per class (see _annotate)."""
+    parent = {masks[cls[0]] & outside_t: q for q, cls in enumerate(cp_t.classes)}
 
     def bubbles(cp_child: ClassPartition) -> tuple[int, ...]:
-        out = []
-        for cls in cp_child.classes:
-            target = cp_t.index_of(cls[0])
-            if not set(cls) <= set(cp_t.classes[target]):
-                raise StructuralError(
-                    f"node {cp_t.node}: child class {cls} straddles parent classes"
-                )
-            out.append(target)
-        return tuple(out)
+        return tuple(parent[masks[cls[0]] & outside_t] for cls in cp_child.classes)
 
     return NodeOperator(
-        h_edges=frozenset(h_edges),
+        h_edges=frozenset(
+            (i, j)
+            for i, qr in enumerate(cp_r.classes)
+            for j, qs in enumerate(cp_s.classes)
+            if masks[qr[0]] >> qs[0] & 1
+        ),
         bubble_r=bubbles(cp_r),
         bubble_s=bubbles(cp_s),
     )
@@ -265,16 +260,24 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     and decompositions are immutable, so the result is cached on d for this
     graph object, matched by identity (d keeps g alive): validate,
     module_width, operator_of, the DP and every k probe share it.
+
+    An operator is read off one representative per class, exactly: at t
+    with children r and s, the members of an r-class share their neighbors
+    outside V_r, V_s included, and those of an s-class share theirs in V_r,
+    so two classes are fully adjacent or not at all, as their
+    representatives are.  And V_r lies in V_t, so one neighborhood outside
+    V_r gives one outside V_t: an r-class lies in its representative's
+    parent class, and so does an s-class.
     """
     cached = d._annotation
     if cached is not None and cached[0] is g:
         return cached[1]
-    leaf_vertices = sorted(d.vertex_set(d.root))
-    if leaf_vertices != list(range(g.n)):
+    if d.vertex_mask(d.root) != (1 << g.n) - 1:
         raise StructuralError(
-            f"leaf_map not bijective: decomposition covers {leaf_vertices}, "
-            f"graph has vertices 0..{g.n - 1}"
+            "leaf_map not bijective: decomposition covers "
+            f"{sorted(d.vertex_set(d.root))}, graph has vertices 0..{g.n - 1}"
         )
+    masks = g.adjacency_masks()
     partitions: dict[int, ClassPartition] = {}
     operators: dict[int, NodeOperator] = {}
     for t in d.postorder():
@@ -282,7 +285,7 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
         if not d.is_leaf(t):
             r, s = d.children(t)
             operators[t] = _operator_from_partitions(
-                g, partitions[r], partitions[s], partitions[t]
+                masks, ~d.vertex_mask(t), partitions[r], partitions[s], partitions[t]
             )
     annotation = Annotation(operators, max(len(cp) for cp in partitions.values()))
     d._annotation = (g, annotation)
@@ -340,7 +343,7 @@ def linear_decomposition(g: Graph, order: Sequence[int]) -> RootedBranchDecompos
 EXACT_TINY_LIMIT = 8
 
 
-def _width_of_shape(shape, adj_masks: list[int], full_mask: int, cutoff: int) -> int:
+def _width_of_shape(shape, adj_masks: Sequence[int], full_mask: int, cutoff: int) -> int:
     """Module-width of a nested-tuple tree shape, via bitmask class counting.
 
     Stops early (returning cutoff) as soon as the running maximum reaches
@@ -355,12 +358,7 @@ def _width_of_shape(shape, adj_masks: list[int], full_mask: int, cutoff: int) ->
         mask = walk(node[0]) | walk(node[1])
         if best < cutoff:
             outside = full_mask & ~mask
-            sigs = set()
-            rest = mask
-            while rest:
-                v_bit = rest & -rest
-                rest ^= v_bit
-                sigs.add(adj_masks[v_bit.bit_length() - 1] & outside)
+            sigs = {adj_masks[v] & outside for v in _bits(mask)}
             if len(sigs) > best:
                 best = len(sigs)
         return mask
@@ -409,27 +407,28 @@ def _shape_to_decomposition(shape, n: int) -> RootedBranchDecomposition:
 
 
 def _greedy_order(g: Graph) -> list[int]:
-    """Vertex order greedily minimizing the class count of each prefix."""
-    adj_masks = [0] * g.n
-    for u, v in g.edges():
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
-    full_mask = (1 << g.n) - 1
+    """Vertex order greedily minimizing the class count of each prefix,
+    ties to the smallest vertex.  sigs holds the prefix's class signatures
+    (neighborhoods outside it); adding v gives {s & ~bit(v) : s in sigs}
+    plus v's own, so a candidate costs O(classes), not O(|prefix|).
+    """
+    masks = g.adjacency_masks()
     order: list[int] = []
-    prefix_mask = 0
-    remaining = set(g.vertices())
+    outside = (1 << g.n) - 1
+    sigs: set[int] = set()
+    remaining = list(g.vertices())
     while remaining:
-        best_v, best_classes = -1, g.n + 1
-        for v in sorted(remaining):
-            mask = prefix_mask | (1 << v)
-            outside = full_mask & ~mask
-            sigs = {adj_masks[u] & outside for u in order}
-            sigs.add(adj_masks[v] & outside)
-            if len(sigs) < best_classes:
-                best_v, best_classes = v, len(sigs)
-        order.append(best_v)
-        prefix_mask |= 1 << best_v
-        remaining.discard(best_v)
+        best = None
+        for v in remaining:
+            keep = ~(1 << v)
+            cand = {s & keep for s in sigs}
+            cand.add(masks[v] & outside & keep)
+            if best is None or len(cand) < len(best[1]):
+                best = (v, cand)
+        v, sigs = best
+        order.append(v)
+        outside &= ~(1 << v)
+        remaining.remove(v)
     return order
 
 
@@ -450,14 +449,11 @@ def best_decomposition(g: Graph, effort: str = "heuristic") -> RootedBranchDecom
         raise CapacityError(
             f"exact-tiny search refused: n={g.n} exceeds limit {EXACT_TINY_LIMIT}"
         )
-    adj_masks = [0] * g.n
-    for u, v in g.edges():
-        adj_masks[u] |= 1 << v
-        adj_masks[v] |= 1 << u
+    masks = g.adjacency_masks()
     full_mask = (1 << g.n) - 1
     best_shape, best_width = None, g.n + 1
     for shape in _all_shapes(g.n):
-        w = _width_of_shape(shape, adj_masks, full_mask, best_width)
+        w = _width_of_shape(shape, masks, full_mask, best_width)
         if w < best_width:
             best_shape, best_width = shape, w
             if best_width == 1:

@@ -18,7 +18,7 @@ class Graph:
     rejected at construction rather than silently dropped.
     """
 
-    __slots__ = ("n", "_adj", "_edges")
+    __slots__ = ("n", "_adj", "_masks", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -38,6 +38,7 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj = tuple(frozenset(s) for s in adj)
+        self._masks = tuple(sum(1 << u for u in s) for s in adj)
         self._edges = tuple(sorted(seen))
 
     def vertices(self) -> range:
@@ -48,6 +49,10 @@ class Graph:
         if not (0 <= v < self.n):
             raise InputError(f"vertex {v} out of range for n={self.n}")
         return self._adj[v]
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Neighborhoods as bitmasks: bit u of entry v is set iff uv is an edge."""
+        return self._masks
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
@@ -142,11 +147,6 @@ class Coloring:
 
     def nonempty_class_count(self) -> int:
         return len(set(self.colors))
-
-
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """N_G(v); never contains v itself."""
-    return g.neighbors(v)
 
 
 def is_proper(g: Graph, c: Coloring) -> bool:

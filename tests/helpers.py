@@ -2,7 +2,9 @@
 
 The enumerators here are the independent oracles for the DP table semantics:
 they enumerate partial (b-)colorings of G_t directly from the definitions,
-never touching the solver's merge machinery.  The class-type functions they
+never touching the solver's merge machinery.  The decomposition references
+recompute the greedy order and the class partitions from scratch, the slow
+way, as differential oracles for the incremental bitmask versions.  The class-type functions they
 use (type_of_class, is_valid_class and their fall-coloring twins) are the
 paper's definitions, written out directly; the solver never calls them.
 """
@@ -201,6 +203,45 @@ def _improper(g, vt, coloring) -> bool:
         for w in g.neighbors(u)
         if w in coloring and u < w
     )
+
+
+# --- decomposition references ---------------------------------------------
+
+
+def reference_greedy_order(g: Graph) -> list[int]:
+    """The greedy vertex order, recomputing for every candidate the
+    outside neighborhood of every prefix vertex (cubic in n)."""
+    adj_masks = [0] * g.n
+    for u, v in g.edges():
+        adj_masks[u] |= 1 << v
+        adj_masks[v] |= 1 << u
+    full_mask = (1 << g.n) - 1
+    order: list[int] = []
+    prefix_mask = 0
+    remaining = set(g.vertices())
+    while remaining:
+        best_v, best_classes = -1, g.n + 1
+        for v in sorted(remaining):
+            mask = prefix_mask | (1 << v)
+            outside = full_mask & ~mask
+            sigs = {adj_masks[u] & outside for u in order}
+            sigs.add(adj_masks[v] & outside)
+            if len(sigs) < best_classes:
+                best_v, best_classes = v, len(sigs)
+        order.append(best_v)
+        prefix_mask |= 1 << best_v
+        remaining.discard(best_v)
+    return order
+
+
+def reference_partition(g: Graph, vt: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """V_t grouped by neighborhood outside V_t, from frozensets, ordered by
+    minimum vertex."""
+    outside = frozenset(g.vertices()) - vt
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in sorted(vt):
+        groups.setdefault(g.neighbors(v) & outside, []).append(v)
+    return tuple(sorted((tuple(m) for m in groups.values()), key=lambda c: c[0]))
 
 
 def atlas_connected_corpus(max_n: int = 6) -> list[Graph]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from bcoloring.bcol_dp import (
     merge_type,
     reconstruct_witness,
 )
-from bcoloring.decomposition import operator_of
+from bcoloring.decomposition import NodeOperator, operator_of
 from helpers import (
     atlas_connected_corpus,
     enumerate_bcol_signatures,
@@ -329,6 +330,19 @@ class TestCombineSignatures:
         _, _, op = k2_setup()
         skel = build_merge_skeleton(op, [C1, D0], [C1, D0])
         assert combine_signatures([], [leaf_signatures(2)[1]], skel, 2) == {}
+
+    def test_join_is_not_recursive(self):
+        # 512 distinct r-types, one class each: a join that recursed once
+        # per r-type would run past the interpreter's recursion limit.
+        op = NodeOperator(frozenset(), (0,) * 9, (0,))
+        r_types = [
+            ClassType(desc, 0) for desc in itertools.product((NONE, DEMAND), repeat=9)
+        ]
+        sig_r = Signature.from_counts(dict.fromkeys(r_types, 1), 512)
+        sig_s = Signature.from_counts({N0: 512}, 512)
+        skel = build_merge_skeleton(op, r_types, [N0])
+        out = combine_signatures([sig_r], [sig_s], skel, 512)
+        assert list(out) == [Signature.from_counts({N0: 1, D0: 511}, 512)]
 
 
 class TestSolveBColoring:

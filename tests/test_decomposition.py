@@ -13,8 +13,18 @@ from bcoloring import (
     module_width,
     validate,
 )
-from bcoloring.decomposition import equivalence_classes, operator_of
-from helpers import random_graph
+from bcoloring.decomposition import (
+    _greedy_order,
+    _shape_to_decomposition,
+    equivalence_classes,
+    operator_of,
+)
+from helpers import (
+    random_graph,
+    reference_greedy_order,
+    reference_partition,
+    relabeled,
+)
 
 
 def node_with_vertices(d, wanted):
@@ -126,6 +136,10 @@ class TestValidate:
     def test_repeated_leaf_vertex_rejected(self):
         with pytest.raises(StructuralError, match="bijective"):
             RootedBranchDecomposition([(1, 2), None, None], {1: 0, 2: 0}, root=0)
+
+    def test_negative_leaf_vertex_rejected(self):
+        with pytest.raises(StructuralError, match="bijective"):
+            RootedBranchDecomposition([(1, 2), None, None], {1: 0, 2: -1}, root=0)
 
 
 class TestLinearDecomposition:
@@ -242,3 +256,54 @@ class TestInvariants:
                 for child, bubbles in ((r, op.bubble_r), (s, op.bubble_s)):
                     for i, cls in enumerate(equivalence_classes(g, d, child).classes):
                         assert set(cls) <= set(ct[bubbles[i]])
+
+
+def random_shape(rng, vertices):
+    """A random rooted binary tree over the given leaves, as nested tuples."""
+    if len(vertices) == 1:
+        return vertices[0]
+    cut = rng.randint(1, len(vertices) - 1)
+    return (random_shape(rng, vertices[:cut]), random_shape(rng, vertices[cut:]))
+
+
+def ladder(m: int) -> Graph:
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return Graph(2 * m, rails + [(i, m + i) for i in range(m)])
+
+
+def caterpillar(spine: int) -> Graph:
+    legs = [(i, spine + i) for i in range(spine)]
+    return Graph(2 * spine, [(i, i + 1) for i in range(spine - 1)] + legs)
+
+
+class TestAgainstReferences:
+    """The incremental greedy order and the bitmask class partitions equal
+    the from-scratch references in helpers, node by node."""
+
+    def check(self, g, d):
+        for t in d.postorder():
+            expected = reference_partition(g, d.vertex_set(t))
+            assert equivalence_classes(g, d, t).classes == expected
+
+    def test_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+            assert _greedy_order(g) == reference_greedy_order(g)
+            self.check(g, best_decomposition(g, "heuristic"))
+            vertices = list(g.vertices())
+            rng.shuffle(vertices)
+            self.check(g, _shape_to_decomposition(random_shape(rng, vertices), g.n))
+
+    @pytest.mark.parametrize(
+        "family",
+        [Graph.path(60), Graph.cycle(60), ladder(30), caterpillar(30)],
+        ids=["path", "cycle", "ladder", "caterpillar"],
+    )
+    def test_relabelled_sparse_families(self, family):
+        rng = random.Random(12)
+        perm = list(family.vertices())
+        rng.shuffle(perm)
+        g = relabeled(family, perm)
+        assert _greedy_order(g) == reference_greedy_order(g)
+        self.check(g, best_decomposition(g, "heuristic"))

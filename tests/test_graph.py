@@ -3,22 +3,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcoloring import Coloring, Graph, InputError, brute_force_chi_b, is_proper
-from bcoloring.graph import neighbors
 
 
 class TestNeighbors:
     def test_complete_graph(self):
-        assert neighbors(Graph.complete(3), 0) == {1, 2}
+        assert Graph.complete(3).neighbors(0) == {1, 2}
 
     def test_path_midpoint(self):
-        assert neighbors(Graph.path(3), 1) == {0, 2}
+        assert Graph.path(3).neighbors(1) == {0, 2}
 
     def test_edgeless(self):
-        assert neighbors(Graph.edgeless(3), 2) == frozenset()
+        assert Graph.edgeless(3).neighbors(2) == frozenset()
 
     def test_out_of_range(self):
         with pytest.raises(InputError):
-            neighbors(Graph.complete(3), 3)
+            Graph.complete(3).neighbors(3)
 
 
 class TestConstruction:
@@ -75,7 +74,7 @@ def test_neighbor_symmetry(g, data):
     u = data.draw(st.integers(0, g.n - 1))
     v = data.draw(st.integers(0, g.n - 1))
     if u != v:
-        assert (v in neighbors(g, u)) == (u in neighbors(g, v))
+        assert (v in g.neighbors(u)) == (u in g.neighbors(v))
 
 
 @settings(max_examples=60, deadline=None)
