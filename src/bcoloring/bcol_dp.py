@@ -16,15 +16,24 @@ whose per-type sums match the child signatures; per-label sums give the
 parent signature.  The enumeration is iterative: it fixes the labeling one
 skeleton edge at a time and keeps each reached state (s-class counts left,
 parent-type counts so far) once, so it generates parent signatures
-directly, and no recursion depth depends on the skeleton.
+directly, and no recursion depth depends on the skeleton.  A pair with a
+leaf-shaped side (one class of one type, k-1 of another, as every leaf
+signature is) needs no search: its labeling is the choice of the class
+that takes the one class, and _leaf_join makes it in one step, with the
+same signatures, order and annotations.  On a caterpillar every join
+has a leaf child.
 
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
 signature sets.  The decision and witness entry points (solve_bcoloring,
-solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead,
-which seeds the b-vertex signature only at vertices of degree at least k-1;
-its docstring proves that this changes no answer.  b_chromatic_number
-probes k downward from the m-degree bound m(G).
+solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead.
+It seeds the b-vertex signature only at vertices of degree at least k-1,
+and it keeps every internal table canonical at the node's dead class (the
+class with no neighbor outside V_t): a type with a DEMAND there, which can
+never be met, is dropped, and a CONTAINS there becomes NONE.  Its root
+accepts decision_accepting(d, k); its docstring proves that neither step
+changes an answer.  b_chromatic_number probes k downward from the m-degree
+bound m(G).
 
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
@@ -77,18 +86,6 @@ class Signature:
             )
         return cls(items, k)
 
-    def count(self, tau) -> int:
-        for t, c in self.items:
-            if t == tau:
-                return c
-        return 0
-
-    def counts(self) -> dict:
-        return dict(self.items)
-
-    def types(self) -> tuple:
-        return tuple(t for t, _ in self.items)
-
 
 @dataclass(frozen=True)
 class MergeSkeleton:
@@ -104,7 +101,9 @@ class MergeSkeleton:
 # --- compatibility and merging of types -------------------------------------
 
 
-def _merge(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType | None:
+def _merge(
+    rho: ClassType, sigma: ClassType, op: NodeOperator, dead: int | None = None
+) -> ClassType | None:
     """The parent type of the union of two child classes of these types, or
     None if they may not merge at this node.
 
@@ -114,6 +113,10 @@ def _merge(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType | No
     otherwise it stays open in its parent class, which then must not get a
     CONTAINS bubble: a later neighbor of that parent class is adjacent to
     the class's vertex there too, so it can never join the class.
+
+    With dead set to the parent's dead class, the type is canonical there
+    (see _decision_tables): a DEMAND on it gives None, a CONTAINS becomes
+    NONE.
     """
     desc_r, desc_s = rho.cdesc, sigma.cdesc
     if len(desc_r) != len(op.bubble_r) or len(desc_s) != len(op.bubble_s):
@@ -142,6 +145,10 @@ def _merge(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType | No
                 open_demand_in[q] = True
     if any(c and o for c, o in zip(contains_in, open_demand_in)):
         return None
+    if dead is not None:
+        if open_demand_in[dead]:
+            return None
+        contains_in[dead] = False
     cdesc = tuple(
         CONTAINS if contains_in[q] else (DEMAND if open_demand_in[q] else NONE)
         for q in range(nq)
@@ -172,15 +179,20 @@ def all_types(class_count: int) -> list[ClassType]:
 
 
 def build_merge_skeleton(
-    op: NodeOperator, r_types: Iterable[ClassType], s_types: Iterable[ClassType]
+    op: NodeOperator,
+    r_types: Iterable[ClassType],
+    s_types: Iterable[ClassType],
+    canonical: bool = False,
 ) -> MergeSkeleton:
     """Skeleton over the given child type lists: one edge per compatible
-    pair, labeled with its merge type."""
+    pair, labeled with its merge type, made canonical at the node's dead
+    class if asked (the decision DP's skeleton, see _decision_tables)."""
     s_types = tuple(s_types)
+    dead = op.dead if canonical else None
     edges = []
     for rho in r_types:
         for sigma in s_types:
-            tau = _merge(rho, sigma, op)
+            tau = _merge(rho, sigma, op, dead)
             if tau is not None:
                 edges.append((rho, sigma, tau))
     return MergeSkeleton(tuple(edges))
@@ -216,16 +228,144 @@ def combine_signatures(
     annotation (sig_r, sig_s, labeling), where the labeling lists
     ((r-type, s-type, merge type), count) entries with positive count.
     Child pairs are joined in table order, and a parent signature keeps the
-    annotation of the first pair and labeling that reach it.
+    annotation of the first pair and labeling that reach it.  A pair with a
+    leaf-shaped side, as every leaf signature is, is joined in one step by
+    _leaf_join (the s side is taken when both are); every other pair by
+    _combine_pair.  Both give the same signatures, in the same order, with
+    the same annotations.
     """
-    adj: dict = {}
-    for rho, sigma, tau in skel.edges:
-        adj.setdefault(rho, []).append((sigma, tau))
+    adj, at = _edge_index(skel)
+    table_s = [(sig_s, _leaf_split(sig_s)) for sig_s in table_s]
     out: dict[Signature, tuple] = {}
     for sig_r in table_r:
-        for sig_s in table_s:
-            _combine_pair(sig_r, sig_s, adj, k, out)
+        split_r = _leaf_split(sig_r)
+        for sig_s, split_s in table_s:
+            if split_s is not None:
+                _leaf_join(sig_r, sig_s, split_s, True, at, k, out)
+            elif split_r is not None:
+                _leaf_join(sig_r, sig_s, split_r, False, at, k, out)
+            else:
+                _combine_pair(sig_r, sig_s, adj, k, out)
     return out
+
+
+def _edge_index(skel: MergeSkeleton) -> tuple[dict, dict]:
+    """adj maps each r-type to its (s-type, merge type) edges in skeleton
+    order; at maps each (r-type, s-type) edge to (its index in that list,
+    merge type)."""
+    adj: dict = {}
+    at: dict = {}
+    for rho, sigma, tau in skel.edges:
+        row = adj.setdefault(rho, [])
+        at.setdefault((rho, sigma), (len(row), tau))
+        row.append((sigma, tau))
+    return adj, at
+
+
+def _leaf_split(sig: Signature) -> tuple | None:
+    """(one, zero) if sig is leaf-shaped: one class of type one and the
+    other k-1 of type zero (None when k = 1).  Otherwise None."""
+    items = sig.items
+    if len(items) == 1:
+        return (items[0][0], None) if items[0][1] == 1 else None
+    if len(items) == 2:
+        (a, ca), (b, cb) = items
+        if ca == 1:
+            return a, b
+        if cb == 1:
+            return b, a
+    return None
+
+
+def _leaf_join(sig_r, sig_s, split, leaf_is_s, at, k, out) -> None:
+    """_combine_pair for a pair with a leaf-shaped side, in one step.
+
+    Every labeling puts the leaf side's one class with one class of the
+    other side, the taker, and every other class of the other side with a
+    zero class.  So a labeling is the taker's type, and its parent
+    signature is the other side's classes mapped through the merge with
+    zero, one taker class mapped through the merge with one instead.
+
+    Takers are tried in the order in which _combine_pair's search meets
+    their labelings.  With the leaf on s, its rows are the r-types; a row
+    whose edge to zero comes before its edge to one tries taking first, so
+    those rows come first, in row order, then the others in reverse.  With
+    the leaf on r, its row of one tries the s-types in reverse edge order
+    when it comes first; otherwise the row of zero, going first, leaves
+    the taker in edge order.  Each labeling is written as that search
+    writes it.
+    """
+    leaf, other = (sig_s, sig_r) if leaf_is_s else (sig_r, sig_s)
+    one, zero = split
+    made: dict = {}  # parent-type counts with every other class put with zero
+    rows = []  # (type, count, zero edge, one edge); an edge is (index, tau)
+    forced = None
+    for p, c in other.items:
+        e0 = None if zero is None else at.get((p, zero) if leaf_is_s else (zero, p))
+        e1 = at.get((p, one) if leaf_is_s else (one, p))
+        row = (p, c, e0, e1)
+        if e0 is None:
+            # no zero class can take p's classes: p must take the one class
+            if e1 is None or c > 1 or forced is not None:
+                return
+            forced = row
+        else:
+            made[e0[1]] = made.get(e0[1], 0) + c
+        rows.append(row)
+    candidates = [row for row in rows if row[3] is not None]
+    if forced is not None:
+        takers = [forced]
+    elif leaf_is_s:
+        first = [row for row in candidates if row[2][0] < row[3][0]]
+        last = [row for row in candidates if row[2][0] > row[3][0]]
+        takers = first + last[::-1]
+    elif leaf.items[0][0] == one:
+        takers = sorted(candidates, key=lambda row: row[3][0], reverse=True)
+    else:
+        takers = sorted(candidates, key=lambda row: row[2][0])
+    if not takers:
+        return
+    taus = sorted(made.keys() | {row[3][1] for row in takers})
+    index = {tau: i for i, tau in enumerate(taus)}
+    base = [made.get(tau, 0) for tau in taus]
+    for taker in takers:
+        _, _, e0, e1 = taker
+        counts = base.copy()
+        if e0 is not None:
+            counts[index[e0[1]]] -= 1
+        counts[index[e1[1]]] += 1
+        sig_t = Signature(tuple((tau, c) for tau, c in zip(taus, counts) if c), k)
+        if sig_t not in out:
+            labeling = _leaf_labeling(leaf, one, zero, rows, taker, leaf_is_s)
+            out[sig_t] = (sig_r, sig_s, labeling)
+
+
+def _leaf_labeling(leaf, one, zero, rows, taker, leaf_is_s) -> tuple:
+    """The labeling of _leaf_join's step with this taker, as _combine_pair
+    writes it: rows in sig_r order, a row's edges in skeleton order."""
+    if leaf_is_s:
+        labeling = []
+        for row in rows:
+            p, c, e0, e1 = row
+            if row is not taker:
+                labeling.append(((p, zero, e0[1]), c))
+                continue
+            take = ((p, one, e1[1]), 1)
+            if c == 1:
+                labeling.append(take)
+                continue
+            rest = ((p, zero, e0[1]), c - 1)
+            labeling.extend((rest, take) if e0[0] < e1[0] else (take, rest))
+        return tuple(labeling)
+    p, _, _, e1 = taker
+    take = ((one, p, e1[1]), 1)
+    rest = []
+    with_zero = [row for row in rows if row[2] is not None]
+    for q, c, e0, _ in sorted(with_zero, key=lambda row: row[2][0]):
+        x = c - (q == p)
+        if x:
+            rest.append(((zero, q, e0[1]), x))
+    return (take, *rest) if leaf.items[0][0] == one else (*rest, take)
 
 
 def _combine_pair(sig_r, sig_s, adj, k, out) -> None:
@@ -302,8 +442,11 @@ def _run_dp(
     k: int,
     seeds: Sequence[Iterable[Signature]],
     witness: bool,
+    canonical: bool = False,
 ) -> DPTable:
-    """The DP over d; seeds[v] lists the signatures of the leaf of vertex v."""
+    """The DP over d; seeds[v] lists the signatures of the leaf of vertex v.
+    With canonical set, every internal node's table is canonical at its
+    dead class (see _decision_tables)."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
@@ -316,7 +459,7 @@ def _run_dp(
         op = ops[t]
         r_types = sorted({tau for sig in tables[r] for tau, _ in sig.items})
         s_types = sorted({tau for sig in tables[s] for tau, _ in sig.items})
-        skel = build_merge_skeleton(op, r_types, s_types)
+        skel = build_merge_skeleton(op, r_types, s_types, canonical)
         combined = combine_signatures(tables[r], tables[s], skel, k)
         if witness:
             tables[t] = combined
@@ -335,36 +478,82 @@ def compute_tables(
 def _decision_tables(
     g: Graph, d: RootedBranchDecomposition, k: int, witness: bool
 ) -> DPTable:
-    """The DP with the b-vertex leaf signature seeded only at vertices of
-    degree at least k-1; every other leaf holds the non-b signature alone.
+    """The decision DP: the b-vertex leaf signature is seeded only at
+    vertices of degree at least k-1 (every other leaf holds the non-b
+    signature alone), and every internal node's table is canonical at its
+    dead class.  Its root accepts decision_accepting(d, k) exactly when
+    compute_tables' root holds accepting_signature(k).
 
-    Root acceptance is the same as with compute_tables.  Each pair of
-    child signatures is combined exactly as in the reference: the skeleton
-    holds every compatible pair among the types of both child tables, so
-    the pair sees the same edges.  Hence a node's gated table is the
-    reference combination of a subset of its children's pairs, and by
-    induction from the leaves every gated table is a subset of the
-    reference table at its node; an accepting gated root gives an accepting
-    reference root.  Conversely, an accepting reference root comes from a
-    b-coloring with one designated b-vertex per class and no DEMAND left
-    open at the root.  The reference DP derives that root signature from
-    the signatures of the coloring's restrictions to each G_t, seeding the
-    b-vertex signature exactly at the designated vertices.  Each of those
-    has neighbors in all k-1 other colors, so its degree is at least k-1
-    and it keeps that seed here; the gated DP makes the same derivation and
-    accepts too.
+    Gating.  Each pair of child signatures is combined exactly as in the
+    reference: the skeleton holds every compatible pair among the types of
+    both child tables, so the pair sees the same edges.  Hence a node's
+    gated table is the reference combination of a subset of its children's
+    pairs, and by induction from the leaves every gated table is a subset
+    of the reference table at its node; an accepting gated root gives an
+    accepting reference root.  Conversely, an accepting reference root
+    comes from a b-coloring with one designated b-vertex per class and no
+    DEMAND left open at the root.  The reference DP derives that root
+    signature from the signatures of the coloring's restrictions to each
+    G_t, seeding the b-vertex signature exactly at the designated vertices.
+    Each of those has neighbors in all k-1 other colors, so its degree is
+    at least k-1 and it keeps that seed here; the gated DP makes the same
+    derivation and accepts too.
 
-    Witnesses stay sound: replay follows stored annotations, each of which
-    is a step the reference DP also takes, so a replayed gated witness is a
-    b-coloring with k colors (and reconstruct_witness checks it against the
-    definition before handing it out).
+    Canonical tables.  The dead class of an internal node t is its
+    equivalence class whose vertices have no neighbor outside V_t
+    (NodeOperator.dead).  A type is canonical there when its label on the
+    dead class is not DEMAND and not CONTAINS; canonicalising a type drops
+    it if the label is DEMAND and rewrites CONTAINS to NONE, and
+    canonicalising a signature drops it if any of its types is dropped and
+    maps the others.  build_merge_skeleton(canonical=True) canonicalises
+    each merge type at the node, so every internal table here is the
+    canonical image of the gated table that the same DP without
+    canonicalisation builds.  By induction: leaves are not canonicalised,
+    and at an internal node t with children r and s, canonicalising at t
+    the merge of two child types gives the same result whether the child
+    types were canonicalised first or not.  Two facts give that.
+    - No h-edge touches a dead class: its vertices have no neighbor outside
+      V_r, so none in V_s (and the same for s).  So its label takes part in
+      no h-edge conflict and meets no DEMAND.
+    - A child's dead class lies in t's dead class: no neighbor outside V_r
+      means none outside the smaller complement of V_t.  Its label reaches
+      the merge only through t's dead class, where CONTAINS and NONE give
+      the same canonical result: with an open DEMAND bubbling there the
+      raw merge fails and the canonical type is dropped; without one the
+      label becomes NONE either way.  A DEMAND on a child's dead class is
+      never met (no h-edge), so it stays open in t's dead class and the
+      merge is dropped or fails either way.
+    Pairings of classes are unchanged by renaming types, so the child pairs
+    of the canonical tables make exactly the canonical images of the raw
+    parent signatures.  Nothing accepting is lost: a DEMAND on a dead class
+    is never met, and at the root, whose one class V(G) is dead, the
+    reference accepts only when no DEMAND is left.
+
+    The root.  Its canonical image of accepting_signature(k), k classes of
+    type ((CONTAINS,), 1), is k classes of type ((NONE,), 1), and nothing
+    else maps there: a class with its b-vertex bit set holds that vertex,
+    so it is labeled CONTAINS at the root, never NONE.  When n = 1 the root
+    is a leaf and nothing is canonicalised, so decision_accepting keeps
+    CONTAINS.
+
+    Witnesses stay sound: replay follows stored annotations, each a step of
+    the reference DP with its merge types canonicalised.  The skeleton edges
+    hold the canonical types, which key the classes pooled at each node, so
+    replay pairs off classes exactly as the reference labeling does, and a
+    replayed witness is a b-coloring with k colors (reconstruct_witness
+    checks it against the definition before handing it out).
     """
+    return _run_dp(g, d, k, _gated_seeds(g, k), witness, True)
+
+
+def _gated_seeds(g: Graph, k: int) -> list[tuple[Signature, ...]]:
+    """Both leaf signatures at vertices of degree at least k-1, the non-b
+    one alone elsewhere."""
     plain, claimed = leaf_signatures(k)
-    seeds = [
+    return [
         (plain, claimed) if g.degree(v) >= k - 1 else (plain,)
         for v in g.vertices()
     ]
-    return _run_dp(g, d, k, seeds, witness)
 
 
 def accepting_signature(k: int) -> Signature:
@@ -373,12 +562,22 @@ def accepting_signature(k: int) -> Signature:
     return Signature.from_counts({ClassType((CONTAINS,), 1): k}, k)
 
 
+def decision_accepting(
+    d: RootedBranchDecomposition, k: int, bvtx: int = 1
+) -> Signature:
+    """The signature a canonical decision root accepts: k classes of type
+    ((NONE,), bvtx), bvtx 1 for b-coloring and 0 for fall coloring.  A root
+    that is a leaf (n = 1) is not canonicalised and keeps CONTAINS."""
+    label = CONTAINS if d.is_leaf(d.root) else NONE
+    return Signature(((ClassType((label,), bvtx), k),), k)
+
+
 def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
     """Does g have a b-coloring with k colors?"""
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
     table = _decision_tables(g, d, k, witness=False)
-    return accepting_signature(k) in table.tables[d.root]
+    return decision_accepting(d, k) in table.tables[d.root]
 
 
 def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
@@ -441,8 +640,8 @@ def _realize(
 def reconstruct_witness(
     table: DPTable, g: Graph, d: RootedBranchDecomposition, k: int
 ) -> tuple[Coloring, frozenset[int]]:
-    """Replay the accepting root signature into a b-coloring and its
-    b-vertices, one per class.
+    """Replay the accepting root signature of a witness-mode decision table
+    (_decision_tables) into a b-coloring and its b-vertices, one per class.
 
     This is where every DP b-coloring witness is built, and it is checked
     here, once, against the definition before it is handed out.
@@ -451,7 +650,7 @@ def reconstruct_witness(
         raise InputError(
             "witness annotations missing; solver was run without witness mode"
         )
-    coloring, b = _realize(table, d, accepting_signature(k))
+    coloring, b = _realize(table, d, decision_accepting(d, k))
     if not oracle.is_b_coloring(g, coloring):
         raise StructuralError("reconstructed witness failed the b-coloring check")
     return coloring, b
@@ -465,7 +664,7 @@ def solve_bcoloring_witness(
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
     table = _decision_tables(g, d, k, witness=True)
-    if accepting_signature(k) not in table.tables[d.root]:
+    if decision_accepting(d, k) not in table.tables[d.root]:
         return None
     return reconstruct_witness(table, g, d, k)
 

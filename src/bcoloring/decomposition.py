@@ -40,12 +40,15 @@ class NodeOperator:
     h_edges lists the (r-class, s-class) index pairs whose members are all
     pairwise adjacent in G; every other cross pair has no adjacency at all.
     bubble_r[i] (resp. bubble_s[j]) is the index of the parent class that
-    r-class i (s-class j) is contained in.
+    r-class i (s-class j) is contained in.  dead is the index of the parent's
+    dead class, the one whose vertices have no neighbor outside V_t, or None
+    if every vertex of V_t has one.
     """
 
     h_edges: frozenset[tuple[int, int]]
     bubble_r: tuple[int, ...]
     bubble_s: tuple[int, ...]
+    dead: int | None = None
 
     @property
     def parent_class_count(self) -> int:
@@ -248,6 +251,7 @@ def _operator_from_partitions(
         ),
         bubble_r=bubbles(cp_r),
         bubble_s=bubbles(cp_s),
+        dead=parent.get(0),
     )
 
 

@@ -8,12 +8,17 @@ coloring needs, that some vertex of the equivalence class still lacks a
 neighbor in the color class.  Types are the b-coloring ClassType with the
 b-vertex bit always 0, which never blocks a merge (0 + 0 is not above 1),
 so the merge, skeleton, signature combination and witness replay are the
-b-coloring ones.  A fall coloring exists iff the root table holds k
-classes of type (CONTAINS,) with bit 0.
+b-coloring ones.  A fall coloring exists iff the reference root table
+holds k classes of type (CONTAINS,) with bit 0.  compute_fall_tables
+builds that reference by default; solve_fallcoloring and
+solve_fallcoloring_witness ask it for canonical tables instead, as the
+b-coloring decision DP keeps them (bcol_dp._decision_tables), whose root
+accepts k classes of type (NONE,) with bit 0 (decision_accepting).
 """
 
 from __future__ import annotations
 
+from . import oracle
 from .bcol_dp import (
     CONTAINS,
     DEMAND,
@@ -22,6 +27,7 @@ from .bcol_dp import (
     Signature,
     _realize,
     _run_dp,
+    decision_accepting,
 )
 from .decomposition import RootedBranchDecomposition
 from .errors import InputError, StructuralError
@@ -38,14 +44,26 @@ def fall_leaf_signature(k: int) -> Signature:
     )
 
 
-def fall_accepting_signature(k: int) -> Signature:
-    return Signature.from_counts({ClassType((CONTAINS,), 0): k}, k)
-
-
 def compute_fall_tables(
-    g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
+    g: Graph,
+    d: RootedBranchDecomposition,
+    k: int,
+    witness: bool = False,
+    canonical: bool = False,
 ) -> DPTable:
-    return _run_dp(g, d, k, [(fall_leaf_signature(k),)] * g.n, witness)
+    """The fall-coloring DP.  By default its tables are the unpruned
+    reference; canonical=True gives the decision tables, canonical at each
+    node's dead class, whose root accepts decision_accepting(d, k, 0).
+
+    The tables are sound as in bcol_dp._decision_tables: each canonical
+    table is the canonical image of the reference one.  At the root, a
+    class of type (NONE,) in the reference table would be an empty color
+    class; for k >= 2 every vertex of another color still demands it, so
+    its type is DEMAND, and for k = 1 the one class holds every vertex.  So
+    only the reference's accepting signature maps to the canonical one.
+    """
+    seeds = [(fall_leaf_signature(k),)] * g.n
+    return _run_dp(g, d, k, seeds, witness, canonical)
 
 
 def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
@@ -54,8 +72,8 @@ def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
         raise InputError(f"number of colors must be positive, got {k}")
     if _prune(g, k):
         return False
-    table = compute_fall_tables(g, d, k)
-    return fall_accepting_signature(k) in table.tables[d.root]
+    table = compute_fall_tables(g, d, k, canonical=True)
+    return decision_accepting(d, k, 0) in table.tables[d.root]
 
 
 def _prune(g: Graph, k: int) -> bool:
@@ -75,12 +93,11 @@ def solve_fallcoloring_witness(
         raise InputError(f"number of colors must be positive, got {k}")
     if _prune(g, k):
         return None
-    table = compute_fall_tables(g, d, k, witness=True)
-    if fall_accepting_signature(k) not in table.tables[d.root]:
+    table = compute_fall_tables(g, d, k, witness=True, canonical=True)
+    accepting = decision_accepting(d, k, 0)
+    if accepting not in table.tables[d.root]:
         return None
-    witness, _ = _realize(table, d, fall_accepting_signature(k))
-    from .oracle import is_fall_coloring
-
-    if not is_fall_coloring(g, witness):
+    witness, _ = _realize(table, d, accepting)
+    if not oracle.is_fall_coloring(g, witness):
         raise StructuralError("reconstructed witness failed the fall-coloring check")
     return witness

@@ -7,6 +7,8 @@ recompute the greedy order and the class partitions from scratch, the slow
 way, as differential oracles for the incremental bitmask versions.  The class-type functions they
 use (type_of_class, is_valid_class and their fall-coloring twins) are the
 paper's definitions, written out directly; the solver never calls them.
+canonical_image applies the decision DP's dead-class rewrite to a table,
+from its definition, for comparing the canonical tables with the others.
 """
 
 from __future__ import annotations
@@ -193,6 +195,27 @@ def enumerate_fall_signatures(g, d, t, k) -> set[Signature]:
             tau = fall_type_of_class(g, d, t, cls, coloring)
             counts[tau] = counts.get(tau, 0) + 1
         out.add(Signature.from_counts(counts, k))
+    return out
+
+
+def canonical_image(table: Iterable[Signature], dead: int | None) -> set[Signature]:
+    """The signatures of table made canonical at the dead class, from the
+    definition: drop a signature with a DEMAND there, rewrite CONTAINS
+    there to NONE, and add up the counts of types that become equal."""
+    out: set[Signature] = set()
+    for sig in table:
+        counts: dict = {}
+        for tau, c in sig.items:
+            label = NONE if dead is None else tau.cdesc[dead]
+            if label == DEMAND:
+                break
+            if label == CONTAINS:
+                desc = list(tau.cdesc)
+                desc[dead] = NONE
+                tau = ClassType(tuple(desc), tau.bvtx)
+            counts[tau] = counts.get(tau, 0) + c
+        else:
+            out.add(Signature.from_counts(counts, sig.k))
     return out
 
 

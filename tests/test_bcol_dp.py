@@ -6,6 +6,7 @@ import pytest
 from bcoloring import (
     Graph,
     InputError,
+    RootedBranchDecomposition,
     b_chromatic_number,
     best_decomposition,
     brute_force_bcoloring,
@@ -16,25 +17,35 @@ from bcoloring import (
     solve_bcoloring,
     solve_bcoloring_witness,
 )
+from bcoloring import bcol_dp
 from bcoloring.bcol_dp import (
     CONTAINS,
     DEMAND,
     NONE,
     ClassType,
     Signature,
+    _combine_pair,
     _decision_tables,
+    _edge_index,
+    _gated_seeds,
+    _leaf_join,
+    _leaf_split,
+    _run_dp,
     accepting_signature,
     all_types,
     build_merge_skeleton,
     combine_signatures,
     compatible,
+    decision_accepting,
     leaf_signatures,
     merge_type,
     reconstruct_witness,
 )
-from bcoloring.decomposition import NodeOperator, operator_of
+from bcoloring.decomposition import NodeOperator, _annotate, operator_of
+from bcoloring.fall_dp import compute_fall_tables
 from helpers import (
     atlas_connected_corpus,
+    canonical_image,
     enumerate_bcol_signatures,
     is_valid_class,
     random_graph,
@@ -46,6 +57,15 @@ C0 = ClassType((CONTAINS,), 0)
 C1 = ClassType((CONTAINS,), 1)
 N0 = ClassType((NONE,), 0)
 D0 = ClassType((DEMAND,), 0)
+
+
+def mirrored(d: RootedBranchDecomposition) -> RootedBranchDecomposition:
+    """d with the two children of every internal node swapped."""
+    children = [
+        None if d.is_leaf(t) else d.children(t)[::-1] for t in range(d.node_count)
+    ]
+    leaves = {t: d.leaf_vertex(t) for t in d.leaves()}
+    return RootedBranchDecomposition(children, leaves, root=d.root)
 
 
 def k2_setup():
@@ -246,17 +266,17 @@ class TestMergeSoundness:
 class TestLeafSignatures:
     def test_k3(self):
         sig1, sig2 = leaf_signatures(3)
-        assert sig1.counts() == {C0: 1, N0: 2}
-        assert sig2.counts() == {C1: 1, D0: 2}
+        assert dict(sig1.items) == {C0: 1, N0: 2}
+        assert dict(sig2.items) == {C1: 1, D0: 2}
 
     def test_k1(self):
         sig1, sig2 = leaf_signatures(1)
-        assert sig1.counts() == {C0: 1}
-        assert sig2.counts() == {C1: 1}
+        assert dict(sig1.items) == {C0: 1}
+        assert dict(sig2.items) == {C1: 1}
 
     def test_k2(self):
         _, sig2 = leaf_signatures(2)
-        assert sig2.counts() == {C1: 1, D0: 1}
+        assert dict(sig2.items) == {C1: 1, D0: 1}
 
     def test_rejects_zero_colors(self):
         with pytest.raises(InputError):
@@ -271,7 +291,7 @@ class TestSignature:
     def test_zero_counts_dropped(self):
         sig = Signature.from_counts({C0: 2, N0: 0}, 2)
         assert sig.items == ((C0, 2),)
-        assert sig.count(N0) == 0
+        assert dict(sig.items).get(N0, 0) == 0
 
 
 class TestMergeSkeleton:
@@ -436,15 +456,25 @@ class TestDegreeGatedTables:
         return [(g, best_decomposition(g, "heuristic")) for g in graphs]
 
     def test_tables_are_subsets_with_the_same_acceptance(self, corpus):
+        # Each decision table is the canonical image of the gated table
+        # built without canonicalisation, and lies in the canonical image of
+        # the reference table; leaves are not canonicalised.
         for g, d in corpus:
+            ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
                 reference = compute_tables(g, d, k)
-                gated = _decision_tables(g, d, k, witness=False)
+                gated = _run_dp(g, d, k, _gated_seeds(g, k), False)
+                decision = _decision_tables(g, d, k, witness=False)
                 for t in d.postorder():
-                    assert set(gated.tables[t]) <= set(reference.tables[t])
-                accepting = accepting_signature(k)
-                assert (accepting in gated.tables[d.root]) == (
-                    accepting in reference.tables[d.root]
+                    if d.is_leaf(t):
+                        assert set(decision.tables[t]) == set(gated.tables[t])
+                        assert set(gated.tables[t]) <= set(reference.tables[t])
+                        continue
+                    image = canonical_image(gated.tables[t], ops[t].dead)
+                    assert set(decision.tables[t]) == image, (g.edges(), k, t)
+                    assert image <= canonical_image(reference.tables[t], ops[t].dead)
+                assert (decision_accepting(d, k) in decision.tables[d.root]) == (
+                    accepting_signature(k) in reference.tables[d.root]
                 ), (g.edges(), k)
 
     def test_low_degree_leaves_hold_no_b_vertex(self):
@@ -459,6 +489,92 @@ class TestDegreeGatedTables:
     def test_chi_b_matches_oracle(self, corpus):
         for g, d in corpus:
             assert b_chromatic_number(g, d) == brute_force_chi_b(g), g.edges()
+
+
+class TestCanonicalDecision:
+    """The decision DP's one-step leaf join and its canonical root."""
+
+    def test_leaf_join_matches_generic_join(self, monkeypatch):
+        # Every child pair with a leaf-shaped side met in DP runs over
+        # graphs with n <= 8, every k, b-coloring (reference and decision)
+        # and fall coloring (reference and canonical): the one-step join
+        # gives the generic join's signatures, in its order, with its
+        # annotations.  Mirrored caterpillars put the leaves on the r side.
+        calls = []
+
+        def recorded(table_r, table_s, skel, k):
+            calls.append((list(table_r), list(table_s), skel, k))
+            return combine(table_r, table_s, skel, k)
+
+        combine = bcol_dp.combine_signatures
+        monkeypatch.setattr(bcol_dp, "combine_signatures", recorded)
+        rng = random.Random(81)
+        for _ in range(14):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            shapes = [d, mirrored(d)]
+            if g.n <= 6:
+                shapes.append(best_decomposition(g, "exact-tiny"))
+            for d in shapes:
+                for k in range(1, g.n + 1):
+                    compute_tables(g, d, k)
+                    _decision_tables(g, d, k, witness=False)
+                    compute_fall_tables(g, d, k)
+                    compute_fall_tables(g, d, k, canonical=True)
+        pairs = {"r": 0, "s": 0}
+        for table_r, table_s, skel, k in calls:
+            adj, at = _edge_index(skel)
+            for sig_r in table_r:
+                for sig_s in table_s:
+                    split_s, split_r = _leaf_split(sig_s), _leaf_split(sig_r)
+                    if split_s is None and split_r is None:
+                        continue
+                    leaf_is_s = split_s is not None
+                    pairs["s" if leaf_is_s else "r"] += 1
+                    one_step, generic = {}, {}
+                    _leaf_join(
+                        sig_r, sig_s, split_s or split_r, leaf_is_s, at, k, one_step
+                    )
+                    _combine_pair(sig_r, sig_s, adj, k, generic)
+                    assert list(one_step.items()) == list(generic.items())
+        assert pairs["s"] > 10_000 and pairs["r"] > 10_000
+
+    def test_root_accepts_none_with_bit(self):
+        g, d, _ = k2_setup()
+        root = _decision_tables(g, d, 2, witness=False).tables[d.root]
+        assert decision_accepting(d, 2) == Signature.from_counts(
+            {ClassType((NONE,), 1): 2}, 2
+        )
+        assert decision_accepting(d, 2) in root
+        assert all(tau.cdesc != (CONTAINS,) for sig in root for tau, _ in sig.items)
+
+    def test_leaf_root_keeps_contains(self):
+        g = Graph(1)
+        d = linear_decomposition(g, [0])
+        assert decision_accepting(d, 1) == accepting_signature(1)
+        assert solve_bcoloring(g, d, 1)
+        coloring, b_vertices = solve_bcoloring_witness(g, d, 1)
+        assert coloring.colors == (1,) and b_vertices == {0}
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(4, [(0, 1), (1, 2)]),
+            Graph(5, [(0, 1), (1, 2), (2, 0)]),
+            Graph.edgeless(3),
+        ],
+        ids=["P3-plus-isolated", "K3-plus-two-isolated", "edgeless-3"],
+    )
+    def test_isolated_vertices(self, g):
+        for effort in ("heuristic", "exact-tiny"):
+            d = best_decomposition(g, effort)
+            for k in range(1, g.n + 1):
+                expected = brute_force_bcoloring(g, k) is not None
+                assert solve_bcoloring(g, d, k) == expected, (effort, k)
+                found = solve_bcoloring_witness(g, d, k)
+                assert (found is not None) == expected
+                if found is not None:
+                    assert is_b_coloring(g, found[0])
 
 
 class TestTableInvariants:
@@ -485,7 +601,7 @@ class TestTableInvariants:
                     observed = set()
                     for sig in table.tables[t]:
                         assert sum(c for _, c in sig.items) == k
-                        observed.update(sig.types())
+                        observed.update(dict(sig.items))
                     from bcoloring.decomposition import equivalence_classes
 
                     bound = 2 * 3 ** len(equivalence_classes(g, d, t))

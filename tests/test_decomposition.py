@@ -257,6 +257,29 @@ class TestInvariants:
                     for i, cls in enumerate(equivalence_classes(g, d, child).classes):
                         assert set(cls) <= set(ct[bubbles[i]])
 
+    def test_dead_class(self):
+        # The dead class is the one whose vertices have no neighbor outside
+        # V_t, or None; the root and every node holding an isolated vertex
+        # have one.
+        rng = random.Random(11)
+        for trial in range(20):
+            g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.1, 0.9))
+            if trial % 2:
+                g = Graph(g.n + 1, g.edges())
+            d = best_decomposition(g, "heuristic")
+            for t in d.postorder():
+                if d.is_leaf(t):
+                    continue
+                vt = d.vertex_set(t)
+                dead = [
+                    q
+                    for q, cls in enumerate(equivalence_classes(g, d, t).classes)
+                    if not g.neighbors(cls[0]) - vt
+                ]
+                assert operator_of(g, d, t).dead == (dead[0] if dead else None)
+                if t == d.root or any(not g.neighbors(v) for v in vt):
+                    assert dead
+
 
 def random_shape(rng, vertices):
     """A random rooted binary tree over the given leaves, as nested tuples."""

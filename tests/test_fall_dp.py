@@ -12,10 +12,20 @@ from bcoloring import (
     solve_fallcoloring,
     solve_fallcoloring_witness,
 )
-from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE, ClassType, compatible, merge_type
-from bcoloring.decomposition import operator_of
+from bcoloring.bcol_dp import (
+    CONTAINS,
+    DEMAND,
+    NONE,
+    ClassType,
+    Signature,
+    compatible,
+    decision_accepting,
+    merge_type,
+)
+from bcoloring.decomposition import _annotate, operator_of
 from bcoloring.fall_dp import compute_fall_tables, fall_leaf_signature
 from helpers import (
+    canonical_image,
     enumerate_fall_signatures,
     fall_class_is_valid,
     fall_type_of_class,
@@ -83,10 +93,10 @@ class TestFallCompatibility:
 
 class TestLeafSignature:
     def test_counts(self):
-        assert fall_leaf_signature(3).counts() == {FC: 1, FD: 2}
+        assert dict(fall_leaf_signature(3).items) == {FC: 1, FD: 2}
 
     def test_k1(self):
-        assert fall_leaf_signature(1).counts() == {FC: 1}
+        assert dict(fall_leaf_signature(1).items) == {FC: 1}
 
     def test_leaf_tables_hold_exactly_one_signature(self):
         g = Graph.path(3)
@@ -165,6 +175,59 @@ class TestAgreementWithBruteForce:
                     assert set(table.tables[t]) == enumerate_fall_signatures(
                         g, d, t, k
                     )
+
+
+class TestCanonicalFall:
+    """The fall decision path (canonical tables) against the reference
+    compute_fall_tables and the brute force."""
+
+    def test_decision_path_matches_reference_and_oracle(self):
+        rng = random.Random(417)
+        found = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
+            d = best_decomposition(g, "heuristic")
+            ops = _annotate(g, d).operators
+            for k in range(1, g.n + 1):
+                reference = compute_fall_tables(g, d, k)
+                canonical = compute_fall_tables(g, d, k, canonical=True)
+                for t in d.postorder():
+                    if not d.is_leaf(t):
+                        assert set(canonical.tables[t]) == canonical_image(
+                            reference.tables[t], ops[t].dead
+                        )
+                expected = Signature.from_counts({FC: k}, k) in reference.tables[d.root]
+                accepted = decision_accepting(d, k, 0) in canonical.tables[d.root]
+                assert accepted == expected
+                assert expected == (brute_force_fallcoloring(g, k) is not None)
+                assert solve_fallcoloring(g, d, k) == expected
+                witness = solve_fallcoloring_witness(g, d, k)
+                assert (witness is not None) == expected
+                if witness is not None:
+                    found += 1
+                    assert is_fall_coloring(g, witness)
+        assert found >= 10
+
+    @pytest.mark.parametrize(
+        "g, answers",
+        [
+            (Graph(1), {1: True}),
+            (Graph(3, [(0, 1)]), {1: False, 2: False, 3: False}),
+            (Graph.edgeless(3), {1: True, 2: False, 3: False}),
+        ],
+        ids=["one-vertex", "edge-plus-isolated", "edgeless-3"],
+    )
+    def test_isolated_vertices(self, g, answers):
+        d = best_decomposition(g, "heuristic")
+        for k, expected in answers.items():
+            assert (brute_force_fallcoloring(g, k) is not None) == expected
+            assert solve_fallcoloring(g, d, k) == expected
+            canonical = compute_fall_tables(g, d, k, canonical=True)
+            assert (decision_accepting(d, k, 0) in canonical.tables[d.root]) == expected
+            witness = solve_fallcoloring_witness(g, d, k)
+            assert (witness is not None) == expected
+            if witness is not None:
+                assert is_fall_coloring(g, witness)
 
 
 class TestFallClassValidity:
