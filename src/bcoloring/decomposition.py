@@ -21,10 +21,11 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class ClassPartition:
-    """Equivalence classes of V_t by outside neighborhood.
+    """Equivalence classes of V_t by outside neighborhood, canonically
+    ordered by their minimum vertex id.
 
-    Classes are canonically ordered by their minimum vertex id so that the
-    index of a class is a stable, hashable handle for downstream tables.
+    This is the reference partition returned by equivalence_classes; the DP
+    indexes classes in _annotate's order, which is the same.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -87,8 +88,8 @@ class RootedBranchDecomposition:
     Nodes are dense ids 0..m-1.  Every node has exactly zero or two
     children; structural defects (a listed child count other than 0 or 2,
     cycles, unreachable nodes, repeated leaf vertices) are rejected at
-    construction.  Checks that depend on the graph -- the leaf map being
-    a bijection onto V(G) and operator consistency -- live in validate().
+    construction.  The check that depends on the graph -- the leaf map
+    being a bijection onto V(G) -- lives in validate().
     """
 
     __slots__ = (
@@ -229,49 +230,31 @@ def equivalence_classes(
     return ClassPartition(tuple(tuple(cls) for cls in groups.values()))
 
 
-def _operator_from_partitions(
-    masks: Sequence[int],
-    outside_t: int,
-    cp_r: ClassPartition,
-    cp_s: ClassPartition,
-    cp_t: ClassPartition,
-) -> NodeOperator:
-    """The operator, from one representative per class (see _annotate)."""
-    parent = {masks[cls[0]] & outside_t: q for q, cls in enumerate(cp_t.classes)}
-
-    def bubbles(cp_child: ClassPartition) -> tuple[int, ...]:
-        return tuple(parent[masks[cls[0]] & outside_t] for cls in cp_child.classes)
-
-    return NodeOperator(
-        h_edges=frozenset(
-            (i, j)
-            for i, qr in enumerate(cp_r.classes)
-            for j, qs in enumerate(cp_s.classes)
-            if masks[qr[0]] >> qs[0] & 1
-        ),
-        bubble_r=bubbles(cp_r),
-        bubble_s=bubbles(cp_s),
-        dead=parent.get(0),
-    )
-
-
 def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     """The operators and module-width of d over g; StructuralError if d is
     not a decomposition of g.
 
-    One postorder pass computes each node's class partition once and builds
-    each internal node's operator from its children's partitions.  Graphs
-    and decompositions are immutable, so the result is cached on d for this
+    One postorder pass keeps only the smallest vertex of each class of each
+    node, in increasing order, and reads an internal node's classes and
+    operator off its children's representatives.  Graphs and
+    decompositions are immutable, so the result is cached on d for this
     graph object, matched by identity (d keeps g alive): validate,
     module_width, operator_of, the DP and every k probe share it.
 
-    An operator is read off one representative per class, exactly: at t
-    with children r and s, the members of an r-class share their neighbors
-    outside V_r, V_s included, and those of an s-class share theirs in V_r,
-    so two classes are fully adjacent or not at all, as their
-    representatives are.  And V_r lies in V_t, so one neighborhood outside
-    V_r gives one outside V_t: an r-class lies in its representative's
-    parent class, and so does an s-class.
+    This is exact, by induction from the leaves, whose one class {v} has
+    representative v.  At t with children r and s, the members of an
+    r-class share their neighbors outside V_r, and V_r lies in V_t, so they
+    share their neighbors outside V_t (and the same for s): each child
+    class lies in one class of t, t's classes are unions of child classes,
+    and grouping the children's representatives by neighborhood outside
+    V_t groups the child classes as t does.  The smallest vertex of a class
+    of t is the smallest of the representatives of the child classes it
+    unites, so scanning the representatives in increasing order meets each
+    class of t first at its own smallest vertex, and the classes come out
+    in the order of equivalence_classes.  The members of an r-class also
+    share their neighbors in V_s, and those of an s-class theirs in V_r, so
+    two classes are fully adjacent or not at all, as their representatives
+    are.  The dead class is the one grouped under the empty neighborhood.
     """
     cached = d._annotation
     if cached is not None and cached[0] is g:
@@ -282,16 +265,34 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
             f"{sorted(d.vertex_set(d.root))}, graph has vertices 0..{g.n - 1}"
         )
     masks = g.adjacency_masks()
-    partitions: dict[int, ClassPartition] = {}
+    reps: dict[int, list[int]] = {}
     operators: dict[int, NodeOperator] = {}
+    width = 1
     for t in d.postorder():
-        partitions[t] = equivalence_classes(g, d, t)
-        if not d.is_leaf(t):
-            r, s = d.children(t)
-            operators[t] = _operator_from_partitions(
-                masks, ~d.vertex_mask(t), partitions[r], partitions[s], partitions[t]
-            )
-    annotation = Annotation(operators, max(len(cp) for cp in partitions.values()))
+        if d.is_leaf(t):
+            reps[t] = [d.leaf_vertex(t)]
+            continue
+        r, s = d.children(t)
+        rep_r, rep_s = reps.pop(r), reps.pop(s)
+        outside = ~d.vertex_mask(t)
+        first: dict[int, int] = {}  # neighborhood outside V_t -> smallest member
+        for v in sorted(rep_r + rep_s):
+            first.setdefault(masks[v] & outside, v)
+        index = {key: q for q, key in enumerate(first)}
+        operators[t] = NodeOperator(
+            h_edges=frozenset(
+                (i, j)
+                for i, u in enumerate(rep_r)
+                for j, v in enumerate(rep_s)
+                if masks[u] >> v & 1
+            ),
+            bubble_r=tuple(index[masks[v] & outside] for v in rep_r),
+            bubble_s=tuple(index[masks[v] & outside] for v in rep_s),
+            dead=index.get(0),
+        )
+        reps[t] = list(first.values())
+        width = max(width, len(first))
+    annotation = Annotation(operators, width)
     d._annotation = (g, annotation)
     return annotation
 
@@ -307,9 +308,9 @@ def validate(g: Graph, d: RootedBranchDecomposition) -> ValidationReport:
     """Check that d is a decomposition of g.
 
     Tree shape (binary, acyclic, injective leaf map) is enforced when the
-    decomposition object is built, so this checks the graph-dependent parts:
-    the leaf map must be a bijection onto V(g) and every internal node's
-    inter-class adjacency must be all-or-nothing.
+    decomposition object is built, so the one graph-dependent failure left
+    is a leaf map that is not a bijection onto V(g).  Inter-class adjacency
+    is all-or-nothing for every decomposition, as _annotate proves.
     """
     try:
         _annotate(g, d)

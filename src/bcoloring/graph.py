@@ -57,9 +57,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted (u, v) pairs with u < v."""
         return self._edges

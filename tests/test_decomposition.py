@@ -209,76 +209,88 @@ class TestInvariants:
                 assert len(flat) == len(set(flat))
 
     def test_width_attained_and_bounds_all_nodes(self):
-        rng = random.Random(8)
+        rng, shapes = random.Random(8), random.Random(108)
         for _ in range(15):
             g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
-            d = best_decomposition(g, "heuristic")
-            counts = [len(equivalence_classes(g, d, t)) for t in d.postorder()]
-            assert module_width(g, d) == max(counts)
+            for d in heuristic_and_random_shape(g, shapes):
+                counts = [len(equivalence_classes(g, d, t)) for t in d.postorder()]
+                assert module_width(g, d) == max(counts)
 
     def test_operator_reconstructs_induced_edges(self):
         # E(G_t) = E(G_r) + E(G_s) + all pairs across h-edges.
-        rng = random.Random(9)
+        rng, shapes = random.Random(9), random.Random(109)
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.9))
-            d = best_decomposition(g, "heuristic")
-            for t in d.postorder():
-                if d.is_leaf(t):
-                    continue
-                r, s = d.children(t)
-                op = operator_of(g, d, t)
-                cr = equivalence_classes(g, d, r).classes
-                cs = equivalence_classes(g, d, s).classes
-                cross = {
-                    (min(u, v), max(u, v))
-                    for i, j in op.h_edges
-                    for u in cr[i]
-                    for v in cs[j]
-                }
-                inside = lambda node: {
-                    e
-                    for e in g.edges()
-                    if set(e) <= d.vertex_set(node)
-                }
-                assert inside(r) | inside(s) | cross == inside(t)
+            for d in heuristic_and_random_shape(g, shapes):
+                for t in d.postorder():
+                    if d.is_leaf(t):
+                        continue
+                    r, s = d.children(t)
+                    op = operator_of(g, d, t)
+                    cr = equivalence_classes(g, d, r).classes
+                    cs = equivalence_classes(g, d, s).classes
+                    cross = {
+                        (min(u, v), max(u, v))
+                        for i, j in op.h_edges
+                        for u in cr[i]
+                        for v in cs[j]
+                    }
+                    inside = lambda node: {
+                        e
+                        for e in g.edges()
+                        if set(e) <= d.vertex_set(node)
+                    }
+                    assert inside(r) | inside(s) | cross == inside(t)
 
     def test_bubble_consistency(self):
-        rng = random.Random(10)
+        rng, shapes = random.Random(10), random.Random(110)
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.1, 0.9))
-            d = best_decomposition(g, "heuristic")
-            for t in d.postorder():
-                if d.is_leaf(t):
-                    continue
-                r, s = d.children(t)
-                op = operator_of(g, d, t)
-                ct = equivalence_classes(g, d, t).classes
-                for child, bubbles in ((r, op.bubble_r), (s, op.bubble_s)):
-                    for i, cls in enumerate(equivalence_classes(g, d, child).classes):
-                        assert set(cls) <= set(ct[bubbles[i]])
+            for d in heuristic_and_random_shape(g, shapes):
+                for t in d.postorder():
+                    if d.is_leaf(t):
+                        continue
+                    r, s = d.children(t)
+                    op = operator_of(g, d, t)
+                    ct = equivalence_classes(g, d, t).classes
+                    for child, bubbles in ((r, op.bubble_r), (s, op.bubble_s)):
+                        classes = equivalence_classes(g, d, child).classes
+                        for i, cls in enumerate(classes):
+                            assert set(cls) <= set(ct[bubbles[i]])
 
     def test_dead_class(self):
         # The dead class is the one whose vertices have no neighbor outside
         # V_t, or None; the root and every node holding an isolated vertex
         # have one.
-        rng = random.Random(11)
+        rng, shapes = random.Random(11), random.Random(111)
         for trial in range(20):
             g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.1, 0.9))
             if trial % 2:
                 g = Graph(g.n + 1, g.edges())
-            d = best_decomposition(g, "heuristic")
-            for t in d.postorder():
-                if d.is_leaf(t):
-                    continue
-                vt = d.vertex_set(t)
-                dead = [
-                    q
-                    for q, cls in enumerate(equivalence_classes(g, d, t).classes)
-                    if not g.neighbors(cls[0]) - vt
-                ]
-                assert operator_of(g, d, t).dead == (dead[0] if dead else None)
-                if t == d.root or any(not g.neighbors(v) for v in vt):
-                    assert dead
+            for d in heuristic_and_random_shape(g, shapes):
+                for t in d.postorder():
+                    if d.is_leaf(t):
+                        continue
+                    vt = d.vertex_set(t)
+                    dead = [
+                        q
+                        for q, cls in enumerate(equivalence_classes(g, d, t).classes)
+                        if not g.neighbors(cls[0]) - vt
+                    ]
+                    assert operator_of(g, d, t).dead == (dead[0] if dead else None)
+                    if t == d.root or any(not g.neighbors(v) for v in vt):
+                        assert dead
+
+
+def heuristic_and_random_shape(g, rng):
+    """g's heuristic decomposition, a caterpillar where one child of every
+    join is a leaf, and a random-shape one, where both can be subtrees."""
+    vertices = list(g.vertices())
+    rng.shuffle(vertices)
+    return (
+        best_decomposition(g, "heuristic"),
+        _shape_to_decomposition(random_shape(rng, vertices), g.n),
+    )
 
 
 def random_shape(rng, vertices):
