@@ -446,20 +446,26 @@ def _run_dp(
 ) -> DPTable:
     """The DP over d; seeds[v] lists the signatures of the leaf of vertex v.
     With canonical set, every internal node's table is canonical at its
-    dead class (see _decision_tables)."""
+    dead class (see _decision_tables).  A skeleton depends only on the
+    operator and the two child type lists, so nodes that repeat all three
+    share one."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
     tables: dict[int, dict[Signature, tuple | None]] = {}
+    skeletons: dict[tuple, MergeSkeleton] = {}
     for t in d.postorder():
         if d.is_leaf(t):
             tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
             continue
         r, s = d.children(t)
         op = ops[t]
-        r_types = sorted({tau for sig in tables[r] for tau, _ in sig.items})
-        s_types = sorted({tau for sig in tables[s] for tau, _ in sig.items})
-        skel = build_merge_skeleton(op, r_types, s_types, canonical)
+        r_types = tuple(sorted({tau for sig in tables[r] for tau, _ in sig.items}))
+        s_types = tuple(sorted({tau for sig in tables[s] for tau, _ in sig.items}))
+        key = (op, r_types, s_types)
+        skel = skeletons.get(key)
+        if skel is None:
+            skel = skeletons[key] = build_merge_skeleton(op, r_types, s_types, canonical)
         combined = combine_signatures(tables[r], tables[s], skel, k)
         if witness:
             tables[t] = combined

@@ -322,6 +322,46 @@ class TestMergeSkeleton:
         _, _, op = k2_setup()
         assert build_merge_skeleton(op, [], [C0]).edges == ()
 
+    def test_repeated_nodes_share_one_skeleton(self, monkeypatch):
+        # A width-2 linear decomposition of a path repeats a few operators
+        # and child type lists along its spine: one DP run builds each
+        # distinct skeleton once, and its tables and witness equal those
+        # of a node-by-node run that builds a skeleton at every node.
+        g = Graph.path(300)
+        d = linear_decomposition(g, list(g.vertices()))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        build = bcol_dp.build_merge_skeleton
+        monkeypatch.setattr(bcol_dp, "build_merge_skeleton", counted)
+        cached = _decision_tables(g, d, 3, witness=True)
+        assert len(calls) <= 40
+        monkeypatch.undo()
+
+        ops = _annotate(g, d).operators
+        seeds = _gated_seeds(g, 3)
+        tables = {}
+        for t in d.postorder():
+            if d.is_leaf(t):
+                tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
+                continue
+            r, s = d.children(t)
+            r_types, s_types = (
+                sorted({tau for sig in tables[c] for tau, _ in sig.items})
+                for c in (r, s)
+            )
+            skel = build_merge_skeleton(ops[t], r_types, s_types, canonical=True)
+            tables[t] = combine_signatures(tables[r], tables[s], skel, 3)
+        for t in d.postorder():
+            assert list(cached.tables[t].items()) == list(tables[t].items())
+        uncached = bcol_dp.DPTable(3, d.root, tables, witness=True)
+        assert reconstruct_witness(cached, g, d, 3) == reconstruct_witness(
+            uncached, g, d, 3
+        )
+
 
 class TestCombineSignatures:
     def test_k2_hand_trace(self):

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcoloring import (
     CapacityError,
@@ -311,6 +314,23 @@ def caterpillar(spine: int) -> Graph:
     return Graph(2 * spine, [(i, i + 1) for i in range(spine - 1)] + legs)
 
 
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def blown_up(count: int, size: int, joined) -> Graph:
+    """count blocks of size vertices (block i holds i*size .. i*size+size-1);
+    u < v are adjacent iff joined(block of u, block of v)."""
+    return Graph(
+        count * size,
+        [
+            (u, v)
+            for u, v in itertools.combinations(range(count * size), 2)
+            if joined(u // size, v // size)
+        ],
+    )
+
+
 class TestAgainstReferences:
     """The incremental greedy order and the bitmask class partitions equal
     the from-scratch references in helpers, node by node."""
@@ -331,14 +351,62 @@ class TestAgainstReferences:
             self.check(g, _shape_to_decomposition(random_shape(rng, vertices), g.n))
 
     @pytest.mark.parametrize(
-        "family",
-        [Graph.path(60), Graph.cycle(60), ladder(30), caterpillar(30)],
+        "g",
+        [
+            Graph.edgeless(12),
+            Graph.complete(10),
+            Graph.star(9),
+            complete_bipartite(4, 5),
+            blown_up(3, 4, lambda i, j: i == j),
+            # the two vertices of a block are twins: a blown-up path
+            # (non-adjacent twins) and a blown-up co-matching (adjacent twins)
+            blown_up(5, 2, lambda i, j: j == i + 1),
+            blown_up(4, 2, lambda i, j: i == j or j - i > 1),
+            # a path on the even vertices, the odd ones isolated
+            Graph(12, [(2 * i, 2 * i + 2) for i in range(5)]),
+        ],
+        ids=[
+            "edgeless",
+            "complete",
+            "star",
+            "bipartite",
+            "cliques",
+            "false-twins",
+            "true-twins",
+            "isolated",
+        ],
+    )
+    def test_tie_heavy_graphs(self, g):
+        # Many candidates tie on their class count here, so the order is
+        # decided by the smallest-vertex rule; relabellings move the ties.
+        rng = random.Random(13)
+        for trial in range(6):
+            perm = list(g.vertices())
+            if trial:
+                rng.shuffle(perm)
+            h = relabeled(g, perm)
+            assert _greedy_order(h) == reference_greedy_order(h)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_greedy_order_property(self, data):
+        n = data.draw(st.integers(1, 14))
+        pairs = list(itertools.combinations(range(n), 2))
+        present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
+        assert _greedy_order(g) == reference_greedy_order(g)
+
+    @pytest.mark.parametrize(
+        "make",
+        [Graph.path, Graph.cycle, lambda n: ladder(n // 2), lambda n: caterpillar(n // 2)],
         ids=["path", "cycle", "ladder", "caterpillar"],
     )
-    def test_relabelled_sparse_families(self, family):
+    def test_relabelled_sparse_families(self, make):
         rng = random.Random(12)
-        perm = list(family.vertices())
-        rng.shuffle(perm)
-        g = relabeled(family, perm)
-        assert _greedy_order(g) == reference_greedy_order(g)
-        self.check(g, best_decomposition(g, "heuristic"))
+        for n in (60, 120):
+            family = make(n)
+            perm = list(family.vertices())
+            rng.shuffle(perm)
+            g = relabeled(family, perm)
+            assert _greedy_order(g) == reference_greedy_order(g)
+            self.check(g, best_decomposition(g, "heuristic"))
