@@ -30,10 +30,14 @@ solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead.
 It seeds the b-vertex signature only at vertices of degree at least k-1,
 and it keeps every internal table canonical at the node's dead class (the
 class with no neighbor outside V_t): a type with a DEMAND there, which can
-never be met, is dropped, and a CONTAINS there becomes NONE.  Its root
-accepts decision_accepting(d, k); its docstring proves that neither step
-changes an answer.  b_chromatic_number probes k downward from the m-degree
-bound m(G).
+never be met, is dropped, and a CONTAINS there becomes NONE.  It also
+skips each child pair that would leave more classes without a b-vertex
+than there are vertices of degree at least k-1 outside V_t to supply
+them; the pair's b-vertex classes are known before the join, so the check
+costs one comparison per pair.  Its root accepts decision_accepting(d, k);
+its docstring proves that none of the three steps changes an answer or a
+witness.  b_chromatic_number probes k downward from the m-degree bound
+m(G).
 
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
@@ -44,7 +48,6 @@ checks it against the definition before handing it out.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -156,28 +159,6 @@ def _merge(
     return ClassType(cdesc, rho.bvtx + sigma.bvtx)
 
 
-def compatible(rho: ClassType, sigma: ClassType, op: NodeOperator) -> bool:
-    """Whether color classes of these child types may merge at this node."""
-    return _merge(rho, sigma, op) is not None
-
-
-def merge_type(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType:
-    """The parent type of the union of two compatible child classes."""
-    tau = _merge(rho, sigma, op)
-    if tau is None:
-        raise InputError("merge_type requires a compatible pair of types")
-    return tau
-
-
-def all_types(class_count: int) -> list[ClassType]:
-    """Every possible type over class_count classes (2 * 3**class_count)."""
-    return [
-        ClassType(desc, b)
-        for desc in itertools.product((NONE, CONTAINS, DEMAND), repeat=class_count)
-        for b in (0, 1)
-    ]
-
-
 def build_merge_skeleton(
     op: NodeOperator,
     r_types: Iterable[ClassType],
@@ -221,6 +202,7 @@ def combine_signatures(
     table_s: Iterable[Signature],
     skel: MergeSkeleton,
     k: int,
+    supply: int | None = None,
 ) -> dict[Signature, tuple]:
     """All parent signatures realizable from a child signature pair.
 
@@ -233,13 +215,24 @@ def combine_signatures(
     _leaf_join (the s side is taken when both are); every other pair by
     _combine_pair.  Both give the same signatures, in the same order, with
     the same annotations.
+
+    With supply given, the number of vertices outside the parent's V_t that
+    may still become b-vertices, a pair is skipped when its classes holding
+    a b-vertex number fewer than k - supply (see _decision_tables).
     """
     adj, at = _edge_index(skel)
-    table_s = [(sig_s, _leaf_split(sig_s)) for sig_s in table_s]
+    need = 0 if supply is None else k - supply  # b-vertex classes a pair needs
+    table_s = [
+        (sig_s, _leaf_split(sig_s), _b_count(sig_s) if need > 0 else 0)
+        for sig_s in table_s
+    ]
     out: dict[Signature, tuple] = {}
     for sig_r in table_r:
         split_r = _leaf_split(sig_r)
-        for sig_s, split_s in table_s:
+        short = need - _b_count(sig_r) if need > 0 else 0
+        for sig_s, split_s, b_s in table_s:
+            if b_s < short:
+                continue
             if split_s is not None:
                 _leaf_join(sig_r, sig_s, split_s, True, at, k, out)
             elif split_r is not None:
@@ -260,6 +253,11 @@ def _edge_index(skel: MergeSkeleton) -> tuple[dict, dict]:
         at.setdefault((rho, sigma), (len(row), tau))
         row.append((sigma, tau))
     return adj, at
+
+
+def _b_count(sig: Signature) -> int:
+    """The number of classes in sig that hold their b-vertex."""
+    return sum(c for tau, c in sig.items if tau.bvtx)
 
 
 def _leaf_split(sig: Signature) -> tuple | None:
@@ -443,10 +441,13 @@ def _run_dp(
     seeds: Sequence[Iterable[Signature]],
     witness: bool,
     canonical: bool = False,
+    suppliers: int | None = None,
 ) -> DPTable:
     """The DP over d; seeds[v] lists the signatures of the leaf of vertex v.
     With canonical set, every internal node's table is canonical at its
-    dead class (see _decision_tables).  A skeleton depends only on the
+    dead class, and with suppliers, a bitmask of the vertices that may be
+    b-vertices, each node skips the child pairs its outside suppliers cannot
+    complete (both as in _decision_tables).  A skeleton depends only on the
     operator and the two child type lists, so nodes that repeat all three
     share one."""
     if k < 1:
@@ -466,7 +467,10 @@ def _run_dp(
         skel = skeletons.get(key)
         if skel is None:
             skel = skeletons[key] = build_merge_skeleton(op, r_types, s_types, canonical)
-        combined = combine_signatures(tables[r], tables[s], skel, k)
+        supply = None
+        if suppliers is not None:
+            supply = (suppliers & ~d.vertex_mask(t)).bit_count()
+        combined = combine_signatures(tables[r], tables[s], skel, k, supply)
         if witness:
             tables[t] = combined
         else:
@@ -486,9 +490,11 @@ def _decision_tables(
 ) -> DPTable:
     """The decision DP: the b-vertex leaf signature is seeded only at
     vertices of degree at least k-1 (every other leaf holds the non-b
-    signature alone), and every internal node's table is canonical at its
-    dead class.  Its root accepts decision_accepting(d, k) exactly when
-    compute_tables' root holds accepting_signature(k).
+    signature alone), every internal node's table is canonical at its
+    dead class, and a node skips the child pairs that leave more classes
+    without a b-vertex than there are gated vertices outside V_t.  Its root
+    accepts decision_accepting(d, k) exactly when compute_tables' root
+    holds accepting_signature(k).
 
     Gating.  Each pair of child signatures is combined exactly as in the
     reference: the skeleton holds every compatible pair among the types of
@@ -535,6 +541,31 @@ def _decision_tables(
     is never met, and at the root, whose one class V(G) is dead, the
     reference accepts only when no DEMAND is left.
 
+    b-vertex supply.  Write b1(sig) for the number of classes of sig whose
+    b-vertex bit is 1, and S_t for the gated vertices (degree at least k-1)
+    outside V_t.  At node t a child pair is skipped when
+    k - b1(sig_r) - b1(sig_s) > |S_t|.  Every labeling pairs each class of
+    one side with one class of the other, and two bit-1 classes never
+    merge, so every parent signature of the pair has exactly
+    b1(sig_r) + b1(sig_s) bit-1 classes: the skipped pairs make exactly the
+    parent signatures with more than |S_t| classes without a b-vertex.  No
+    such signature is completed: each of those classes still needs its own
+    b-vertex, outside V_t and so of degree at least k-1.  At the root S_t is
+    empty and every kept signature has k bit-1 classes.  Each table is
+    exactly the table built without skipping, filtered by the rule, in the
+    same order and with the same annotations:
+    - A dropped child signature only makes dropped parents.  A bit-1 class
+      holds its own gated vertex, so b1(sig_s) is at most the number of
+      gated vertices in V_s, and S_r is S_t plus those.  So
+      k - b1(sig_r) > |S_r| gives k - b1(sig_r) - b1(sig_s) > |S_t|.
+    - So every pair that makes a kept signature is joined here too, in the
+      same relative order.  A pair's join reads only the skeleton edges
+      among its own types, in their relative order, which a skeleton over
+      the fewer types of the filtered child tables keeps.  Since the pair
+      fixes the bit-1 count, a kept signature's first pair and labeling are
+      the ones that reach it first without skipping.
+    Answers and witnesses are therefore unchanged.
+
     The root.  Its canonical image of accepting_signature(k), k classes of
     type ((CONTAINS,), 1), is k classes of type ((NONE,), 1), and nothing
     else maps there: a class with its b-vertex bit set holds that vertex,
@@ -549,17 +580,21 @@ def _decision_tables(
     replayed witness is a b-coloring with k colors (reconstruct_witness
     checks it against the definition before handing it out).
     """
-    return _run_dp(g, d, k, _gated_seeds(g, k), witness, True)
+    return _run_dp(g, d, k, _gated_seeds(g, k), witness, True, _gated_mask(g, k))
+
+
+def _gated_mask(g: Graph, k: int) -> int:
+    """The vertices of degree at least k-1, the only ones that can be
+    b-vertices of a b-coloring with k colors, as a bitmask."""
+    return sum(1 << v for v in g.vertices() if g.degree(v) >= k - 1)
 
 
 def _gated_seeds(g: Graph, k: int) -> list[tuple[Signature, ...]]:
-    """Both leaf signatures at vertices of degree at least k-1, the non-b
-    one alone elsewhere."""
+    """Both leaf signatures at the vertices of _gated_mask, the non-b one
+    alone elsewhere."""
     plain, claimed = leaf_signatures(k)
-    return [
-        (plain, claimed) if g.degree(v) >= k - 1 else (plain,)
-        for v in g.vertices()
-    ]
+    gated = _gated_mask(g, k)
+    return [(plain, claimed) if gated >> v & 1 else (plain,) for v in g.vertices()]
 
 
 def accepting_signature(k: int) -> Signature:

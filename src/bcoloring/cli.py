@@ -307,15 +307,19 @@ ROUTES = {
 
 def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None, witness: bool):
     """The b-chromatic number by one bcol route, with that route's checked
-    witness at it when asked for.  No k above the m-degree m(G) (<= n) is
-    feasible, so probing k from m(G) down and stopping at the first feasible
-    k is exact, although feasibility is not monotone in k."""
+    witness at it when asked for, and the largest DP table over the probes
+    (None on a route without tables).  No k above the m-degree m(G) (<= n)
+    is feasible, so probing k from m(G) down and stopping at the first
+    feasible k is exact, although feasibility is not monotone in k."""
     route = ROUTES["bcol"][solver]
+    sizes = []
     for k in range(g.m_degree(), 0, -1):
-        answer, found, _ = route(g, d, k, witness)
+        answer, found, size = route(g, d, k, witness)
+        if size is not None:
+            sizes.append(size)
         if answer:
-            return k, found
-    return 0, None
+            return k, found, max(sizes, default=None)
+    return 0, None, max(sizes, default=None)
 
 
 def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
@@ -365,7 +369,7 @@ def _cmd_solve(args) -> dict:
     found = max_table = None
     solved = k is None or k <= g.n  # no coloring has more colors than vertices
     if problem == "bchrom":
-        answer, found = _chi_b(solver, g, d, args.witness)
+        answer, found, max_table = _chi_b(solver, g, d, args.witness)
     elif solved:
         answer, found, max_table = ROUTES[problem][solver](g, d, k, args.witness)
     else:
@@ -464,7 +468,7 @@ def _cmd_selftest(args) -> dict:
         expected = oracle.brute_force_chi_b(g)
         for name in ROUTES["bcol"]:
             if name != "oracle":
-                chi_b, found = _chi_b(name, g, d, True)
+                chi_b, found, _ = _chi_b(name, g, d, True)
                 witnesses += found is not None
                 compared.append(("bchrom", None, expected, name, chi_b, found))
         for problem, k, expected, name, answer, found in compared:

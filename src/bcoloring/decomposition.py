@@ -240,7 +240,7 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     operator off its children's representatives.  Graphs and
     decompositions are immutable, so the result is cached on d for this
     graph object, matched by identity (d keeps g alive): validate,
-    module_width, operator_of, the DP and every k probe share it.
+    module_width, the DP and every k probe share it.
 
     This is exact, by induction from the leaves, whose one class {v} has
     representative v.  At t with children r and s, the members of an
@@ -296,13 +296,6 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     annotation = Annotation(operators, width)
     d._annotation = (g, annotation)
     return annotation
-
-
-def operator_of(g: Graph, d: RootedBranchDecomposition, t: int) -> NodeOperator:
-    """The operator of internal node t: h-edges plus both bubble maps."""
-    if d.is_leaf(t):
-        raise InputError(f"node {t} is a leaf")
-    return _annotate(g, d).operators[t]
 
 
 def validate(g: Graph, d: RootedBranchDecomposition) -> ValidationReport:

@@ -142,9 +142,6 @@ class Coloring:
             buckets[c - 1].add(v)
         return tuple(frozenset(b) for b in buckets)
 
-    def nonempty_class_count(self) -> int:
-        return len(set(self.colors))
-
 
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff every color class is an independent set."""

@@ -8,7 +8,11 @@ way, as differential oracles for the incremental bitmask versions.  The class-ty
 use (type_of_class, is_valid_class and their fall-coloring twins) are the
 paper's definitions, written out directly; the solver never calls them.
 canonical_image applies the decision DP's dead-class rewrite to a table,
-from its definition, for comparing the canonical tables with the others.
+from its definition, for comparing the canonical tables with the others;
+b_vertex_supply and unclaimed give its b-vertex supply rule the same way.
+compatible, merge_type, operator_of, all_types and nonempty_class_count are
+test-side views of the solver's own merge, operators and colorings, for
+the unit tests that pin them.
 """
 
 from __future__ import annotations
@@ -17,10 +21,15 @@ import itertools
 import random
 from typing import Iterable
 
-from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE, ClassType, Signature
-from bcoloring.decomposition import RootedBranchDecomposition, equivalence_classes
+from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE, ClassType, Signature, _merge
+from bcoloring.decomposition import (
+    NodeOperator,
+    RootedBranchDecomposition,
+    _annotate,
+    equivalence_classes,
+)
 from bcoloring.errors import InputError
-from bcoloring.graph import Graph
+from bcoloring.graph import Coloring, Graph
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -33,6 +42,42 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     """g with vertex v renamed to perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+# --- views of the solver's type algebra, operators and colorings ---------
+
+
+def compatible(rho: ClassType, sigma: ClassType, op: NodeOperator) -> bool:
+    """Whether color classes of these child types may merge at this node."""
+    return _merge(rho, sigma, op) is not None
+
+
+def merge_type(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType:
+    """The parent type of the union of two compatible child classes."""
+    tau = _merge(rho, sigma, op)
+    if tau is None:
+        raise InputError("merge_type requires a compatible pair of types")
+    return tau
+
+
+def all_types(class_count: int) -> list[ClassType]:
+    """Every possible type over class_count classes (2 * 3**class_count)."""
+    return [
+        ClassType(desc, b)
+        for desc in itertools.product((NONE, CONTAINS, DEMAND), repeat=class_count)
+        for b in (0, 1)
+    ]
+
+
+def operator_of(g: Graph, d: RootedBranchDecomposition, t: int) -> NodeOperator:
+    """The operator of internal node t: h-edges plus both bubble maps."""
+    if d.is_leaf(t):
+        raise InputError(f"node {t} is a leaf")
+    return _annotate(g, d).operators[t]
+
+
+def nonempty_class_count(coloring: Coloring) -> int:
+    return len(set(coloring.colors))
 
 
 # --- definitional types of concrete color classes -----------------------
@@ -217,6 +262,18 @@ def canonical_image(table: Iterable[Signature], dead: int | None) -> set[Signatu
         else:
             out.add(Signature.from_counts(counts, sig.k))
     return out
+
+
+def b_vertex_supply(g: Graph, d: RootedBranchDecomposition, t: int, k: int) -> int:
+    """The number of vertices outside V_t of degree at least k-1: those that
+    may still become b-vertices of the classes of G_t that lack one."""
+    vt = d.vertex_set(t)
+    return sum(1 for v in g.vertices() if v not in vt and g.degree(v) >= k - 1)
+
+
+def unclaimed(sig: Signature) -> int:
+    """The number of classes of sig whose b-vertex bit is 0."""
+    return sum(c for tau, c in sig.items if not tau.bvtx)
 
 
 def _improper(g, vt, coloring) -> bool:

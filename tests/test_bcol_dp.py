@@ -27,30 +27,34 @@ from bcoloring.bcol_dp import (
     _combine_pair,
     _decision_tables,
     _edge_index,
+    _gated_mask,
     _gated_seeds,
     _leaf_join,
     _leaf_split,
     _run_dp,
     accepting_signature,
-    all_types,
     build_merge_skeleton,
     combine_signatures,
-    compatible,
     decision_accepting,
     leaf_signatures,
-    merge_type,
     reconstruct_witness,
 )
-from bcoloring.decomposition import NodeOperator, _annotate, operator_of
+from bcoloring.decomposition import NodeOperator, _annotate
 from bcoloring.fall_dp import compute_fall_tables
 from helpers import (
+    all_types,
     atlas_connected_corpus,
+    b_vertex_supply,
     canonical_image,
+    compatible,
     enumerate_bcol_signatures,
     is_valid_class,
+    merge_type,
+    operator_of,
     random_graph,
     relabeled,
     type_of_class,
+    unclaimed,
 )
 
 C0 = ClassType((CONTAINS,), 0)
@@ -326,7 +330,8 @@ class TestMergeSkeleton:
         # A width-2 linear decomposition of a path repeats a few operators
         # and child type lists along its spine: one DP run builds each
         # distinct skeleton once, and its tables and witness equal those
-        # of a node-by-node run that builds a skeleton at every node.
+        # of a node-by-node run that builds a skeleton at every node and
+        # applies the same b-vertex supply bound.
         g = Graph.path(300)
         d = linear_decomposition(g, list(g.vertices()))
         calls = []
@@ -343,6 +348,7 @@ class TestMergeSkeleton:
 
         ops = _annotate(g, d).operators
         seeds = _gated_seeds(g, 3)
+        gated = _gated_mask(g, 3)
         tables = {}
         for t in d.postorder():
             if d.is_leaf(t):
@@ -354,7 +360,8 @@ class TestMergeSkeleton:
                 for c in (r, s)
             )
             skel = build_merge_skeleton(ops[t], r_types, s_types, canonical=True)
-            tables[t] = combine_signatures(tables[r], tables[s], skel, 3)
+            supply = (gated & ~d.vertex_mask(t)).bit_count()
+            tables[t] = combine_signatures(tables[r], tables[s], skel, 3, supply)
         for t in d.postorder():
             assert list(cached.tables[t].items()) == list(tables[t].items())
         uncached = bcol_dp.DPTable(3, d.root, tables, witness=True)
@@ -497,8 +504,10 @@ class TestDegreeGatedTables:
 
     def test_tables_are_subsets_with_the_same_acceptance(self, corpus):
         # Each decision table is the canonical image of the gated table
-        # built without canonicalisation, and lies in the canonical image of
-        # the reference table; leaves are not canonicalised.
+        # built without canonicalisation, less the signatures with more
+        # classes lacking a b-vertex than the gated vertices outside V_t,
+        # and that image lies in the canonical image of the reference
+        # table; leaves are neither canonicalised nor filtered.
         for g, d in corpus:
             ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
@@ -511,7 +520,9 @@ class TestDegreeGatedTables:
                         assert set(gated.tables[t]) <= set(reference.tables[t])
                         continue
                     image = canonical_image(gated.tables[t], ops[t].dead)
-                    assert set(decision.tables[t]) == image, (g.edges(), k, t)
+                    supply = b_vertex_supply(g, d, t, k)
+                    kept = {sig for sig in image if unclaimed(sig) <= supply}
+                    assert set(decision.tables[t]) == kept, (g.edges(), k, t)
                     assert image <= canonical_image(reference.tables[t], ops[t].dead)
                 assert (decision_accepting(d, k) in decision.tables[d.root]) == (
                     accepting_signature(k) in reference.tables[d.root]
@@ -531,6 +542,50 @@ class TestDegreeGatedTables:
             assert b_chromatic_number(g, d) == brute_force_chi_b(g), g.edges()
 
 
+class TestBVertexSupply:
+    """The decision DP against a node-by-node run of it without the b-vertex
+    supply rule, over random graphs with n <= 8 and every k."""
+
+    def test_tables_are_the_unpruned_ones_filtered(self):
+        # Each internal table is the unpruned canonical table less the
+        # signatures the rule drops, in the same order with the same
+        # annotations; so witnesses and chi_b are identical.
+        rng = random.Random(23)
+        entries = dropped = 0
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            shapes = [d, mirrored(d)]
+            if g.n <= 6:
+                shapes.append(best_decomposition(g, "exact-tiny"))
+            for d in shapes:
+                feasible = [0]
+                for k in range(1, g.n + 1):
+                    full = _run_dp(g, d, k, _gated_seeds(g, k), True, True)
+                    pruned = _decision_tables(g, d, k, witness=True)
+                    for t in d.postorder():
+                        expected = list(full.tables[t].items())
+                        if not d.is_leaf(t):
+                            supply = b_vertex_supply(g, d, t, k)
+                            entries += len(expected)
+                            expected = [
+                                (sig, annotation)
+                                for sig, annotation in expected
+                                if unclaimed(sig) <= supply
+                            ]
+                            dropped += len(full.tables[t]) - len(expected)
+                        assert list(pruned.tables[t].items()) == expected, (
+                            g.edges(), k, t
+                        )
+                    if decision_accepting(d, k) in full.tables[d.root]:
+                        feasible.append(k)
+                        assert reconstruct_witness(
+                            pruned, g, d, k
+                        ) == reconstruct_witness(full, g, d, k)
+                assert b_chromatic_number(g, d) == max(feasible), g.edges()
+        assert dropped > entries // 4
+
+
 class TestCanonicalDecision:
     """The decision DP's one-step leaf join and its canonical root."""
 
@@ -542,9 +597,9 @@ class TestCanonicalDecision:
         # annotations.  Mirrored caterpillars put the leaves on the r side.
         calls = []
 
-        def recorded(table_r, table_s, skel, k):
+        def recorded(table_r, table_s, skel, k, supply=None):
             calls.append((list(table_r), list(table_s), skel, k))
-            return combine(table_r, table_s, skel, k)
+            return combine(table_r, table_s, skel, k, supply)
 
         combine = bcol_dp.combine_signatures
         monkeypatch.setattr(bcol_dp, "combine_signatures", recorded)

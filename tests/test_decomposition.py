@@ -20,9 +20,9 @@ from bcoloring.decomposition import (
     _greedy_order,
     _shape_to_decomposition,
     equivalence_classes,
-    operator_of,
 )
 from helpers import (
+    operator_of,
     random_graph,
     reference_greedy_order,
     reference_partition,

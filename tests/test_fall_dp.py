@@ -18,17 +18,19 @@ from bcoloring.bcol_dp import (
     NONE,
     ClassType,
     Signature,
-    compatible,
     decision_accepting,
-    merge_type,
 )
-from bcoloring.decomposition import _annotate, operator_of
+from bcoloring.decomposition import _annotate
 from bcoloring.fall_dp import compute_fall_tables, fall_leaf_signature
 from helpers import (
     canonical_image,
+    compatible,
     enumerate_fall_signatures,
     fall_class_is_valid,
     fall_type_of_class,
+    merge_type,
+    nonempty_class_count,
+    operator_of,
     random_graph,
 )
 
@@ -161,7 +163,7 @@ class TestAgreementWithBruteForce:
                 if witness is not None:
                     found += 1
                     assert is_fall_coloring(g, witness)
-                    assert witness.nonempty_class_count() == k
+                    assert nonempty_class_count(witness) == k
         assert found >= 10
 
     def test_table_semantics_small(self):
