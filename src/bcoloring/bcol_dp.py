@@ -9,6 +9,17 @@ color class already holds its designated b-vertex.  A *signature* counts
 color classes per type; the table at node t holds exactly the signatures
 achievable by valid partial b-colorings of G_t.
 
+The DP carries a type as an integer code: its labels read as a base-3
+number, class 0 the most significant digit, times 2, plus the b-vertex bit
+(encode, decode).  A code does not say its width, but every type in one
+node's table has that node's class count, and among digit strings of one
+length numeric order is lexicographic order.  So sorting codes orders
+types exactly as sorting ClassType tuples does, and signatures, skeleton
+rows, join order, annotations and witnesses are what they would be with
+the tuples.  ClassTypes appear only at the boundary: Signature.from_counts
+and Signature.counts, the leaf seeds, the accepting signatures and the
+leaves of witness replay.
+
 Internal nodes are combined through a *merge skeleton*: the bipartite graph
 of compatible child-type pairs, each edge labeled with the resulting parent
 type.  Signature combination enumerates nonnegative integer edge labelings
@@ -52,7 +63,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle
-from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate
+from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate, _bits
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
 
@@ -61,26 +72,60 @@ NONE, CONTAINS, DEMAND = 0, 1, 2
 
 
 class ClassType(NamedTuple):
-    """Type of a color class at a node: per-class labels plus b-vertex bit."""
+    """Type of a color class at a node: per-class labels plus b-vertex bit.
+    The DP carries each type as its integer code (encode)."""
 
     cdesc: tuple[int, ...]
     bvtx: int
 
 
-@dataclass(frozen=True)
-class Signature:
+def encode(tau: ClassType, width: int) -> int:
+    """The code of tau at a node with width classes: its labels read as a
+    base-3 number, class 0 the most significant digit, times 2, plus the
+    b-vertex bit.  Among types of one width, code order is ClassType
+    order.  Raises InputError if tau has another width."""
+    if len(tau.cdesc) != width:
+        raise InputError("type width does not match operator class counts")
+    code = 0
+    for label in tau.cdesc:
+        code = 3 * code + label
+    return 2 * code + tau.bvtx
+
+
+def decode(code: int, width: int) -> ClassType:
+    """The type of a code at a node with width classes (encode's inverse)."""
+    return ClassType(_labels(code, width), code & 1)
+
+
+def _labels(code: int, width: int) -> tuple[int, ...]:
+    rest, labels = code >> 1, [NONE] * width
+    for i in range(width - 1, -1, -1):
+        rest, labels[i] = divmod(rest, 3)
+    if rest:
+        raise InputError("type width does not match operator class counts")
+    return tuple(labels)
+
+
+class Signature(NamedTuple):
     """Multiset of color-class types with counts summing to k.
 
-    Only nonzero counts are stored, sorted by type, so equal signatures have
-    equal encodings and hash consistently.
+    Only nonzero counts are stored, as (type code, count) items sorted by
+    code, so equal signatures have equal encodings and hash consistently.
+    Every signature of one node table has that node's width.  A named
+    tuple, so the hashing and comparing that each join does per parent
+    signature run in C.
     """
 
-    items: tuple[tuple[object, int], ...]
+    items: tuple[tuple[int, int], ...]
     k: int
 
     @classmethod
-    def from_counts(cls, counts: Mapping, k: int) -> "Signature":
-        items = tuple(sorted((tau, c) for tau, c in counts.items() if c != 0))
+    def from_counts(cls, counts: Mapping[ClassType, int], k: int) -> "Signature":
+        """The signature with these counts of types, all of one width."""
+        width = len(next(iter(counts)).cdesc) if counts else 0
+        items = tuple(
+            sorted((encode(tau, width), c) for tau, c in counts.items() if c != 0)
+        )
         if any(c < 0 for _, c in items):
             raise InputError("signature counts must be nonnegative")
         if sum(c for _, c in items) != k:
@@ -89,13 +134,17 @@ class Signature:
             )
         return cls(items, k)
 
+    def counts(self, width: int) -> dict[ClassType, int]:
+        """The count of each type, decoded at a node with width classes."""
+        return {decode(code, width): c for code, c in self.items}
+
 
 @dataclass(frozen=True)
 class MergeSkeleton:
-    """Bipartite graph over child types; edges are the compatible pairs,
-    labeled with their merge type."""
+    """Bipartite graph over child type codes; edges are the compatible
+    pairs, labeled with the code of their merge type."""
 
-    edges: tuple  # (r-type, s-type, merge type) triples
+    edges: tuple  # (r-code, s-code, merge code) triples
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -104,79 +153,99 @@ class MergeSkeleton:
 # --- compatibility and merging of types -------------------------------------
 
 
-def _merge(
-    rho: ClassType, sigma: ClassType, op: NodeOperator, dead: int | None = None
-) -> ClassType | None:
-    """The parent type of the union of two child classes of these types, or
-    None if they may not merge at this node.
-
-    Two CONTAINS bubbles joined by an h-edge would put adjacent vertices in
-    one class, and two b-vertices cannot share a class.  A DEMAND bubble is
-    fulfilled here by an h-neighbor labeled CONTAINS on the other side;
-    otherwise it stays open in its parent class, which then must not get a
-    CONTAINS bubble: a later neighbor of that parent class is adjacent to
-    the class's vertex there too, so it can never join the class.
-
-    With dead set to the parent's dead class, the type is canonical there
-    (see _decision_tables): a DEMAND on it gives None, a CONTAINS becomes
-    NONE.
-    """
-    desc_r, desc_s = rho.cdesc, sigma.cdesc
-    if len(desc_r) != len(op.bubble_r) or len(desc_s) != len(op.bubble_s):
-        raise InputError("type width does not match operator class counts")
-    if rho.bvtx + sigma.bvtx > 1:
-        return None
-    met_r, met_s = set(), set()
-    for i, j in op.h_edges:
-        if desc_r[i] == CONTAINS and desc_s[j] == CONTAINS:
-            return None
-        if desc_s[j] == CONTAINS:
-            met_r.add(i)
-        if desc_r[i] == CONTAINS:
-            met_s.add(j)
-    nq = op.parent_class_count
-    contains_in = [False] * nq
-    open_demand_in = [False] * nq
-    for desc, bubble, met in (
-        (desc_r, op.bubble_r, met_r),
-        (desc_s, op.bubble_s, met_s),
-    ):
-        for i, q in enumerate(bubble):
-            if desc[i] == CONTAINS:
-                contains_in[q] = True
-            elif desc[i] == DEMAND and i not in met:
-                open_demand_in[q] = True
-    if any(c and o for c, o in zip(contains_in, open_demand_in)):
-        return None
-    if dead is not None:
-        if open_demand_in[dead]:
-            return None
-        contains_in[dead] = False
-    cdesc = tuple(
-        CONTAINS if contains_in[q] else (DEMAND if open_demand_in[q] else NONE)
-        for q in range(nq)
-    )
-    return ClassType(cdesc, rho.bvtx + sigma.bvtx)
-
-
 def build_merge_skeleton(
     op: NodeOperator,
-    r_types: Iterable[ClassType],
-    s_types: Iterable[ClassType],
+    r_types: Iterable[int],
+    s_types: Iterable[int],
     canonical: bool = False,
 ) -> MergeSkeleton:
-    """Skeleton over the given child type lists: one edge per compatible
-    pair, labeled with its merge type, made canonical at the node's dead
-    class if asked (the decision DP's skeleton, see _decision_tables)."""
-    s_types = tuple(s_types)
-    dead = op.dead if canonical else None
+    """Skeleton over the given child type codes: one edge per compatible
+    pair, labeled with the code of its merge type, made canonical at the
+    node's dead class if asked (the decision DP's skeleton, see
+    _decision_tables).
+
+    Two classes may merge unless both hold a b-vertex, or two CONTAINS
+    bubbles are joined by an h-edge (adjacent vertices in one class).  A
+    DEMAND bubble is fulfilled here by an h-neighbor labeled CONTAINS on
+    the other side; otherwise it stays open in its parent class, which then
+    must not get a CONTAINS bubble: a later neighbor of that parent class
+    is adjacent to the class's vertex there too, so it can never join the
+    class.  The merge type labels a parent class CONTAINS if a CONTAINS
+    bubble lands in it, DEMAND if an open DEMAND does, NONE otherwise; its
+    bit is the sum of the two.  Canonical at the dead class (see
+    _decision_tables), a DEMAND there drops the pair and a CONTAINS there
+    becomes NONE.
+
+    Each code is read once into label masks (_side), so a pair costs a few
+    mask operations; the parent masks of open demands and the parent codes
+    are computed once per distinct mask.  Raises InputError if a code is
+    wider than its side's class count.
+    """
+    r_side = _side(r_types, op.bubble_r, op.h_edges)
+    s_side = _side(s_types, op.bubble_s, [(j, i) for i, j in op.h_edges])
+    width = op.parent_class_count
+    weight = [3 ** (width - 1 - q) for q in range(width)]  # parent digits
+    dead = 1 << op.dead if canonical and op.dead is not None else 0
+    up_r: dict[int, int] = {}  # open r-demands -> their parent classes
+    up_s: dict[int, int] = {}
+    base3: dict[int, int] = {}  # parent CONTAINS | DEMAND << width -> labels
     edges = []
-    for rho in r_types:
-        for sigma in s_types:
-            tau = _merge(rho, sigma, op, dead)
-            if tau is not None:
-                edges.append((rho, sigma, tau))
+    for rho, b_r, _, dem_r, meets_r, in_r in r_side:
+        for sigma, b_s, con_s, dem_s, meets_s, in_s in s_side:
+            if b_r & b_s or meets_r & con_s:
+                continue
+            open_r, open_s = dem_r & ~meets_s, dem_s & ~meets_r
+            demand = up_r.get(open_r)
+            if demand is None:
+                demand = up_r[open_r] = _lift(open_r, op.bubble_r)
+            demand_s = up_s.get(open_s)
+            if demand_s is None:
+                demand_s = up_s[open_s] = _lift(open_s, op.bubble_s)
+            demand |= demand_s
+            if demand & (in_r | in_s | dead):
+                continue
+            contains = (in_r | in_s) & ~dead
+            key = contains | demand << width
+            labels = base3.get(key)
+            if labels is None:
+                labels = base3[key] = sum(
+                    weight[q] * (CONTAINS if contains >> q & 1 else DEMAND)
+                    for q in _bits(contains | demand)
+                )
+            edges.append((rho, sigma, 2 * labels + b_r + b_s))
     return MergeSkeleton(tuple(edges))
+
+
+def _side(codes: Iterable[int], bubble: Sequence[int], h_edges) -> list[tuple]:
+    """Each code of one child side as (code, bit, CONTAINS mask, DEMAND
+    mask, meets, the parent classes its CONTAINS bubbles land in), where
+    meets is the other side's classes h-adjacent to its CONTAINS classes:
+    their DEMANDs it meets, and a CONTAINS there it conflicts with.
+    h_edges are (this side, other side) class pairs."""
+    width = len(bubble)
+    adjacent = [0] * width
+    for i, j in h_edges:
+        adjacent[i] |= 1 << j
+    out = []
+    for code in codes:
+        contains = demand = met = parents = 0
+        for i, label in enumerate(_labels(code, width)):
+            if label == CONTAINS:
+                contains |= 1 << i
+                met |= adjacent[i]
+                parents |= 1 << bubble[i]
+            elif label == DEMAND:
+                demand |= 1 << i
+        out.append((code, code & 1, contains, demand, met, parents))
+    return out
+
+
+def _lift(mask: int, bubble: Sequence[int]) -> int:
+    """The parent classes of the child classes in mask."""
+    lifted = 0
+    for i in _bits(mask):
+        lifted |= 1 << bubble[i]
+    return lifted
 
 
 # --- signatures and their combination ---------------------------------------
@@ -220,12 +289,13 @@ def combine_signatures(
     may still become b-vertices, a pair is skipped when its classes holding
     a b-vertex number fewer than k - supply (see _decision_tables).
     """
-    adj, at = _edge_index(skel)
+    adj = _edge_index(skel)
     need = 0 if supply is None else k - supply  # b-vertex classes a pair needs
     table_s = [
         (sig_s, _leaf_split(sig_s), _b_count(sig_s) if need > 0 else 0)
         for sig_s in table_s
     ]
+    leaf_rows: dict[tuple, dict] = {}  # (split, leaf_is_s) -> _leaf_rows
     out: dict[Signature, tuple] = {}
     for sig_r in table_r:
         split_r = _leaf_split(sig_r)
@@ -234,30 +304,56 @@ def combine_signatures(
             if b_s < short:
                 continue
             if split_s is not None:
-                _leaf_join(sig_r, sig_s, split_s, True, at, k, out)
+                split, leaf_is_s = split_s, True
             elif split_r is not None:
-                _leaf_join(sig_r, sig_s, split_r, False, at, k, out)
+                split, leaf_is_s = split_r, False
             else:
                 _combine_pair(sig_r, sig_s, adj, k, out)
+                continue
+            key = (split, leaf_is_s)
+            rows = leaf_rows.get(key)
+            if rows is None:
+                rows = leaf_rows[key] = _leaf_rows(adj, split, leaf_is_s)
+            _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, out)
     return out
 
 
-def _edge_index(skel: MergeSkeleton) -> tuple[dict, dict]:
-    """adj maps each r-type to its (s-type, merge type) edges in skeleton
-    order; at maps each (r-type, s-type) edge to (its index in that list,
-    merge type)."""
+def _edge_index(skel: MergeSkeleton) -> dict:
+    """Each r-type's (s-type, merge type) edges, in skeleton order."""
     adj: dict = {}
-    at: dict = {}
     for rho, sigma, tau in skel.edges:
-        row = adj.setdefault(rho, [])
-        at.setdefault((rho, sigma), (len(row), tau))
-        row.append((sigma, tau))
-    return adj, at
+        adj.setdefault(rho, []).append((sigma, tau))
+    return adj
+
+
+def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
+    """For a leaf side split into (one, zero), each type p of the other side
+    that has an edge to one or zero, mapped to (zero edge, one edge): the
+    skeleton edge pairing p with that type, as (its index in its r-type's
+    edge list, merge type), or None.  Built once per node and split."""
+    one, zero = split
+    rows: dict = {}
+    if leaf_is_s:
+        for p, edges in adj.items():
+            e0 = e1 = None
+            for i, (sigma, tau) in enumerate(edges):
+                if sigma == zero:
+                    e0 = (i, tau)
+                elif sigma == one:
+                    e1 = (i, tau)
+            if e0 is not None or e1 is not None:
+                rows[p] = (e0, e1)
+        return rows
+    for i, (p, tau) in enumerate(adj.get(zero, ())):
+        rows[p] = ((i, tau), None)
+    for i, (p, tau) in enumerate(adj.get(one, ())):
+        rows[p] = (rows.get(p, (None,))[0], (i, tau))
+    return rows
 
 
 def _b_count(sig: Signature) -> int:
     """The number of classes in sig that hold their b-vertex."""
-    return sum(c for tau, c in sig.items if tau.bvtx)
+    return sum(c for tau, c in sig.items if tau & 1)
 
 
 def _leaf_split(sig: Signature) -> tuple | None:
@@ -275,7 +371,7 @@ def _leaf_split(sig: Signature) -> tuple | None:
     return None
 
 
-def _leaf_join(sig_r, sig_s, split, leaf_is_s, at, k, out) -> None:
+def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out) -> None:
     """_combine_pair for a pair with a leaf-shaped side, in one step.
 
     Every labeling puts the leaf side's one class with one class of the
@@ -299,9 +395,11 @@ def _leaf_join(sig_r, sig_s, split, leaf_is_s, at, k, out) -> None:
     rows = []  # (type, count, zero edge, one edge); an edge is (index, tau)
     forced = None
     for p, c in other.items:
-        e0 = None if zero is None else at.get((p, zero) if leaf_is_s else (zero, p))
-        e1 = at.get((p, one) if leaf_is_s else (one, p))
-        row = (p, c, e0, e1)
+        edges = leaf_rows.get(p)
+        if edges is None:
+            return  # no class can take p's classes
+        row = (p, c, *edges)
+        e0, e1 = edges
         if e0 is None:
             # no zero class can take p's classes: p must take the one class
             if e1 is None or c > 1 or forced is not None:
@@ -610,7 +708,7 @@ def decision_accepting(
     ((NONE,), bvtx), bvtx 1 for b-coloring and 0 for fall coloring.  A root
     that is a leaf (n = 1) is not canonicalised and keeps CONTAINS."""
     label = CONTAINS if d.is_leaf(d.root) else NONE
-    return Signature(((ClassType((label,), bvtx), k),), k)
+    return Signature.from_counts({ClassType((label,), bvtx): k}, k)
 
 
 def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
@@ -656,10 +754,11 @@ def _realize(
         if d.is_leaf(t):
             v = d.leaf_vertex(t)
             pool = {
-                tau: [frozenset({v} if tau.cdesc == (CONTAINS,) else ())] * count
+                tau: [frozenset({v} if decode(tau, 1).cdesc == (CONTAINS,) else ())]
+                * count
                 for tau, count in chosen[t].items
             }
-            b_vertex = ClassType((CONTAINS,), 1) in pool
+            b_vertex = encode(ClassType((CONTAINS,), 1), 1) in pool
             realized[t] = (pool, frozenset({v} if b_vertex else ()))
             continue
         (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))

@@ -10,9 +10,11 @@ paper's definitions, written out directly; the solver never calls them.
 canonical_image applies the decision DP's dead-class rewrite to a table,
 from its definition, for comparing the canonical tables with the others;
 b_vertex_supply and unclaimed give its b-vertex supply rule the same way.
-compatible, merge_type, operator_of, all_types and nonempty_class_count are
-test-side views of the solver's own merge, operators and colorings, for
-the unit tests that pin them.
+Both read signatures as ClassType counts (Signature.counts).  merged,
+compatible, merge_type, operator_of, all_types and nonempty_class_count
+are test-side views of the solver's own merge, operators and colorings,
+for the unit tests that pin them; reference_merge is the merge written
+label by label, the oracle for the solver's mask merge.
 """
 
 from __future__ import annotations
@@ -21,7 +23,16 @@ import itertools
 import random
 from typing import Iterable
 
-from bcoloring.bcol_dp import CONTAINS, DEMAND, NONE, ClassType, Signature, _merge
+from bcoloring.bcol_dp import (
+    CONTAINS,
+    DEMAND,
+    NONE,
+    ClassType,
+    Signature,
+    build_merge_skeleton,
+    decode,
+    encode,
+)
 from bcoloring.decomposition import (
     NodeOperator,
     RootedBranchDecomposition,
@@ -47,17 +58,81 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
 # --- views of the solver's type algebra, operators and colorings ---------
 
 
+def merged(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType | None:
+    """The solver's merge of one pair of child types: the parent type, or
+    None if they may not merge.  Types are encoded against the operator's
+    class counts, which raises InputError on a width mismatch."""
+    skel = build_merge_skeleton(
+        op, [encode(rho, len(op.bubble_r))], [encode(sigma, len(op.bubble_s))]
+    )
+    if not skel.edges:
+        return None
+    return decode(skel.edges[0][2], op.parent_class_count)
+
+
 def compatible(rho: ClassType, sigma: ClassType, op: NodeOperator) -> bool:
     """Whether color classes of these child types may merge at this node."""
-    return _merge(rho, sigma, op) is not None
+    return merged(rho, sigma, op) is not None
 
 
 def merge_type(rho: ClassType, sigma: ClassType, op: NodeOperator) -> ClassType:
     """The parent type of the union of two compatible child classes."""
-    tau = _merge(rho, sigma, op)
+    tau = merged(rho, sigma, op)
     if tau is None:
         raise InputError("merge_type requires a compatible pair of types")
     return tau
+
+
+def reference_merge(
+    rho: ClassType, sigma: ClassType, op: NodeOperator, dead: int | None = None
+) -> ClassType | None:
+    """The merge of two child types, label by label from the rule, as a
+    differential oracle for the solver's mask merge: the parent type, or
+    None if they may not merge.
+
+    Two CONTAINS bubbles joined by an h-edge would put adjacent vertices in
+    one class, and two b-vertices cannot share a class.  A DEMAND bubble is
+    fulfilled here by an h-neighbor labeled CONTAINS on the other side;
+    otherwise it stays open in its parent class, which then must not get a
+    CONTAINS bubble.  With dead set to the parent's dead class, the type is
+    canonical there: a DEMAND on it gives None, a CONTAINS becomes NONE.
+    """
+    desc_r, desc_s = rho.cdesc, sigma.cdesc
+    if len(desc_r) != len(op.bubble_r) or len(desc_s) != len(op.bubble_s):
+        raise InputError("type width does not match operator class counts")
+    if rho.bvtx + sigma.bvtx > 1:
+        return None
+    met_r, met_s = set(), set()
+    for i, j in op.h_edges:
+        if desc_r[i] == CONTAINS and desc_s[j] == CONTAINS:
+            return None
+        if desc_s[j] == CONTAINS:
+            met_r.add(i)
+        if desc_r[i] == CONTAINS:
+            met_s.add(j)
+    nq = op.parent_class_count
+    contains_in = [False] * nq
+    open_demand_in = [False] * nq
+    for desc, bubble, met in (
+        (desc_r, op.bubble_r, met_r),
+        (desc_s, op.bubble_s, met_s),
+    ):
+        for i, q in enumerate(bubble):
+            if desc[i] == CONTAINS:
+                contains_in[q] = True
+            elif desc[i] == DEMAND and i not in met:
+                open_demand_in[q] = True
+    if any(c and o for c, o in zip(contains_in, open_demand_in)):
+        return None
+    if dead is not None:
+        if open_demand_in[dead]:
+            return None
+        contains_in[dead] = False
+    cdesc = tuple(
+        CONTAINS if contains_in[q] else (DEMAND if open_demand_in[q] else NONE)
+        for q in range(nq)
+    )
+    return ClassType(cdesc, rho.bvtx + sigma.bvtx)
 
 
 def all_types(class_count: int) -> list[ClassType]:
@@ -243,20 +318,21 @@ def enumerate_fall_signatures(g, d, t, k) -> set[Signature]:
     return out
 
 
-def canonical_image(table: Iterable[Signature], dead: int | None) -> set[Signature]:
-    """The signatures of table made canonical at the dead class, from the
-    definition: drop a signature with a DEMAND there, rewrite CONTAINS
-    there to NONE, and add up the counts of types that become equal."""
+def canonical_image(table: Iterable[Signature], op: NodeOperator) -> set[Signature]:
+    """The signatures of a table at the parent of op made canonical at its
+    dead class, from the definition: drop a signature with a DEMAND there,
+    rewrite CONTAINS there to NONE, and add up the counts of types that
+    become equal."""
     out: set[Signature] = set()
     for sig in table:
         counts: dict = {}
-        for tau, c in sig.items:
-            label = NONE if dead is None else tau.cdesc[dead]
+        for tau, c in sig.counts(op.parent_class_count).items():
+            label = NONE if op.dead is None else tau.cdesc[op.dead]
             if label == DEMAND:
                 break
             if label == CONTAINS:
                 desc = list(tau.cdesc)
-                desc[dead] = NONE
+                desc[op.dead] = NONE
                 tau = ClassType(tuple(desc), tau.bvtx)
             counts[tau] = counts.get(tau, 0) + c
         else:
@@ -271,9 +347,10 @@ def b_vertex_supply(g: Graph, d: RootedBranchDecomposition, t: int, k: int) -> i
     return sum(1 for v in g.vertices() if v not in vt and g.degree(v) >= k - 1)
 
 
-def unclaimed(sig: Signature) -> int:
-    """The number of classes of sig whose b-vertex bit is 0."""
-    return sum(c for tau, c in sig.items if not tau.bvtx)
+def unclaimed(sig: Signature, width: int) -> int:
+    """The number of classes of sig, a signature at a node with width
+    classes, whose b-vertex bit is 0."""
+    return sum(c for tau, c in sig.counts(width).items() if not tau.bvtx)
 
 
 def _improper(g, vt, coloring) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -17,7 +18,7 @@ from bcoloring import (
     solve_bcoloring,
     solve_bcoloring_witness,
 )
-from bcoloring import bcol_dp
+from bcoloring import bcol_dp, cli
 from bcoloring.bcol_dp import (
     CONTAINS,
     DEMAND,
@@ -30,17 +31,20 @@ from bcoloring.bcol_dp import (
     _gated_mask,
     _gated_seeds,
     _leaf_join,
+    _leaf_rows,
     _leaf_split,
     _run_dp,
     accepting_signature,
     build_merge_skeleton,
     combine_signatures,
     decision_accepting,
+    decode,
+    encode,
     leaf_signatures,
     reconstruct_witness,
 )
 from bcoloring.decomposition import NodeOperator, _annotate
-from bcoloring.fall_dp import compute_fall_tables
+from bcoloring.fall_dp import compute_fall_tables, solve_fallcoloring_witness
 from helpers import (
     all_types,
     atlas_connected_corpus,
@@ -52,6 +56,7 @@ from helpers import (
     merge_type,
     operator_of,
     random_graph,
+    reference_merge,
     relabeled,
     type_of_class,
     unclaimed,
@@ -70,6 +75,19 @@ def mirrored(d: RootedBranchDecomposition) -> RootedBranchDecomposition:
     ]
     leaves = {t: d.leaf_vertex(t) for t in d.leaves()}
     return RootedBranchDecomposition(children, leaves, root=d.root)
+
+
+def codes(types, width=1):
+    """The codes of types at a node with width classes."""
+    return [encode(tau, width) for tau in types]
+
+
+def decoded_edges(skel, op):
+    """The skeleton's edges as (r-type, s-type, merge type) triples."""
+    widths = (len(op.bubble_r), len(op.bubble_s), op.parent_class_count)
+    return [
+        tuple(decode(code, w) for code, w in zip(edge, widths)) for edge in skel.edges
+    ]
 
 
 def k2_setup():
@@ -270,17 +288,17 @@ class TestMergeSoundness:
 class TestLeafSignatures:
     def test_k3(self):
         sig1, sig2 = leaf_signatures(3)
-        assert dict(sig1.items) == {C0: 1, N0: 2}
-        assert dict(sig2.items) == {C1: 1, D0: 2}
+        assert sig1.counts(1) == {C0: 1, N0: 2}
+        assert sig2.counts(1) == {C1: 1, D0: 2}
 
     def test_k1(self):
         sig1, sig2 = leaf_signatures(1)
-        assert dict(sig1.items) == {C0: 1}
-        assert dict(sig2.items) == {C1: 1}
+        assert sig1.counts(1) == {C0: 1}
+        assert sig2.counts(1) == {C1: 1}
 
     def test_k2(self):
         _, sig2 = leaf_signatures(2)
-        assert dict(sig2.items) == {C1: 1, D0: 1}
+        assert sig2.counts(1) == {C1: 1, D0: 1}
 
     def test_rejects_zero_colors(self):
         with pytest.raises(InputError):
@@ -292,28 +310,38 @@ class TestSignature:
         with pytest.raises(InputError):
             Signature.from_counts({C0: 1}, 2)
 
+    def test_one_width_enforced(self):
+        with pytest.raises(InputError, match="width"):
+            Signature.from_counts({C0: 1, ClassType((NONE, NONE), 0): 1}, 2)
+
+    def test_codes_order_types_of_one_width(self):
+        for width in (1, 2, 3):
+            types = all_types(width)
+            assert sorted(types, key=lambda tau: encode(tau, width)) == sorted(types)
+            assert [decode(encode(tau, width), width) for tau in types] == types
+
     def test_zero_counts_dropped(self):
         sig = Signature.from_counts({C0: 2, N0: 0}, 2)
-        assert sig.items == ((C0, 2),)
-        assert dict(sig.items).get(N0, 0) == 0
+        assert list(sig.counts(1).items()) == [(C0, 2)]
+        assert sig.counts(1).get(N0, 0) == 0
 
 
 class TestMergeSkeleton:
     def test_k2_root_excludes_contains_pairs(self):
         _, _, op = k2_setup()
-        types = [C0, C1, N0, D0]
-        skel = build_merge_skeleton(op, types, types)
-        for rho, sigma, _ in skel.edges:
+        types = codes([C0, C1, N0, D0])
+        edges = decoded_edges(build_merge_skeleton(op, types, types), op)
+        for rho, sigma, _ in edges:
             assert not (rho.cdesc[0] == CONTAINS and sigma.cdesc[0] == CONTAINS)
-        assert (C1, D0, C1) in skel.edges
-        assert (D0, D0, D0) in skel.edges
+        assert (C1, D0, C1) in edges
+        assert (D0, D0, D0) in edges
 
     def test_no_h_edges_no_demands_is_complete_bipartite_up_to_bvtx(self):
         g = Graph.edgeless(2)
         d = linear_decomposition(g, [0, 1])
         op = operator_of(g, d, d.root)
         types = [N0, C0, ClassType((NONE,), 1), C1]
-        skel = build_merge_skeleton(op, types, types)
+        skel = build_merge_skeleton(op, codes(types), codes(types))
         expected = sum(
             1
             for rho in types
@@ -324,7 +352,13 @@ class TestMergeSkeleton:
 
     def test_empty_side_has_no_edges(self):
         _, _, op = k2_setup()
-        assert build_merge_skeleton(op, [], [C0]).edges == ()
+        assert build_merge_skeleton(op, [], codes([C0])).edges == ()
+
+    def test_rejects_a_code_wider_than_its_side(self):
+        _, _, op = k2_setup()
+        wide = encode(ClassType((DEMAND, NONE), 0), 2)
+        with pytest.raises(InputError, match="width"):
+            build_merge_skeleton(op, [wide], codes([C0]))
 
     def test_repeated_nodes_share_one_skeleton(self, monkeypatch):
         # A width-2 linear decomposition of a path repeats a few operators
@@ -370,23 +404,93 @@ class TestMergeSkeleton:
         )
 
 
+class TestMaskMerge:
+    """The skeleton's mask merge, parent codes decoded, against
+    reference_merge, the merge written label by label, on random operators,
+    canonical and not."""
+
+    @staticmethod
+    def _random_operator(rng, wr, ws):
+        parents = rng.randint(1, wr + ws)
+        bubble_r = tuple(rng.randrange(parents) for _ in range(wr))
+        bubble_s = tuple(rng.randrange(parents) for _ in range(ws))
+        density = rng.random()
+        h_edges = frozenset(
+            (i, j) for i in range(wr) for j in range(ws) if rng.random() < density
+        )
+        op = NodeOperator(h_edges, bubble_r, bubble_s)
+        dead = rng.choice([None, *range(op.parent_class_count)])
+        return NodeOperator(h_edges, bubble_r, bubble_s, dead)
+
+    @staticmethod
+    def _random_types(rng, width, count):
+        types = set()
+        for _ in range(count):
+            weights = [rng.random() for _ in range(3)]
+            labels = rng.choices((NONE, CONTAINS, DEMAND), weights, k=width)
+            types.add(ClassType(tuple(labels), rng.randrange(2)))
+        return sorted(types)
+
+    @staticmethod
+    def _compare(op, r_types, s_types) -> int:
+        """Assert both merges agree on every pair, in skeleton order, and
+        return the number of compatible pairs."""
+        wr, ws = len(op.bubble_r), len(op.bubble_s)
+        merged = 0
+        for canonical in (False, True):
+            dead = op.dead if canonical else None
+            expected = [
+                (rho, sigma, tau)
+                for rho in r_types
+                for sigma in s_types
+                if (tau := reference_merge(rho, sigma, op, dead)) is not None
+            ]
+            skel = build_merge_skeleton(
+                op, codes(r_types, wr), codes(s_types, ws), canonical
+            )
+            assert decoded_edges(skel, op) == expected, (op, canonical)
+            merged += len(expected)
+        return merged
+
+    def test_every_pair_up_to_width_3(self):
+        rng = random.Random(91)
+        merged = 0
+        for wr, ws in itertools.product((1, 2, 3), repeat=2):
+            for _ in range(6):
+                op = self._random_operator(rng, wr, ws)
+                merged += self._compare(op, all_types(wr), all_types(ws))
+        assert merged > 20_000
+
+    def test_sampled_types_at_width_4_to_7(self):
+        rng = random.Random(92)
+        merged = 0
+        for _ in range(24):
+            wr, ws = rng.randint(4, 7), rng.randint(4, 7)
+            op = self._random_operator(rng, wr, ws)
+            r_types = self._random_types(rng, wr, 30)
+            s_types = self._random_types(rng, ws, 30)
+            merged += self._compare(op, r_types, s_types)
+        assert merged > 2_000
+
+
 class TestCombineSignatures:
     def test_k2_hand_trace(self):
         g, d, op = k2_setup()
         _, sig2 = leaf_signatures(2)
-        skel = build_merge_skeleton(op, [C1, D0], [C1, D0])
+        skel = build_merge_skeleton(op, codes([C1, D0]), codes([C1, D0]))
         out = combine_signatures([sig2], [sig2], skel, 2)
         assert set(out) == {accepting_signature(2)}
         sig_r, sig_s, labeling = out[accepting_signature(2)]
         assert sig_r == sig2 and sig_s == sig2
-        assert sorted(labeling) == [((C1, D0, C1), 1), ((D0, C1, C1), 1)]
+        types = [(tuple(decode(code, 1) for code in edge), x) for edge, x in labeling]
+        assert sorted(types) == [((C1, D0, C1), 1), ((D0, C1, C1), 1)]
 
     def test_k1_edgeless_single_vertices(self):
         g = Graph.edgeless(2)
         d = linear_decomposition(g, [0, 1])
         op = operator_of(g, d, d.root)
         sig1, sig2 = leaf_signatures(1)
-        skel = build_merge_skeleton(op, [C0, C1], [C0, C1])
+        skel = build_merge_skeleton(op, codes([C0, C1]), codes([C0, C1]))
         out = combine_signatures([sig1, sig2], [sig1, sig2], skel, 1)
         assert set(out) == {
             Signature.from_counts({C0: 1}, 1),
@@ -395,7 +499,7 @@ class TestCombineSignatures:
 
     def test_empty_child_table(self):
         _, _, op = k2_setup()
-        skel = build_merge_skeleton(op, [C1, D0], [C1, D0])
+        skel = build_merge_skeleton(op, codes([C1, D0]), codes([C1, D0]))
         assert combine_signatures([], [leaf_signatures(2)[1]], skel, 2) == {}
 
     def test_join_is_not_recursive(self):
@@ -407,7 +511,7 @@ class TestCombineSignatures:
         ]
         sig_r = Signature.from_counts(dict.fromkeys(r_types, 1), 512)
         sig_s = Signature.from_counts({N0: 512}, 512)
-        skel = build_merge_skeleton(op, r_types, [N0])
+        skel = build_merge_skeleton(op, codes(r_types, 9), codes([N0]))
         out = combine_signatures([sig_r], [sig_s], skel, 512)
         assert list(out) == [Signature.from_counts({N0: 1, D0: 511}, 512)]
 
@@ -519,11 +623,12 @@ class TestDegreeGatedTables:
                         assert set(decision.tables[t]) == set(gated.tables[t])
                         assert set(gated.tables[t]) <= set(reference.tables[t])
                         continue
-                    image = canonical_image(gated.tables[t], ops[t].dead)
+                    image = canonical_image(gated.tables[t], ops[t])
                     supply = b_vertex_supply(g, d, t, k)
-                    kept = {sig for sig in image if unclaimed(sig) <= supply}
+                    width = ops[t].parent_class_count
+                    kept = {sig for sig in image if unclaimed(sig, width) <= supply}
                     assert set(decision.tables[t]) == kept, (g.edges(), k, t)
-                    assert image <= canonical_image(reference.tables[t], ops[t].dead)
+                    assert image <= canonical_image(reference.tables[t], ops[t])
                 assert (decision_accepting(d, k) in decision.tables[d.root]) == (
                     accepting_signature(k) in reference.tables[d.root]
                 ), (g.edges(), k)
@@ -559,6 +664,7 @@ class TestBVertexSupply:
             if g.n <= 6:
                 shapes.append(best_decomposition(g, "exact-tiny"))
             for d in shapes:
+                ops = _annotate(g, d).operators
                 feasible = [0]
                 for k in range(1, g.n + 1):
                     full = _run_dp(g, d, k, _gated_seeds(g, k), True, True)
@@ -567,11 +673,12 @@ class TestBVertexSupply:
                         expected = list(full.tables[t].items())
                         if not d.is_leaf(t):
                             supply = b_vertex_supply(g, d, t, k)
+                            width = ops[t].parent_class_count
                             entries += len(expected)
                             expected = [
                                 (sig, annotation)
                                 for sig, annotation in expected
-                                if unclaimed(sig) <= supply
+                                if unclaimed(sig, width) <= supply
                             ]
                             dropped += len(full.tables[t]) - len(expected)
                         assert list(pruned.tables[t].items()) == expected, (
@@ -618,7 +725,7 @@ class TestCanonicalDecision:
                     compute_fall_tables(g, d, k, canonical=True)
         pairs = {"r": 0, "s": 0}
         for table_r, table_s, skel, k in calls:
-            adj, at = _edge_index(skel)
+            adj = _edge_index(skel)
             for sig_r in table_r:
                 for sig_s in table_s:
                     split_s, split_r = _leaf_split(sig_s), _leaf_split(sig_r)
@@ -627,9 +734,9 @@ class TestCanonicalDecision:
                     leaf_is_s = split_s is not None
                     pairs["s" if leaf_is_s else "r"] += 1
                     one_step, generic = {}, {}
-                    _leaf_join(
-                        sig_r, sig_s, split_s or split_r, leaf_is_s, at, k, one_step
-                    )
+                    split = split_s or split_r
+                    rows = _leaf_rows(adj, split, leaf_is_s)
+                    _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, one_step)
                     _combine_pair(sig_r, sig_s, adj, k, generic)
                     assert list(one_step.items()) == list(generic.items())
         assert pairs["s"] > 10_000 and pairs["r"] > 10_000
@@ -641,7 +748,7 @@ class TestCanonicalDecision:
             {ClassType((NONE,), 1): 2}, 2
         )
         assert decision_accepting(d, 2) in root
-        assert all(tau.cdesc != (CONTAINS,) for sig in root for tau, _ in sig.items)
+        assert all(tau.cdesc != (CONTAINS,) for sig in root for tau in sig.counts(1))
 
     def test_leaf_root_keeps_contains(self):
         g = Graph(1)
@@ -735,3 +842,36 @@ class TestTableInvariants:
             dh = best_decomposition(h, "heuristic")
             for k in range(1, n + 1):
                 assert solve_bcoloring(g, dg, k) == solve_bcoloring(h, dh, k)
+
+
+class TestWitnessDigest:
+    """Pins the witnesses, not only the answers, of the cw route."""
+
+    # sha256 of the pinned outputs, recorded when the DP moved to integer
+    # type codes and unchanged by that move.
+    DIGEST = "d99ecaf6b118a671aed8e9eb13e9c5c6ac83dd03ec2e01f3e7183af28223f96e"
+
+    def test_witnesses_match_the_recorded_digest(self):
+        """Hash, over 60 seeded random graphs with n <= 10 and their
+        heuristic decompositions, cli._chi_b's chi_b, witness coloring,
+        b-vertices and largest table, and the fall-coloring witness (or
+        None) for each k <= 4.
+
+        The digest pins the tables' order and annotations as well as the
+        answers: a change to the DP's search order that keeps every answer
+        can still change a witness.  A change that moves the digest is a
+        contract change; record the new digest and the reason in
+        CHANGES.md.
+        """
+        rng = random.Random(1212)
+        h = hashlib.sha256()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
+            d = best_decomposition(g, "heuristic")
+            chi, (coloring, b_vertices), size = cli._chi_b("cw", g, d, True)
+            pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices), size)
+            h.update(repr(pinned).encode())
+            for k in range(1, min(g.n, 4) + 1):
+                fall = solve_fallcoloring_witness(g, d, k)
+                h.update(repr((k, None if fall is None else fall.colors)).encode())
+        assert h.hexdigest() == self.DIGEST

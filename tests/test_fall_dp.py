@@ -95,10 +95,10 @@ class TestFallCompatibility:
 
 class TestLeafSignature:
     def test_counts(self):
-        assert dict(fall_leaf_signature(3).items) == {FC: 1, FD: 2}
+        assert fall_leaf_signature(3).counts(1) == {FC: 1, FD: 2}
 
     def test_k1(self):
-        assert dict(fall_leaf_signature(1).items) == {FC: 1}
+        assert fall_leaf_signature(1).counts(1) == {FC: 1}
 
     def test_leaf_tables_hold_exactly_one_signature(self):
         g = Graph.path(3)
@@ -196,7 +196,7 @@ class TestCanonicalFall:
                 for t in d.postorder():
                     if not d.is_leaf(t):
                         assert set(canonical.tables[t]) == canonical_image(
-                            reference.tables[t], ops[t].dead
+                            reference.tables[t], ops[t]
                         )
                 expected = Signature.from_counts({FC: k}, k) in reference.tables[d.root]
                 accepted = decision_accepting(d, k, 0) in canonical.tables[d.root]
