@@ -32,7 +32,8 @@ leaf-shaped side (one class of one type, k-1 of another, as every leaf
 signature is) needs no search: its labeling is the choice of the class
 that takes the one class, and _leaf_join makes it in one step, with the
 same signatures, order and annotations.  On a caterpillar every join
-has a leaf child.
+has a leaf child.  A parent signature's annotation is the child pair
+(sig_r, sig_s) that first reaches it; no labeling is kept in the table.
 
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
@@ -52,9 +53,13 @@ m(G).
 
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
-that pair, its classes numbered by smallest vertex, and
-reconstruct_witness, the one place a DP b-coloring witness is built,
-checks it against the definition before handing it out.
+that pair, its classes numbered by smallest vertex.  At each node on the
+way it rebuilds the one labeling it needs by joining the stored child pair
+again, with the same join routine and the node's skeleton, kept with the
+table; the first labeling of that join to reach the node's chosen
+signature is the one that put it there.  reconstruct_witness, the one
+place a DP b-coloring witness is built, checks the pair against the
+definition before handing it out.
 """
 
 from __future__ import annotations
@@ -275,15 +280,15 @@ def combine_signatures(
 ) -> dict[Signature, tuple]:
     """All parent signatures realizable from a child signature pair.
 
-    Returns a map from each achievable parent signature to one realizing
-    annotation (sig_r, sig_s, labeling), where the labeling lists
-    ((r-type, s-type, merge type), count) entries with positive count.
-    Child pairs are joined in table order, and a parent signature keeps the
-    annotation of the first pair and labeling that reach it.  A pair with a
-    leaf-shaped side, as every leaf signature is, is joined in one step by
-    _leaf_join (the s side is taken when both are); every other pair by
-    _combine_pair.  Both give the same signatures, in the same order, with
-    the same annotations.
+    Returns a map from each achievable parent signature to its annotation,
+    the child pair (sig_r, sig_s) that first reaches it; the pairs of one
+    join share one tuple.  Child pairs are joined in table order.  A pair
+    with a leaf-shaped side, as every leaf signature is, is joined in one
+    step by _leaf_join (the s side is taken when both are); every other
+    pair by _combine_pair.  Both give the same signatures, in the same
+    order.  No labeling is kept: witness replay joins the stored pair again
+    (_pair_labeling), and the first labeling by which that join reaches
+    the chosen signature is the one that put it in the table.
 
     With supply given, the number of vertices outside the parent's V_t that
     may still become b-vertices, a pair is skipped when its classes holding
@@ -318,6 +323,26 @@ def combine_signatures(
     return out
 
 
+def _pair_labeling(
+    sig_r: Signature, sig_s: Signature, skel: MergeSkeleton, k: int, want: Signature
+) -> tuple:
+    """The labeling by which combine_signatures first reaches want from
+    this child pair: the pair is joined again by the routine that joined it
+    there, which returns that labeling instead of recording signatures."""
+    adj = _edge_index(skel)
+    split_s, split_r = _leaf_split(sig_s), _leaf_split(sig_r)
+    if split_s is None and split_r is None:
+        labeling = _combine_pair(sig_r, sig_s, adj, k, None, want)
+    else:
+        leaf_is_s = split_s is not None
+        split = split_s if leaf_is_s else split_r
+        rows = _leaf_rows(adj, split, leaf_is_s)
+        labeling = _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, None, want)
+    if labeling is None:
+        raise StructuralError("witness replay: a stored pair misses its signature")
+    return labeling
+
+
 def _edge_index(skel: MergeSkeleton) -> dict:
     """Each r-type's (s-type, merge type) edges, in skeleton order."""
     adj: dict = {}
@@ -328,27 +353,45 @@ def _edge_index(skel: MergeSkeleton) -> dict:
 
 def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
     """For a leaf side split into (one, zero), each type p of the other side
-    that has an edge to one or zero, mapped to (zero edge, one edge): the
-    skeleton edge pairing p with that type, as (its index in its r-type's
-    edge list, merge type), or None.  Built once per node and split."""
+    that has an edge to one or zero, mapped to (rank, zero merge, one
+    merge, zero index, one index): the merge types of p with zero and with
+    one, and the places of those edges in their r-type's edge list, each
+    None without the edge.  Built once per node and split.
+
+    rank is p's place in the order in which _combine_pair's search meets
+    the labeling where p takes the one class (see _leaf_join).  With the
+    leaf on s, its rows are the r-types; a row whose edge to zero comes
+    before its edge to one tries taking first, so those rows come first, in
+    row (type) order, then the others in reverse.  With the leaf on r, its
+    row of one tries the s-types in reverse edge order when it comes first;
+    otherwise the row of zero, going first, leaves the taker in edge order.
+    Only the rows that can take are ranked against each other.
+    """
     one, zero = split
-    rows: dict = {}
+    edges: dict = {}  # p -> [zero merge, one merge, zero index, one index]
     if leaf_is_s:
-        for p, edges in adj.items():
-            e0 = e1 = None
-            for i, (sigma, tau) in enumerate(edges):
-                if sigma == zero:
-                    e0 = (i, tau)
-                elif sigma == one:
-                    e1 = (i, tau)
-            if e0 is not None or e1 is not None:
-                rows[p] = (e0, e1)
-        return rows
-    for i, (p, tau) in enumerate(adj.get(zero, ())):
-        rows[p] = ((i, tau), None)
-    for i, (p, tau) in enumerate(adj.get(one, ())):
-        rows[p] = (rows.get(p, (None,))[0], (i, tau))
-    return rows
+        for p, row in adj.items():
+            for i, (sigma, tau) in enumerate(row):
+                if sigma == zero or sigma == one:
+                    found = edges.setdefault(p, [None, None, None, None])
+                    found[sigma == one] = tau
+                    found[2 + (sigma == one)] = i
+        both = [(p, e) for p, e in sorted(edges.items()) if e[1] is not None]
+        order = [p for p, e in both if e[2] is not None and e[2] < e[3]]
+        order += [p for p, e in reversed(both) if e[2] is not None and e[2] > e[3]]
+        rank = {p: i for i, p in enumerate(order)}
+    else:
+        for side, q in ((0, zero), (1, one)):
+            for i, (p, tau) in enumerate(adj.get(q, ())):
+                found = edges.setdefault(p, [None, None, None, None])
+                found[side], found[2 + side] = tau, i
+        one_first = zero is None or one < zero
+        rank = {
+            p: -e[3] if one_first else e[2]
+            for p, e in edges.items()
+            if e[2 + one_first] is not None
+        }
+    return {p: (rank.get(p, 0), *e) for p, e in edges.items()}
 
 
 def _b_count(sig: Signature) -> int:
@@ -371,7 +414,7 @@ def _leaf_split(sig: Signature) -> tuple | None:
     return None
 
 
-def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out) -> None:
+def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out, want=None):
     """_combine_pair for a pair with a leaf-shaped side, in one step.
 
     Every labeling puts the leaf side's one class with one class of the
@@ -381,91 +424,87 @@ def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out) -> None:
     zero, one taker class mapped through the merge with one instead.
 
     Takers are tried in the order in which _combine_pair's search meets
-    their labelings.  With the leaf on s, its rows are the r-types; a row
-    whose edge to zero comes before its edge to one tries taking first, so
-    those rows come first, in row order, then the others in reverse.  With
-    the leaf on r, its row of one tries the s-types in reverse edge order
-    when it comes first; otherwise the row of zero, going first, leaves
-    the taker in edge order.  Each labeling is written as that search
-    writes it.
+    their labelings, their rank in leaf_rows.  Each new parent signature is
+    recorded in out with the pair (sig_r, sig_s).  With want given, out is
+    not used: the join returns the labeling of the first taker that makes
+    want, as _combine_pair writes it (_leaf_labeling), or None.
     """
-    leaf, other = (sig_s, sig_r) if leaf_is_s else (sig_r, sig_s)
-    one, zero = split
+    other = sig_r if leaf_is_s else sig_s
     made: dict = {}  # parent-type counts with every other class put with zero
-    rows = []  # (type, count, zero edge, one edge); an edge is (index, tau)
+    takers = []
     forced = None
     for p, c in other.items:
-        edges = leaf_rows.get(p)
-        if edges is None:
-            return  # no class can take p's classes
-        row = (p, c, *edges)
-        e0, e1 = edges
-        if e0 is None:
+        row = leaf_rows.get(p)
+        if row is None:
+            return None  # no class can take p's classes
+        if row[1] is None:
             # no zero class can take p's classes: p must take the one class
-            if e1 is None or c > 1 or forced is not None:
-                return
+            if row[2] is None or c > 1 or forced is not None:
+                return None
             forced = row
         else:
-            made[e0[1]] = made.get(e0[1], 0) + c
-        rows.append(row)
-    candidates = [row for row in rows if row[3] is not None]
+            made[row[1]] = made.get(row[1], 0) + c
+            if row[2] is not None:
+                takers.append(row)
     if forced is not None:
         takers = [forced]
-    elif leaf_is_s:
-        first = [row for row in candidates if row[2][0] < row[3][0]]
-        last = [row for row in candidates if row[2][0] > row[3][0]]
-        takers = first + last[::-1]
-    elif leaf.items[0][0] == one:
-        takers = sorted(candidates, key=lambda row: row[3][0], reverse=True)
     else:
-        takers = sorted(candidates, key=lambda row: row[2][0])
-    if not takers:
-        return
-    taus = sorted(made.keys() | {row[3][1] for row in takers})
-    index = {tau: i for i, tau in enumerate(taus)}
-    base = [made.get(tau, 0) for tau in taus]
+        takers.sort()
+    pair = (sig_r, sig_s)
     for taker in takers:
-        _, _, e0, e1 = taker
-        counts = base.copy()
-        if e0 is not None:
-            counts[index[e0[1]]] -= 1
-        counts[index[e1[1]]] += 1
-        sig_t = Signature(tuple((tau, c) for tau, c in zip(taus, counts) if c), k)
-        if sig_t not in out:
-            labeling = _leaf_labeling(leaf, one, zero, rows, taker, leaf_is_s)
-            out[sig_t] = (sig_r, sig_s, labeling)
+        _, zero_tau, one_tau, _, _ = taker
+        counts = made.copy()
+        if zero_tau is not None:
+            left = counts[zero_tau] - 1
+            if left:
+                counts[zero_tau] = left
+            else:
+                del counts[zero_tau]
+        counts[one_tau] = counts.get(one_tau, 0) + 1
+        sig_t = Signature(tuple(sorted(counts.items())), k)
+        if want is None:
+            out.setdefault(sig_t, pair)
+        elif sig_t == want:
+            return _leaf_labeling(sig_r, sig_s, split, leaf_is_s, leaf_rows, taker)
+    return None
 
 
-def _leaf_labeling(leaf, one, zero, rows, taker, leaf_is_s) -> tuple:
+def _leaf_labeling(sig_r, sig_s, split, leaf_is_s, leaf_rows, taker) -> tuple:
     """The labeling of _leaf_join's step with this taker, as _combine_pair
     writes it: rows in sig_r order, a row's edges in skeleton order."""
+    one, zero = split
     if leaf_is_s:
         labeling = []
-        for row in rows:
-            p, c, e0, e1 = row
+        for p, c in sig_r.items:
+            row = leaf_rows[p]
             if row is not taker:
-                labeling.append(((p, zero, e0[1]), c))
+                labeling.append(((p, zero, row[1]), c))
                 continue
-            take = ((p, one, e1[1]), 1)
+            take = ((p, one, row[2]), 1)
             if c == 1:
                 labeling.append(take)
                 continue
-            rest = ((p, zero, e0[1]), c - 1)
-            labeling.extend((rest, take) if e0[0] < e1[0] else (take, rest))
+            rest = ((p, zero, row[1]), c - 1)
+            labeling.extend((rest, take) if row[3] < row[4] else (take, rest))
         return tuple(labeling)
-    p, _, _, e1 = taker
-    take = ((one, p, e1[1]), 1)
+    with_zero = sorted(
+        (leaf_rows[q][3], q, c) for q, c in sig_s.items if leaf_rows[q][1] is not None
+    )
     rest = []
-    with_zero = [row for row in rows if row[2] is not None]
-    for q, c, e0, _ in sorted(with_zero, key=lambda row: row[2][0]):
-        x = c - (q == p)
+    for _, q, c in with_zero:
+        row = leaf_rows[q]
+        x = c - (row is taker)
         if x:
-            rest.append(((zero, q, e0[1]), x))
-    return (take, *rest) if leaf.items[0][0] == one else (*rest, take)
+            rest.append(((zero, q, row[1]), x))
+    p = next(q for q, _ in sig_s.items if leaf_rows[q] is taker)
+    take = ((one, p, taker[2]), 1)
+    return (take, *rest) if sig_r.items[0][0] == one else (*rest, take)
 
 
-def _combine_pair(sig_r, sig_s, adj, k, out) -> None:
-    """Add the parent signatures of one child signature pair to out.
+def _combine_pair(sig_r, sig_s, adj, k, out, want=None):
+    """Add the parent signatures of one child signature pair to out, each
+    recorded with the pair (sig_r, sig_s).  With want given, out is not
+    used: return the first labeling that makes want, or None.
 
     A labeling puts x classes of type rho with x of type sigma, making x
     parent classes of type tau, along each skeleton edge.  It is fixed one
@@ -480,17 +519,19 @@ def _combine_pair(sig_r, sig_s, adj, k, out) -> None:
     to k: the parent signature, needing no check.  States come in the
     order of their first labelings, as a depth-first search over the same
     steps meets them, so each signature keeps that search's first labeling.
+    The labelings are written only when want is given.
     """
     col = {sigma: j for j, (sigma, _) in enumerate(sig_s.items)}
     rows = []
     for rho, cnt in sig_r.items:
         edges = [(sigma, tau) for sigma, tau in adj.get(rho, ()) if sigma in col]
         if not edges:
-            return  # this type cannot pair with anything in sig_s
+            return None  # this type cannot pair with anything in sig_s
         rows.append((rho, cnt, edges))
     taus = sorted({tau for _, _, edges in rows for _, tau in edges})
     base = len(col)
     made_at = {tau: base + i for i, tau in enumerate(taus)}
+    write = want is not None
     layer = {tuple(c for _, c in sig_s.items) + (0,) * len(taus): (0, ())}
     for rho, cnt, edges in rows:
         layer = {state: (cnt, labeling) for state, (_, labeling) in layer.items()}
@@ -506,14 +547,18 @@ def _combine_pair(sig_r, sig_s, adj, k, out) -> None:
                         + (state[i] + x,) + state[i + 1 :]
                     )
                     if key not in nxt:
-                        step = ((edge, x),) if x else ()
+                        step = ((edge, x),) if x and write else ()
                         nxt[key] = (left - x, labeling + step)
             layer = nxt
+    pair = (sig_r, sig_s)
     for state, (_, labeling) in layer.items():
         made = tuple((tau, c) for tau, c in zip(taus, state[base:]) if c)
         sig_t = Signature(made, k)
-        if sig_t not in out:
-            out[sig_t] = (sig_r, sig_s, labeling)
+        if want is None:
+            out.setdefault(sig_t, pair)
+        elif sig_t == want:
+            return labeling
+    return None
 
 
 # --- the dynamic program -----------------------------------------------------
@@ -527,6 +572,7 @@ class DPTable:
     root: int
     tables: dict[int, dict[Signature, tuple | None]]
     witness: bool
+    skeletons: dict[int, MergeSkeleton]  # internal node -> its skeleton
 
     def max_table_size(self) -> int:
         return max(len(m) for m in self.tables.values())
@@ -553,6 +599,7 @@ def _run_dp(
     ops = _annotate(g, d).operators
     tables: dict[int, dict[Signature, tuple | None]] = {}
     skeletons: dict[tuple, MergeSkeleton] = {}
+    node_skeletons: dict[int, MergeSkeleton] = {}
     for t in d.postorder():
         if d.is_leaf(t):
             tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
@@ -565,6 +612,7 @@ def _run_dp(
         skel = skeletons.get(key)
         if skel is None:
             skel = skeletons[key] = build_merge_skeleton(op, r_types, s_types, canonical)
+        node_skeletons[t] = skel
         supply = None
         if suppliers is not None:
             supply = (suppliers & ~d.vertex_mask(t)).bit_count()
@@ -573,7 +621,7 @@ def _run_dp(
             tables[t] = combined
         else:
             tables[t] = dict.fromkeys(combined)
-    return DPTable(k=k, root=d.root, tables=tables, witness=witness)
+    return DPTable(k, d.root, tables, witness, node_skeletons)
 
 
 def compute_tables(
@@ -671,12 +719,14 @@ def _decision_tables(
     is a leaf and nothing is canonicalised, so decision_accepting keeps
     CONTAINS.
 
-    Witnesses stay sound: replay follows stored annotations, each a step of
-    the reference DP with its merge types canonicalised.  The skeleton edges
-    hold the canonical types, which key the classes pooled at each node, so
-    replay pairs off classes exactly as the reference labeling does, and a
-    replayed witness is a b-coloring with k colors (reconstruct_witness
-    checks it against the definition before handing it out).
+    Witnesses stay sound: replay follows the stored child pairs and joins
+    each again over its node's skeleton, so each labeling it rebuilds is a
+    step of the reference DP with its merge types canonicalised.  The
+    skeleton edges hold the canonical types, which key the classes pooled
+    at each node, so replay pairs off classes exactly as the reference
+    labeling does, and a replayed witness is a b-coloring with k colors
+    (reconstruct_witness checks it against the definition before handing
+    it out).
     """
     return _run_dp(g, d, k, _gated_seeds(g, k), witness, True, _gated_mask(g, k))
 
@@ -729,7 +779,7 @@ def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
             raise InputError(
                 "witness annotations missing; solver was run without witness mode"
             )
-        sig_r, sig_s, _ = annot
+        sig_r, sig_s = annot
         r, s = d.children(t)
         chosen[r] = sig_r
         chosen[s] = sig_s
@@ -741,10 +791,14 @@ def _realize(
 ) -> tuple[Coloring, frozenset[int]]:
     """Replay stored annotations bottom-up into concrete classes.
 
-    Returns the coloring, its classes numbered by smallest vertex, and the
-    b-vertices.  A leaf puts its vertex in the class of type (CONTAINS,),
-    and the vertex is a b-vertex iff that type's bit is 1; internal nodes
-    pair off child classes along the stored edge labeling and take unions.
+    The annotations, read top-down from the accepting root, choose each
+    node's signature.  Returns the coloring, its classes numbered by
+    smallest vertex, and the b-vertices.  A leaf puts its vertex in the
+    class of type (CONTAINS,), and the vertex is a b-vertex iff that type's
+    bit is 1.  An internal node rebuilds the one labeling it needs by
+    joining its stored child pair again over its skeleton (_pair_labeling),
+    which gives the labeling that first reached its chosen signature in the
+    DP, then pairs off child classes along it and takes unions.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
@@ -762,7 +816,8 @@ def _realize(
             realized[t] = (pool, frozenset({v} if b_vertex else ()))
             continue
         (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
-        _, _, labeling = table.tables[t][chosen[t]]
+        sig_r, sig_s = table.tables[t][chosen[t]]
+        labeling = _pair_labeling(sig_r, sig_s, table.skeletons[t], table.k, chosen[t])
         pool = {}
         for (rho, sigma, tau), x in labeling:
             for _ in range(x):

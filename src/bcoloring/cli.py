@@ -19,6 +19,7 @@ codes: 0 = ran (the answer is inside the document), 2 = input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -328,14 +329,14 @@ def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
     return best_decomposition(g, args.dec_effort)
 
 
-def _auto_solver(args, g: Graph, d: RootedBranchDecomposition | None) -> str:
+def _auto_solver(args, g: Graph, width: int | None) -> str:
     # Prefer the tractable exponent: fall back to the vertex-cover solver
-    # when the heuristic decomposition is wide but the cover is small.  A
-    # decomposition given by --dec is for cw, and fall coloring has no
-    # vertex-cover solver.
+    # when the heuristic decomposition (of this module-width) is wide but
+    # the cover is small.  A decomposition given by --dec is for cw, and
+    # fall coloring has no vertex-cover solver.
     if args.dec or args.command == "fallcol":
         return "cw"
-    if d is not None and module_width(g, d) > 8:
+    if width is not None and width > 8:
         if vc_solver.vertex_cover_within(g, 12) is not None:
             return "vc"
     return "cw"
@@ -362,10 +363,11 @@ def _cmd_solve(args) -> dict:
     if args.dec and args.solver in ("vc", "oracle"):
         raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
-    d = None
+    d = width = None
     if args.solver in (None, "cw") and g.n:
         d = _load_decomposition(args, g)
-    solver = args.solver or _auto_solver(args, g, d)
+        width = module_width(g, d)
+    solver = args.solver or _auto_solver(args, g, width)
     found = max_table = None
     solved = k is None or k <= g.n  # no coloring has more colors than vertices
     if problem == "bchrom":
@@ -375,7 +377,7 @@ def _cmd_solve(args) -> dict:
     else:
         answer = False
     if solver == "cw" and solved:
-        stats = _stats(start, d.node_count, max_table, module_width(g, d))
+        stats = _stats(start, d.node_count, max_table, width)
     else:
         stats = _stats(start)
     emitted = None
@@ -516,7 +518,10 @@ def _add_dec_arguments(sub) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="bcoloring",
         description="Exact b-coloring, b-chromatic number, and fall coloring solvers.",

@@ -14,7 +14,9 @@ Both read signatures as ClassType counts (Signature.counts).  merged,
 compatible, merge_type, operator_of, all_types and nonempty_class_count
 are test-side views of the solver's own merge, operators and colorings,
 for the unit tests that pin them; reference_merge is the merge written
-label by label, the oracle for the solver's mask merge.
+label by label, the oracle for the solver's mask merge, and
+reference_leaf_join the one-step join that builds a labeling for every
+parent signature, the oracle for the solver's lean join and its replay.
 """
 
 from __future__ import annotations
@@ -133,6 +135,116 @@ def reference_merge(
         for q in range(nq)
     )
     return ClassType(cdesc, rho.bvtx + sigma.bvtx)
+
+
+def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -> dict:
+    """The eager one-step join of a pair with a leaf-shaped side, as a
+    differential oracle for the solver's lean _leaf_join and its replay:
+    each parent signature, in the order the join meets it, mapped to
+    (sig_r, sig_s, labeling), the labeling being the first that reaches it
+    as _combine_pair writes it.  adj maps each r-type to its (s-type, merge
+    type) skeleton edges in skeleton order.  The s side is the leaf when
+    both sides are leaf-shaped; a pair with neither gives {}.
+
+    Every labeling puts the leaf's one class with a class of the other
+    side, the taker, and every other class there with a zero class.  The
+    takers are tried in the order _combine_pair's search meets them: with
+    the leaf on s, rows whose zero edge comes before their one edge first,
+    in row order, then the others in reverse; with the leaf on r, by the
+    one edge's index, descending, when one sorts before zero, otherwise by
+    the zero edge's index.
+    """
+
+    def split_of(sig):
+        items = sig.items
+        if len(items) == 1 and items[0][1] == 1:
+            return items[0][0], None
+        if len(items) == 2:
+            (a, ca), (b, cb) = items
+            if ca == 1:
+                return a, b
+            if cb == 1:
+                return b, a
+        return None
+
+    leaf_is_s = split_of(sig_s) is not None
+    split = split_of(sig_s) if leaf_is_s else split_of(sig_r)
+    if split is None:
+        return {}
+    one, zero = split
+    leaf, other = (sig_s, sig_r) if leaf_is_s else (sig_r, sig_s)
+    edge_to: dict = {}  # other-side type -> [zero edge, one edge], (index, tau)
+    if leaf_is_s:
+        for p, edges in adj.items():
+            for i, (sigma, tau) in enumerate(edges):
+                if sigma in (zero, one):
+                    edge_to.setdefault(p, [None, None])[sigma == one] = (i, tau)
+    else:
+        for side, q in ((0, zero), (1, one)):
+            for i, (p, tau) in enumerate(adj.get(q, ())):
+                edge_to.setdefault(p, [None, None])[side] = (i, tau)
+    made: dict = {}
+    rows = []  # (type, count, zero edge, one edge)
+    forced = None
+    for p, c in other.items:
+        if p not in edge_to:
+            return {}
+        row = (p, c, *edge_to[p])
+        if row[2] is None:
+            if row[3] is None or c > 1 or forced is not None:
+                return {}
+            forced = row
+        else:
+            made[row[2][1]] = made.get(row[2][1], 0) + c
+        rows.append(row)
+    candidates = [row for row in rows if row[3] is not None]
+    if forced is not None:
+        takers = [forced]
+    elif leaf_is_s:
+        first = [row for row in candidates if row[2][0] < row[3][0]]
+        last = [row for row in candidates if row[2][0] > row[3][0]]
+        takers = first + last[::-1]
+    elif leaf.items[0][0] == one:
+        takers = sorted(candidates, key=lambda row: row[3][0], reverse=True)
+    else:
+        takers = sorted(candidates, key=lambda row: row[2][0])
+    out: dict = {}
+    for taker in takers:
+        counts = dict(made)
+        _, _, e0, e1 = taker
+        if e0 is not None:
+            counts[e0[1]] -= 1
+        counts[e1[1]] = counts.get(e1[1], 0) + 1
+        sig_t = Signature(tuple(sorted((t, c) for t, c in counts.items() if c)), k)
+        if sig_t in out:
+            continue
+        if leaf_is_s:
+            labeling = []
+            for row in rows:
+                p, c, e0, e1 = row
+                if row is not taker:
+                    labeling.append(((p, zero, e0[1]), c))
+                    continue
+                take = ((p, one, e1[1]), 1)
+                if c == 1:
+                    labeling.append(take)
+                    continue
+                rest = ((p, zero, e0[1]), c - 1)
+                labeling.extend((rest, take) if e0[0] < e1[0] else (take, rest))
+        else:
+            p = taker[0]
+            take = ((one, p, e1[1]), 1)
+            rest = [
+                ((zero, q, e0[1]), c - (q == p))
+                for q, c, e0, _ in sorted(
+                    (row for row in rows if row[2] is not None),
+                    key=lambda row: row[2][0],
+                )
+                if c - (q == p)
+            ]
+            labeling = [take, *rest] if leaf.items[0][0] == one else [*rest, take]
+        out[sig_t] = (sig_r, sig_s, tuple(labeling))
+    return out
 
 
 def all_types(class_count: int) -> list[ClassType]:

@@ -33,6 +33,7 @@ from bcoloring.bcol_dp import (
     _leaf_join,
     _leaf_rows,
     _leaf_split,
+    _pair_labeling,
     _run_dp,
     accepting_signature,
     build_merge_skeleton,
@@ -56,6 +57,7 @@ from helpers import (
     merge_type,
     operator_of,
     random_graph,
+    reference_leaf_join,
     reference_merge,
     relabeled,
     type_of_class,
@@ -383,7 +385,7 @@ class TestMergeSkeleton:
         ops = _annotate(g, d).operators
         seeds = _gated_seeds(g, 3)
         gated = _gated_mask(g, 3)
-        tables = {}
+        tables, skeletons = {}, {}
         for t in d.postorder():
             if d.is_leaf(t):
                 tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
@@ -393,12 +395,14 @@ class TestMergeSkeleton:
                 sorted({tau for sig in tables[c] for tau, _ in sig.items})
                 for c in (r, s)
             )
-            skel = build_merge_skeleton(ops[t], r_types, s_types, canonical=True)
+            skel = skeletons[t] = build_merge_skeleton(
+                ops[t], r_types, s_types, canonical=True
+            )
             supply = (gated & ~d.vertex_mask(t)).bit_count()
             tables[t] = combine_signatures(tables[r], tables[s], skel, 3, supply)
         for t in d.postorder():
             assert list(cached.tables[t].items()) == list(tables[t].items())
-        uncached = bcol_dp.DPTable(3, d.root, tables, witness=True)
+        uncached = bcol_dp.DPTable(3, d.root, tables, True, skeletons)
         assert reconstruct_witness(cached, g, d, 3) == reconstruct_witness(
             uncached, g, d, 3
         )
@@ -480,8 +484,9 @@ class TestCombineSignatures:
         skel = build_merge_skeleton(op, codes([C1, D0]), codes([C1, D0]))
         out = combine_signatures([sig2], [sig2], skel, 2)
         assert set(out) == {accepting_signature(2)}
-        sig_r, sig_s, labeling = out[accepting_signature(2)]
+        sig_r, sig_s = out[accepting_signature(2)]
         assert sig_r == sig2 and sig_s == sig2
+        labeling = _pair_labeling(sig_r, sig_s, skel, 2, accepting_signature(2))
         types = [(tuple(decode(code, 1) for code in edge), x) for edge, x in labeling]
         assert sorted(types) == [((C1, D0, C1), 1), ((D0, C1, C1), 1)]
 
@@ -701,7 +706,10 @@ class TestCanonicalDecision:
         # graphs with n <= 8, every k, b-coloring (reference and decision)
         # and fall coloring (reference and canonical): the one-step join
         # gives the generic join's signatures, in its order, with its
-        # annotations.  Mirrored caterpillars put the leaves on the r side.
+        # annotations, and the eager reference join's signatures, order and
+        # child pairs.  For each signature, the labeling that replay
+        # rebuilds from the pair is the reference's and the generic join's.
+        # Mirrored caterpillars put the leaves on the r side.
         calls = []
 
         def recorded(table_r, table_s, skel, k, supply=None):
@@ -724,6 +732,7 @@ class TestCanonicalDecision:
                     compute_fall_tables(g, d, k)
                     compute_fall_tables(g, d, k, canonical=True)
         pairs = {"r": 0, "s": 0}
+        labelings = 0
         for table_r, table_s, skel, k in calls:
             adj = _edge_index(skel)
             for sig_r in table_r:
@@ -739,7 +748,65 @@ class TestCanonicalDecision:
                     _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, one_step)
                     _combine_pair(sig_r, sig_s, adj, k, generic)
                     assert list(one_step.items()) == list(generic.items())
+                    reference = reference_leaf_join(sig_r, sig_s, adj, k)
+                    assert list(one_step.items()) == [
+                        (sig_t, annotation[:2])
+                        for sig_t, annotation in reference.items()
+                    ]
+                    for sig_t, (_, _, labeling) in reference.items():
+                        replayed = _pair_labeling(sig_r, sig_s, skel, k, sig_t)
+                        searched = _combine_pair(sig_r, sig_s, adj, k, None, sig_t)
+                        assert replayed == labeling == searched
+                        labelings += 1
         assert pairs["s"] > 10_000 and pairs["r"] > 10_000
+        assert labelings > 10_000
+
+    def test_witness_tables_keep_only_child_pairs(self, monkeypatch):
+        # A witness-mode table maps each signature to the child pair that
+        # first reached it, both members keys of the child tables; replay
+        # rebuilds labelings without calling combine_signatures.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return combine(*args, **kwargs)
+
+        combine = bcol_dp.combine_signatures
+        monkeypatch.setattr(bcol_dp, "combine_signatures", counted)
+        rng = random.Random(83)
+        replayed = 0
+        for _ in range(16):
+            g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            internal = sum(not d.is_leaf(t) for t in d.postorder())
+            for k in range(1, g.n + 1):
+                calls.clear()
+                tables = [
+                    _decision_tables(g, d, k, witness=True),
+                    compute_fall_tables(g, d, k, witness=True, canonical=True),
+                ]
+                assert len(calls) == 2 * internal
+                for table in tables:
+                    for t in d.postorder():
+                        if d.is_leaf(t):
+                            continue
+                        r, s = d.children(t)
+                        for annotation in table.tables[t].values():
+                            assert type(annotation) is tuple and len(annotation) == 2
+                            sig_r, sig_s = annotation
+                            assert sig_r in table.tables[r] and sig_s in table.tables[s]
+                if decision_accepting(d, k) in tables[0].tables[d.root]:
+                    calls.clear()
+                    coloring, _ = reconstruct_witness(tables[0], g, d, k)
+                    assert calls == [] and is_b_coloring(g, coloring)
+                    replayed += 1
+                calls.clear()
+                fall = solve_fallcoloring_witness(g, d, k)
+                if fall is not None:
+                    # one call per internal node, all of them in its DP
+                    assert len(calls) == internal
+                    replayed += 1
+        assert replayed > 20
 
     def test_root_accepts_none_with_bit(self):
         g, d, _ = k2_setup()

@@ -17,6 +17,7 @@ from bcoloring import (
 )
 from bcoloring.cli import (
     ROUTES,
+    build_parser,
     format_decomposition,
     format_graph,
     main,
@@ -516,6 +517,42 @@ def test_deterministic_output_modulo_timing(tmp_path, capsys):
         del result["stats"]["wall_time_s"]
         results.append(result)
     assert results[0] == results[1]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main() builds its parser once per process.  A bcol, a malformed call,
+    # a bchrom and a decompose run back to back give what each gives when
+    # it runs first, on a freshly built parser.
+    path = tmp_path / "c5.col"
+    path.write_text(C5_COL)
+    out = tmp_path / "c5.dec"
+    calls = [
+        ["bcol", "--graph", str(path), "--k", "3", "--witness"],
+        ["bcol", "--graph", str(path)],  # no --k
+        ["bchrom", "--graph", str(path), "--witness"],
+        ["decompose", "--graph", str(path), "--out", str(out)],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        result = json.loads(captured.out) if captured.out else None
+        if result is not None:
+            del result["stats"]["wall_time_s"]
+        written = out.read_text() if argv[0] == "decompose" else None
+        return code, result, captured.err, written
+
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()
+        first.append(outcome(argv))
+    build_parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == first
+    assert build_parser.cache_info().misses == 1
+    assert [code for code, *_ in first] == [0, 2, 0, 0]
 
 
 WITNESS_SOURCES = {
