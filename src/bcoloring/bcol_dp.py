@@ -32,13 +32,15 @@ leaf-shaped side (one class of one type, k-1 of another, as every leaf
 signature is) needs no search: its labeling is the choice of the class
 that takes the one class, and _leaf_join makes it in one step, with the
 same signatures, order and annotations.  On a caterpillar every join
-has a leaf child.  A parent signature's annotation is the child pair
-(sig_r, sig_s) that first reaches it; no labeling is kept in the table.
+has a leaf child.  Every table, reference or decision, maps each parent
+signature to the child pair (sig_r, sig_s) that first reaches it; no
+labeling is kept in the table.
 
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
 signature sets.  The decision and witness entry points (solve_bcoloring,
-solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead.
+solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead,
+and a witness is replayed from the same tables a decision reads.
 It seeds the b-vertex signature only at vertices of degree at least k-1,
 and it keeps every internal table canonical at the node's dead class (the
 class with no neighbor outside V_t): a type with a DEMAND there, which can
@@ -55,11 +57,12 @@ A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
 that pair, its classes numbered by smallest vertex.  At each node on the
 way it rebuilds the one labeling it needs by joining the stored child pair
-again, with the same join routine and the node's skeleton, kept with the
-table; the first labeling of that join to reach the node's chosen
-signature is the one that put it there.  reconstruct_witness, the one
-place a DP b-coloring witness is built, checks the pair against the
-definition before handing it out.
+again with _combine_pair over the node's skeleton, kept with the table,
+whatever the pair's shape: _leaf_join meets a pair's signatures in the
+order _combine_pair does, so the first labeling of _combine_pair to reach
+the node's chosen signature is the one that put it there.
+reconstruct_witness, the one place a DP b-coloring witness is built,
+checks the pair against the definition before handing it out.
 """
 
 from __future__ import annotations
@@ -287,8 +290,10 @@ def combine_signatures(
     step by _leaf_join (the s side is taken when both are); every other
     pair by _combine_pair.  Both give the same signatures, in the same
     order.  No labeling is kept: witness replay joins the stored pair again
-    (_pair_labeling), and the first labeling by which that join reaches
-    the chosen signature is the one that put it in the table.
+    with _combine_pair, and the first labeling by which it reaches the
+    chosen signature is the one that put it in the table.  An r-side
+    signature is split only when some s-side one is not leaf-shaped, the
+    one case in which its split is read.
 
     With supply given, the number of vertices outside the parent's V_t that
     may still become b-vertices, a pair is skipped when its classes holding
@@ -300,10 +305,11 @@ def combine_signatures(
         (sig_s, _leaf_split(sig_s), _b_count(sig_s) if need > 0 else 0)
         for sig_s in table_s
     ]
+    split_r_needed = any(split_s is None for _, split_s, _ in table_s)
     leaf_rows: dict[tuple, dict] = {}  # (split, leaf_is_s) -> _leaf_rows
     out: dict[Signature, tuple] = {}
     for sig_r in table_r:
-        split_r = _leaf_split(sig_r)
+        split_r = _leaf_split(sig_r) if split_r_needed else None
         short = need - _b_count(sig_r) if need > 0 else 0
         for sig_s, split_s, b_s in table_s:
             if b_s < short:
@@ -319,28 +325,8 @@ def combine_signatures(
             rows = leaf_rows.get(key)
             if rows is None:
                 rows = leaf_rows[key] = _leaf_rows(adj, split, leaf_is_s)
-            _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, out)
+            _leaf_join(sig_r, sig_s, leaf_is_s, rows, k, out)
     return out
-
-
-def _pair_labeling(
-    sig_r: Signature, sig_s: Signature, skel: MergeSkeleton, k: int, want: Signature
-) -> tuple:
-    """The labeling by which combine_signatures first reaches want from
-    this child pair: the pair is joined again by the routine that joined it
-    there, which returns that labeling instead of recording signatures."""
-    adj = _edge_index(skel)
-    split_s, split_r = _leaf_split(sig_s), _leaf_split(sig_r)
-    if split_s is None and split_r is None:
-        labeling = _combine_pair(sig_r, sig_s, adj, k, None, want)
-    else:
-        leaf_is_s = split_s is not None
-        split = split_s if leaf_is_s else split_r
-        rows = _leaf_rows(adj, split, leaf_is_s)
-        labeling = _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, None, want)
-    if labeling is None:
-        raise StructuralError("witness replay: a stored pair misses its signature")
-    return labeling
 
 
 def _edge_index(skel: MergeSkeleton) -> dict:
@@ -354,9 +340,8 @@ def _edge_index(skel: MergeSkeleton) -> dict:
 def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
     """For a leaf side split into (one, zero), each type p of the other side
     that has an edge to one or zero, mapped to (rank, zero merge, one
-    merge, zero index, one index): the merge types of p with zero and with
-    one, and the places of those edges in their r-type's edge list, each
-    None without the edge.  Built once per node and split.
+    merge): the merge types of p with zero and with one, each None without
+    the edge.  Built once per node and split.
 
     rank is p's place in the order in which _combine_pair's search meets
     the labeling where p takes the one class (see _leaf_join).  With the
@@ -365,7 +350,8 @@ def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
     row (type) order, then the others in reverse.  With the leaf on r, its
     row of one tries the s-types in reverse edge order when it comes first;
     otherwise the row of zero, going first, leaves the taker in edge order.
-    Only the rows that can take are ranked against each other.
+    Only the rows that can take are ranked against each other.  The ranks
+    are read from the places of p's edges in their r-type's edge list.
     """
     one, zero = split
     edges: dict = {}  # p -> [zero merge, one merge, zero index, one index]
@@ -391,7 +377,7 @@ def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
             for p, e in edges.items()
             if e[2 + one_first] is not None
         }
-    return {p: (rank.get(p, 0), *e) for p, e in edges.items()}
+    return {p: (rank.get(p, 0), e[0], e[1]) for p, e in edges.items()}
 
 
 def _b_count(sig: Signature) -> int:
@@ -414,7 +400,7 @@ def _leaf_split(sig: Signature) -> tuple | None:
     return None
 
 
-def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out, want=None):
+def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, k, out):
     """_combine_pair for a pair with a leaf-shaped side, in one step.
 
     Every labeling puts the leaf side's one class with one class of the
@@ -424,10 +410,9 @@ def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out, want=None):
     zero, one taker class mapped through the merge with one instead.
 
     Takers are tried in the order in which _combine_pair's search meets
-    their labelings, their rank in leaf_rows.  Each new parent signature is
-    recorded in out with the pair (sig_r, sig_s).  With want given, out is
-    not used: the join returns the labeling of the first taker that makes
-    want, as _combine_pair writes it (_leaf_labeling), or None.
+    their labelings, their rank in leaf_rows, so each new parent signature
+    is recorded in out with the pair (sig_r, sig_s) in _combine_pair's
+    order.  No labeling is made: replay rebuilds it with _combine_pair.
     """
     other = sig_r if leaf_is_s else sig_s
     made: dict = {}  # parent-type counts with every other class put with zero
@@ -436,11 +421,11 @@ def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out, want=None):
     for p, c in other.items:
         row = leaf_rows.get(p)
         if row is None:
-            return None  # no class can take p's classes
+            return  # no class can take p's classes
         if row[1] is None:
             # no zero class can take p's classes: p must take the one class
             if row[2] is None or c > 1 or forced is not None:
-                return None
+                return
             forced = row
         else:
             made[row[1]] = made.get(row[1], 0) + c
@@ -451,8 +436,7 @@ def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out, want=None):
     else:
         takers.sort()
     pair = (sig_r, sig_s)
-    for taker in takers:
-        _, zero_tau, one_tau, _, _ = taker
+    for _, zero_tau, one_tau in takers:
         counts = made.copy()
         if zero_tau is not None:
             left = counts[zero_tau] - 1
@@ -461,44 +445,7 @@ def _leaf_join(sig_r, sig_s, split, leaf_is_s, leaf_rows, k, out, want=None):
             else:
                 del counts[zero_tau]
         counts[one_tau] = counts.get(one_tau, 0) + 1
-        sig_t = Signature(tuple(sorted(counts.items())), k)
-        if want is None:
-            out.setdefault(sig_t, pair)
-        elif sig_t == want:
-            return _leaf_labeling(sig_r, sig_s, split, leaf_is_s, leaf_rows, taker)
-    return None
-
-
-def _leaf_labeling(sig_r, sig_s, split, leaf_is_s, leaf_rows, taker) -> tuple:
-    """The labeling of _leaf_join's step with this taker, as _combine_pair
-    writes it: rows in sig_r order, a row's edges in skeleton order."""
-    one, zero = split
-    if leaf_is_s:
-        labeling = []
-        for p, c in sig_r.items:
-            row = leaf_rows[p]
-            if row is not taker:
-                labeling.append(((p, zero, row[1]), c))
-                continue
-            take = ((p, one, row[2]), 1)
-            if c == 1:
-                labeling.append(take)
-                continue
-            rest = ((p, zero, row[1]), c - 1)
-            labeling.extend((rest, take) if row[3] < row[4] else (take, rest))
-        return tuple(labeling)
-    with_zero = sorted(
-        (leaf_rows[q][3], q, c) for q, c in sig_s.items if leaf_rows[q][1] is not None
-    )
-    rest = []
-    for _, q, c in with_zero:
-        row = leaf_rows[q]
-        x = c - (row is taker)
-        if x:
-            rest.append(((zero, q, row[1]), x))
-    p = next(q for q, _ in sig_s.items if leaf_rows[q] is taker)
-    take = ((one, p, taker[2]), 1)
-    return (take, *rest) if sig_r.items[0][0] == one else (*rest, take)
+        out.setdefault(Signature(tuple(sorted(counts.items())), k), pair)
 
 
 def _combine_pair(sig_r, sig_s, adj, k, out, want=None):
@@ -566,12 +513,13 @@ def _combine_pair(sig_r, sig_s, adj, k, out, want=None):
 
 @dataclass
 class DPTable:
-    """Per-node achievable signature sets, optionally witness-annotated."""
+    """Per-node achievable signature sets.  An internal node's table maps
+    each signature to the child pair (sig_r, sig_s) that first reached it,
+    a leaf's to None."""
 
     k: int
     root: int
     tables: dict[int, dict[Signature, tuple | None]]
-    witness: bool
     skeletons: dict[int, MergeSkeleton]  # internal node -> its skeleton
 
     def max_table_size(self) -> int:
@@ -583,7 +531,7 @@ def _run_dp(
     d: RootedBranchDecomposition,
     k: int,
     seeds: Sequence[Iterable[Signature]],
-    witness: bool,
+    *,
     canonical: bool = False,
     suppliers: int | None = None,
 ) -> DPTable:
@@ -616,24 +564,16 @@ def _run_dp(
         supply = None
         if suppliers is not None:
             supply = (suppliers & ~d.vertex_mask(t)).bit_count()
-        combined = combine_signatures(tables[r], tables[s], skel, k, supply)
-        if witness:
-            tables[t] = combined
-        else:
-            tables[t] = dict.fromkeys(combined)
-    return DPTable(k, d.root, tables, witness, node_skeletons)
+        tables[t] = combine_signatures(tables[r], tables[s], skel, k, supply)
+    return DPTable(k, d.root, tables, node_skeletons)
 
 
-def compute_tables(
-    g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
-) -> DPTable:
+def compute_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     """Run the b-coloring DP and return the full per-node tables."""
-    return _run_dp(g, d, k, [leaf_signatures(k)] * g.n, witness)
+    return _run_dp(g, d, k, [leaf_signatures(k)] * g.n)
 
 
-def _decision_tables(
-    g: Graph, d: RootedBranchDecomposition, k: int, witness: bool
-) -> DPTable:
+def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     """The decision DP: the b-vertex leaf signature is seeded only at
     vertices of degree at least k-1 (every other leaf holds the non-b
     signature alone), every internal node's table is canonical at its
@@ -719,16 +659,18 @@ def _decision_tables(
     is a leaf and nothing is canonicalised, so decision_accepting keeps
     CONTAINS.
 
-    Witnesses stay sound: replay follows the stored child pairs and joins
-    each again over its node's skeleton, so each labeling it rebuilds is a
-    step of the reference DP with its merge types canonicalised.  The
-    skeleton edges hold the canonical types, which key the classes pooled
-    at each node, so replay pairs off classes exactly as the reference
-    labeling does, and a replayed witness is a b-coloring with k colors
-    (reconstruct_witness checks it against the definition before handing
-    it out).
+    Witnesses stay sound: the tables a decision reads are the ones replay
+    follows.  Replay joins each stored child pair again with _combine_pair
+    over its node's skeleton, so each labeling it rebuilds is a step of the
+    reference DP with its merge types canonicalised.  The skeleton edges
+    hold the canonical types, which key the classes pooled at each node, so
+    replay pairs off classes exactly as the reference labeling does, and a
+    replayed witness is a b-coloring with k colors (reconstruct_witness
+    checks it against the definition before handing it out).
     """
-    return _run_dp(g, d, k, _gated_seeds(g, k), witness, True, _gated_mask(g, k))
+    return _run_dp(
+        g, d, k, _gated_seeds(g, k), canonical=True, suppliers=_gated_mask(g, k)
+    )
 
 
 def _gated_mask(g: Graph, k: int) -> int:
@@ -765,7 +707,7 @@ def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
     """Does g have a b-coloring with k colors?"""
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
-    table = _decision_tables(g, d, k, witness=False)
+    table = _decision_tables(g, d, k)
     return decision_accepting(d, k) in table.tables[d.root]
 
 
@@ -774,12 +716,7 @@ def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
     for t in reversed(d.postorder()):
         if d.is_leaf(t):
             continue
-        annot = table.tables[t].get(chosen[t])
-        if annot is None:
-            raise InputError(
-                "witness annotations missing; solver was run without witness mode"
-            )
-        sig_r, sig_s = annot
+        sig_r, sig_s = table.tables[t][chosen[t]]
         r, s = d.children(t)
         chosen[r] = sig_r
         chosen[s] = sig_s
@@ -796,9 +733,11 @@ def _realize(
     smallest vertex, and the b-vertices.  A leaf puts its vertex in the
     class of type (CONTAINS,), and the vertex is a b-vertex iff that type's
     bit is 1.  An internal node rebuilds the one labeling it needs by
-    joining its stored child pair again over its skeleton (_pair_labeling),
-    which gives the labeling that first reached its chosen signature in the
-    DP, then pairs off child classes along it and takes unions.
+    joining its stored child pair again with _combine_pair over its
+    skeleton, whatever the pair's shape, which gives the labeling that first
+    reached its chosen signature in the DP (_leaf_join, which joined the
+    pairs with a leaf-shaped side, meets their signatures in the same
+    order), then pairs off child classes along it and takes unions.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
@@ -817,7 +756,10 @@ def _realize(
             continue
         (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
         sig_r, sig_s = table.tables[t][chosen[t]]
-        labeling = _pair_labeling(sig_r, sig_s, table.skeletons[t], table.k, chosen[t])
+        adj = _edge_index(table.skeletons[t])
+        labeling = _combine_pair(sig_r, sig_s, adj, table.k, None, chosen[t])
+        if labeling is None:
+            raise StructuralError("witness replay: a stored pair misses its signature")
         pool = {}
         for (rho, sigma, tau), x in labeling:
             for _ in range(x):
@@ -835,16 +777,13 @@ def _realize(
 def reconstruct_witness(
     table: DPTable, g: Graph, d: RootedBranchDecomposition, k: int
 ) -> tuple[Coloring, frozenset[int]]:
-    """Replay the accepting root signature of a witness-mode decision table
+    """Replay the accepting root signature of a decision table
     (_decision_tables) into a b-coloring and its b-vertices, one per class.
+    Raises InputError if the root lacks that signature.
 
     This is where every DP b-coloring witness is built, and it is checked
     here, once, against the definition before it is handed out.
     """
-    if not table.witness:
-        raise InputError(
-            "witness annotations missing; solver was run without witness mode"
-        )
     coloring, b = _realize(table, d, decision_accepting(d, k))
     if not oracle.is_b_coloring(g, coloring):
         raise StructuralError("reconstructed witness failed the b-coloring check")
@@ -858,7 +797,7 @@ def solve_bcoloring_witness(
     reconstruct_witness, or None if none exists."""
     if not (1 <= k <= g.n):
         raise InputError(f"k must be in 1..{g.n}, got {k}")
-    table = _decision_tables(g, d, k, witness=True)
+    table = _decision_tables(g, d, k)
     if decision_accepting(d, k) not in table.tables[d.root]:
         return None
     return reconstruct_witness(table, g, d, k)

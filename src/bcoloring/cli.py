@@ -263,7 +263,7 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
 
 
 def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
-    table = bcol_dp._decision_tables(g, d, k, witness)
+    table = bcol_dp._decision_tables(g, d, k)
     answer = bcol_dp.decision_accepting(d, k) in table.tables[d.root]
     found = None
     if answer and witness:

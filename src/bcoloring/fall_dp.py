@@ -13,7 +13,9 @@ holds k classes of type (CONTAINS,) with bit 0.  compute_fall_tables
 builds that reference by default; solve_fallcoloring and
 solve_fallcoloring_witness ask it for canonical tables instead, as the
 b-coloring decision DP keeps them (bcol_dp._decision_tables), whose root
-accepts k classes of type (NONE,) with bit 0 (decision_accepting).
+accepts k classes of type (NONE,) with bit 0 (decision_accepting).  Every
+table keeps each signature's first child pair, so a witness is replayed
+(bcol_dp._realize) from the very tables the decision reads.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def compute_fall_tables(
     g: Graph,
     d: RootedBranchDecomposition,
     k: int,
-    witness: bool = False,
+    *,
     canonical: bool = False,
 ) -> DPTable:
     """The fall-coloring DP.  By default its tables are the unpruned
@@ -63,7 +65,7 @@ def compute_fall_tables(
     only the reference's accepting signature maps to the canonical one.
     """
     seeds = [(fall_leaf_signature(k),)] * g.n
-    return _run_dp(g, d, k, seeds, witness, canonical)
+    return _run_dp(g, d, k, seeds, canonical=canonical)
 
 
 def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
@@ -93,7 +95,7 @@ def solve_fallcoloring_witness(
         raise InputError(f"number of colors must be positive, got {k}")
     if _prune(g, k):
         return None
-    table = compute_fall_tables(g, d, k, witness=True, canonical=True)
+    table = compute_fall_tables(g, d, k, canonical=True)
     accepting = decision_accepting(d, k, 0)
     if accepting not in table.tables[d.root]:
         return None

@@ -17,6 +17,7 @@ for the unit tests that pin them; reference_merge is the merge written
 label by label, the oracle for the solver's mask merge, and
 reference_leaf_join the one-step join that builds a labeling for every
 parent signature, the oracle for the solver's lean join and its replay.
+mirrored swaps the children of every node of a decomposition.
 """
 
 from __future__ import annotations
@@ -55,6 +56,16 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     """g with vertex v renamed to perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def mirrored(d: RootedBranchDecomposition) -> RootedBranchDecomposition:
+    """d with the two children of every internal node swapped: on a
+    caterpillar, the leaves move to the r side."""
+    children = [
+        None if d.is_leaf(t) else d.children(t)[::-1] for t in range(d.node_count)
+    ]
+    leaves = {t: d.leaf_vertex(t) for t in d.leaves()}
+    return RootedBranchDecomposition(children, leaves, root=d.root)
 
 
 # --- views of the solver's type algebra, operators and colorings ---------

@@ -7,7 +7,6 @@ import pytest
 from bcoloring import (
     Graph,
     InputError,
-    RootedBranchDecomposition,
     b_chromatic_number,
     best_decomposition,
     brute_force_bcoloring,
@@ -33,7 +32,6 @@ from bcoloring.bcol_dp import (
     _leaf_join,
     _leaf_rows,
     _leaf_split,
-    _pair_labeling,
     _run_dp,
     accepting_signature,
     build_merge_skeleton,
@@ -55,6 +53,7 @@ from helpers import (
     enumerate_bcol_signatures,
     is_valid_class,
     merge_type,
+    mirrored,
     operator_of,
     random_graph,
     reference_leaf_join,
@@ -68,15 +67,6 @@ C0 = ClassType((CONTAINS,), 0)
 C1 = ClassType((CONTAINS,), 1)
 N0 = ClassType((NONE,), 0)
 D0 = ClassType((DEMAND,), 0)
-
-
-def mirrored(d: RootedBranchDecomposition) -> RootedBranchDecomposition:
-    """d with the two children of every internal node swapped."""
-    children = [
-        None if d.is_leaf(t) else d.children(t)[::-1] for t in range(d.node_count)
-    ]
-    leaves = {t: d.leaf_vertex(t) for t in d.leaves()}
-    return RootedBranchDecomposition(children, leaves, root=d.root)
 
 
 def codes(types, width=1):
@@ -378,7 +368,7 @@ class TestMergeSkeleton:
 
         build = bcol_dp.build_merge_skeleton
         monkeypatch.setattr(bcol_dp, "build_merge_skeleton", counted)
-        cached = _decision_tables(g, d, 3, witness=True)
+        cached = _decision_tables(g, d, 3)
         assert len(calls) <= 40
         monkeypatch.undo()
 
@@ -402,7 +392,7 @@ class TestMergeSkeleton:
             tables[t] = combine_signatures(tables[r], tables[s], skel, 3, supply)
         for t in d.postorder():
             assert list(cached.tables[t].items()) == list(tables[t].items())
-        uncached = bcol_dp.DPTable(3, d.root, tables, True, skeletons)
+        uncached = bcol_dp.DPTable(3, d.root, tables, skeletons)
         assert reconstruct_witness(cached, g, d, 3) == reconstruct_witness(
             uncached, g, d, 3
         )
@@ -486,7 +476,8 @@ class TestCombineSignatures:
         assert set(out) == {accepting_signature(2)}
         sig_r, sig_s = out[accepting_signature(2)]
         assert sig_r == sig2 and sig_s == sig2
-        labeling = _pair_labeling(sig_r, sig_s, skel, 2, accepting_signature(2))
+        adj = _edge_index(skel)
+        labeling = _combine_pair(sig_r, sig_s, adj, 2, None, accepting_signature(2))
         types = [(tuple(decode(code, 1) for code in edge), x) for edge, x in labeling]
         assert sorted(types) == [((C1, D0, C1), 1), ((D0, C1, C1), 1)]
 
@@ -579,9 +570,11 @@ class TestWitness:
         g, d, _ = k2_setup()
         assert solve_bcoloring_witness(g, d, 1) is None
 
-    def test_reconstruct_requires_witness_mode(self):
+    def test_reconstruct_refuses_a_root_without_the_accepting_signature(self):
+        # The reference root holds k classes of type ((CONTAINS,), 1), not
+        # the canonical decision_accepting signature replay starts from.
         g, d, _ = k2_setup()
-        table = compute_tables(g, d, 2, witness=False)
+        table = compute_tables(g, d, 2)
         with pytest.raises(InputError, match="witness"):
             reconstruct_witness(table, g, d, 2)
 
@@ -621,8 +614,8 @@ class TestDegreeGatedTables:
             ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
                 reference = compute_tables(g, d, k)
-                gated = _run_dp(g, d, k, _gated_seeds(g, k), False)
-                decision = _decision_tables(g, d, k, witness=False)
+                gated = _run_dp(g, d, k, _gated_seeds(g, k))
+                decision = _decision_tables(g, d, k)
                 for t in d.postorder():
                     if d.is_leaf(t):
                         assert set(decision.tables[t]) == set(gated.tables[t])
@@ -641,7 +634,7 @@ class TestDegreeGatedTables:
     def test_low_degree_leaves_hold_no_b_vertex(self):
         g = Graph.star(3)  # the leaves have degree 1 < k - 1 for k = 3
         d = best_decomposition(g, "heuristic")
-        table = _decision_tables(g, d, 3, witness=False)
+        table = _decision_tables(g, d, 3)
         plain, claimed = leaf_signatures(3)
         for t in d.leaves():
             expected = {plain, claimed} if d.leaf_vertex(t) == 0 else {plain}
@@ -672,8 +665,8 @@ class TestBVertexSupply:
                 ops = _annotate(g, d).operators
                 feasible = [0]
                 for k in range(1, g.n + 1):
-                    full = _run_dp(g, d, k, _gated_seeds(g, k), True, True)
-                    pruned = _decision_tables(g, d, k, witness=True)
+                    full = _run_dp(g, d, k, _gated_seeds(g, k), canonical=True)
+                    pruned = _decision_tables(g, d, k)
                     for t in d.postorder():
                         expected = list(full.tables[t].items())
                         if not d.is_leaf(t):
@@ -728,7 +721,7 @@ class TestCanonicalDecision:
             for d in shapes:
                 for k in range(1, g.n + 1):
                     compute_tables(g, d, k)
-                    _decision_tables(g, d, k, witness=False)
+                    _decision_tables(g, d, k)
                     compute_fall_tables(g, d, k)
                     compute_fall_tables(g, d, k, canonical=True)
         pairs = {"r": 0, "s": 0}
@@ -745,7 +738,7 @@ class TestCanonicalDecision:
                     one_step, generic = {}, {}
                     split = split_s or split_r
                     rows = _leaf_rows(adj, split, leaf_is_s)
-                    _leaf_join(sig_r, sig_s, split, leaf_is_s, rows, k, one_step)
+                    _leaf_join(sig_r, sig_s, leaf_is_s, rows, k, one_step)
                     _combine_pair(sig_r, sig_s, adj, k, generic)
                     assert list(one_step.items()) == list(generic.items())
                     reference = reference_leaf_join(sig_r, sig_s, adj, k)
@@ -753,8 +746,11 @@ class TestCanonicalDecision:
                         (sig_t, annotation[:2])
                         for sig_t, annotation in reference.items()
                     ]
+                    replay_adj = _edge_index(skel)  # as _realize builds it
                     for sig_t, (_, _, labeling) in reference.items():
-                        replayed = _pair_labeling(sig_r, sig_s, skel, k, sig_t)
+                        replayed = _combine_pair(
+                            sig_r, sig_s, replay_adj, k, None, sig_t
+                        )
                         searched = _combine_pair(sig_r, sig_s, adj, k, None, sig_t)
                         assert replayed == labeling == searched
                         labelings += 1
@@ -762,17 +758,22 @@ class TestCanonicalDecision:
         assert labelings > 10_000
 
     def test_witness_tables_keep_only_child_pairs(self, monkeypatch):
-        # A witness-mode table maps each signature to the child pair that
-        # first reached it, both members keys of the child tables; replay
-        # rebuilds labelings without calling combine_signatures.
+        # Every table, reference or decision, b-coloring or fall coloring,
+        # maps each signature to the child pair that first reached it, both
+        # members keys of the child tables.  Replay rebuilds labelings with
+        # _combine_pair alone: no combine_signatures, _leaf_join or
+        # _leaf_rows call.
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return combine(*args, **kwargs)
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
 
-        combine = bcol_dp.combine_signatures
-        monkeypatch.setattr(bcol_dp, "combine_signatures", counted)
+            return wrapper
+
+        for name in ("combine_signatures", "_leaf_join", "_leaf_rows"):
+            monkeypatch.setattr(bcol_dp, name, counted(name, getattr(bcol_dp, name)))
         rng = random.Random(83)
         replayed = 0
         for _ in range(16):
@@ -782,10 +783,14 @@ class TestCanonicalDecision:
             for k in range(1, g.n + 1):
                 calls.clear()
                 tables = [
-                    _decision_tables(g, d, k, witness=True),
-                    compute_fall_tables(g, d, k, witness=True, canonical=True),
+                    _decision_tables(g, d, k),
+                    compute_tables(g, d, k),
+                    compute_fall_tables(g, d, k),
                 ]
-                assert len(calls) == 2 * internal
+                assert calls.count("combine_signatures") == 3 * internal
+                calls.clear()
+                tables.append(compute_fall_tables(g, d, k, canonical=True))
+                fall_dp_calls = sorted(calls)
                 for table in tables:
                     for t in d.postorder():
                         if d.is_leaf(t):
@@ -803,14 +808,14 @@ class TestCanonicalDecision:
                 calls.clear()
                 fall = solve_fallcoloring_witness(g, d, k)
                 if fall is not None:
-                    # one call per internal node, all of them in its DP
-                    assert len(calls) == internal
+                    # every call is one its canonical DP makes
+                    assert sorted(calls) == fall_dp_calls
                     replayed += 1
         assert replayed > 20
 
     def test_root_accepts_none_with_bit(self):
         g, d, _ = k2_setup()
-        root = _decision_tables(g, d, 2, witness=False).tables[d.root]
+        root = _decision_tables(g, d, 2).tables[d.root]
         assert decision_accepting(d, 2) == Signature.from_counts(
             {ClassType((NONE,), 1): 2}, 2
         )
@@ -942,3 +947,29 @@ class TestWitnessDigest:
                 fall = solve_fallcoloring_witness(g, d, k)
                 h.update(repr((k, None if fall is None else fall.colors)).encode())
         assert h.hexdigest() == self.DIGEST
+
+    # sha256 of the pinned outputs below, recorded before witness replay
+    # moved to one join routine for every pair shape.
+    REPLAY_DIGEST = "b95ea5e9104f55860ac3fc341503866db6939f0445fba71b4e7df825fd06760b"
+
+    def test_mirrored_and_exact_tiny_witnesses_match_the_recorded_digest(self):
+        """The same pins as above over decompositions whose replay meets
+        other pair shapes: over 80 seeded random graphs with n <= 10, the
+        mirrored heuristic decomposition, whose leaves sit on the r side,
+        and for n <= 6 the exact-tiny one, whose joins need not have a
+        leaf child."""
+        rng = random.Random(1414)
+        h = hashlib.sha256()
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
+            shapes = [mirrored(best_decomposition(g, "heuristic"))]
+            if g.n <= 6:
+                shapes.append(best_decomposition(g, "exact-tiny"))
+            for d in shapes:
+                chi, (coloring, b_vertices), size = cli._chi_b("cw", g, d, True)
+                pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices), size)
+                h.update(repr(pinned).encode())
+                for k in range(1, min(g.n, 4) + 1):
+                    fall = solve_fallcoloring_witness(g, d, k)
+                    h.update(repr((k, None if fall is None else fall.colors)).encode())
+        assert h.hexdigest() == self.REPLAY_DIGEST

@@ -367,9 +367,9 @@ class TestCommands:
         g = random_graph(random.Random(seed), 9, 0.35)
         runs = []
 
-        def counted(*args, dp=bcol_dp._run_dp):
+        def counted(*args, dp=bcol_dp._run_dp, **kwargs):
             runs.append(args[2])
-            return dp(*args)
+            return dp(*args, **kwargs)
 
         monkeypatch.setattr(bcol_dp, "_run_dp", counted)
         path = tmp_path / "g.col"
