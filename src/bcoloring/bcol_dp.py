@@ -16,13 +16,14 @@ node's table has that node's class count, and among digit strings of one
 length numeric order is lexicographic order.  So sorting codes orders
 types exactly as sorting ClassType tuples does, and signatures, skeleton
 rows, join order, annotations and witnesses are what they would be with
-the tuples.  ClassTypes appear only at the boundary: Signature.from_counts
-and Signature.counts, the leaf seeds, the accepting signatures and the
-leaves of witness replay.
+the tuples.  ClassTypes appear only at the boundary: signature and
+type_counts, the leaf seeds, the accepting signatures and the leaves of
+witness replay.
 
 Internal nodes are combined through a *merge skeleton*: the bipartite graph
 of compatible child-type pairs, each edge labeled with the resulting parent
-type.  Signature combination enumerates nonnegative integer edge labelings
+type, kept as rows: each r-type's edges, which every join reads directly.
+Signature combination enumerates nonnegative integer edge labelings
 whose per-type sums match the child signatures; per-label sums give the
 parent signature.  The enumeration is iterative: it fixes the labeling one
 skeleton edge at a time and keeps each reached state (s-class counts left,
@@ -58,7 +59,8 @@ class.  _realize replays the stored annotations of an accepting root into
 that pair, its classes numbered by smallest vertex.  At each node on the
 way it rebuilds the one labeling it needs by joining the stored child pair
 again with _combine_pair over the node's skeleton, kept with the table,
-whatever the pair's shape: _leaf_join meets a pair's signatures in the
+whatever the pair's shape, searching only labelings that can still make
+the chosen signature: _leaf_join meets a pair's signatures in the
 order _combine_pair does, so the first labeling of _combine_pair to reach
 the node's chosen signature is the one that put it there.
 reconstruct_witness, the one place a DP b-coloring witness is built,
@@ -114,48 +116,44 @@ def _labels(code: int, width: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-class Signature(NamedTuple):
-    """Multiset of color-class types with counts summing to k.
+# A signature is a plain tuple: its (type code, count) items, nonzero counts
+# only, sorted by code.  Every signature in a node's table has its width.
+Signature = tuple
 
-    Only nonzero counts are stored, as (type code, count) items sorted by
-    code, so equal signatures have equal encodings and hash consistently.
-    Every signature of one node table has that node's width.  A named
-    tuple, so the hashing and comparing that each join does per parent
-    signature run in C.
-    """
 
-    items: tuple[tuple[int, int], ...]
-    k: int
+def signature(counts: Mapping[ClassType, int], k: int) -> Signature:
+    """The signature with these counts of types, all of one width.  Raises
+    InputError on a width mismatch, a negative count, or counts that do
+    not sum to k."""
+    width = len(next(iter(counts)).cdesc) if counts else 0
+    sig = tuple(sorted((encode(tau, width), c) for tau, c in counts.items() if c))
+    if any(c < 0 for _, c in sig):
+        raise InputError("signature counts must be nonnegative")
+    total = sum(c for _, c in sig)
+    if total != k:
+        raise InputError(f"signature counts total {total}, expected {k}")
+    return sig
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[ClassType, int], k: int) -> "Signature":
-        """The signature with these counts of types, all of one width."""
-        width = len(next(iter(counts)).cdesc) if counts else 0
-        items = tuple(
-            sorted((encode(tau, width), c) for tau, c in counts.items() if c != 0)
-        )
-        if any(c < 0 for _, c in items):
-            raise InputError("signature counts must be nonnegative")
-        if sum(c for _, c in items) != k:
-            raise InputError(
-                f"signature counts total {sum(c for _, c in items)}, expected {k}"
-            )
-        return cls(items, k)
 
-    def counts(self, width: int) -> dict[ClassType, int]:
-        """The count of each type, decoded at a node with width classes."""
-        return {decode(code, width): c for code, c in self.items}
+def type_counts(sig: Signature, width: int) -> dict[ClassType, int]:
+    """The count of each type of sig, decoded at a node with width classes."""
+    return {decode(code, width): c for code, c in sig}
 
 
 @dataclass(frozen=True)
 class MergeSkeleton:
     """Bipartite graph over child type codes; edges are the compatible
-    pairs, labeled with the code of their merge type."""
+    pairs, labeled with the code of their merge type.  rows maps each
+    r-code that has an edge to its (s-code, merge code) edges, in the
+    order of the codes given to build_merge_skeleton; both join routines
+    and witness replay read the rows directly."""
 
-    edges: tuple  # (r-code, s-code, merge code) triples
+    rows: dict[int, tuple[tuple[int, int], ...]]
 
-    def edge_count(self) -> int:
-        return len(self.edges)
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The (r-code, s-code, merge code) edges, row by row."""
+        return tuple((rho, s, tau) for rho, row in self.rows.items() for s, tau in row)
 
 
 # --- compatibility and merging of types -------------------------------------
@@ -197,8 +195,9 @@ def build_merge_skeleton(
     up_r: dict[int, int] = {}  # open r-demands -> their parent classes
     up_s: dict[int, int] = {}
     base3: dict[int, int] = {}  # parent CONTAINS | DEMAND << width -> labels
-    edges = []
+    rows = {}
     for rho, b_r, _, dem_r, meets_r, in_r in r_side:
+        row = []
         for sigma, b_s, con_s, dem_s, meets_s, in_s in s_side:
             if b_r & b_s or meets_r & con_s:
                 continue
@@ -220,8 +219,10 @@ def build_merge_skeleton(
                     weight[q] * (CONTAINS if contains >> q & 1 else DEMAND)
                     for q in _bits(contains | demand)
                 )
-            edges.append((rho, sigma, 2 * labels + b_r + b_s))
-    return MergeSkeleton(tuple(edges))
+            row.append((sigma, 2 * labels + b_r + b_s))
+        if row:
+            rows[rho] = tuple(row)
+    return MergeSkeleton(rows)
 
 
 def _side(codes: Iterable[int], bubble: Sequence[int], h_edges) -> list[tuple]:
@@ -265,12 +266,8 @@ def leaf_signatures(k: int) -> tuple[Signature, Signature]:
     (one CONTAINS-with-bit color, k-1 demanding colors)."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
-    sig1 = Signature.from_counts(
-        {ClassType((CONTAINS,), 0): 1, ClassType((NONE,), 0): k - 1}, k
-    )
-    sig2 = Signature.from_counts(
-        {ClassType((CONTAINS,), 1): 1, ClassType((DEMAND,), 0): k - 1}, k
-    )
+    sig1 = signature({ClassType((CONTAINS,), 0): 1, ClassType((NONE,), 0): k - 1}, k)
+    sig2 = signature({ClassType((CONTAINS,), 1): 1, ClassType((DEMAND,), 0): k - 1}, k)
     return sig1, sig2
 
 
@@ -285,21 +282,20 @@ def combine_signatures(
 
     Returns a map from each achievable parent signature to its annotation,
     the child pair (sig_r, sig_s) that first reaches it; the pairs of one
-    join share one tuple.  Child pairs are joined in table order.  A pair
-    with a leaf-shaped side, as every leaf signature is, is joined in one
-    step by _leaf_join (the s side is taken when both are); every other
-    pair by _combine_pair.  Both give the same signatures, in the same
-    order.  No labeling is kept: witness replay joins the stored pair again
-    with _combine_pair, and the first labeling by which it reaches the
-    chosen signature is the one that put it in the table.  An r-side
-    signature is split only when some s-side one is not leaf-shaped, the
-    one case in which its split is read.
+    join share one tuple.  Child pairs are joined in table order, both
+    join routines reading the skeleton's rows.  A pair with a leaf-shaped
+    side, as every leaf signature is, is joined in one step by _leaf_join
+    (the s side is taken when both are); every other pair by _combine_pair.
+    Both give the same signatures, in the same order.  No labeling is kept:
+    witness replay joins the stored pair again with _combine_pair, and the
+    first labeling by which it reaches the chosen signature is the one that
+    put it in the table.  An r-side signature is split only when some
+    s-side one is not leaf-shaped, the one case in which its split is read.
 
     With supply given, the number of vertices outside the parent's V_t that
     may still become b-vertices, a pair is skipped when its classes holding
     a b-vertex number fewer than k - supply (see _decision_tables).
     """
-    adj = _edge_index(skel)
     need = 0 if supply is None else k - supply  # b-vertex classes a pair needs
     table_s = [
         (sig_s, _leaf_split(sig_s), _b_count(sig_s) if need > 0 else 0)
@@ -319,25 +315,17 @@ def combine_signatures(
             elif split_r is not None:
                 split, leaf_is_s = split_r, False
             else:
-                _combine_pair(sig_r, sig_s, adj, k, out)
+                _combine_pair(sig_r, sig_s, skel.rows, out)
                 continue
             key = (split, leaf_is_s)
             rows = leaf_rows.get(key)
             if rows is None:
-                rows = leaf_rows[key] = _leaf_rows(adj, split, leaf_is_s)
-            _leaf_join(sig_r, sig_s, leaf_is_s, rows, k, out)
+                rows = leaf_rows[key] = _leaf_rows(skel.rows, split, leaf_is_s)
+            _leaf_join(sig_r, sig_s, leaf_is_s, rows, out)
     return out
 
 
-def _edge_index(skel: MergeSkeleton) -> dict:
-    """Each r-type's (s-type, merge type) edges, in skeleton order."""
-    adj: dict = {}
-    for rho, sigma, tau in skel.edges:
-        adj.setdefault(rho, []).append((sigma, tau))
-    return adj
-
-
-def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
+def _leaf_rows(skel_rows: dict, split: tuple, leaf_is_s: bool) -> dict:
     """For a leaf side split into (one, zero), each type p of the other side
     that has an edge to one or zero, mapped to (rank, zero merge, one
     merge): the merge types of p with zero and with one, each None without
@@ -351,12 +339,12 @@ def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
     row of one tries the s-types in reverse edge order when it comes first;
     otherwise the row of zero, going first, leaves the taker in edge order.
     Only the rows that can take are ranked against each other.  The ranks
-    are read from the places of p's edges in their r-type's edge list.
+    are read from the places of p's edges in their skeleton rows.
     """
     one, zero = split
     edges: dict = {}  # p -> [zero merge, one merge, zero index, one index]
     if leaf_is_s:
-        for p, row in adj.items():
+        for p, row in skel_rows.items():
             for i, (sigma, tau) in enumerate(row):
                 if sigma == zero or sigma == one:
                     found = edges.setdefault(p, [None, None, None, None])
@@ -368,7 +356,7 @@ def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
         rank = {p: i for i, p in enumerate(order)}
     else:
         for side, q in ((0, zero), (1, one)):
-            for i, (p, tau) in enumerate(adj.get(q, ())):
+            for i, (p, tau) in enumerate(skel_rows.get(q, ())):
                 found = edges.setdefault(p, [None, None, None, None])
                 found[side], found[2 + side] = tau, i
         one_first = zero is None or one < zero
@@ -382,17 +370,16 @@ def _leaf_rows(adj: dict, split: tuple, leaf_is_s: bool) -> dict:
 
 def _b_count(sig: Signature) -> int:
     """The number of classes in sig that hold their b-vertex."""
-    return sum(c for tau, c in sig.items if tau & 1)
+    return sum(c for tau, c in sig if tau & 1)
 
 
 def _leaf_split(sig: Signature) -> tuple | None:
     """(one, zero) if sig is leaf-shaped: one class of type one and the
     other k-1 of type zero (None when k = 1).  Otherwise None."""
-    items = sig.items
-    if len(items) == 1:
-        return (items[0][0], None) if items[0][1] == 1 else None
-    if len(items) == 2:
-        (a, ca), (b, cb) = items
+    if len(sig) == 1:
+        return (sig[0][0], None) if sig[0][1] == 1 else None
+    if len(sig) == 2:
+        (a, ca), (b, cb) = sig
         if ca == 1:
             return a, b
         if cb == 1:
@@ -400,7 +387,7 @@ def _leaf_split(sig: Signature) -> tuple | None:
     return None
 
 
-def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, k, out):
+def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, out):
     """_combine_pair for a pair with a leaf-shaped side, in one step.
 
     Every labeling puts the leaf side's one class with one class of the
@@ -418,7 +405,7 @@ def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, k, out):
     made: dict = {}  # parent-type counts with every other class put with zero
     takers = []
     forced = None
-    for p, c in other.items:
+    for p, c in other:
         row = leaf_rows.get(p)
         if row is None:
             return  # no class can take p's classes
@@ -445,10 +432,10 @@ def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, k, out):
             else:
                 del counts[zero_tau]
         counts[one_tau] = counts.get(one_tau, 0) + 1
-        out.setdefault(Signature(tuple(sorted(counts.items())), k), pair)
+        out.setdefault(tuple(sorted(counts.items())), pair)
 
 
-def _combine_pair(sig_r, sig_s, adj, k, out, want=None):
+def _combine_pair(sig_r, sig_s, skel_rows, out, want=None):
     """Add the parent signatures of one child signature pair to out, each
     recorded with the pair (sig_r, sig_s).  With want given, out is not
     used: return the first labeling that makes want, or None.
@@ -466,41 +453,54 @@ def _combine_pair(sig_r, sig_s, adj, k, out, want=None):
     to k: the parent signature, needing no check.  States come in the
     order of their first labelings, as a depth-first search over the same
     steps meets them, so each signature keeps that search's first labeling.
-    The labelings are written only when want is given.
+
+    With want given, the labelings are written and only those that can
+    make want are searched: an edge whose merge type is not in want leaves
+    its row, and x stops where a parent-type count would pass want's.
+    Parent-type counts only grow, so no skipped labeling makes want, and
+    the search meets the labelings that do in the same relative order: the
+    first to make want is the one that put want in the table.
     """
-    col = {sigma: j for j, (sigma, _) in enumerate(sig_s.items)}
+    col = {sigma: j for j, (sigma, _) in enumerate(sig_s)}
+    cap = None if want is None else dict(want)
     rows = []
-    for rho, cnt in sig_r.items:
-        edges = [(sigma, tau) for sigma, tau in adj.get(rho, ()) if sigma in col]
+    for rho, cnt in sig_r:
+        edges = [
+            (sigma, tau)
+            for sigma, tau in skel_rows.get(rho, ())
+            if sigma in col and (cap is None or tau in cap)
+        ]
         if not edges:
             return None  # this type cannot pair with anything in sig_s
         rows.append((rho, cnt, edges))
     taus = sorted({tau for _, _, edges in rows for _, tau in edges})
     base = len(col)
     made_at = {tau: base + i for i, tau in enumerate(taus)}
-    write = want is not None
-    layer = {tuple(c for _, c in sig_s.items) + (0,) * len(taus): (0, ())}
+    layer = {tuple(c for _, c in sig_s) + (0,) * len(taus): (0, ())}
     for rho, cnt, edges in rows:
         layer = {state: (cnt, labeling) for state, (_, labeling) in layer.items()}
         for e, (sigma, tau) in enumerate(edges):
             j, i, edge = col[sigma], made_at[tau], (rho, sigma, tau)
             last = e == len(edges) - 1
+            most = None if cap is None else cap[tau]
             nxt: dict = {}
             for state, (left, labeling) in layer.items():
                 have = state[j]
-                for x in range(left if last else 0, min(have, left) + 1):
+                top = min(have, left)
+                if most is not None:
+                    top = min(top, most - state[i])
+                for x in range(left if last else 0, top + 1):
                     key = state if not x else (
                         state[:j] + (have - x,) + state[j + 1 : i]
                         + (state[i] + x,) + state[i + 1 :]
                     )
                     if key not in nxt:
-                        step = ((edge, x),) if x and write else ()
+                        step = ((edge, x),) if x and cap is not None else ()
                         nxt[key] = (left - x, labeling + step)
             layer = nxt
     pair = (sig_r, sig_s)
     for state, (_, labeling) in layer.items():
-        made = tuple((tau, c) for tau, c in zip(taus, state[base:]) if c)
-        sig_t = Signature(made, k)
+        sig_t = tuple((tau, c) for tau, c in zip(taus, state[base:]) if c)
         if want is None:
             out.setdefault(sig_t, pair)
         elif sig_t == want:
@@ -554,8 +554,8 @@ def _run_dp(
             continue
         r, s = d.children(t)
         op = ops[t]
-        r_types = tuple(sorted({tau for sig in tables[r] for tau, _ in sig.items}))
-        s_types = tuple(sorted({tau for sig in tables[s] for tau, _ in sig.items}))
+        r_types = tuple(sorted({tau for sig in tables[r] for tau, _ in sig}))
+        s_types = tuple(sorted({tau for sig in tables[s] for tau, _ in sig}))
         key = (op, r_types, s_types)
         skel = skeletons.get(key)
         if skel is None:
@@ -668,9 +668,8 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     replayed witness is a b-coloring with k colors (reconstruct_witness
     checks it against the definition before handing it out).
     """
-    return _run_dp(
-        g, d, k, _gated_seeds(g, k), canonical=True, suppliers=_gated_mask(g, k)
-    )
+    gated = _gated_mask(g, k)
+    return _run_dp(g, d, k, _gated_seeds(g, k, gated), canonical=True, suppliers=gated)
 
 
 def _gated_mask(g: Graph, k: int) -> int:
@@ -679,18 +678,17 @@ def _gated_mask(g: Graph, k: int) -> int:
     return sum(1 << v for v in g.vertices() if g.degree(v) >= k - 1)
 
 
-def _gated_seeds(g: Graph, k: int) -> list[tuple[Signature, ...]]:
-    """Both leaf signatures at the vertices of _gated_mask, the non-b one
-    alone elsewhere."""
+def _gated_seeds(g: Graph, k: int, gated: int) -> list[tuple[Signature, ...]]:
+    """Both leaf signatures at the vertices of gated, the _gated_mask of g
+    and k, the non-b one alone elsewhere."""
     plain, claimed = leaf_signatures(k)
-    gated = _gated_mask(g, k)
     return [(plain, claimed) if gated >> v & 1 else (plain,) for v in g.vertices()]
 
 
 def accepting_signature(k: int) -> Signature:
     # At the root there is a single equivalence class, V(G); a b-coloring
     # exists iff all k classes have type (CONTAINS, with b-vertex).
-    return Signature.from_counts({ClassType((CONTAINS,), 1): k}, k)
+    return signature({ClassType((CONTAINS,), 1): k}, k)
 
 
 def decision_accepting(
@@ -700,7 +698,7 @@ def decision_accepting(
     ((NONE,), bvtx), bvtx 1 for b-coloring and 0 for fall coloring.  A root
     that is a leaf (n = 1) is not canonicalised and keeps CONTAINS."""
     label = CONTAINS if d.is_leaf(d.root) else NONE
-    return Signature.from_counts({ClassType((label,), bvtx): k}, k)
+    return signature({ClassType((label,), bvtx): k}, k)
 
 
 def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
@@ -734,10 +732,11 @@ def _realize(
     class of type (CONTAINS,), and the vertex is a b-vertex iff that type's
     bit is 1.  An internal node rebuilds the one labeling it needs by
     joining its stored child pair again with _combine_pair over its
-    skeleton, whatever the pair's shape, which gives the labeling that first
-    reached its chosen signature in the DP (_leaf_join, which joined the
-    pairs with a leaf-shaped side, meets their signatures in the same
-    order), then pairs off child classes along it and takes unions.
+    skeleton's rows, whatever the pair's shape, with the chosen signature
+    as want.  That gives the labeling that first reached the signature in
+    the DP (_leaf_join, which joined the pairs with a leaf-shaped side,
+    meets their signatures in the same order); the node then pairs off
+    child classes along it and takes unions.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
@@ -749,15 +748,14 @@ def _realize(
             pool = {
                 tau: [frozenset({v} if decode(tau, 1).cdesc == (CONTAINS,) else ())]
                 * count
-                for tau, count in chosen[t].items
+                for tau, count in chosen[t]
             }
             b_vertex = encode(ClassType((CONTAINS,), 1), 1) in pool
             realized[t] = (pool, frozenset({v} if b_vertex else ()))
             continue
         (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
         sig_r, sig_s = table.tables[t][chosen[t]]
-        adj = _edge_index(table.skeletons[t])
-        labeling = _combine_pair(sig_r, sig_s, adj, table.k, None, chosen[t])
+        labeling = _combine_pair(sig_r, sig_s, table.skeletons[t].rows, None, chosen[t])
         if labeling is None:
             raise StructuralError("witness replay: a stored pair misses its signature")
         pool = {}

@@ -30,6 +30,7 @@ from .bcol_dp import (
     _realize,
     _run_dp,
     decision_accepting,
+    signature,
 )
 from .decomposition import RootedBranchDecomposition
 from .errors import InputError, StructuralError
@@ -41,7 +42,7 @@ def fall_leaf_signature(k: int) -> Signature:
     must be a b-vertex), the other k-1 colors owe it a neighbor."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
-    return Signature.from_counts(
+    return signature(
         {ClassType((CONTAINS,), 0): 1, ClassType((DEMAND,), 0): k - 1}, k
     )
 

@@ -10,7 +10,7 @@ paper's definitions, written out directly; the solver never calls them.
 canonical_image applies the decision DP's dead-class rewrite to a table,
 from its definition, for comparing the canonical tables with the others;
 b_vertex_supply and unclaimed give its b-vertex supply rule the same way.
-Both read signatures as ClassType counts (Signature.counts).  merged,
+Both read signatures as ClassType counts (type_counts).  merged,
 compatible, merge_type, operator_of, all_types and nonempty_class_count
 are test-side views of the solver's own merge, operators and colorings,
 for the unit tests that pin them; reference_merge is the merge written
@@ -35,6 +35,8 @@ from bcoloring.bcol_dp import (
     build_merge_skeleton,
     decode,
     encode,
+    signature,
+    type_counts,
 )
 from bcoloring.decomposition import (
     NodeOperator,
@@ -148,13 +150,13 @@ def reference_merge(
     return ClassType(cdesc, rho.bvtx + sigma.bvtx)
 
 
-def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -> dict:
+def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict) -> dict:
     """The eager one-step join of a pair with a leaf-shaped side, as a
     differential oracle for the solver's lean _leaf_join and its replay:
     each parent signature, in the order the join meets it, mapped to
     (sig_r, sig_s, labeling), the labeling being the first that reaches it
-    as _combine_pair writes it.  adj maps each r-type to its (s-type, merge
-    type) skeleton edges in skeleton order.  The s side is the leaf when
+    as _combine_pair writes it.  adj is a skeleton's rows: each r-type's
+    (s-type, merge type) edges in skeleton order.  The s side is the leaf when
     both sides are leaf-shaped; a pair with neither gives {}.
 
     Every labeling puts the leaf's one class with a class of the other
@@ -167,11 +169,10 @@ def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -
     """
 
     def split_of(sig):
-        items = sig.items
-        if len(items) == 1 and items[0][1] == 1:
-            return items[0][0], None
-        if len(items) == 2:
-            (a, ca), (b, cb) = items
+        if len(sig) == 1 and sig[0][1] == 1:
+            return sig[0][0], None
+        if len(sig) == 2:
+            (a, ca), (b, cb) = sig
             if ca == 1:
                 return a, b
             if cb == 1:
@@ -197,7 +198,7 @@ def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -
     made: dict = {}
     rows = []  # (type, count, zero edge, one edge)
     forced = None
-    for p, c in other.items:
+    for p, c in other:
         if p not in edge_to:
             return {}
         row = (p, c, *edge_to[p])
@@ -215,7 +216,7 @@ def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -
         first = [row for row in candidates if row[2][0] < row[3][0]]
         last = [row for row in candidates if row[2][0] > row[3][0]]
         takers = first + last[::-1]
-    elif leaf.items[0][0] == one:
+    elif leaf[0][0] == one:
         takers = sorted(candidates, key=lambda row: row[3][0], reverse=True)
     else:
         takers = sorted(candidates, key=lambda row: row[2][0])
@@ -226,7 +227,7 @@ def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -
         if e0 is not None:
             counts[e0[1]] -= 1
         counts[e1[1]] = counts.get(e1[1], 0) + 1
-        sig_t = Signature(tuple(sorted((t, c) for t, c in counts.items() if c)), k)
+        sig_t = tuple(sorted((t, c) for t, c in counts.items() if c))
         if sig_t in out:
             continue
         if leaf_is_s:
@@ -253,7 +254,7 @@ def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict, k: int) -
                 )
                 if c - (q == p)
             ]
-            labeling = [take, *rest] if leaf.items[0][0] == one else [*rest, take]
+            labeling = [take, *rest] if leaf[0][0] == one else [*rest, take]
         out[sig_t] = (sig_r, sig_s, tuple(labeling))
     return out
 
@@ -416,7 +417,7 @@ def enumerate_bcol_signatures(g, d, t, k) -> set[Signature]:
             for cls in classes:
                 tau = type_of_class(g, d, t, cls, bset)
                 counts[tau] = counts.get(tau, 0) + 1
-            out.add(Signature.from_counts(counts, k))
+            out.add(signature(counts, k))
     return out
 
 
@@ -437,7 +438,7 @@ def enumerate_fall_signatures(g, d, t, k) -> set[Signature]:
         for cls in classes:
             tau = fall_type_of_class(g, d, t, cls, coloring)
             counts[tau] = counts.get(tau, 0) + 1
-        out.add(Signature.from_counts(counts, k))
+        out.add(signature(counts, k))
     return out
 
 
@@ -449,7 +450,7 @@ def canonical_image(table: Iterable[Signature], op: NodeOperator) -> set[Signatu
     out: set[Signature] = set()
     for sig in table:
         counts: dict = {}
-        for tau, c in sig.counts(op.parent_class_count).items():
+        for tau, c in type_counts(sig, op.parent_class_count).items():
             label = NONE if op.dead is None else tau.cdesc[op.dead]
             if label == DEMAND:
                 break
@@ -459,7 +460,7 @@ def canonical_image(table: Iterable[Signature], op: NodeOperator) -> set[Signatu
                 tau = ClassType(tuple(desc), tau.bvtx)
             counts[tau] = counts.get(tau, 0) + c
         else:
-            out.add(Signature.from_counts(counts, sig.k))
+            out.add(signature(counts, sum(c for _, c in sig)))
     return out
 
 
@@ -473,7 +474,7 @@ def b_vertex_supply(g: Graph, d: RootedBranchDecomposition, t: int, k: int) -> i
 def unclaimed(sig: Signature, width: int) -> int:
     """The number of classes of sig, a signature at a node with width
     classes, whose b-vertex bit is 0."""
-    return sum(c for tau, c in sig.counts(width).items() if not tau.bvtx)
+    return sum(c for tau, c in type_counts(sig, width).items() if not tau.bvtx)
 
 
 def _improper(g, vt, coloring) -> bool:

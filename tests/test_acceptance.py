@@ -69,7 +69,7 @@ def table_audit():
                     set_mismatches.append((g.edges(), k, t))
                 observed = set()
                 for sig in table.tables[t]:
-                    observed.update(dict(sig.items))
+                    observed.update(dict(sig))
                 bound = 2 * 3 ** len(equivalence_classes(g, d, t))
                 if len(observed) > bound:
                     bound_violations.append((g.edges(), k, t))

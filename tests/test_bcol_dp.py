@@ -23,10 +23,8 @@ from bcoloring.bcol_dp import (
     DEMAND,
     NONE,
     ClassType,
-    Signature,
     _combine_pair,
     _decision_tables,
-    _edge_index,
     _gated_mask,
     _gated_seeds,
     _leaf_join,
@@ -41,6 +39,8 @@ from bcoloring.bcol_dp import (
     encode,
     leaf_signatures,
     reconstruct_witness,
+    signature,
+    type_counts,
 )
 from bcoloring.decomposition import NodeOperator, _annotate
 from bcoloring.fall_dp import compute_fall_tables, solve_fallcoloring_witness
@@ -280,17 +280,17 @@ class TestMergeSoundness:
 class TestLeafSignatures:
     def test_k3(self):
         sig1, sig2 = leaf_signatures(3)
-        assert sig1.counts(1) == {C0: 1, N0: 2}
-        assert sig2.counts(1) == {C1: 1, D0: 2}
+        assert type_counts(sig1, 1) == {C0: 1, N0: 2}
+        assert type_counts(sig2, 1) == {C1: 1, D0: 2}
 
     def test_k1(self):
         sig1, sig2 = leaf_signatures(1)
-        assert sig1.counts(1) == {C0: 1}
-        assert sig2.counts(1) == {C1: 1}
+        assert type_counts(sig1, 1) == {C0: 1}
+        assert type_counts(sig2, 1) == {C1: 1}
 
     def test_k2(self):
         _, sig2 = leaf_signatures(2)
-        assert sig2.counts(1) == {C1: 1, D0: 1}
+        assert type_counts(sig2, 1) == {C1: 1, D0: 1}
 
     def test_rejects_zero_colors(self):
         with pytest.raises(InputError):
@@ -300,11 +300,11 @@ class TestLeafSignatures:
 class TestSignature:
     def test_sum_enforced(self):
         with pytest.raises(InputError):
-            Signature.from_counts({C0: 1}, 2)
+            signature({C0: 1}, 2)
 
     def test_one_width_enforced(self):
         with pytest.raises(InputError, match="width"):
-            Signature.from_counts({C0: 1, ClassType((NONE, NONE), 0): 1}, 2)
+            signature({C0: 1, ClassType((NONE, NONE), 0): 1}, 2)
 
     def test_codes_order_types_of_one_width(self):
         for width in (1, 2, 3):
@@ -313,9 +313,9 @@ class TestSignature:
             assert [decode(encode(tau, width), width) for tau in types] == types
 
     def test_zero_counts_dropped(self):
-        sig = Signature.from_counts({C0: 2, N0: 0}, 2)
-        assert list(sig.counts(1).items()) == [(C0, 2)]
-        assert sig.counts(1).get(N0, 0) == 0
+        sig = signature({C0: 2, N0: 0}, 2)
+        assert list(type_counts(sig, 1).items()) == [(C0, 2)]
+        assert type_counts(sig, 1).get(N0, 0) == 0
 
 
 class TestMergeSkeleton:
@@ -340,7 +340,7 @@ class TestMergeSkeleton:
             for sigma in types
             if rho.bvtx + sigma.bvtx <= 1
         )
-        assert skel.edge_count() == expected
+        assert len(skel.edges) == expected
 
     def test_empty_side_has_no_edges(self):
         _, _, op = k2_setup()
@@ -373,8 +373,8 @@ class TestMergeSkeleton:
         monkeypatch.undo()
 
         ops = _annotate(g, d).operators
-        seeds = _gated_seeds(g, 3)
         gated = _gated_mask(g, 3)
+        seeds = _gated_seeds(g, 3, gated)
         tables, skeletons = {}, {}
         for t in d.postorder():
             if d.is_leaf(t):
@@ -382,7 +382,7 @@ class TestMergeSkeleton:
                 continue
             r, s = d.children(t)
             r_types, s_types = (
-                sorted({tau for sig in tables[c] for tau, _ in sig.items})
+                sorted({tau for sig in tables[c] for tau, _ in sig})
                 for c in (r, s)
             )
             skel = skeletons[t] = build_merge_skeleton(
@@ -396,6 +396,65 @@ class TestMergeSkeleton:
         assert reconstruct_witness(cached, g, d, 3) == reconstruct_witness(
             uncached, g, d, 3
         )
+
+
+class TestPlainValues:
+    """Signatures are plain tuples, and a skeleton's edges are its rows."""
+
+    def test_table_keys_are_tuples_and_edges_flatten_rows(self, monkeypatch):
+        # Every key of the decision, reference and both fall-coloring
+        # tables is a plain tuple of (code, count) items, counts positive,
+        # codes increasing.  Every skeleton built on the way keeps its rows
+        # in child type order, its edges flatten them in order, and there
+        # is one edge per pair of child types that reference_merge merges.
+        built = []
+
+        def recorded(op, r_types, s_types, canonical=False):
+            skel = build(op, r_types, s_types, canonical)
+            built.append((op, r_types, s_types, canonical, skel))
+            return skel
+
+        build = bcol_dp.build_merge_skeleton
+        monkeypatch.setattr(bcol_dp, "build_merge_skeleton", recorded)
+        rng = random.Random(85)
+        keys = 0
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            for k in range(1, g.n + 1):
+                tables = [
+                    _decision_tables(g, d, k),
+                    compute_tables(g, d, k),
+                    compute_fall_tables(g, d, k),
+                    compute_fall_tables(g, d, k, canonical=True),
+                ]
+                for table in tables:
+                    for t in d.postorder():
+                        for sig in table.tables[t]:
+                            assert type(sig) is tuple
+                            assert all(type(item) is tuple for item in sig)
+                            assert all(c > 0 for _, c in sig)
+                            codes_of = [code for code, _ in sig]
+                            assert codes_of == sorted(set(codes_of))
+                            keys += 1
+        edges = 0
+        for op, r_types, s_types, canonical, skel in built:
+            flat = tuple(
+                (rho, sigma, tau) for rho, row in skel.rows.items() for sigma, tau in row
+            )
+            assert skel.edges == flat
+            assert list(skel.rows) == [rho for rho in r_types if rho in skel.rows]
+            wr, ws = len(op.bubble_r), len(op.bubble_s)
+            dead = op.dead if canonical else None
+            merges = sum(
+                reference_merge(decode(rho, wr), decode(sigma, ws), op, dead)
+                is not None
+                for rho in r_types
+                for sigma in s_types
+            )
+            assert len(skel.edges) == merges
+            edges += merges
+        assert keys > 2_000 and edges > 3_000
 
 
 class TestMaskMerge:
@@ -476,8 +535,7 @@ class TestCombineSignatures:
         assert set(out) == {accepting_signature(2)}
         sig_r, sig_s = out[accepting_signature(2)]
         assert sig_r == sig2 and sig_s == sig2
-        adj = _edge_index(skel)
-        labeling = _combine_pair(sig_r, sig_s, adj, 2, None, accepting_signature(2))
+        labeling = _combine_pair(sig_r, sig_s, skel.rows, None, accepting_signature(2))
         types = [(tuple(decode(code, 1) for code in edge), x) for edge, x in labeling]
         assert sorted(types) == [((C1, D0, C1), 1), ((D0, C1, C1), 1)]
 
@@ -489,8 +547,8 @@ class TestCombineSignatures:
         skel = build_merge_skeleton(op, codes([C0, C1]), codes([C0, C1]))
         out = combine_signatures([sig1, sig2], [sig1, sig2], skel, 1)
         assert set(out) == {
-            Signature.from_counts({C0: 1}, 1),
-            Signature.from_counts({C1: 1}, 1),
+            signature({C0: 1}, 1),
+            signature({C1: 1}, 1),
         }
 
     def test_empty_child_table(self):
@@ -505,11 +563,11 @@ class TestCombineSignatures:
         r_types = [
             ClassType(desc, 0) for desc in itertools.product((NONE, DEMAND), repeat=9)
         ]
-        sig_r = Signature.from_counts(dict.fromkeys(r_types, 1), 512)
-        sig_s = Signature.from_counts({N0: 512}, 512)
+        sig_r = signature(dict.fromkeys(r_types, 1), 512)
+        sig_s = signature({N0: 512}, 512)
         skel = build_merge_skeleton(op, codes(r_types, 9), codes([N0]))
         out = combine_signatures([sig_r], [sig_s], skel, 512)
-        assert list(out) == [Signature.from_counts({N0: 1, D0: 511}, 512)]
+        assert list(out) == [signature({N0: 1, D0: 511}, 512)]
 
 
 class TestSolveBColoring:
@@ -614,7 +672,7 @@ class TestDegreeGatedTables:
             ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
                 reference = compute_tables(g, d, k)
-                gated = _run_dp(g, d, k, _gated_seeds(g, k))
+                gated = _run_dp(g, d, k, _gated_seeds(g, k, _gated_mask(g, k)))
                 decision = _decision_tables(g, d, k)
                 for t in d.postorder():
                     if d.is_leaf(t):
@@ -665,7 +723,8 @@ class TestBVertexSupply:
                 ops = _annotate(g, d).operators
                 feasible = [0]
                 for k in range(1, g.n + 1):
-                    full = _run_dp(g, d, k, _gated_seeds(g, k), canonical=True)
+                    seeds = _gated_seeds(g, k, _gated_mask(g, k))
+                    full = _run_dp(g, d, k, seeds, canonical=True)
                     pruned = _decision_tables(g, d, k)
                     for t in d.postorder():
                         expected = list(full.tables[t].items())
@@ -727,7 +786,7 @@ class TestCanonicalDecision:
         pairs = {"r": 0, "s": 0}
         labelings = 0
         for table_r, table_s, skel, k in calls:
-            adj = _edge_index(skel)
+            adj = skel.rows
             for sig_r in table_r:
                 for sig_s in table_s:
                     split_s, split_r = _leaf_split(sig_s), _leaf_split(sig_r)
@@ -738,20 +797,18 @@ class TestCanonicalDecision:
                     one_step, generic = {}, {}
                     split = split_s or split_r
                     rows = _leaf_rows(adj, split, leaf_is_s)
-                    _leaf_join(sig_r, sig_s, leaf_is_s, rows, k, one_step)
-                    _combine_pair(sig_r, sig_s, adj, k, generic)
+                    _leaf_join(sig_r, sig_s, leaf_is_s, rows, one_step)
+                    _combine_pair(sig_r, sig_s, adj, generic)
                     assert list(one_step.items()) == list(generic.items())
-                    reference = reference_leaf_join(sig_r, sig_s, adj, k)
+                    reference = reference_leaf_join(sig_r, sig_s, adj)
                     assert list(one_step.items()) == [
                         (sig_t, annotation[:2])
                         for sig_t, annotation in reference.items()
                     ]
-                    replay_adj = _edge_index(skel)  # as _realize builds it
+                    replay_adj = skel.rows  # as _realize reads it
                     for sig_t, (_, _, labeling) in reference.items():
-                        replayed = _combine_pair(
-                            sig_r, sig_s, replay_adj, k, None, sig_t
-                        )
-                        searched = _combine_pair(sig_r, sig_s, adj, k, None, sig_t)
+                        replayed = _combine_pair(sig_r, sig_s, replay_adj, None, sig_t)
+                        searched = _combine_pair(sig_r, sig_s, adj, None, sig_t)
                         assert replayed == labeling == searched
                         labelings += 1
         assert pairs["s"] > 10_000 and pairs["r"] > 10_000
@@ -816,11 +873,13 @@ class TestCanonicalDecision:
     def test_root_accepts_none_with_bit(self):
         g, d, _ = k2_setup()
         root = _decision_tables(g, d, 2).tables[d.root]
-        assert decision_accepting(d, 2) == Signature.from_counts(
+        assert decision_accepting(d, 2) == signature(
             {ClassType((NONE,), 1): 2}, 2
         )
         assert decision_accepting(d, 2) in root
-        assert all(tau.cdesc != (CONTAINS,) for sig in root for tau in sig.counts(1))
+        assert all(
+            tau.cdesc != (CONTAINS,) for sig in root for tau in type_counts(sig, 1)
+        )
 
     def test_leaf_root_keeps_contains(self):
         g = Graph(1)
@@ -874,8 +933,8 @@ class TestTableInvariants:
                 for t in d.postorder():
                     observed = set()
                     for sig in table.tables[t]:
-                        assert sum(c for _, c in sig.items) == k
-                        observed.update(dict(sig.items))
+                        assert sum(c for _, c in sig) == k
+                        observed.update(dict(sig))
                     from bcoloring.decomposition import equivalence_classes
 
                     bound = 2 * 3 ** len(equivalence_classes(g, d, t))

@@ -17,8 +17,9 @@ from bcoloring.bcol_dp import (
     DEMAND,
     NONE,
     ClassType,
-    Signature,
     decision_accepting,
+    signature,
+    type_counts,
 )
 from bcoloring.decomposition import _annotate
 from bcoloring.fall_dp import compute_fall_tables, fall_leaf_signature
@@ -95,10 +96,10 @@ class TestFallCompatibility:
 
 class TestLeafSignature:
     def test_counts(self):
-        assert fall_leaf_signature(3).counts(1) == {FC: 1, FD: 2}
+        assert type_counts(fall_leaf_signature(3), 1) == {FC: 1, FD: 2}
 
     def test_k1(self):
-        assert fall_leaf_signature(1).counts(1) == {FC: 1}
+        assert type_counts(fall_leaf_signature(1), 1) == {FC: 1}
 
     def test_leaf_tables_hold_exactly_one_signature(self):
         g = Graph.path(3)
@@ -198,7 +199,7 @@ class TestCanonicalFall:
                         assert set(canonical.tables[t]) == canonical_image(
                             reference.tables[t], ops[t]
                         )
-                expected = Signature.from_counts({FC: k}, k) in reference.tables[d.root]
+                expected = signature({FC: k}, k) in reference.tables[d.root]
                 accepted = decision_accepting(d, k, 0) in canonical.tables[d.root]
                 assert accepted == expected
                 assert expected == (brute_force_fallcoloring(g, k) is not None)
