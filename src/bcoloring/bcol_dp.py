@@ -39,9 +39,10 @@ labeling is kept in the table.
 
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
-signature sets.  The decision and witness entry points (solve_bcoloring,
-solve_bcoloring_witness, b_chromatic_number) run _decision_tables instead,
-and a witness is replayed from the same tables a decision reads.
+signature sets.  The decision at one k, decide (the cw route, and
+solve_bcoloring and solve_bcoloring_witness through it), runs
+_decision_tables instead, and a witness is replayed from the same tables
+a decision reads.
 It seeds the b-vertex signature only at vertices of degree at least k-1,
 and it keeps every internal table canonical at the node's dead class (the
 class with no neighbor outside V_t): a type with a DEMAND there, which can
@@ -51,8 +52,9 @@ than there are vertices of degree at least k-1 outside V_t to supply
 them; the pair's b-vertex classes are known before the join, so the check
 costs one comparison per pair.  Its root accepts decision_accepting(d, k);
 its docstring proves that none of the three steps changes an answer or a
-witness.  b_chromatic_number probes k downward from the m-degree bound
-m(G).
+witness.  chi_b is the one loop over k, for b_chromatic_number and for
+the CLI's bchrom on every route: it probes k downward from the m-degree
+bound m(G).
 
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
@@ -701,14 +703,6 @@ def decision_accepting(
     return signature({ClassType((label,), bvtx): k}, k)
 
 
-def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
-    """Does g have a b-coloring with k colors?"""
-    if not (1 <= k <= g.n):
-        raise InputError(f"k must be in 1..{g.n}, got {k}")
-    table = _decision_tables(g, d, k)
-    return decision_accepting(d, k) in table.tables[d.root]
-
-
 def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
     chosen = {d.root: accepting}
     for t in reversed(d.postorder()):
@@ -788,21 +782,41 @@ def reconstruct_witness(
     return coloring, b
 
 
+def decide(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False):
+    """The cw route: does g have a b-coloring with k colors?
+
+    Returns the answer, the witness (Coloring, b-vertices) when asked for
+    and found, checked by reconstruct_witness, else None, and the largest
+    decision table.  Raises InputError for k outside 1..n.
+    """
+    if not (1 <= k <= g.n):
+        raise InputError(f"k must be in 1..{g.n}, got {k}")
+    table = _decision_tables(g, d, k)
+    answer = decision_accepting(d, k) in table.tables[d.root]
+    found = reconstruct_witness(table, g, d, k) if answer and witness else None
+    return answer, found, table.max_table_size()
+
+
+def solve_bcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
+    """Does g have a b-coloring with k colors?"""
+    return decide(g, d, k)[0]
+
+
 def solve_bcoloring_witness(
     g: Graph, d: RootedBranchDecomposition, k: int
 ) -> tuple[Coloring, frozenset[int]] | None:
     """A b-coloring with k colors and one b-vertex per class, checked by
     reconstruct_witness, or None if none exists."""
-    if not (1 <= k <= g.n):
-        raise InputError(f"k must be in 1..{g.n}, got {k}")
-    table = _decision_tables(g, d, k)
-    if decision_accepting(d, k) not in table.tables[d.root]:
-        return None
-    return reconstruct_witness(table, g, d, k)
+    return decide(g, d, k, witness=True)[1]
 
 
-def b_chromatic_number(g: Graph, d: RootedBranchDecomposition) -> int:
-    """The largest k admitting a b-coloring.
+def chi_b(route, g: Graph, d: RootedBranchDecomposition | None, witness: bool = False):
+    """The b-chromatic number, the largest k admitting a b-coloring, by one
+    route: route(g, d, k, witness) decides one k, as decide does.
+
+    Returns the largest k the route accepts (0 if it accepts none), the
+    route's witness at that k when asked for, and the largest DP table over
+    the probes (None on a route without tables).
 
     Feasibility is not monotone in k, but no k above the m-degree m(G) is
     feasible (Irving & Manlove 1999: the k b-vertices have degree at least
@@ -811,5 +825,16 @@ def b_chromatic_number(g: Graph, d: RootedBranchDecomposition) -> int:
     """
     if g.n < 1:
         raise InputError("b-chromatic number needs at least one vertex")
-    probes = range(g.m_degree(), 0, -1)
-    return next((k for k in probes if solve_bcoloring(g, d, k)), 0)
+    sizes = []
+    for k in range(g.m_degree(), 0, -1):
+        answer, found, size = route(g, d, k, witness)
+        if size is not None:
+            sizes.append(size)
+        if answer:
+            return k, found, max(sizes, default=None)
+    return 0, None, max(sizes, default=None)
+
+
+def b_chromatic_number(g: Graph, d: RootedBranchDecomposition) -> int:
+    """The largest k admitting a b-coloring (chi_b by the decision DP)."""
+    return chi_b(decide, g, d)[0]

@@ -2,8 +2,9 @@
 
 The solve commands and selftest reach every solver through one table,
 ROUTES: one route per problem and solver, each returning a witness that has
-been checked once against the definition.  selftest compares every route
-with its problem's oracle route.
+been checked once against the definition.  bchrom and selftest's chi_b run
+the library's one downward k loop, bcol_dp.chi_b, over a bcol route.
+selftest compares every route with its problem's oracle route.
 
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored).  Decompositions are
@@ -259,16 +260,8 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
 # and checks it against the definition exactly once: reconstruct_witness
 # for the DP, _try_guess for vc, the brute force for the oracle routes and
 # solve_fallcoloring_witness for the fall DP.  The routes pass it on
-# unchanged; a fall coloring's b-vertices are all its vertices.
-
-
-def _bcol_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
-    table = bcol_dp._decision_tables(g, d, k)
-    answer = bcol_dp.decision_accepting(d, k) in table.tables[d.root]
-    found = None
-    if answer and witness:
-        found = bcol_dp.reconstruct_witness(table, g, d, k)
-    return answer, found, table.max_table_size()
+# unchanged; a fall coloring's b-vertices are all its vertices.  The bcol
+# cw route is bcol_dp.decide itself.
 
 
 def _bcol_vc(g: Graph, d, k: int, witness: bool):
@@ -301,26 +294,9 @@ def _fall_oracle(g: Graph, d, k: int, witness: bool):
 
 
 ROUTES = {
-    "bcol": {"cw": _bcol_cw, "vc": _bcol_vc, "oracle": _bcol_oracle},
+    "bcol": {"cw": bcol_dp.decide, "vc": _bcol_vc, "oracle": _bcol_oracle},
     "fallcol": {"cw": _fall_cw, "oracle": _fall_oracle},
 }
-
-
-def _chi_b(solver: str, g: Graph, d: RootedBranchDecomposition | None, witness: bool):
-    """The b-chromatic number by one bcol route, with that route's checked
-    witness at it when asked for, and the largest DP table over the probes
-    (None on a route without tables).  No k above the m-degree m(G) (<= n)
-    is feasible, so probing k from m(G) down and stopping at the first
-    feasible k is exact, although feasibility is not monotone in k."""
-    route = ROUTES["bcol"][solver]
-    sizes = []
-    for k in range(g.m_degree(), 0, -1):
-        answer, found, size = route(g, d, k, witness)
-        if size is not None:
-            sizes.append(size)
-        if answer:
-            return k, found, max(sizes, default=None)
-    return 0, None, max(sizes, default=None)
 
 
 def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
@@ -356,8 +332,6 @@ def _cmd_solve(args) -> dict:
     k = getattr(args, "k", None)  # bchrom takes no k
     if k is not None and k < 1:
         raise InputError(f"k must be positive, got {k}")
-    if problem == "bchrom" and g.n < 1:
-        raise InputError("b-chromatic number needs at least one vertex")
     if problem == "fallcol" and args.solver == "vc":
         raise InputError("fall coloring has no vertex-cover solver")
     if args.dec and args.solver in ("vc", "oracle"):
@@ -369,14 +343,15 @@ def _cmd_solve(args) -> dict:
         width = module_width(g, d)
     solver = args.solver or _auto_solver(args, g, width)
     found = max_table = None
-    solved = k is None or k <= g.n  # no coloring has more colors than vertices
     if problem == "bchrom":
-        answer, found, max_table = _chi_b(solver, g, d, args.witness)
-    elif solved:
+        answer, found, max_table = bcol_dp.chi_b(
+            ROUTES["bcol"][solver], g, d, args.witness
+        )
+    elif k <= g.n:  # no coloring has more colors than vertices
         answer, found, max_table = ROUTES[problem][solver](g, d, k, args.witness)
     else:
         answer = False
-    if solver == "cw" and solved:
+    if solver == "cw" and d is not None:
         stats = _stats(start, d.node_count, max_table, width)
     else:
         stats = _stats(start)
@@ -466,11 +441,11 @@ def _cmd_selftest(args) -> dict:
                 expected = got.pop("oracle")[0]
                 for name, (answer, found, _) in got.items():
                     compared.append((problem, k, expected, name, answer, found))
-        # chi_b by each route's downward k loop, against the unpruned oracle
+        # chi_b by the one downward k loop on each route, against the oracle
         expected = oracle.brute_force_chi_b(g)
-        for name in ROUTES["bcol"]:
+        for name, route in ROUTES["bcol"].items():
             if name != "oracle":
-                chi_b, found, _ = _chi_b(name, g, d, True)
+                chi_b, found, _ = bcol_dp.chi_b(route, g, d, True)
                 witnesses += found is not None
                 compared.append(("bchrom", None, expected, name, chi_b, found))
         for problem, k, expected, name, answer, found in compared:

@@ -118,19 +118,33 @@ class RootedBranchDecomposition:
         self._leaf_vertex = dict(leaf_vertex)
         self._annotation: tuple[Graph, Annotation] | None = None
 
+        vertices = sorted(self._leaf_vertex.values())
+        if len(set(vertices)) != len(vertices):
+            raise StructuralError("leaf_map not bijective: repeated vertex")
+        if vertices and vertices[0] < 0:
+            raise StructuralError(f"leaf_map not bijective: vertex {vertices[0]}")
+
+        # One iterative postorder walk: the shape checks when a node is
+        # first met, V_t as a bitmask once its children are done.
+        post: list[int] = []
+        below: dict[int, int] = {}
         seen: set[int] = set()
-        stack = [root]
-        order: list[int] = []
+        stack: list[tuple[int, bool]] = [(root, False)]
         while stack:
-            t = stack.pop()
+            t, expanded = stack.pop()
+            kids = self._children[t]
+            if expanded:
+                post.append(t)
+                below[t] = below[kids[0]] | below[kids[1]]
+                continue
             if t in seen:
                 raise StructuralError(f"node {t}: not a tree (visited twice)")
             seen.add(t)
-            order.append(t)
-            kids = self._children[t]
             if kids is None:
                 if t not in self._leaf_vertex:
                     raise StructuralError(f"node {t}: leaf without a graph vertex")
+                post.append(t)
+                below[t] = 1 << self._leaf_vertex[t]
                 continue
             if t in self._leaf_vertex:
                 raise StructuralError(f"node {t}: internal node mapped to a vertex")
@@ -139,34 +153,12 @@ class RootedBranchDecomposition:
             for c in kids:
                 if not (0 <= c < m):
                     raise StructuralError(f"node {t}: child {c} out of range")
-                stack.append(c)
+            stack.append((t, True))
+            stack.append((kids[1], False))
+            stack.append((kids[0], False))
         if len(seen) != m:
             missing = sorted(set(range(m)) - seen)
             raise StructuralError(f"nodes unreachable from root: {missing}")
-
-        vertices = sorted(self._leaf_vertex.values())
-        if len(set(vertices)) != len(vertices):
-            raise StructuralError("leaf_map not bijective: repeated vertex")
-        if vertices and vertices[0] < 0:
-            raise StructuralError(f"leaf_map not bijective: vertex {vertices[0]}")
-
-        # Iterative postorder plus V_t, as a bitmask, for every node.
-        post: list[int] = []
-        below: dict[int, int] = {}
-        stack2: list[tuple[int, bool]] = [(root, False)]
-        while stack2:
-            t, expanded = stack2.pop()
-            kids = self._children[t]
-            if kids is None:
-                post.append(t)
-                below[t] = 1 << self._leaf_vertex[t]
-            elif expanded:
-                post.append(t)
-                below[t] = below[kids[0]] | below[kids[1]]
-            else:
-                stack2.append((t, True))
-                stack2.append((kids[1], False))
-                stack2.append((kids[0], False))
         self._postorder = tuple(post)
         self._below = below
 

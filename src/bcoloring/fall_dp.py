@@ -10,12 +10,13 @@ b-vertex bit always 0, which never blocks a merge (0 + 0 is not above 1),
 so the merge, skeleton, signature combination and witness replay are the
 b-coloring ones.  A fall coloring exists iff the reference root table
 holds k classes of type (CONTAINS,) with bit 0.  compute_fall_tables
-builds that reference by default; solve_fallcoloring and
-solve_fallcoloring_witness ask it for canonical tables instead, as the
-b-coloring decision DP keeps them (bcol_dp._decision_tables), whose root
-accepts k classes of type (NONE,) with bit 0 (decision_accepting).  Every
-table keeps each signature's first child pair, so a witness is replayed
-(bcol_dp._realize) from the very tables the decision reads.
+builds that reference by default; the one decision, _decide, behind
+solve_fallcoloring and solve_fallcoloring_witness, asks it for canonical
+tables instead, as the b-coloring decision DP keeps them
+(bcol_dp._decision_tables), whose root accepts k classes of type (NONE,)
+with bit 0 (decision_accepting).  Every table keeps each signature's
+first child pair, so a witness is replayed (bcol_dp._realize) from the
+very tables the decision reads.
 """
 
 from __future__ import annotations
@@ -71,36 +72,34 @@ def compute_fall_tables(
 
 def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
     """Does V(g) partition into k independent dominating sets?"""
-    if k < 1:
-        raise InputError(f"number of colors must be positive, got {k}")
-    if _prune(g, k):
-        return False
-    table = compute_fall_tables(g, d, k, canonical=True)
-    return decision_accepting(d, k, 0) in table.tables[d.root]
-
-
-def _prune(g: Graph, k: int) -> bool:
-    # Every vertex must be a b-vertex, so its degree is at least k-1.
-    if k > g.min_degree() + 1:
-        return True
-    if k == 1 and g.edge_count > 0:
-        return True
-    return False
+    return _decide(g, d, k, witness=False)[0]
 
 
 def solve_fallcoloring_witness(
     g: Graph, d: RootedBranchDecomposition, k: int
 ) -> Coloring | None:
     """A fall coloring with k colors, or None; re-checked before return."""
+    return _decide(g, d, k, witness=True)[1]
+
+
+def _decide(
+    g: Graph, d: RootedBranchDecomposition, k: int, witness: bool
+) -> tuple[bool, Coloring | None]:
+    """The fall-coloring decision at k: the answer, and the witness when
+    asked for and found, checked against the definition, else None."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
-    if _prune(g, k):
-        return None
+    # Every vertex must be a b-vertex, so its degree is at least k-1; one
+    # color class is independent only in an edgeless graph.
+    if k > g.min_degree() + 1 or (k == 1 and g.edge_count > 0):
+        return False, None
     table = compute_fall_tables(g, d, k, canonical=True)
     accepting = decision_accepting(d, k, 0)
     if accepting not in table.tables[d.root]:
-        return None
-    witness, _ = _realize(table, d, accepting)
-    if not oracle.is_fall_coloring(g, witness):
+        return False, None
+    if not witness:
+        return True, None
+    coloring, _ = _realize(table, d, accepting)
+    if not oracle.is_fall_coloring(g, coloring):
         raise StructuralError("reconstructed witness failed the fall-coloring check")
-    return witness
+    return True, coloring

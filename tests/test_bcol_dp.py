@@ -17,7 +17,7 @@ from bcoloring import (
     solve_bcoloring,
     solve_bcoloring_witness,
 )
-from bcoloring import bcol_dp, cli
+from bcoloring import bcol_dp
 from bcoloring.bcol_dp import (
     CONTAINS,
     DEMAND,
@@ -984,7 +984,7 @@ class TestWitnessDigest:
 
     def test_witnesses_match_the_recorded_digest(self):
         """Hash, over 60 seeded random graphs with n <= 10 and their
-        heuristic decompositions, cli._chi_b's chi_b, witness coloring,
+        heuristic decompositions, bcol_dp.chi_b's chi_b, witness coloring,
         b-vertices and largest table, and the fall-coloring witness (or
         None) for each k <= 4.
 
@@ -999,7 +999,9 @@ class TestWitnessDigest:
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
             d = best_decomposition(g, "heuristic")
-            chi, (coloring, b_vertices), size = cli._chi_b("cw", g, d, True)
+            chi, (coloring, b_vertices), size = bcol_dp.chi_b(
+                bcol_dp.decide, g, d, True
+            )
             pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices), size)
             h.update(repr(pinned).encode())
             for k in range(1, min(g.n, 4) + 1):
@@ -1025,7 +1027,9 @@ class TestWitnessDigest:
             if g.n <= 6:
                 shapes.append(best_decomposition(g, "exact-tiny"))
             for d in shapes:
-                chi, (coloring, b_vertices), size = cli._chi_b("cw", g, d, True)
+                chi, (coloring, b_vertices), size = bcol_dp.chi_b(
+                    bcol_dp.decide, g, d, True
+                )
                 pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices), size)
                 h.update(repr(pinned).encode())
                 for k in range(1, min(g.n, 4) + 1):

@@ -172,6 +172,19 @@ class TestCommands:
         code, result, _ = run(capsys, ["bcol", "--graph", str(path), "--k", "9"])
         assert code == 0
         assert result["answer"] is False
+        # the cw route built and measured a decomposition, but ran no DP
+        stats = result["stats"]
+        assert (stats["decomposition_nodes"], stats["module_width"]) == (3, 1)
+        assert stats["max_table_size"] is None
+        path = tmp_path / "p3.col"
+        path.write_text(format_graph(Graph.path(3)))
+        code, result, _ = run(capsys, ["fallcol", "--graph", str(path), "--k", "5"])
+        assert code == 0
+        assert result["answer"] is False
+        stats = result["stats"]
+        assert stats["decomposition_nodes"] == 5
+        assert stats["module_width"] is not None
+        assert stats["max_table_size"] is None
 
     def test_bchrom_star(self, tmp_path, capsys):
         path = tmp_path / "star.col"
@@ -412,6 +425,58 @@ class TestCommands:
             assert record["problem"] == problem
             assert record["oracle"] is True
             assert record[route] is False
+
+
+class TestOneRequestPath:
+    """chi_b is found by one loop, bcol_dp.chi_b, and the cw decision at one
+    k by one function, bcol_dp.decide, whoever asks."""
+
+    def test_every_chi_b_goes_through_the_library_loop(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counted(route, *args, loop=bcol_dp.chi_b, **kwargs):
+            calls.append(route)
+            return loop(route, *args, **kwargs)
+
+        monkeypatch.setattr(bcol_dp, "chi_b", counted)
+        g = Graph.cycle(5)
+        assert bcol_dp.b_chromatic_number(g, best_decomposition(g)) == 3
+        assert calls == [bcol_dp.decide]
+        path = tmp_path / "c5.col"
+        path.write_text(C5_COL)
+        for solver in ("cw", "vc", "oracle"):
+            calls.clear()
+            argv = ["bchrom", "--graph", str(path), "--solver", solver, "--witness"]
+            code, result, _ = run(capsys, argv)
+            assert (code, result["answer"]) == (0, 3)
+            assert calls == [ROUTES["bcol"][solver]]
+        calls.clear()
+        code, result, _ = run(
+            capsys, ["selftest", "--n-max", "4", "--trials", "3", "--seed", "5"]
+        )
+        assert (code, result["answer"]) == (0, True)
+        assert calls == [ROUTES["bcol"]["cw"], ROUTES["bcol"]["vc"]] * 3
+
+    def test_each_cw_decision_builds_its_tables_once(self, monkeypatch):
+        built = []
+
+        def counted(g, d, k, tables=bcol_dp._decision_tables):
+            built.append(k)
+            return tables(g, d, k)
+
+        monkeypatch.setattr(bcol_dp, "_decision_tables", counted)
+        g = Graph.cycle(5)
+        d = best_decomposition(g)
+        assert ROUTES["bcol"]["cw"] is bcol_dp.decide
+        assert bcol_dp.solve_bcoloring(g, d, 3)
+        assert built == [3]
+        assert bcol_dp.solve_bcoloring_witness(g, d, 3) is not None
+        assert built == [3, 3]
+        answer, found, size = ROUTES["bcol"]["cw"](g, d, 3, True)
+        assert answer and found is not None and size > 0
+        assert built == [3, 3, 3]
 
 
 class TestExitCodes:
