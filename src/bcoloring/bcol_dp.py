@@ -14,11 +14,9 @@ number, class 0 the most significant digit, times 2, plus the b-vertex bit
 (encode, decode).  A code does not say its width, but every type in one
 node's table has that node's class count, and among digit strings of one
 length numeric order is lexicographic order.  So sorting codes orders
-types exactly as sorting ClassType tuples does, and signatures, skeleton
-rows, join order, annotations and witnesses are what they would be with
-the tuples.  ClassTypes appear only at the boundary: signature and
-type_counts, the leaf seeds, the accepting signatures and the leaves of
-witness replay.
+types exactly as sorting ClassType tuples does.  ClassTypes appear only at
+the boundary: signature and type_counts, the leaf seeds, the accepting
+signatures and the leaves of witness replay.
 
 Internal nodes are combined through a *merge skeleton*: the bipartite graph
 of compatible child-type pairs, each edge labeled with the resulting parent
@@ -31,11 +29,12 @@ parent-type counts so far) once, so it generates parent signatures
 directly, and no recursion depth depends on the skeleton.  A pair with a
 leaf-shaped side (one class of one type, k-1 of another, as every leaf
 signature is) needs no search: its labeling is the choice of the class
-that takes the one class, and _leaf_join makes it in one step, with the
-same signatures, order and annotations.  On a caterpillar every join
-has a leaf child.  Every table, reference or decision, maps each parent
-signature to the child pair (sig_r, sig_s) that first reaches it; no
-labeling is kept in the table.
+that takes the one class, and _leaf_join makes its signatures in one
+step.  On a caterpillar every join has a leaf child.  A table is a set of
+signatures: every table, reference or decision, maps each parent
+signature to a child pair (sig_r, sig_s) that reaches it, the first one
+joined; no labeling is kept in the table, and the order in which a join
+meets its signatures is no part of its result.
 
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
@@ -59,12 +58,11 @@ bound m(G).
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
 that pair, its classes numbered by smallest vertex.  At each node on the
-way it rebuilds the one labeling it needs by joining the stored child pair
-again with _combine_pair over the node's skeleton, kept with the table,
-whatever the pair's shape, searching only labelings that can still make
-the chosen signature: _leaf_join meets a pair's signatures in the
-order _combine_pair does, so the first labeling of _combine_pair to reach
-the node's chosen signature is the one that put it there.
+way it rebuilds a labeling of the stored child pair that makes the chosen
+signature, joining the pair again with _combine_pair over the node's
+skeleton, kept with the table, whatever the pair's shape.  Any such
+labeling will do: it pairs off classes of the stored child types along
+skeleton edges, so the unions are classes of the chosen parent types.
 reconstruct_witness, the one place a DP b-coloring witness is built,
 checks the pair against the definition before handing it out.
 """
@@ -283,16 +281,16 @@ def combine_signatures(
     """All parent signatures realizable from a child signature pair.
 
     Returns a map from each achievable parent signature to its annotation,
-    the child pair (sig_r, sig_s) that first reaches it; the pairs of one
-    join share one tuple.  Child pairs are joined in table order, both
-    join routines reading the skeleton's rows.  A pair with a leaf-shaped
-    side, as every leaf signature is, is joined in one step by _leaf_join
-    (the s side is taken when both are); every other pair by _combine_pair.
-    Both give the same signatures, in the same order.  No labeling is kept:
-    witness replay joins the stored pair again with _combine_pair, and the
-    first labeling by which it reaches the chosen signature is the one that
-    put it in the table.  An r-side signature is split only when some
-    s-side one is not leaf-shaped, the one case in which its split is read.
+    a child pair (sig_r, sig_s) that reaches it, the first joined; the
+    pairs of one join share one tuple.  Child pairs are joined in table
+    order, both join routines reading the skeleton's rows.  A pair with a
+    leaf-shaped side, as every leaf signature is, is joined in one step by
+    _leaf_join (the s side is taken when both are); every other pair by
+    _combine_pair.  Both give the same set of signatures.  No labeling is
+    kept: witness replay joins the stored pair again with _combine_pair,
+    and any labeling of the pair that makes the chosen signature serves.
+    An r-side signature is split only when some s-side one is not
+    leaf-shaped, the one case in which its split is read.
 
     With supply given, the number of vertices outside the parent's V_t that
     may still become b-vertices, a pair is skipped when its classes holding
@@ -329,45 +327,21 @@ def combine_signatures(
 
 def _leaf_rows(skel_rows: dict, split: tuple, leaf_is_s: bool) -> dict:
     """For a leaf side split into (one, zero), each type p of the other side
-    that has an edge to one or zero, mapped to (rank, zero merge, one
-    merge): the merge types of p with zero and with one, each None without
-    the edge.  Built once per node and split.
-
-    rank is p's place in the order in which _combine_pair's search meets
-    the labeling where p takes the one class (see _leaf_join).  With the
-    leaf on s, its rows are the r-types; a row whose edge to zero comes
-    before its edge to one tries taking first, so those rows come first, in
-    row (type) order, then the others in reverse.  With the leaf on r, its
-    row of one tries the s-types in reverse edge order when it comes first;
-    otherwise the row of zero, going first, leaves the taker in edge order.
-    Only the rows that can take are ranked against each other.  The ranks
-    are read from the places of p's edges in their skeleton rows.
-    """
+    that has an edge to one or zero, mapped to [zero merge, one merge]: the
+    merge types of p with zero and with one, each None without the edge.
+    Built once per node and split."""
     one, zero = split
-    edges: dict = {}  # p -> [zero merge, one merge, zero index, one index]
+    merges: dict = {}
     if leaf_is_s:
         for p, row in skel_rows.items():
-            for i, (sigma, tau) in enumerate(row):
+            for sigma, tau in row:
                 if sigma == zero or sigma == one:
-                    found = edges.setdefault(p, [None, None, None, None])
-                    found[sigma == one] = tau
-                    found[2 + (sigma == one)] = i
-        both = [(p, e) for p, e in sorted(edges.items()) if e[1] is not None]
-        order = [p for p, e in both if e[2] is not None and e[2] < e[3]]
-        order += [p for p, e in reversed(both) if e[2] is not None and e[2] > e[3]]
-        rank = {p: i for i, p in enumerate(order)}
+                    merges.setdefault(p, [None, None])[sigma == one] = tau
     else:
         for side, q in ((0, zero), (1, one)):
-            for i, (p, tau) in enumerate(skel_rows.get(q, ())):
-                found = edges.setdefault(p, [None, None, None, None])
-                found[side], found[2 + side] = tau, i
-        one_first = zero is None or one < zero
-        rank = {
-            p: -e[3] if one_first else e[2]
-            for p, e in edges.items()
-            if e[2 + one_first] is not None
-        }
-    return {p: (rank.get(p, 0), e[0], e[1]) for p, e in edges.items()}
+            for p, tau in skel_rows.get(q, ()):
+                merges.setdefault(p, [None, None])[side] = tau
+    return merges
 
 
 def _b_count(sig: Signature) -> int:
@@ -396,36 +370,36 @@ def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, out):
     other side, the taker, and every other class of the other side with a
     zero class.  So a labeling is the taker's type, and its parent
     signature is the other side's classes mapped through the merge with
-    zero, one taker class mapped through the merge with one instead.
+    zero, one taker class mapped through the merge with one instead.  A
+    type with no edge to zero must be the taker; two such types, or one
+    with two classes, leave no labeling.
 
-    Takers are tried in the order in which _combine_pair's search meets
-    their labelings, their rank in leaf_rows, so each new parent signature
-    is recorded in out with the pair (sig_r, sig_s) in _combine_pair's
-    order.  No labeling is made: replay rebuilds it with _combine_pair.
+    Takers are tried in the order of the other side's signature, and each
+    new parent signature is recorded in out with the pair (sig_r, sig_s).
+    No labeling is made: replay rebuilds one with _combine_pair.
     """
     other = sig_r if leaf_is_s else sig_s
     made: dict = {}  # parent-type counts with every other class put with zero
     takers = []
     forced = None
     for p, c in other:
-        row = leaf_rows.get(p)
-        if row is None:
+        merges = leaf_rows.get(p)
+        if merges is None:
             return  # no class can take p's classes
-        if row[1] is None:
+        zero_tau, one_tau = merges
+        if zero_tau is None:
             # no zero class can take p's classes: p must take the one class
-            if row[2] is None or c > 1 or forced is not None:
+            if one_tau is None or c > 1 or forced is not None:
                 return
-            forced = row
+            forced = merges
         else:
-            made[row[1]] = made.get(row[1], 0) + c
-            if row[2] is not None:
-                takers.append(row)
+            made[zero_tau] = made.get(zero_tau, 0) + c
+            if one_tau is not None:
+                takers.append(merges)
     if forced is not None:
         takers = [forced]
-    else:
-        takers.sort()
     pair = (sig_r, sig_s)
-    for _, zero_tau, one_tau in takers:
+    for zero_tau, one_tau in takers:
         counts = made.copy()
         if zero_tau is not None:
             left = counts[zero_tau] - 1
@@ -440,7 +414,7 @@ def _leaf_join(sig_r, sig_s, leaf_is_s, leaf_rows, out):
 def _combine_pair(sig_r, sig_s, skel_rows, out, want=None):
     """Add the parent signatures of one child signature pair to out, each
     recorded with the pair (sig_r, sig_s).  With want given, out is not
-    used: return the first labeling that makes want, or None.
+    used: return a labeling of this pair that makes want, or None.
 
     A labeling puts x classes of type rho with x of type sigma, making x
     parent classes of type tau, along each skeleton edge.  It is fixed one
@@ -452,16 +426,13 @@ def _combine_pair(sig_r, sig_s, skel_rows, out, want=None):
     keeping each state once, with its first labeling, loses no signature.
     Both sides count k classes and each row places all of its own, so at
     the end every s-class is used and the positive parent-type counts sum
-    to k: the parent signature, needing no check.  States come in the
-    order of their first labelings, as a depth-first search over the same
-    steps meets them, so each signature keeps that search's first labeling.
+    to k: the parent signature, needing no check.
 
     With want given, the labelings are written and only those that can
     make want are searched: an edge whose merge type is not in want leaves
     its row, and x stops where a parent-type count would pass want's.
     Parent-type counts only grow, so no skipped labeling makes want, and
-    the search meets the labelings that do in the same relative order: the
-    first to make want is the one that put want in the table.
+    every signature the pair makes that is want is still reached.
     """
     col = {sigma: j for j, (sigma, _) in enumerate(sig_s)}
     cap = None if want is None else dict(want)
@@ -516,8 +487,8 @@ def _combine_pair(sig_r, sig_s, skel_rows, out, want=None):
 @dataclass
 class DPTable:
     """Per-node achievable signature sets.  An internal node's table maps
-    each signature to the child pair (sig_r, sig_s) that first reached it,
-    a leaf's to None."""
+    each signature to a child pair (sig_r, sig_s) that reaches it, a
+    leaf's to None."""
 
     k: int
     root: int
@@ -650,8 +621,9 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
       same relative order.  A pair's join reads only the skeleton edges
       among its own types, in their relative order, which a skeleton over
       the fewer types of the filtered child tables keeps.  Since the pair
-      fixes the bit-1 count, a kept signature's first pair and labeling are
-      the ones that reach it first without skipping.
+      fixes the bit-1 count, a kept signature's first pair is the one that
+      reaches it first without skipping, and replay rebuilds the same
+      labeling from it.
     Answers and witnesses are therefore unchanged.
 
     The root.  Its canonical image of accepting_signature(k), k classes of
@@ -727,10 +699,12 @@ def _realize(
     bit is 1.  An internal node rebuilds the one labeling it needs by
     joining its stored child pair again with _combine_pair over its
     skeleton's rows, whatever the pair's shape, with the chosen signature
-    as want.  That gives the labeling that first reached the signature in
-    the DP (_leaf_join, which joined the pairs with a leaf-shaped side,
-    meets their signatures in the same order); the node then pairs off
-    child classes along it and takes unions.
+    as want, and pairs off child classes along it, taking unions.  The
+    stored pair reaches the chosen signature, so such a labeling exists,
+    and any one serves: it pairs x classes of type rho with x of type
+    sigma along each edge, the child pools hold exactly the classes their
+    chosen signatures count, and each union is a class of the edge's merge
+    type, which the merge rule makes valid at this node.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")

@@ -139,6 +139,8 @@ def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
                 vertex = int(parts[3]) - 1
             except ValueError:
                 raise InputError(f"line {lineno}: malformed leaf line {line!r}")
+            if not (0 <= vertex < g.n):
+                raise InputError(f"line {lineno}: leaf vertex out of range 1..{g.n}")
             entries[node_id] = ("leaf", vertex)
         else:
             raise InputError(f"line {lineno}: malformed node line {line!r}")
@@ -482,17 +484,6 @@ def _cmd_selftest(args) -> dict:
 # --- argument parsing ----------------------------------------------------------
 
 
-def _add_dec_arguments(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--dec", help="decomposition file to use")
-    group.add_argument(
-        "--dec-effort",
-        choices=["exact-tiny", "heuristic"],
-        default="heuristic",
-        help="how hard to search for a decomposition (default: heuristic)",
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
@@ -502,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact b-coloring, b-chromatic number, and fall coloring solvers.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    efforts = ("exact-tiny", "heuristic")  # what best_decomposition accepts
 
     for name, help_text in (
         ("bcol", "decide b-coloring with k colors"),
@@ -512,16 +504,21 @@ def build_parser() -> argparse.ArgumentParser:
         solve.add_argument("--graph", required=True)
         if name != "bchrom":
             solve.add_argument("--k", type=int, required=True)
-        _add_dec_arguments(solve)
+        group = solve.add_mutually_exclusive_group()
+        group.add_argument("--dec", help="decomposition file to use")
+        group.add_argument(
+            "--dec-effort",
+            choices=efforts,
+            default="heuristic",
+            help="how hard to search for a decomposition (default: heuristic)",
+        )
         solve.add_argument("--witness", action="store_true")
-        solve.add_argument("--solver", choices=["cw", "vc", "oracle"])
+        solve.add_argument("--solver", choices=list(ROUTES["bcol"]))
         solve.set_defaults(handler=_cmd_solve)
 
     decompose = subs.add_parser("decompose", help="build and save a decomposition")
     decompose.add_argument("--graph", required=True)
-    decompose.add_argument(
-        "--effort", choices=["exact-tiny", "heuristic"], default="heuristic"
-    )
+    decompose.add_argument("--effort", choices=efforts, default="heuristic")
     decompose.add_argument("--out", required=True)
     decompose.set_defaults(handler=_cmd_decompose)
 

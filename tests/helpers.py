@@ -15,9 +15,11 @@ compatible, merge_type, operator_of, all_types and nonempty_class_count
 are test-side views of the solver's own merge, operators and colorings,
 for the unit tests that pin them; reference_merge is the merge written
 label by label, the oracle for the solver's mask merge, and
-reference_leaf_join the one-step join that builds a labeling for every
-parent signature, the oracle for the solver's lean join and its replay.
-mirrored swaps the children of every node of a decomposition.
+reference_leaf_join the one-step join that tries every taker and builds a
+labeling for every parent signature, the oracle for the set of signatures
+the solver's lean join makes.  mirrored swaps the children of every node
+of a decomposition, and random_decomposition builds one of random shape
+(random_shape), whose joins may pair two subtrees.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from bcoloring.decomposition import (
     NodeOperator,
     RootedBranchDecomposition,
     _annotate,
+    _shape_to_decomposition,
     equivalence_classes,
 )
 from bcoloring.errors import InputError
@@ -68,6 +71,23 @@ def mirrored(d: RootedBranchDecomposition) -> RootedBranchDecomposition:
     ]
     leaves = {t: d.leaf_vertex(t) for t in d.leaves()}
     return RootedBranchDecomposition(children, leaves, root=d.root)
+
+
+def random_shape(rng: random.Random, vertices: list[int]):
+    """A random rooted binary tree over the given leaves, as nested tuples."""
+    if len(vertices) == 1:
+        return vertices[0]
+    cut = rng.randint(1, len(vertices) - 1)
+    return (random_shape(rng, vertices[:cut]), random_shape(rng, vertices[cut:]))
+
+
+def random_decomposition(g: Graph, rng: random.Random) -> RootedBranchDecomposition:
+    """A decomposition of g of random shape over its shuffled vertices: a
+    join's children may be two subtrees, and a leaf child sits on either
+    side."""
+    vertices = list(g.vertices())
+    rng.shuffle(vertices)
+    return _shape_to_decomposition(random_shape(rng, vertices), g.n)
 
 
 # --- views of the solver's type algebra, operators and colorings ---------
@@ -153,19 +173,15 @@ def reference_merge(
 def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict) -> dict:
     """The eager one-step join of a pair with a leaf-shaped side, as a
     differential oracle for the solver's lean _leaf_join and its replay:
-    each parent signature, in the order the join meets it, mapped to
-    (sig_r, sig_s, labeling), the labeling being the first that reaches it
-    as _combine_pair writes it.  adj is a skeleton's rows: each r-type's
-    (s-type, merge type) edges in skeleton order.  The s side is the leaf when
-    both sides are leaf-shaped; a pair with neither gives {}.
+    each parent signature mapped to (sig_r, sig_s, labeling), a labeling of
+    the pair that makes it, written as _combine_pair writes one: ((r-type,
+    s-type, merge type), x) steps.  adj is a skeleton's rows: each r-type's
+    (s-type, merge type) edges.  The s side is the leaf when both sides are
+    leaf-shaped; a pair with neither gives {}.
 
     Every labeling puts the leaf's one class with a class of the other
-    side, the taker, and every other class there with a zero class.  The
-    takers are tried in the order _combine_pair's search meets them: with
-    the leaf on s, rows whose zero edge comes before their one edge first,
-    in row order, then the others in reverse; with the leaf on r, by the
-    one edge's index, descending, when one sorts before zero, otherwise by
-    the zero edge's index.
+    side, the taker, and every other class there with a zero class.  Each
+    type of the other side is tried as the taker.
     """
 
     def split_of(sig):
@@ -184,78 +200,34 @@ def reference_leaf_join(sig_r: Signature, sig_s: Signature, adj: dict) -> dict:
     if split is None:
         return {}
     one, zero = split
-    leaf, other = (sig_s, sig_r) if leaf_is_s else (sig_r, sig_s)
-    edge_to: dict = {}  # other-side type -> [zero edge, one edge], (index, tau)
-    if leaf_is_s:
-        for p, edges in adj.items():
-            for i, (sigma, tau) in enumerate(edges):
-                if sigma in (zero, one):
-                    edge_to.setdefault(p, [None, None])[sigma == one] = (i, tau)
-    else:
-        for side, q in ((0, zero), (1, one)):
-            for i, (p, tau) in enumerate(adj.get(q, ())):
-                edge_to.setdefault(p, [None, None])[side] = (i, tau)
-    made: dict = {}
-    rows = []  # (type, count, zero edge, one edge)
-    forced = None
-    for p, c in other:
-        if p not in edge_to:
-            return {}
-        row = (p, c, *edge_to[p])
-        if row[2] is None:
-            if row[3] is None or c > 1 or forced is not None:
-                return {}
-            forced = row
-        else:
-            made[row[2][1]] = made.get(row[2][1], 0) + c
-        rows.append(row)
-    candidates = [row for row in rows if row[3] is not None]
-    if forced is not None:
-        takers = [forced]
-    elif leaf_is_s:
-        first = [row for row in candidates if row[2][0] < row[3][0]]
-        last = [row for row in candidates if row[2][0] > row[3][0]]
-        takers = first + last[::-1]
-    elif leaf[0][0] == one:
-        takers = sorted(candidates, key=lambda row: row[3][0], reverse=True)
-    else:
-        takers = sorted(candidates, key=lambda row: row[2][0])
+    other = sig_r if leaf_is_s else sig_s
+
+    def edge(p, q):
+        """The skeleton edge between other-side type p and leaf type q, or
+        None."""
+        rho, sigma = (p, q) if leaf_is_s else (q, p)
+        tau = dict(adj.get(rho, ())).get(sigma)
+        return None if tau is None else (rho, sigma, tau)
+
     out: dict = {}
-    for taker in takers:
-        counts = dict(made)
-        _, _, e0, e1 = taker
-        if e0 is not None:
-            counts[e0[1]] -= 1
-        counts[e1[1]] = counts.get(e1[1], 0) + 1
-        sig_t = tuple(sorted((t, c) for t, c in counts.items() if c))
-        if sig_t in out:
+    for taker, _ in other:
+        take = edge(taker, one)
+        if take is None:
             continue
-        if leaf_is_s:
-            labeling = []
-            for row in rows:
-                p, c, e0, e1 = row
-                if row is not taker:
-                    labeling.append(((p, zero, e0[1]), c))
-                    continue
-                take = ((p, one, e1[1]), 1)
-                if c == 1:
-                    labeling.append(take)
-                    continue
-                rest = ((p, zero, e0[1]), c - 1)
-                labeling.extend((rest, take) if e0[0] < e1[0] else (take, rest))
+        labeling = [(take, 1)]
+        for p, c in other:
+            rest = c - (p == taker)
+            if not rest:
+                continue
+            step = edge(p, zero)
+            if step is None:
+                break
+            labeling.append((step, rest))
         else:
-            p = taker[0]
-            take = ((one, p, e1[1]), 1)
-            rest = [
-                ((zero, q, e0[1]), c - (q == p))
-                for q, c, e0, _ in sorted(
-                    (row for row in rows if row[2] is not None),
-                    key=lambda row: row[2][0],
-                )
-                if c - (q == p)
-            ]
-            labeling = [take, *rest] if leaf[0][0] == one else [*rest, take]
-        out[sig_t] = (sig_r, sig_s, tuple(labeling))
+            counts: dict = {}
+            for (_, _, tau), x in labeling:
+                counts[tau] = counts.get(tau, 0) + x
+            out.setdefault(tuple(sorted(counts.items())), (sig_r, sig_s, tuple(labeling)))
     return out
 
 

@@ -11,8 +11,10 @@ from bcoloring import (
     best_decomposition,
     brute_force_bcoloring,
     brute_force_chi_b,
+    brute_force_fallcoloring,
     compute_tables,
     is_b_coloring,
+    is_fall_coloring,
     linear_decomposition,
     solve_bcoloring,
     solve_bcoloring_witness,
@@ -43,7 +45,11 @@ from bcoloring.bcol_dp import (
     type_counts,
 )
 from bcoloring.decomposition import NodeOperator, _annotate
-from bcoloring.fall_dp import compute_fall_tables, solve_fallcoloring_witness
+from bcoloring.fall_dp import (
+    compute_fall_tables,
+    solve_fallcoloring,
+    solve_fallcoloring_witness,
+)
 from helpers import (
     all_types,
     atlas_connected_corpus,
@@ -55,6 +61,7 @@ from helpers import (
     merge_type,
     mirrored,
     operator_of,
+    random_decomposition,
     random_graph,
     reference_leaf_join,
     reference_merge,
@@ -756,11 +763,11 @@ class TestCanonicalDecision:
     def test_leaf_join_matches_generic_join(self, monkeypatch):
         # Every child pair with a leaf-shaped side met in DP runs over
         # graphs with n <= 8, every k, b-coloring (reference and decision)
-        # and fall coloring (reference and canonical): the one-step join
-        # gives the generic join's signatures, in its order, with its
-        # annotations, and the eager reference join's signatures, order and
-        # child pairs.  For each signature, the labeling that replay
-        # rebuilds from the pair is the reference's and the generic join's.
+        # and fall coloring (reference and canonical): the one-step join,
+        # the generic join and the eager reference join make the same set of
+        # signatures, each annotated with the pair.  For each signature,
+        # the labeling replay rebuilds from the pair, and the reference's,
+        # run along skeleton edges and add up to the pair and the signature.
         # Mirrored caterpillars put the leaves on the r side.
         calls = []
 
@@ -783,6 +790,17 @@ class TestCanonicalDecision:
                     _decision_tables(g, d, k)
                     compute_fall_tables(g, d, k)
                     compute_fall_tables(g, d, k, canonical=True)
+
+        def sums(labeling, adj):
+            """The r-side, s-side and parent signatures a labeling adds up
+            to, each of its steps checked to be a skeleton edge."""
+            totals: tuple[dict, dict, dict] = ({}, {}, {})
+            for (rho, sigma, tau), x in labeling:
+                assert x > 0 and (sigma, tau) in adj[rho]
+                for side, code in zip(totals, (rho, sigma, tau)):
+                    side[code] = side.get(code, 0) + x
+            return tuple(tuple(sorted(side.items())) for side in totals)
+
         pairs = {"r": 0, "s": 0}
         labelings = 0
         for table_r, table_s, skel, k in calls:
@@ -799,17 +817,14 @@ class TestCanonicalDecision:
                     rows = _leaf_rows(adj, split, leaf_is_s)
                     _leaf_join(sig_r, sig_s, leaf_is_s, rows, one_step)
                     _combine_pair(sig_r, sig_s, adj, generic)
-                    assert list(one_step.items()) == list(generic.items())
                     reference = reference_leaf_join(sig_r, sig_s, adj)
-                    assert list(one_step.items()) == [
-                        (sig_t, annotation[:2])
-                        for sig_t, annotation in reference.items()
-                    ]
-                    replay_adj = skel.rows  # as _realize reads it
+                    assert set(one_step) == set(generic) == set(reference)
+                    for annotations in (one_step.values(), generic.values()):
+                        assert all(a == (sig_r, sig_s) for a in annotations)
                     for sig_t, (_, _, labeling) in reference.items():
-                        replayed = _combine_pair(sig_r, sig_s, replay_adj, None, sig_t)
-                        searched = _combine_pair(sig_r, sig_s, adj, None, sig_t)
-                        assert replayed == labeling == searched
+                        replayed = _combine_pair(sig_r, sig_s, adj, None, sig_t)
+                        assert sums(replayed, adj) == (sig_r, sig_s, sig_t)
+                        assert sums(labeling, adj) == (sig_r, sig_s, sig_t)
                         labelings += 1
         assert pairs["s"] > 10_000 and pairs["r"] > 10_000
         assert labelings > 10_000
@@ -910,6 +925,46 @@ class TestCanonicalDecision:
                     assert is_b_coloring(g, found[0])
 
 
+class TestRandomShapes:
+    """The cw route on random-shape decompositions, whose joins pair two
+    subtrees or put the leaf on either side, against the oracle."""
+
+    def test_decisions_and_witnesses_match_the_oracle(self):
+        # Every k is decided.  Above the m-degree m(G) no b-coloring exists
+        # (test_m_degree_bounds_chi_b checks the oracle against that bound),
+        # and there the oracle would spend seconds proving it on n = 8.
+        rng, shapes = random.Random(91), random.Random(191)
+        joins = {"leaf r": 0, "leaf s": 0, "subtrees": 0}
+        for _ in range(15):
+            g = random_graph(rng, rng.randint(7, 8), rng.uniform(0.2, 0.8))
+            d = random_decomposition(g, shapes)
+            for t in d.postorder():
+                if not d.is_leaf(t):
+                    r, s = (d.is_leaf(c) for c in d.children(t))
+                    joins["leaf r" if r else "leaf s" if s else "subtrees"] += 1
+            for k in range(1, g.n + 1):
+                answer, found, _ = bcol_dp.decide(g, d, k, witness=True)
+                if k <= g.m_degree():
+                    expected = brute_force_bcoloring(g, k) is not None
+                else:
+                    expected = False
+                assert answer == expected, (g.edges(), k)
+                assert (found is not None) == answer
+                if found is not None:
+                    coloring, b_vertices = found
+                    assert coloring.k == k and is_b_coloring(g, coloring)
+                    for b in b_vertices:
+                        seen = {coloring.colors[u] for u in g.neighbors(b)}
+                        assert seen == set(range(1, k + 1)) - {coloring.colors[b]}
+                    assert len({coloring.colors[b] for b in b_vertices}) == k
+                if k <= 4:
+                    fall = solve_fallcoloring_witness(g, d, k)
+                    expected = brute_force_fallcoloring(g, k) is not None
+                    assert (fall is not None) == expected, (g.edges(), k)
+                    assert fall is None or is_fall_coloring(g, fall)
+        assert all(joins.values()), joins
+
+
 class TestTableInvariants:
     def test_table_semantics_small_sweep(self):
         rng = random.Random(55)
@@ -978,27 +1033,35 @@ class TestTableInvariants:
 class TestWitnessDigest:
     """Pins the witnesses, not only the answers, of the cw route."""
 
-    # sha256 of the pinned outputs, recorded when the DP moved to integer
-    # type codes and unchanged by that move.
-    DIGEST = "d99ecaf6b118a671aed8e9eb13e9c5c6ac83dd03ec2e01f3e7183af28223f96e"
-
-    def test_witnesses_match_the_recorded_digest(self):
-        """Hash, over 60 seeded random graphs with n <= 10 and their
-        heuristic decompositions, bcol_dp.chi_b's chi_b, witness coloring,
-        b-vertices and largest table, and the fall-coloring witness (or
-        None) for each k <= 4.
-
-        The digest pins the tables' order and annotations as well as the
-        answers: a change to the DP's search order that keeps every answer
-        can still change a witness.  A change that moves the digest is a
-        contract change; record the new digest and the reason in
-        CHANGES.md.
-        """
+    @staticmethod
+    def heuristic_cases():
+        """60 seeded random graphs with n <= 10 and their heuristic
+        decompositions."""
         rng = random.Random(1212)
-        h = hashlib.sha256()
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
-            d = best_decomposition(g, "heuristic")
+            yield g, best_decomposition(g, "heuristic")
+
+    @staticmethod
+    def replay_cases():
+        """Decompositions whose replay meets other pair shapes: over 80
+        seeded random graphs with n <= 10, the mirrored heuristic
+        decomposition, whose leaves sit on the r side, and for n <= 6 the
+        exact-tiny one, whose joins need not have a leaf child."""
+        rng = random.Random(1414)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
+            yield g, mirrored(best_decomposition(g, "heuristic"))
+            if g.n <= 6:
+                yield g, best_decomposition(g, "exact-tiny")
+
+    @staticmethod
+    def witness_digest(cases) -> str:
+        """sha256, over cases, of bcol_dp.chi_b's chi_b, witness coloring,
+        b-vertices and largest table, and the fall-coloring witness (or
+        None) for each k <= 4."""
+        h = hashlib.sha256()
+        for g, d in cases:
             chi, (coloring, b_vertices), size = bcol_dp.chi_b(
                 bcol_dp.decide, g, d, True
             )
@@ -1007,32 +1070,44 @@ class TestWitnessDigest:
             for k in range(1, min(g.n, 4) + 1):
                 fall = solve_fallcoloring_witness(g, d, k)
                 h.update(repr((k, None if fall is None else fall.colors)).encode())
-        assert h.hexdigest() == self.DIGEST
+        return h.hexdigest()
 
-    # sha256 of the pinned outputs below, recorded before witness replay
-    # moved to one join routine for every pair shape.
-    REPLAY_DIGEST = "b95ea5e9104f55860ac3fc341503866db6939f0445fba71b4e7df825fd06760b"
+    # sha256 of the answers below over both case sets, recorded before the
+    # join layer stopped keeping an order: a change of join order may move
+    # a witness, but never an answer or a table's size.
+    ANSWERS_DIGEST = "285b62884ff7a3af559fba53d67615932377c71e646a0832359c4e47c5316d65"
+
+    def test_answers_match_the_recorded_digest(self):
+        """The answers alone over both case sets: chi_b and the largest
+        decision table, and whether a fall coloring exists for each k <= 4.
+        No witness is replayed, so this digest moves only when an answer or
+        a table's size does."""
+        h = hashlib.sha256()
+        for g, d in itertools.chain(self.heuristic_cases(), self.replay_cases()):
+            chi, _, size = bcol_dp.chi_b(bcol_dp.decide, g, d)
+            h.update(repr((g.edges(), chi, size)).encode())
+            for k in range(1, min(g.n, 4) + 1):
+                h.update(repr((k, solve_fallcoloring(g, d, k))).encode())
+        assert h.hexdigest() == self.ANSWERS_DIGEST
+
+    # sha256 of the pinned outputs, recorded when the one-step leaf join
+    # stopped following _combine_pair's search order (d99ecaf6... before).
+    DIGEST = "50c5c4e1f3f32dcc2fe6823cca845a23a8f7fa7e41d78f3f9da303a82e5cf0f3"
+
+    def test_witnesses_match_the_recorded_digest(self):
+        """The witness digest over heuristic_cases.
+
+        The digest pins the witnesses as well as the answers: a change to
+        the DP's join order that keeps every answer can still change a
+        witness.  A change that moves the digest is a contract change;
+        record the new digest and the reason in CHANGES.md.
+        """
+        assert self.witness_digest(self.heuristic_cases()) == self.DIGEST
+
+    # sha256 of the pinned outputs below, recorded with DIGEST
+    # (b95ea5e9... before).
+    REPLAY_DIGEST = "3681a37d8ab4996b0b6d42eb4eb0ccb752dcb0a7266e49965c644b5813ac17dc"
 
     def test_mirrored_and_exact_tiny_witnesses_match_the_recorded_digest(self):
-        """The same pins as above over decompositions whose replay meets
-        other pair shapes: over 80 seeded random graphs with n <= 10, the
-        mirrored heuristic decomposition, whose leaves sit on the r side,
-        and for n <= 6 the exact-tiny one, whose joins need not have a
-        leaf child."""
-        rng = random.Random(1414)
-        h = hashlib.sha256()
-        for _ in range(80):
-            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
-            shapes = [mirrored(best_decomposition(g, "heuristic"))]
-            if g.n <= 6:
-                shapes.append(best_decomposition(g, "exact-tiny"))
-            for d in shapes:
-                chi, (coloring, b_vertices), size = bcol_dp.chi_b(
-                    bcol_dp.decide, g, d, True
-                )
-                pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices), size)
-                h.update(repr(pinned).encode())
-                for k in range(1, min(g.n, 4) + 1):
-                    fall = solve_fallcoloring_witness(g, d, k)
-                    h.update(repr((k, None if fall is None else fall.colors)).encode())
-        assert h.hexdigest() == self.REPLAY_DIGEST
+        """The witness digest over replay_cases."""
+        assert self.witness_digest(self.replay_cases()) == self.REPLAY_DIGEST

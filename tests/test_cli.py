@@ -565,6 +565,28 @@ class TestExitCodes:
         assert "input error" in err
         assert str(paths[bad]) in err
 
+    def test_dec_leaf_out_of_range(self, tmp_path, capsys):
+        # A leaf vertex outside 1..n is refused by its line, before a tree
+        # (whose vertex masks would have a bit per id) is built.
+        graph = tmp_path / "k2.col"
+        graph.write_text(K2_COL)
+        dec = tmp_path / "far.dec"
+        dec.write_text(f"n 0 internal 1 2\nn 1 leaf 1\nn 2 leaf {10**6}\n")
+        argv = ["bcol", "--graph", str(graph), "--k", "1", "--dec", str(dec)]
+        code, result, err = run(capsys, argv)
+        assert code == 2
+        assert result is None
+        assert "line 3: leaf vertex out of range 1..2" in err
+        text = f"n 0 internal 1 2\nn 1 leaf 1\nn 2 leaf {10**9}\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="line 3"):
+                parse_decomposition_text(text, Graph.complete(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_selftest_capacity(self, capsys):
         code, _, _ = run(capsys, ["selftest", "--n-max", "11", "--trials", "1"])
         assert code == 3

@@ -16,13 +16,10 @@ from bcoloring import (
     module_width,
     validate,
 )
-from bcoloring.decomposition import (
-    _greedy_order,
-    _shape_to_decomposition,
-    equivalence_classes,
-)
+from bcoloring.decomposition import _greedy_order, equivalence_classes
 from helpers import (
     operator_of,
+    random_decomposition,
     random_graph,
     reference_greedy_order,
     reference_partition,
@@ -288,20 +285,7 @@ class TestInvariants:
 def heuristic_and_random_shape(g, rng):
     """g's heuristic decomposition, a caterpillar where one child of every
     join is a leaf, and a random-shape one, where both can be subtrees."""
-    vertices = list(g.vertices())
-    rng.shuffle(vertices)
-    return (
-        best_decomposition(g, "heuristic"),
-        _shape_to_decomposition(random_shape(rng, vertices), g.n),
-    )
-
-
-def random_shape(rng, vertices):
-    """A random rooted binary tree over the given leaves, as nested tuples."""
-    if len(vertices) == 1:
-        return vertices[0]
-    cut = rng.randint(1, len(vertices) - 1)
-    return (random_shape(rng, vertices[:cut]), random_shape(rng, vertices[cut:]))
+    return best_decomposition(g, "heuristic"), random_decomposition(g, rng)
 
 
 def ladder(m: int) -> Graph:
@@ -346,9 +330,7 @@ class TestAgainstReferences:
             g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
             assert _greedy_order(g) == reference_greedy_order(g)
             self.check(g, best_decomposition(g, "heuristic"))
-            vertices = list(g.vertices())
-            rng.shuffle(vertices)
-            self.check(g, _shape_to_decomposition(random_shape(rng, vertices), g.n))
+            self.check(g, random_decomposition(g, rng))
 
     @pytest.mark.parametrize(
         "g",
