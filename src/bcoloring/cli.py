@@ -7,7 +7,9 @@ the library's one downward k loop, bcol_dp.chi_b, over a bcol route.
 selftest compares every route with its problem's oracle route.
 
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
-`e <u> <v>` lines, 1-indexed, `c` comments ignored).  Decompositions are
+`e <u> <v>` lines, 1-indexed, `c` comments ignored), with n at most
+100,000: a larger n is a capacity refusal, made at the problem line,
+before anything is built for it.  Decompositions are
 line-based: `n <id> internal <left> <right>` or `n <id> leaf <vertex>`,
 first listed node is the root.  Colorings are `<vertex> <color>` lines,
 1-indexed.
@@ -39,13 +41,18 @@ from .graph import Coloring, Graph
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_CAPACITY = 3
+# The largest vertex count a graph file may declare.
+_MAX_VERTICES = 100_000
 
 
 # --- file formats -----------------------------------------------------------
 
 
 def parse_graph_text(text: str) -> Graph:
-    """DIMACS edge format to Graph (vertex ids shifted to 0-based)."""
+    """DIMACS edge format to Graph (vertex ids shifted to 0-based).
+
+    A problem line declaring more than _MAX_VERTICES vertices raises
+    CapacityError."""
     n = m = problem_line = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -65,6 +72,10 @@ def parse_graph_text(text: str) -> Graph:
                 raise InputError(f"line {lineno}: malformed problem line {line!r}")
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
+            if n > _MAX_VERTICES:
+                raise CapacityError(
+                    f"line {lineno}: {n} vertices, above the limit of {_MAX_VERTICES}"
+                )
             problem_line = lineno
         elif parts[0] == "e":
             if n is None:

@@ -12,12 +12,40 @@ outside vertices able to supply that color; needs with small candidate
 sets are solved exactly by a bounded backtracking search, large ones
 greedily afterwards (a small extension can never exhaust them).
 
+The facts that depend on the cover coloring phi alone are computed once
+per phi, by _cover_coloring: the colors each outside vertex sees, the
+rejection of phi when some outside vertex sees all k colors, the forced
+colors, the completer of each color and the colors with none.  Each guess
+starts from them, in _try_guess, which refuses two kinds of guess before
+any other work, as their extension fails:
+
+(a) A guess whose b-vertices' colors miss a color c that has no completer.
+    The guess leaves c's b-vertex to the outside vertices, which see only
+    cover colors, so the b-vertex must see exactly the other k-1 colors:
+    it is a completer, and there is none.
+(b) A guess with a b-vertex x_j of degree below k-1 (Irving & Manlove
+    1999).  Let s be the number of colors that x_j's colored neighbors (the
+    cover and the forced outside vertices) show; none shows x_j's own color,
+    the cover's by properness and a forced vertex's because it sees x_j.
+    x_j is left with k-1-s needs, one per missing color, each met only by
+    a distinct uncolored neighbor of x_j taking that color; with at least s
+    colored neighbors, x_j has at most deg(x_j) - s < k-1-s uncolored
+    ones, too few.  Every candidate set of x_j lies in its neighborhood,
+    so has fewer than k-1 <= k^2-k vertices and goes to the exact search,
+    which must fail, if no need set is empty before it.
+
+The rules only refuse guesses the extension would fail, and the guesses
+are drawn from cover_guesses in the same order as without them, so the
+first successful guess, and the witness, are the same.
+
 The witness is the (Coloring, b-vertices) pair the first successful guess
 builds: its designated b-vertices plus one completer per other color,
 checked against the definition once, in _try_guess.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .errors import InputError, StructuralError
 from .graph import Coloring, Graph
@@ -140,45 +168,70 @@ def _b_vertex_guesses(cover: list[int], phi: dict[int, int]):
 
 def cover_guesses(g: Graph, cover: frozenset[int], k: int):
     """All (phi, b-vertex subset) guesses, phi a proper coloring of the
-    cover up to renaming as a vertex -> color dict, in a fixed order."""
+    cover up to renaming as a vertex -> color dict, in a fixed order.  The
+    guesses of one coloring come together and share one phi object."""
     cover_list = sorted(cover)
     for phi in _proper_cover_colorings(g, cover_list, k):
         for b_guess in _b_vertex_guesses(cover_list, phi):
             yield phi, b_guess
 
 
-def _try_guess(
-    g: Graph,
-    cover_set: frozenset[int],
-    phi: dict[int, int],
-    b_guess: frozenset[int],
-    k: int,
-) -> tuple[Coloring, frozenset[int]] | None:
-    """Extend one cover guess to a full b-coloring, or show it cannot be."""
-    outside = [x for x in g.vertices() if x not in cover_set]
+class _CoverColoring(NamedTuple):
+    """What every guess on one proper cover coloring phi reads, computed
+    once per phi by _cover_coloring."""
+
+    phi: dict[int, int]
+    # outside vertex -> the colors of its neighbors, all in the cover
+    nb_colors: dict[int, frozenset[int]]
+    # phi, plus each outside vertex seeing k-1 colors on the one it misses
+    forced: dict[int, int]
+    # color -> the least outside vertex seeing exactly the other k-1 colors
+    completer: dict[int, int]
+    # the colors with no completer
+    uncompleted: frozenset[int]
+
+
+def _cover_coloring(
+    g: Graph, outside: list[int], phi: dict[int, int], k: int
+) -> _CoverColoring | None:
+    """The facts of phi, or None if some outside vertex already sees all k
+    colors: then no guess on phi has a proper extension."""
     kset = frozenset(range(1, k + 1))
-    nb_colors = {
-        x: frozenset(phi[u] for u in g.neighbors(x)) for x in outside
-    }
-    # No proper extension exists if some outside vertex already sees all k.
-    if any(nb_colors[x] == kset for x in outside):
-        return None
-    # Each color without a designated b-vertex needs an outside completer
-    # seeing exactly the other k-1 colors; such a vertex is forced to the
-    # missing color and becomes the color's b-vertex.
-    b_colors = {phi[b] for b in b_guess}
+    nb_colors = {x: frozenset(phi[u] for u in g.neighbors(x)) for x in outside}
+    forced = dict(phi)
     completer: dict[int, int] = {}
-    for c in sorted(kset - b_colors):
-        found = [x for x in outside if nb_colors[x] == kset - {c}]
-        if not found:
+    for x, seen in nb_colors.items():
+        if len(seen) == k:
             return None
-        completer[c] = min(found)
-    colored = dict(phi)
-    for x in outside:
-        if len(nb_colors[x]) == k - 1:
-            (missing,) = kset - nb_colors[x]
-            colored[x] = missing
-    # Need sets for the designated b-vertices.
+        # A vertex seeing exactly the other k-1 colors is forced to the
+        # missing one; the least such vertex completes that color.
+        if len(seen) == k - 1:
+            (missing,) = kset - seen
+            forced[x] = missing
+            completer.setdefault(missing, x)
+    return _CoverColoring(phi, nb_colors, forced, completer, kset.difference(completer))
+
+
+def _try_guess(
+    g: Graph, facts: _CoverColoring, b_guess: frozenset[int], k: int
+) -> tuple[Coloring, frozenset[int]] | None:
+    """Extend one cover guess on the coloring facts.phi to a full
+    b-coloring, or show it cannot be.  The guesses that the module
+    docstring's rules (a) and (b) show doomed are refused first."""
+    phi = facts.phi
+    b_colors = {phi[b] for b in b_guess}
+    # (a) Each color without a designated b-vertex needs a completer, which
+    # becomes the color's b-vertex.
+    if not facts.uncompleted <= b_colors:
+        return None
+    # (b) A designated b-vertex must see k-1 colors.
+    if any(g.degree(b) < k - 1 for b in b_guess):
+        return None
+    kset = frozenset(range(1, k + 1))
+    nb_colors = facts.nb_colors
+    colored = dict(facts.forced)
+    # Need sets for the designated b-vertices; the cover is colored, so an
+    # uncolored neighbor is an outside vertex.
     needs: NeedSet = {}
     for xj in sorted(b_guess):
         seen = {colored[u] for u in g.neighbors(xj) if u in colored}
@@ -186,9 +239,7 @@ def _try_guess(
             cand = frozenset(
                 x
                 for x in g.neighbors(xj)
-                if x not in cover_set
-                and x not in colored
-                and ci not in nb_colors[x]
+                if x not in colored and ci not in nb_colors[x]
             )
             if not cand:
                 return None
@@ -209,11 +260,11 @@ def _try_guess(
             continue
         y = min(x for x in needs[key] if x not in colored)
         colored[y] = ci
-    for x in outside:
+    for x, seen in nb_colors.items():
         if x not in colored:
-            colored[x] = min(kset - nb_colors[x])
+            colored[x] = min(kset - seen)
     coloring = Coloring(tuple(colored[v] for v in g.vertices()), k)
-    b_vertices = frozenset(b_guess) | frozenset(completer.values())
+    b_vertices = b_guess | {facts.completer[c] for c in kset - b_colors}
     if not is_b_coloring(g, coloring):
         raise StructuralError("completed cover guess failed the b-coloring check")
     return coloring, b_vertices
@@ -229,8 +280,16 @@ def _solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     cover = min_vertex_cover(g)
     if k >= len(cover) + 2:
         return None
+    outside = [x for x in g.vertices() if x not in cover]
+    # cover_guesses yields the guesses of one coloring together, sharing
+    # one phi object, so its facts are computed on its first guess.
+    facts_phi = facts = None
     for phi, b_guess in cover_guesses(g, cover, k):
-        result = _try_guess(g, cover, phi, b_guess, k)
+        if phi is not facts_phi:
+            facts_phi, facts = phi, _cover_coloring(g, outside, phi, k)
+        if facts is None:
+            continue
+        result = _try_guess(g, facts, b_guess, k)
         if result is not None:
             return result
     return None

@@ -19,7 +19,10 @@ reference_leaf_join the one-step join that tries every taker and builds a
 labeling for every parent signature, the oracle for the set of signatures
 the solver's lean join makes.  mirrored swaps the children of every node
 of a decomposition, and random_decomposition builds one of random shape
-(random_shape), whose joins may pair two subtrees.
+(random_shape), whose joins may pair two subtrees.  reference_try_guess
+and reference_vc_solve are the vertex-cover solver's guess loop as it was
+before it computed each cover coloring's facts once and refused doomed
+guesses, the oracle for its answers, witnesses and refusals.
 """
 
 from __future__ import annotations
@@ -47,8 +50,15 @@ from bcoloring.decomposition import (
     _shape_to_decomposition,
     equivalence_classes,
 )
-from bcoloring.errors import InputError
+from bcoloring.errors import InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
+from bcoloring.oracle import is_b_coloring
+from bcoloring.vc_solver import (
+    NeedSet,
+    cover_guesses,
+    min_vertex_cover,
+    small_extension_search,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -507,3 +517,98 @@ def atlas_connected_corpus(max_n: int = 6) -> list[Graph]:
         if 1 <= n <= max_n and nx.is_connected(G):
             corpus.append(Graph(n, list(G.edges())))
     return corpus
+
+
+# --- vertex-cover solver reference -----------------------------------------
+
+
+def reference_try_guess(
+    g: Graph,
+    cover_set: frozenset[int],
+    phi: dict[int, int],
+    b_guess: frozenset[int],
+    k: int,
+) -> tuple[Coloring, frozenset[int]] | None:
+    """Extend one cover guess to a full b-coloring, or show it cannot be,
+    rebuilding every fact of the cover coloring phi for the guess."""
+    outside = [x for x in g.vertices() if x not in cover_set]
+    kset = frozenset(range(1, k + 1))
+    nb_colors = {
+        x: frozenset(phi[u] for u in g.neighbors(x)) for x in outside
+    }
+    # No proper extension exists if some outside vertex already sees all k.
+    if any(nb_colors[x] == kset for x in outside):
+        return None
+    # Each color without a designated b-vertex needs an outside completer
+    # seeing exactly the other k-1 colors; such a vertex is forced to the
+    # missing color and becomes the color's b-vertex.
+    b_colors = {phi[b] for b in b_guess}
+    completer: dict[int, int] = {}
+    for c in sorted(kset - b_colors):
+        found = [x for x in outside if nb_colors[x] == kset - {c}]
+        if not found:
+            return None
+        completer[c] = min(found)
+    colored = dict(phi)
+    for x in outside:
+        if len(nb_colors[x]) == k - 1:
+            (missing,) = kset - nb_colors[x]
+            colored[x] = missing
+    # Need sets for the designated b-vertices.
+    needs: NeedSet = {}
+    for xj in sorted(b_guess):
+        seen = {colored[u] for u in g.neighbors(xj) if u in colored}
+        for ci in sorted(kset - {phi[xj]} - seen):
+            cand = frozenset(
+                x
+                for x in g.neighbors(xj)
+                if x not in cover_set
+                and x not in colored
+                and ci not in nb_colors[x]
+            )
+            if not cand:
+                return None
+            needs[(xj, ci)] = cand
+    # Small candidate sets are searched exactly; the rest cannot run out of
+    # uncolored candidates, so greedy completion below handles them.
+    bound = k * k - k
+    small = {key: cand for key, cand in needs.items() if len(cand) <= bound}
+    ext = small_extension_search(g, small, k)
+    if ext is None:
+        return None
+    colored.update(ext)
+    for key in sorted(needs):
+        if key in small:
+            continue
+        xj, ci = key
+        if any(colored.get(u) == ci for u in g.neighbors(xj)):
+            continue
+        y = min(x for x in needs[key] if x not in colored)
+        colored[y] = ci
+    for x in outside:
+        if x not in colored:
+            colored[x] = min(kset - nb_colors[x])
+    coloring = Coloring(tuple(colored[v] for v in g.vertices()), k)
+    b_vertices = frozenset(b_guess) | frozenset(completer.values())
+    if not is_b_coloring(g, coloring):
+        raise StructuralError("completed cover guess failed the b-coloring check")
+    return coloring, b_vertices
+
+
+def reference_vc_solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
+    """vc_solver's witness search trying every guess in full, with no
+    per-coloring facts and no refused guesses."""
+    if k < 1:
+        raise InputError(f"number of colors must be positive, got {k}")
+    # The k b-vertices have degree at least k-1, so k <= m(G) (Irving &
+    # Manlove 1999).
+    if k > g.m_degree():
+        return None
+    cover = min_vertex_cover(g)
+    if k >= len(cover) + 2:
+        return None
+    for phi, b_guess in cover_guesses(g, cover, k):
+        result = reference_try_guess(g, cover, phi, b_guess, k)
+        if result is not None:
+            return result
+    return None

@@ -1,10 +1,12 @@
 import json
 import random
+import time
 import tracemalloc
 
 import pytest
 
 from bcoloring import (
+    CapacityError,
     Coloring,
     Graph,
     InputError,
@@ -503,6 +505,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert "capacity" in err
+
+    def test_vertex_count_capacity(self, tmp_path, capsys):
+        # A 17-byte file declaring two million vertices is refused at its
+        # problem line, before a graph is built for it.
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 2000000 0")
+        argv = ["bcol", "--graph", str(path), "--k", "1"]
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, result, err = run(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert result is None
+        assert "line 1: 2000000 vertices, above the limit of 100000" in err
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**20
+        with pytest.raises(CapacityError):
+            parse_graph_text("p edge 100001 0\n")
 
     def test_exact_tiny_capacity(self, tmp_path, capsys):
         path = tmp_path / "big.col"

@@ -1,6 +1,9 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bcoloring import (
     Graph,
     brute_force_bcoloring,
@@ -10,7 +13,7 @@ from bcoloring import (
 )
 from bcoloring import vc_solver
 from bcoloring.vc_solver import cover_guesses, min_vertex_cover, small_extension_search
-from helpers import random_graph
+from helpers import random_graph, reference_try_guess, reference_vc_solve
 
 
 def is_cover(g, cover):
@@ -178,3 +181,102 @@ class TestSmallExtensionSearch:
             if ext is not None:
                 assert len(ext) <= max(k * k - k, 0)
                 assert len(ext) <= len(needs)
+
+
+def cover_graph(rng, s, t):
+    """s core vertices with random edges among them and t outside vertices,
+    each joined to a random nonempty subset of the core, which is a cover."""
+    edges = [(u, v) for u in range(s) for v in range(u + 1, s) if rng.random() < 0.5]
+    for x in range(s, s + t):
+        nb = [u for u in range(s) if rng.random() < 0.5] or [rng.randrange(s)]
+        edges.extend((u, x) for u in nb)
+    return Graph(s + t, edges)
+
+
+def doomed_by_rules(g, phi, b_guess, k):
+    """Which of the two refusal rules, from their definitions, applies to
+    the guess: "a" if a color outside the guess's colors has no outside
+    vertex seeing exactly the other k-1 colors, "b" if a guessed b-vertex
+    has degree below k-1, else None."""
+    kset = frozenset(range(1, k + 1))
+    outside_sees = [
+        frozenset(phi[u] for u in g.neighbors(x)) for x in g.vertices() if x not in phi
+    ]
+    if any(kset - {c} not in outside_sees for c in kset - {phi[b] for b in b_guess}):
+        return "a"
+    if any(g.degree(b) < k - 1 for b in b_guess):
+        return "b"
+    return None
+
+
+class TestAgainstReference:
+    """The solver against the guess loop that builds every fact per guess
+    and refuses no guess (helpers.reference_vc_solve): the same answers and
+    the same witnesses, bit for bit."""
+
+    def test_random_graphs_every_k(self):
+        rng = random.Random(65)
+        found = 0
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.9))
+            for k in range(1, g.n + 1):
+                expected = reference_vc_solve(g, k)
+                assert solve_bcoloring_vc_witness(g, k) == expected, (g, k)
+                found += expected is not None
+        assert found >= 300
+
+    def test_cover_graphs_every_k(self):
+        rng = random.Random(66)
+        found = 0
+        for _ in range(40):
+            g = cover_graph(rng, rng.randint(4, 6), rng.randint(4, 10))
+            for k in range(1, g.n + 1):
+                expected = reference_vc_solve(g, k)
+                assert solve_bcoloring_vc_witness(g, k) == expected, (g, k)
+                found += expected is not None
+        assert found >= 40
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        p=st.floats(0.05, 0.95),
+        seed=st.integers(0, 2**32),
+        k=st.integers(1, 9),
+    )
+    def test_property(self, n, p, seed, k):
+        g = random_graph(random.Random(seed), n, p)
+        assert solve_bcoloring_vc_witness(g, k) == reference_vc_solve(g, k)
+
+    def test_every_guess_and_every_refusal(self, monkeypatch):
+        # Per guess: the solver's extension from the per-coloring facts
+        # gives the reference's result, every guess the rules refuse fails
+        # under the reference, and the solver refuses it before searching.
+        def no_search(*args):
+            raise AssertionError("a refused guess reached the extension search")
+
+        rng = random.Random(67)
+        refused = {"a": 0, "b": 0}
+        for i in range(60):
+            if i % 2:
+                g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.8))
+            else:
+                g = cover_graph(rng, rng.randint(4, 5), rng.randint(3, 7))
+            cover = min_vertex_cover(g)
+            outside = [x for x in g.vertices() if x not in cover]
+            for k in range(1, min(g.n, len(cover) + 1) + 1):
+                for phi, b_guess in cover_guesses(g, cover, k):
+                    expected = reference_try_guess(g, cover, phi, b_guess, k)
+                    facts = vc_solver._cover_coloring(g, outside, phi, k)
+                    if facts is None:
+                        assert expected is None
+                        continue
+                    rule = doomed_by_rules(g, phi, b_guess, k)
+                    if rule is None:
+                        assert vc_solver._try_guess(g, facts, b_guess, k) == expected
+                        continue
+                    refused[rule] += 1
+                    assert expected is None, (g, k, phi, b_guess, rule)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(vc_solver, "small_extension_search", no_search)
+                        assert vc_solver._try_guess(g, facts, b_guess, k) is None
+        assert refused["a"] >= 100 and refused["b"] >= 10, refused
