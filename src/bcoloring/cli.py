@@ -22,11 +22,13 @@ codes: 0 = ran (the answer is inside the document), 2 = input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
 import sys
 import time
+from typing import Iterable, Iterator
 
 from . import bcol_dp, fall_dp, oracle, vc_solver
 from .decomposition import (
@@ -53,10 +55,16 @@ def parse_graph_text(text: str) -> Graph:
 
     A problem line declaring more than _MAX_VERTICES vertices raises
     CapacityError."""
+    return _parse_graph_lines(text.splitlines())
+
+
+def _parse_graph_lines(lines: Iterable[str]) -> Graph:
+    """parse_graph_text over lines consumed one at a time, so a refusal at
+    a line reads nothing after it."""
     n = m = problem_line = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -114,7 +122,9 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(path: str) -> Graph:
-    return parse_graph_text(_read(path))
+    # closing: a refusal mid-file closes the file at once.
+    with contextlib.closing(_read_lines(path)) as lines:
+        return _parse_graph_lines(lines)
 
 
 def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
@@ -232,9 +242,17 @@ def parse_coloring(path: str, g: Graph) -> Coloring:
 
 
 def _read(path: str) -> str:
+    """The text of a UTF-8 file, its lines as _read_lines splits them."""
+    return "\n".join(_read_lines(path))
+
+
+def _read_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read as they are consumed and split
+    as str.splitlines splits the whole text, so line numbers match."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            for raw in handle:
+                yield from raw.splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

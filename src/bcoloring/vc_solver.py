@@ -3,21 +3,22 @@
 Strategy: instances with k above the m-degree m(G), or at least two beyond
 the minimum cover size, are rejected outright.  Otherwise the proper
 colorings of the cover S, one per renaming of colors, are tried together
-with every choice of cover vertices designated as b-vertices (distinct
-colors).  Colors lacking a designated b-vertex must be completable by a
-vertex outside S seeing all other colors; vertices outside S whose
-neighborhood already shows k-1 colors are forced.  What remains is, for
-each designated b-vertex and each color it still misses, a need set of
-outside vertices able to supply that color; needs with small candidate
-sets are solved exactly by a bounded backtracking search, large ones
-greedily afterwards (a small extension can never exhaust them).
+with the admitted guesses of cover vertices designated as b-vertices
+(distinct colors).  Colors lacking a designated b-vertex must be
+completable by a vertex outside S seeing all other colors; vertices
+outside S whose neighborhood already shows k-1 colors are forced.  What
+remains is, for each designated b-vertex and each color it still misses, a
+need set of outside vertices able to supply that color; needs with small
+candidate sets are solved exactly by a bounded backtracking search, large
+ones greedily afterwards (a small extension can never exhaust them).
 
 The facts that depend on the cover coloring phi alone are computed once
 per phi, by _cover_coloring: the colors each outside vertex sees, the
 rejection of phi when some outside vertex sees all k colors, the forced
-colors, the completer of each color and the colors with none.  Each guess
-starts from them, in _try_guess, which refuses two kinds of guess before
-any other work, as their extension fails:
+colors, the completer of each color and the colors with none.
+cover_guesses pairs them with the guesses on phi it admits, and
+_try_guess extends each.  The generator omits two kinds of guess, as
+their extension fails:
 
 (a) A guess whose b-vertices' colors miss a color c that has no completer.
     The guess leaves c's b-vertex to the outside vertices, which see only
@@ -34,9 +35,10 @@ any other work, as their extension fails:
     so has fewer than k-1 <= k^2-k vertices and goes to the exact search,
     which must fail, if no need set is empty before it.
 
-The rules only refuse guesses the extension would fail, and the guesses
-are drawn from cover_guesses in the same order as without them, so the
-first successful guess, and the witness, are the same.
+The rules only omit guesses the extension would fail, and the admitted
+guesses come in the same relative order as in the full enumeration of
+distinctly colored cover subsets, so the first successful guess, and the
+witness, are the same.
 
 The witness is the (Coloring, b-vertices) pair the first successful guess
 builds: its designated b-vertices plus one completer per other color,
@@ -155,27 +157,6 @@ def _proper_cover_colorings(g: Graph, cover: list[int], k: int):
     yield from extend(0, 0)
 
 
-def _b_vertex_guesses(cover: list[int], phi: dict[int, int]):
-    """Subsets of the cover with pairwise distinct colors, the empty one
-    first."""
-    m = len(cover)
-    for mask in range(1 << m):
-        chosen = [cover[i] for i in range(m) if mask >> i & 1]
-        colors = {phi[v] for v in chosen}
-        if len(colors) == len(chosen):
-            yield frozenset(chosen)
-
-
-def cover_guesses(g: Graph, cover: frozenset[int], k: int):
-    """All (phi, b-vertex subset) guesses, phi a proper coloring of the
-    cover up to renaming as a vertex -> color dict, in a fixed order.  The
-    guesses of one coloring come together and share one phi object."""
-    cover_list = sorted(cover)
-    for phi in _proper_cover_colorings(g, cover_list, k):
-        for b_guess in _b_vertex_guesses(cover_list, phi):
-            yield phi, b_guess
-
-
 class _CoverColoring(NamedTuple):
     """What every guess on one proper cover coloring phi reads, computed
     once per phi by _cover_coloring."""
@@ -212,21 +193,36 @@ def _cover_coloring(
     return _CoverColoring(phi, nb_colors, forced, completer, kset.difference(completer))
 
 
+def cover_guesses(g: Graph, cover: frozenset[int], k: int):
+    """The (facts, b-vertex subset) guesses that rules (a) and (b) admit,
+    in a fixed order.  For each proper coloring phi of the cover up to
+    renaming that _cover_coloring does not reject: the subsets of the cover
+    vertices of degree at least k-1 with pairwise distinct colors that
+    show every uncompleted color, in increasing mask order over those
+    vertices.  A gated vertex's cover index grows with its gated index, so
+    the admitted subsets keep their relative order among all distinctly
+    colored cover subsets."""
+    cover_list = sorted(cover)
+    outside = [x for x in g.vertices() if x not in cover]
+    gated = [v for v in cover_list if g.degree(v) >= k - 1]
+    m = len(gated)
+    for phi in _proper_cover_colorings(g, cover_list, k):
+        facts = _cover_coloring(g, outside, phi, k)
+        if facts is None:
+            continue
+        for mask in range(1 << m):
+            chosen = [gated[i] for i in range(m) if mask >> i & 1]
+            colors = {phi[v] for v in chosen}
+            if len(colors) == len(chosen) and facts.uncompleted <= colors:
+                yield facts, frozenset(chosen)
+
+
 def _try_guess(
     g: Graph, facts: _CoverColoring, b_guess: frozenset[int], k: int
 ) -> tuple[Coloring, frozenset[int]] | None:
-    """Extend one cover guess on the coloring facts.phi to a full
-    b-coloring, or show it cannot be.  The guesses that the module
-    docstring's rules (a) and (b) show doomed are refused first."""
+    """Extend one guess that cover_guesses admits on the coloring
+    facts.phi to a full b-coloring, or show it cannot be."""
     phi = facts.phi
-    b_colors = {phi[b] for b in b_guess}
-    # (a) Each color without a designated b-vertex needs a completer, which
-    # becomes the color's b-vertex.
-    if not facts.uncompleted <= b_colors:
-        return None
-    # (b) A designated b-vertex must see k-1 colors.
-    if any(g.degree(b) < k - 1 for b in b_guess):
-        return None
     kset = frozenset(range(1, k + 1))
     nb_colors = facts.nb_colors
     colored = dict(facts.forced)
@@ -264,6 +260,9 @@ def _try_guess(
         if x not in colored:
             colored[x] = min(kset - seen)
     coloring = Coloring(tuple(colored[v] for v in g.vertices()), k)
+    # By rule (a), each color without a designated b-vertex has a
+    # completer, which becomes the color's b-vertex.
+    b_colors = {phi[b] for b in b_guess}
     b_vertices = b_guess | {facts.completer[c] for c in kset - b_colors}
     if not is_b_coloring(g, coloring):
         raise StructuralError("completed cover guess failed the b-coloring check")
@@ -280,15 +279,7 @@ def _solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     cover = min_vertex_cover(g)
     if k >= len(cover) + 2:
         return None
-    outside = [x for x in g.vertices() if x not in cover]
-    # cover_guesses yields the guesses of one coloring together, sharing
-    # one phi object, so its facts are computed on its first guess.
-    facts_phi = facts = None
-    for phi, b_guess in cover_guesses(g, cover, k):
-        if phi is not facts_phi:
-            facts_phi, facts = phi, _cover_coloring(g, outside, phi, k)
-        if facts is None:
-            continue
+    for facts, b_guess in cover_guesses(g, cover, k):
         result = _try_guess(g, facts, b_guess, k)
         if result is not None:
             return result

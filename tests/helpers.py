@@ -19,10 +19,12 @@ reference_leaf_join the one-step join that tries every taker and builds a
 labeling for every parent signature, the oracle for the set of signatures
 the solver's lean join makes.  mirrored swaps the children of every node
 of a decomposition, and random_decomposition builds one of random shape
-(random_shape), whose joins may pair two subtrees.  reference_try_guess
-and reference_vc_solve are the vertex-cover solver's guess loop as it was
-before it computed each cover coloring's facts once and refused doomed
-guesses, the oracle for its answers, witnesses and refusals.
+(random_shape), whose joins may pair two subtrees.
+reference_cover_guesses, reference_try_guess and reference_vc_solve are the
+vertex-cover solver's guess loop as it was before it computed each cover
+coloring's facts once and omitted doomed guesses: every distinctly colored
+cover subset on every cover coloring, each extended anew.  They are the
+oracle for its answers, witnesses and omissions.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
 from bcoloring.vc_solver import (
     NeedSet,
-    cover_guesses,
+    _proper_cover_colorings,
     min_vertex_cover,
     small_extension_search,
 )
@@ -522,6 +524,26 @@ def atlas_connected_corpus(max_n: int = 6) -> list[Graph]:
 # --- vertex-cover solver reference -----------------------------------------
 
 
+def reference_b_vertex_guesses(cover: list[int], phi: dict[int, int]):
+    """Subsets of the cover with pairwise distinct colors, the empty one
+    first."""
+    m = len(cover)
+    for mask in range(1 << m):
+        chosen = [cover[i] for i in range(m) if mask >> i & 1]
+        colors = {phi[v] for v in chosen}
+        if len(colors) == len(chosen):
+            yield frozenset(chosen)
+
+
+def reference_cover_guesses(g: Graph, cover: frozenset[int], k: int):
+    """All (phi, b-vertex subset) guesses, phi a proper coloring of the
+    cover up to renaming as a vertex -> color dict, in a fixed order."""
+    cover_list = sorted(cover)
+    for phi in _proper_cover_colorings(g, cover_list, k):
+        for b_guess in reference_b_vertex_guesses(cover_list, phi):
+            yield phi, b_guess
+
+
 def reference_try_guess(
     g: Graph,
     cover_set: frozenset[int],
@@ -597,7 +619,7 @@ def reference_try_guess(
 
 def reference_vc_solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     """vc_solver's witness search trying every guess in full, with no
-    per-coloring facts and no refused guesses."""
+    per-coloring facts and no omitted guesses."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     # The k b-vertices have degree at least k-1, so k <= m(G) (Irving &
@@ -607,7 +629,7 @@ def reference_vc_solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | No
     cover = min_vertex_cover(g)
     if k >= len(cover) + 2:
         return None
-    for phi, b_guess in cover_guesses(g, cover, k):
+    for phi, b_guess in reference_cover_guesses(g, cover, k):
         result = reference_try_guess(g, cover, phi, b_guess, k)
         if result is not None:
             return result

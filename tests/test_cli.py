@@ -25,6 +25,7 @@ from bcoloring.cli import (
     main,
     parse_coloring_text,
     parse_decomposition_text,
+    parse_graph,
     parse_graph_text,
 )
 from helpers import random_graph
@@ -489,6 +490,7 @@ class TestExitCodes:
         assert code == 2
         assert result is None
         assert "input error" in err
+        assert "cannot read /nonexistent.col" in err
 
     def test_malformed_graph(self, tmp_path, capsys):
         path = tmp_path / "bad.col"
@@ -526,6 +528,26 @@ class TestExitCodes:
         assert peak < 2**20
         with pytest.raises(CapacityError):
             parse_graph_text("p edge 100001 0\n")
+
+    def test_vertex_count_capacity_reads_no_further(self, tmp_path, capsys):
+        # The graph file is read line by line: a problem line above the cap
+        # is refused before the 10 MB of comment lines after it are read.
+        path = tmp_path / "huge.col"
+        with open(path, "w") as handle:
+            handle.write("p edge 2000000 0\n")
+            handle.writelines("c " + "x" * 97 + "\n" for _ in range(100_000))
+        assert path.stat().st_size >= 10 * 10**6
+        argv = ["bcol", "--graph", str(path), "--k", "1"]
+        tracemalloc.start()
+        try:
+            code, result, err = run(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert result is None
+        assert "line 1: 2000000 vertices, above the limit of 100000" in err
+        assert peak < 2 * 2**20
 
     def test_exact_tiny_capacity(self, tmp_path, capsys):
         path = tmp_path / "big.col"
@@ -586,7 +608,29 @@ class TestExitCodes:
         assert code == 2
         assert result is None
         assert "input error" in err
-        assert str(paths[bad]) in err
+        assert f"cannot read {paths[bad]}: not UTF-8 text" in err
+
+    def test_non_utf8_byte_far_into_graph_file(self, tmp_path, capsys):
+        # The graph file is decoded as it is read: a bad byte past the
+        # first read buffer is still an input error with the same message.
+        path = tmp_path / "late.col"
+        path.write_bytes(b"p edge 2 1\n" + b"c padding\n" * 4000 + b"\xff\ne 1 2\n")
+        code, result, err = run(capsys, ["bcol", "--graph", str(path), "--k", "1"])
+        assert code == 2
+        assert result is None
+        assert f"cannot read {path}: not UTF-8 text" in err
+
+    def test_graph_file_lines_numbered_as_text_lines(self, tmp_path):
+        # A file is split into the lines str.splitlines gives for its text,
+        # so an error names the same line whether read from a file or text.
+        text = "c a\x0cc b\r\np edge 3 2\r\ne 1 2\x0b\ne 2 3\x1ce 3 9\n"
+        path = tmp_path / "odd.col"
+        path.write_bytes(text.encode())
+        with pytest.raises(InputError, match="line 7: vertex out of range") as from_text:
+            parse_graph_text(text.replace("\r\n", "\n"))
+        with pytest.raises(InputError) as from_file:
+            parse_graph(str(path))
+        assert str(from_file.value) == str(from_text.value)
 
     def test_dec_leaf_out_of_range(self, tmp_path, capsys):
         # A leaf vertex outside 1..n is refused by its line, before a tree

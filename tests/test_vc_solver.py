@@ -13,7 +13,12 @@ from bcoloring import (
 )
 from bcoloring import vc_solver
 from bcoloring.vc_solver import cover_guesses, min_vertex_cover, small_extension_search
-from helpers import random_graph, reference_try_guess, reference_vc_solve
+from helpers import (
+    random_graph,
+    reference_cover_guesses,
+    reference_try_guess,
+    reference_vc_solve,
+)
 
 
 def is_cover(g, cover):
@@ -103,26 +108,30 @@ class TestCoverGuesses:
     def test_colorings_proper_and_b_vertices_distinctly_colored(self):
         g = Graph.star(3)
         cover = min_vertex_cover(g)
-        guesses = list(cover_guesses(g, cover, 2))
+        k = 2
+        guesses = list(cover_guesses(g, cover, k))
         assert guesses  # K_{1,3} with k=2 admits guesses
-        for phi, b_guess in guesses:
+        for facts, b_guess in guesses:
+            phi = facts.phi
             assert set(phi) == set(cover)
             for u, v in g.edges():
                 if u in phi and v in phi:
                     assert phi[u] != phi[v]
             b_colors = [phi[b] for b in b_guess]
             assert len(b_colors) == len(set(b_colors))
+            assert facts.uncompleted <= set(b_colors)
+            assert all(g.degree(b) >= k - 1 for b in b_guess)
 
     def test_empty_guess_only_for_canonical_colorings(self):
-        # Cover {0} of P_3 with k=2: colorings {0: 1} (canonical) and {0: 2};
-        # only the canonical one may carry the empty b-vertex guess.
-        g = Graph.path(3)
-        cover = frozenset({1})
+        # Cover {1, 2} of P_4 with k=2: colorings {1: 1, 2: 2} (canonical)
+        # and {1: 2, 2: 1}; each has a completer for both colors (0 and 3),
+        # so the empty b-vertex guess is admitted, on the canonical one only.
+        g = Graph.path(4)
+        cover = frozenset({1, 2})
         with_empty = [
-            phi for phi, b_guess in cover_guesses(g, cover, 2) if not b_guess
+            facts.phi for facts, b_guess in cover_guesses(g, cover, 2) if not b_guess
         ]
-        assert with_empty == [{1: 1}]
-
+        assert with_empty == [{1: 1, 2: 2}]
 
     def test_one_coloring_per_renaming(self):
         # An independent 3-vertex cover with k=3: of the 27 proper colorings,
@@ -130,7 +139,7 @@ class TestCoverGuesses:
         g = Graph(6, [(0, 3), (1, 4), (2, 5)])
         colorings = {
             tuple(sorted(phi.items()))
-            for phi, _ in cover_guesses(g, frozenset({0, 1, 2}), 3)
+            for phi in vc_solver._proper_cover_colorings(g, [0, 1, 2], 3)
         }
         assert len(colorings) == 5
 
@@ -139,6 +148,7 @@ class TestCoverGuesses:
             return tuple(names.setdefault(c, len(names) + 1) for _, c in phi)
 
         assert len({renamed_to_first_use(phi) for phi in colorings}) == 5
+
 
 class TestSmallExtensionSearch:
     def test_no_needs(self):
@@ -193,15 +203,18 @@ def cover_graph(rng, s, t):
     return Graph(s + t, edges)
 
 
-def doomed_by_rules(g, phi, b_guess, k):
-    """Which of the two refusal rules, from their definitions, applies to
-    the guess: "a" if a color outside the guess's colors has no outside
-    vertex seeing exactly the other k-1 colors, "b" if a guessed b-vertex
-    has degree below k-1, else None."""
+def omission_reason(g, phi, b_guess, k):
+    """Why cover_guesses omits the guess, from the definitions: "full" if
+    some outside vertex sees all k colors on phi, else "a" if a color
+    outside the guess's colors has no outside vertex seeing exactly the
+    other k-1 colors, "b" if a guessed b-vertex has degree below k-1, else
+    None."""
     kset = frozenset(range(1, k + 1))
     outside_sees = [
         frozenset(phi[u] for u in g.neighbors(x)) for x in g.vertices() if x not in phi
     ]
+    if kset in outside_sees:
+        return "full"
     if any(kset - {c} not in outside_sees for c in kset - {phi[b] for b in b_guess}):
         return "a"
     if any(g.degree(b) < k - 1 for b in b_guess):
@@ -211,7 +224,7 @@ def doomed_by_rules(g, phi, b_guess, k):
 
 class TestAgainstReference:
     """The solver against the guess loop that builds every fact per guess
-    and refuses no guess (helpers.reference_vc_solve): the same answers and
+    and omits no guess (helpers.reference_vc_solve): the same answers and
     the same witnesses, bit for bit."""
 
     def test_random_graphs_every_k(self):
@@ -247,36 +260,34 @@ class TestAgainstReference:
         g = random_graph(random.Random(seed), n, p)
         assert solve_bcoloring_vc_witness(g, k) == reference_vc_solve(g, k)
 
-    def test_every_guess_and_every_refusal(self, monkeypatch):
-        # Per guess: the solver's extension from the per-coloring facts
-        # gives the reference's result, every guess the rules refuse fails
-        # under the reference, and the solver refuses it before searching.
-        def no_search(*args):
-            raise AssertionError("a refused guess reached the extension search")
-
+    def test_every_guess_and_every_refusal(self):
+        # cover_guesses yields a subsequence of the reference enumeration,
+        # in its order: exactly the guesses no omission reason applies to.
+        # On each, the solver's extension from the per-coloring facts gives
+        # the reference's result; every omitted guess fails under the
+        # reference.
         rng = random.Random(67)
-        refused = {"a": 0, "b": 0}
+        omitted = {"full": 0, "a": 0, "b": 0}
         for i in range(60):
             if i % 2:
                 g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.8))
             else:
                 g = cover_graph(rng, rng.randint(4, 5), rng.randint(3, 7))
             cover = min_vertex_cover(g)
-            outside = [x for x in g.vertices() if x not in cover]
             for k in range(1, min(g.n, len(cover) + 1) + 1):
-                for phi, b_guess in cover_guesses(g, cover, k):
+                admitted = iter(cover_guesses(g, cover, k))
+                pending = next(admitted, None)
+                for phi, b_guess in reference_cover_guesses(g, cover, k):
                     expected = reference_try_guess(g, cover, phi, b_guess, k)
-                    facts = vc_solver._cover_coloring(g, outside, phi, k)
-                    if facts is None:
-                        assert expected is None
+                    reason = omission_reason(g, phi, b_guess, k)
+                    if reason is not None:
+                        omitted[reason] += 1
+                        assert expected is None, (g, k, phi, b_guess, reason)
                         continue
-                    rule = doomed_by_rules(g, phi, b_guess, k)
-                    if rule is None:
-                        assert vc_solver._try_guess(g, facts, b_guess, k) == expected
-                        continue
-                    refused[rule] += 1
-                    assert expected is None, (g, k, phi, b_guess, rule)
-                    with monkeypatch.context() as patch:
-                        patch.setattr(vc_solver, "small_extension_search", no_search)
-                        assert vc_solver._try_guess(g, facts, b_guess, k) is None
-        assert refused["a"] >= 100 and refused["b"] >= 10, refused
+                    assert pending is not None, (g, k, phi, b_guess)
+                    facts, admitted_guess = pending
+                    assert (facts.phi, admitted_guess) == (phi, b_guess)
+                    assert vc_solver._try_guess(g, facts, b_guess, k) == expected
+                    pending = next(admitted, None)
+                assert pending is None, (g, k, pending)
+        assert omitted["a"] >= 100 and omitted["b"] >= 10, omitted
