@@ -8,9 +8,9 @@ with the admitted guesses of cover vertices designated as b-vertices
 completable by a vertex outside S seeing all other colors; vertices
 outside S whose neighborhood already shows k-1 colors are forced.  What
 remains is, for each designated b-vertex and each color it still misses, a
-need set of outside vertices able to supply that color; needs with small
-candidate sets are solved exactly by a bounded backtracking search, large
-ones greedily afterwards (a small extension can never exhaust them).
+need set of outside vertices able to supply that color.  One backtracking
+search meets them all, the small candidate sets first and exactly, the
+large ones last: a small extension can never exhaust those.
 
 The facts that depend on the cover coloring phi alone are computed once
 per phi, by _cover_coloring: the colors each outside vertex sees, the
@@ -97,9 +97,16 @@ def small_extension_search(
     needs maps (b-vertex, missing color) to the candidate vertices that may
     receive that color; candidates are assumed proper for it.  A need is
     also satisfied when an earlier assignment put its color on another
-    neighbor of its b-vertex.
+    neighbor of its b-vertex.  Needs with at most k^2-k candidates come
+    first, then the large ones, each part in key order.  From _try_guess
+    (at most k(k-1) needs, candidates outside the cover) the search never
+    backtracks into a large need: fewer than k^2-k vertices are colored
+    when it is reached, so it has a free candidate, proper because outside
+    vertices are pairwise nonadjacent and a candidate sees no cover vertex
+    of its color.  A large need takes its least free candidate, if unmet.
     """
-    ordered = sorted(needs)
+    bound = k * k - k
+    ordered = sorted(needs, key=lambda key: (len(needs[key]) > bound, key))
     ext: dict[int, int] = {}
 
     def dfs(idx: int):
@@ -119,7 +126,7 @@ def small_extension_search(
         return None
 
     result = dfs(0)
-    assert result is None or len(result) <= max(k * k - k, 0)
+    assert result is None or len(result) <= bound
     return result
 
 
@@ -208,7 +215,8 @@ def cover_guesses(g: Graph, cover: frozenset[int], k: int):
     m = len(gated)
     for phi in _proper_cover_colorings(g, cover_list, k):
         facts = _cover_coloring(g, outside, phi, k)
-        if facts is None:
+        # No subset of the gated vertices shows a color none of them has.
+        if facts is None or not facts.uncompleted <= {phi[v] for v in gated}:
             continue
         for mask in range(1 << m):
             chosen = [gated[i] for i in range(m) if mask >> i & 1]
@@ -229,9 +237,9 @@ def _try_guess(
     # Need sets for the designated b-vertices; the cover is colored, so an
     # uncolored neighbor is an outside vertex.
     needs: NeedSet = {}
-    for xj in sorted(b_guess):
+    for xj in b_guess:
         seen = {colored[u] for u in g.neighbors(xj) if u in colored}
-        for ci in sorted(kset - {phi[xj]} - seen):
+        for ci in kset - {phi[xj]} - seen:
             cand = frozenset(
                 x
                 for x in g.neighbors(xj)
@@ -240,22 +248,12 @@ def _try_guess(
             if not cand:
                 return None
             needs[(xj, ci)] = cand
-    # Small candidate sets are searched exactly; the rest cannot run out of
-    # uncolored candidates, so greedy completion below handles them.
-    bound = k * k - k
-    small = {key: cand for key, cand in needs.items() if len(cand) <= bound}
-    ext = small_extension_search(g, small, k)
+    # One search meets every need, the small ones exactly; it orders them
+    # itself and never backtracks into a large one.
+    ext = small_extension_search(g, needs, k)
     if ext is None:
         return None
     colored.update(ext)
-    for key in sorted(needs):
-        if key in small:
-            continue
-        xj, ci = key
-        if any(colored.get(u) == ci for u in g.neighbors(xj)):
-            continue
-        y = min(x for x in needs[key] if x not in colored)
-        colored[y] = ci
     for x, seen in nb_colors.items():
         if x not in colored:
             colored[x] = min(kset - seen)

@@ -23,8 +23,10 @@ of a decomposition, and random_decomposition builds one of random shape
 reference_cover_guesses, reference_try_guess and reference_vc_solve are the
 vertex-cover solver's guess loop as it was before it computed each cover
 coloring's facts once and omitted doomed guesses: every distinctly colored
-cover subset on every cover coloring, each extended anew.  They are the
-oracle for its answers, witnesses and omissions.
+cover subset on every cover coloring, each extended anew, the needs with
+at most k^2-k candidates by the exact search reference_extension_search
+and the larger ones greedily after it.  They are the oracle for its
+answers, witnesses and omissions.
 """
 
 from __future__ import annotations
@@ -55,12 +57,7 @@ from bcoloring.decomposition import (
 from bcoloring.errors import InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
-from bcoloring.vc_solver import (
-    NeedSet,
-    _proper_cover_colorings,
-    min_vertex_cover,
-    small_extension_search,
-)
+from bcoloring.vc_solver import NeedSet, _proper_cover_colorings, min_vertex_cover
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -544,6 +541,38 @@ def reference_cover_guesses(g: Graph, cover: frozenset[int], k: int):
             yield phi, b_guess
 
 
+def reference_extension_search(
+    g: Graph, needs: NeedSet, k: int
+) -> dict[int, int] | None:
+    """A proper extension satisfying every need, coloring at most one vertex
+    per need, or None: a fixed-order backtracking search over the needs in
+    key order, each need taking the first candidate that works.  A need is
+    also satisfied when an earlier assignment put its color on another
+    neighbor of its b-vertex."""
+    ordered = sorted(needs)
+    ext: dict[int, int] = {}
+
+    def dfs(idx: int):
+        if idx == len(ordered):
+            return dict(ext)
+        xj, ci = ordered[idx]
+        if any(color == ci and y in g.neighbors(xj) for y, color in ext.items()):
+            return dfs(idx + 1)
+        for y in sorted(needs[(xj, ci)]):
+            if y in ext:
+                continue
+            ext[y] = ci
+            result = dfs(idx + 1)
+            if result is not None:
+                return result
+            del ext[y]
+        return None
+
+    result = dfs(0)
+    assert result is None or len(result) <= max(k * k - k, 0)
+    return result
+
+
 def reference_try_guess(
     g: Graph,
     cover_set: frozenset[int],
@@ -595,7 +624,7 @@ def reference_try_guess(
     # uncolored candidates, so greedy completion below handles them.
     bound = k * k - k
     small = {key: cand for key, cand in needs.items() if len(cand) <= bound}
-    ext = small_extension_search(g, small, k)
+    ext = reference_extension_search(g, small, k)
     if ext is None:
         return None
     colored.update(ext)

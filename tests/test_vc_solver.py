@@ -173,6 +173,15 @@ class TestSmallExtensionSearch:
         ext = small_extension_search(g, needs, 5)
         assert ext == {2: 4}
 
+    def test_small_needs_first_then_large(self):
+        # (0, 2) has 7 > k^2-k = 6 candidates, so the small need (1, 3) is
+        # met first, on 10, and the large one takes the next free vertex,
+        # as the greedy completion after the small needs did.  In key order
+        # alone the large need would take 10 and the small one 11.
+        g = Graph(17, [(0, y) for y in range(10, 17)] + [(1, 10), (1, 11)])
+        needs = {(0, 2): frozenset(range(10, 17)), (1, 3): frozenset({10, 11})}
+        assert small_extension_search(g, needs, 3) == {10: 3, 11: 2}
+
     def test_extension_size_bound(self):
         rng = random.Random(64)
         for _ in range(50):
@@ -200,6 +209,21 @@ def cover_graph(rng, s, t):
     for x in range(s, s + t):
         nb = [u for u in range(s) if rng.random() < 0.5] or [rng.randrange(s)]
         edges.extend((u, x) for u in nb)
+    return Graph(s + t, edges)
+
+
+def spider_graph(rng):
+    """3-6 core vertices, edges among them at p in [0, 0.6], and 10-30
+    outside vertices, each joined to 1, 2 or 3 core vertices (weights
+    3:2:1): few core vertices with many outside neighbors, so need sets
+    with more than k^2-k candidates."""
+    s = rng.randint(3, 6)
+    p = rng.uniform(0, 0.6)
+    edges = [(u, v) for u in range(s) for v in range(u + 1, s) if rng.random() < p]
+    t = rng.randint(10, 30)
+    for x in range(s, s + t):
+        degree = rng.choices((1, 2, 3), weights=(3, 2, 1))[0]
+        edges.extend((u, x) for u in rng.sample(range(s), min(degree, s)))
     return Graph(s + t, edges)
 
 
@@ -248,6 +272,24 @@ class TestAgainstReference:
                 assert solve_bcoloring_vc_witness(g, k) == expected, (g, k)
                 found += expected is not None
         assert found >= 40
+
+    def test_spider_graphs_large_needs(self, monkeypatch):
+        # The reference searches the small needs alone and completes the
+        # large ones greedily; the solver hands every need to one search.
+        large = 0
+
+        def counted(g, needs, k, search=vc_solver.small_extension_search):
+            nonlocal large
+            large += any(len(cand) > k * k - k for cand in needs.values())
+            return search(g, needs, k)
+
+        monkeypatch.setattr(vc_solver, "small_extension_search", counted)
+        rng = random.Random(11)
+        for _ in range(150):
+            g = spider_graph(rng)
+            for k in (3, 4):
+                assert vc_solver._solve(g, k) == reference_vc_solve(g, k), (g, k)
+        assert large >= 10, large
 
     @settings(max_examples=150, deadline=None)
     @given(
