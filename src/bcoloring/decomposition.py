@@ -100,6 +100,7 @@ class RootedBranchDecomposition:
         "_postorder",
         "_below",
         "_annotation",
+        "_width",
     )
 
     def __init__(
@@ -117,6 +118,7 @@ class RootedBranchDecomposition:
         self._children = tuple(children)
         self._leaf_vertex = dict(leaf_vertex)
         self._annotation: tuple[Graph, Annotation] | None = None
+        self._width: tuple[Graph, int] | None = None
 
         vertices = sorted(self._leaf_vertex.values())
         if len(set(vertices)) != len(vertices):
@@ -306,7 +308,16 @@ def validate(g: Graph, d: RootedBranchDecomposition) -> ValidationReport:
 
 
 def module_width(g: Graph, d: RootedBranchDecomposition) -> int:
-    """max over nodes t of the class count of V_t."""
+    """max over nodes t of the class count of V_t.
+
+    A decomposition that best_decomposition built for this graph object
+    carries the width its search measured, matched by identity as
+    _annotate's cache is, and that width is returned as it is.  Any other
+    pair is annotated, and so validated, first.
+    """
+    searched = d._width
+    if searched is not None and searched[0] is g:
+        return searched[1]
     return _annotate(g, d).width
 
 
@@ -397,78 +408,136 @@ def _shape_to_decomposition(shape, n: int) -> RootedBranchDecomposition:
     return RootedBranchDecomposition(children, leaf_vertex, root=root)
 
 
-def _greedy_order(g: Graph) -> list[int]:
+def _greedy_order(g: Graph) -> tuple[list[int], int]:
     """Vertex order greedily minimizing the class count of each prefix,
-    ties to the smallest vertex.
+    ties to the smallest vertex, and the largest class count of its
+    prefixes: the module-width of its linear decomposition.
 
-    sigs holds the prefix's class signatures (neighborhoods outside it) and
-    own[v] = masks[v] & outside for every remaining v.  Adding candidate v
-    clears bit v in every signature, and two signatures merge only if they
-    are s and s ^ bit(v) with bit v set in s, so the class count after v is
+    sigs holds the prefix's class signatures (neighborhoods outside it),
+    contain[b] those of them with bit b set, own[v] = masks[v] & outside
+    for every remaining v, and buckets[o] the remaining vertices of own o.
+    Adding candidate v clears bit v in every signature, and two signatures
+    merge only if they are s and s ^ bit(v) with bit v set in s, so the
+    class count after v is |sigs| + key(v), where
 
-        |sigs| - merges[v] + [own[v] not in sigs and own[v] | bit(v) not in sigs]
+        key(v) = fresh(v) - #{s in contain[v] : s ^ bit(v) in sigs}
 
-    where merges[v] counts the signatures s of sigs with bit v set and
-    s ^ bit(v) in sigs; one pass over the set bits of sigs gives merges for
-    every v.  A candidate outside the frontier (the union of sigs) has no
-    merges and no own[v] | bit(v) in sigs: its count is |sigs| if own[v] is
-    in sigs and |sigs| + 1 otherwise.  No count exceeds |sigs| + 1.  So the
-    winner is the least (count, vertex) over the frontier, the smallest
-    remaining vertex of each bucket own = s for s in sigs (the others of a
-    bucket outside the frontier tie with it at |sigs|, and it has count at
-    most |sigs|), and the smallest remaining vertex (every candidate not
-    yet named counts |sigs| + 1, at least as much as it).
+    and fresh(v) = [own[v] not in sigs and own[v] | bit(v) not in sigs].
+    The step takes the least (key, v).  No key exceeds 1, so the smallest
+    remaining vertex is at most every (1, v), and the heap supplies the
+    rest.  It is a lazy min-heap of (key, v) entries, under the invariant:
+    every remaining vertex whose key fell since its last entry has a fresh
+    entry, so every remaining v of key(v) <= 0 has an entry of value at
+    most key(v).  Let (e, v) be the least entry.  If v was chosen, it is
+    dropped.  If key(v) > e, v's key rose: the entry is re-keyed and
+    pushed back if key(v) <= 0, dropped otherwise, and the invariant still
+    holds for v.  If key(v) = e, then for any w of key(w) <= 0 with least
+    entry (e', w), (key(w), w) >= (e', w) >= (e, v): so (e, v), taken
+    together with the smallest remaining vertex, is the least (key, v).
+    Each look at the top either ends the search or drops or raises an
+    entry, so it ends.
 
-    Choosing u changes own only at u's remaining neighbors, each of which
-    moves to the bucket of a strictly smaller mask and so never returns to
-    an old one; each bucket is a lazy min-heap whose stale entries are
-    dropped when met.  A step costs O(classes + set bits of sigs + deg(u))
-    up to heap logarithms, not O(n * classes).
+    The invariant survives a step.  Choosing u rewrites each s in
+    contain[u] to s ^ bit(u) (which merges with it if present), adds
+    own[u] and clears bit u from own[w] at u's remaining neighbors w.
+    Removing a signature only raises keys, so a key falls only through an
+    added signature t or a changed own.  fresh(v) falls when own[v]
+    changes (v is a neighbor of u), when t = own[v] (v is in t's bucket)
+    or when t = own[v] | bit(v) (v is a bit of t).  The merge count of v
+    rises only with a new pair {s, s ^ bit(v)}, one member of which is an
+    added t: either v is a bit of t, or t | bit(v) is in sigs and v is t's
+    one-bit partner.  That superset lies in contain[b] for every bit b of
+    t, so the smallest of those sets is scanned for it; when t = 0 it is a
+    one-bit signature of sigs.  Every such vertex is re-keyed after the
+    step and pushed if its key is at most 0.  (|sigs| is common to all
+    candidates, so its change moves no key.)
+
+    A mask removed from sigs has a chosen bit, so it never returns: each
+    mask is added at most once, and the bucket pushes cost O(n + edges)
+    in all.  A step costs the bits of the signatures it rewrites or adds,
+    deg(u), the partner scan of the smallest contain[b] per added
+    signature and the contain sets of the vertices it re-keys, up to heap
+    logarithms; it does not look at every class.
     """
     masks = g.adjacency_masks()
     own = list(masks)
-    buckets: dict[int, list[int]] = {}
-    for v in g.vertices():  # increasing, so every bucket starts as a heap
-        buckets.setdefault(own[v], []).append(v)
-    left = (1 << g.n) - 1
+    buckets: dict[int, set[int]] = {}
+    for v in g.vertices():
+        buckets.setdefault(own[v], set()).add(v)
+    contain: list[set[int]] = [set() for _ in range(g.n)]
     sigs: set[int] = set()
+    heap: list[tuple[int, int]] = []
+    left = (1 << g.n) - 1
     order: list[int] = []
-    low = 0
+    low = width = 0
+
+    def key(v: int) -> int:
+        bit = 1 << v
+        o = own[v]
+        count = 0 if o in sigs or o | bit in sigs else 1
+        for s in contain[v]:
+            if s ^ bit in sigs:
+                count -= 1
+        return count
+
     for _ in range(g.n):
         while not left >> low & 1:
             low += 1
-        merges: dict[int, int] = {}
-        frontier = 0
-        for s in sigs:
-            frontier |= s
-            for v in _bits(s):
-                if s ^ (1 << v) in sigs:
-                    merges[v] = merges.get(v, 0) + 1
-        candidates = set(_bits(frontier))
-        candidates.add(low)
-        for s in sigs:
-            heap = buckets.get(s)
-            while heap and (not left >> heap[0] & 1 or own[heap[0]] != s):
-                heapq.heappop(heap)
-            if heap:
-                candidates.add(heap[0])
-        best = None
-        for v in candidates:
-            o = own[v]
-            fresh = o not in sigs and o | 1 << v not in sigs
-            key = (len(sigs) - merges.get(v, 0) + fresh, v)
-            if best is None or key < best:
-                best = key
+        best = (key(low), low)
+        while heap:
+            e, v = heap[0]
+            if left >> v & 1:
+                now = key(v)
+                if now == e:
+                    best = min(best, heap[0])
+                    break
+                if now <= 0:
+                    heapq.heapreplace(heap, (now, v))
+                    continue
+            heapq.heappop(heap)
         u = best[1]
         order.append(u)
         bit = 1 << u
         left ^= bit
-        sigs = {s & ~bit for s in sigs}
-        sigs.add(own[u])
-        for w in _bits(masks[u] & left):
+        added = []  # (signature, its bits)
+        for s in contain[u]:
+            sigs.remove(s)
+            t = s ^ bit
+            t_bits = list(_bits(t))
+            for b in t_bits:
+                contain[b].remove(s)
+            if t not in sigs:
+                sigs.add(t)
+                added.append((t, t_bits))
+                for b in t_bits:
+                    contain[b].add(t)
+        o = own[u]
+        buckets[o].remove(u)
+        if o not in sigs:
+            o_bits = list(_bits(o))
+            sigs.add(o)
+            added.append((o, o_bits))
+            for b in o_bits:
+                contain[b].add(o)
+        width = max(width, len(sigs))
+        touched = set(_bits(masks[u] & left))
+        for w in touched:
+            buckets[own[w]].remove(w)
             own[w] ^= bit
-            heapq.heappush(buckets.setdefault(own[w], []), w)
-    return order
+            buckets.setdefault(own[w], set()).add(w)
+        for t, t_bits in added:
+            touched.update(buckets.get(t, ()))
+            touched.update(t_bits)
+            pool = min(map(contain.__getitem__, t_bits), key=len) if t else sigs
+            for s in pool:
+                extra = s ^ t
+                if s & t == t and extra and not extra & (extra - 1):
+                    touched.add(extra.bit_length() - 1)
+        for v in touched:
+            now = key(v)
+            if now <= 0:
+                heapq.heappush(heap, (now, v))
+    return order, width
 
 
 def best_decomposition(g: Graph, effort: str = "heuristic") -> RootedBranchDecomposition:
@@ -477,11 +546,16 @@ def best_decomposition(g: Graph, effort: str = "heuristic") -> RootedBranchDecom
     effort="exact-tiny" searches all rooted binary trees and leaf
     assignments (n <= 8 only) and returns one of minimum module-width;
     effort="heuristic" returns a linear decomposition under a greedy order.
+    Either search measures the module-width of what it returns, and records
+    it on the decomposition for g, where module_width reads it.
     """
     if g.n == 0:
         raise InputError("cannot decompose the empty graph")
     if effort == "heuristic":
-        return linear_decomposition(g, _greedy_order(g))
+        order, width = _greedy_order(g)
+        d = linear_decomposition(g, order)
+        d._width = (g, width)
+        return d
     if effort != "exact-tiny":
         raise InputError(f"unknown effort {effort!r}")
     if g.n > EXACT_TINY_LIMIT:
@@ -497,4 +571,6 @@ def best_decomposition(g: Graph, effort: str = "heuristic") -> RootedBranchDecom
             best_shape, best_width = shape, w
             if best_width == 1:
                 break
-    return _shape_to_decomposition(best_shape, g.n)
+    d = _shape_to_decomposition(best_shape, g.n)
+    d._width = (g, best_width)
+    return d

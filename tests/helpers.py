@@ -4,7 +4,9 @@ The enumerators here are the independent oracles for the DP table semantics:
 they enumerate partial (b-)colorings of G_t directly from the definitions,
 never touching the solver's merge machinery.  The decomposition references
 recompute the greedy order and the class partitions from scratch, the slow
-way, as differential oracles for the incremental bitmask versions.  The class-type functions they
+way, as differential oracles for the incremental bitmask versions;
+frontier_greedy_order is the greedy order by a full scan of the class
+signatures at every step, a faster oracle for larger graphs.  The class-type functions they
 use (type_of_class, is_valid_class and their fall-coloring twins) are the
 paper's definitions, written out directly; the solver never calls them.
 canonical_image applies the decision DP's dead-class rewrite to a table,
@@ -31,6 +33,7 @@ answers, witnesses and omissions.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from typing import Iterable
@@ -51,6 +54,7 @@ from bcoloring.decomposition import (
     NodeOperator,
     RootedBranchDecomposition,
     _annotate,
+    _bits,
     _shape_to_decomposition,
     equivalence_classes,
 )
@@ -493,6 +497,83 @@ def reference_greedy_order(g: Graph) -> list[int]:
         order.append(best_v)
         prefix_mask |= 1 << best_v
         remaining.discard(best_v)
+    return order
+
+
+def frontier_greedy_order(g: Graph) -> list[int]:
+    """The greedy vertex order, ties to the smallest vertex, by a scan of
+    all the prefix's class signatures at every step: the search
+    decomposition._greedy_order ran before it indexed the signatures by
+    vertex, kept as its oracle at sizes where reference_greedy_order is too
+    slow.
+
+    sigs holds the prefix's class signatures (neighborhoods outside it) and
+    own[v] = masks[v] & outside for every remaining v.  Adding candidate v
+    clears bit v in every signature, and two signatures merge only if they
+    are s and s ^ bit(v) with bit v set in s, so the class count after v is
+
+        |sigs| - merges[v] + [own[v] not in sigs and own[v] | bit(v) not in sigs]
+
+    where merges[v] counts the signatures s of sigs with bit v set and
+    s ^ bit(v) in sigs; one pass over the set bits of sigs gives merges for
+    every v.  A candidate outside the frontier (the union of sigs) has no
+    merges and no own[v] | bit(v) in sigs: its count is |sigs| if own[v] is
+    in sigs and |sigs| + 1 otherwise.  No count exceeds |sigs| + 1.  So the
+    winner is the least (count, vertex) over the frontier, the smallest
+    remaining vertex of each bucket own = s for s in sigs (the others of a
+    bucket outside the frontier tie with it at |sigs|, and it has count at
+    most |sigs|), and the smallest remaining vertex (every candidate not
+    yet named counts |sigs| + 1, at least as much as it).
+
+    Choosing u changes own only at u's remaining neighbors, each of which
+    moves to the bucket of a strictly smaller mask and so never returns to
+    an old one; each bucket is a lazy min-heap whose stale entries are
+    dropped when met.  A step costs O(classes + set bits of sigs + deg(u))
+    up to heap logarithms, not O(n * classes).
+    """
+    masks = g.adjacency_masks()
+    own = list(masks)
+    buckets: dict[int, list[int]] = {}
+    for v in g.vertices():  # increasing, so every bucket starts as a heap
+        buckets.setdefault(own[v], []).append(v)
+    left = (1 << g.n) - 1
+    sigs: set[int] = set()
+    order: list[int] = []
+    low = 0
+    for _ in range(g.n):
+        while not left >> low & 1:
+            low += 1
+        merges: dict[int, int] = {}
+        frontier = 0
+        for s in sigs:
+            frontier |= s
+            for v in _bits(s):
+                if s ^ (1 << v) in sigs:
+                    merges[v] = merges.get(v, 0) + 1
+        candidates = set(_bits(frontier))
+        candidates.add(low)
+        for s in sigs:
+            heap = buckets.get(s)
+            while heap and (not left >> heap[0] & 1 or own[heap[0]] != s):
+                heapq.heappop(heap)
+            if heap:
+                candidates.add(heap[0])
+        best = None
+        for v in candidates:
+            o = own[v]
+            fresh = o not in sigs and o | 1 << v not in sigs
+            key = (len(sigs) - merges.get(v, 0) + fresh, v)
+            if best is None or key < best:
+                best = key
+        u = best[1]
+        order.append(u)
+        bit = 1 << u
+        left ^= bit
+        sigs = {s & ~bit for s in sigs}
+        sigs.add(own[u])
+        for w in _bits(masks[u] & left):
+            own[w] ^= bit
+            heapq.heappush(buckets.setdefault(own[w], []), w)
     return order
 
 

@@ -16,8 +16,10 @@ from bcoloring import (
     module_width,
     validate,
 )
-from bcoloring.decomposition import _greedy_order, equivalence_classes
+from bcoloring import bcol_dp, cli, decomposition
+from bcoloring.decomposition import _annotate, _greedy_order, equivalence_classes
 from helpers import (
+    frontier_greedy_order,
     operator_of,
     random_decomposition,
     random_graph,
@@ -298,6 +300,12 @@ def caterpillar(spine: int) -> Graph:
     return Graph(2 * spine, [(i, i + 1) for i in range(spine - 1)] + legs)
 
 
+def span_tree(n: int, rng: random.Random) -> Graph:
+    """A random tree where vertex i hangs from one of the two vertices
+    before it."""
+    return Graph(n, [(rng.randint(max(0, i - 2), i - 1), i) for i in range(1, n)])
+
+
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
@@ -317,7 +325,10 @@ def blown_up(count: int, size: int, joined) -> Graph:
 
 class TestAgainstReferences:
     """The incremental greedy order and the bitmask class partitions equal
-    the from-scratch references in helpers, node by node."""
+    the from-scratch references in helpers, node by node.  The cubic
+    reference_greedy_order is too slow beyond n of about 120, so larger and
+    denser graphs are checked against frontier_greedy_order, which scans
+    every class signature at every step."""
 
     def check(self, g, d):
         for t in d.postorder():
@@ -328,7 +339,7 @@ class TestAgainstReferences:
         rng = random.Random(11)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
-            assert _greedy_order(g) == reference_greedy_order(g)
+            assert _greedy_order(g)[0] == reference_greedy_order(g)
             self.check(g, best_decomposition(g, "heuristic"))
             self.check(g, random_decomposition(g, rng))
 
@@ -367,7 +378,7 @@ class TestAgainstReferences:
             if trial:
                 rng.shuffle(perm)
             h = relabeled(g, perm)
-            assert _greedy_order(h) == reference_greedy_order(h)
+            assert _greedy_order(h)[0] == reference_greedy_order(h)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -376,7 +387,7 @@ class TestAgainstReferences:
         pairs = list(itertools.combinations(range(n), 2))
         present = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
         g = Graph(n, [e for e, keep in zip(pairs, present) if keep])
-        assert _greedy_order(g) == reference_greedy_order(g)
+        assert _greedy_order(g)[0] == reference_greedy_order(g)
 
     @pytest.mark.parametrize(
         "make",
@@ -390,5 +401,103 @@ class TestAgainstReferences:
             perm = list(family.vertices())
             rng.shuffle(perm)
             g = relabeled(family, perm)
-            assert _greedy_order(g) == reference_greedy_order(g)
+            assert _greedy_order(g)[0] == reference_greedy_order(g)
             self.check(g, best_decomposition(g, "heuristic"))
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            Graph.path,
+            Graph.cycle,
+            lambda n: ladder(n // 2),
+            lambda n: caterpillar(n // 2),
+            lambda n: span_tree(n, random.Random(n)),
+        ],
+        ids=["path", "cycle", "ladder", "caterpillar", "span-2-tree"],
+    )
+    def test_large_relabelled_families(self, make, n):
+        family = make(n)
+        perm = list(family.vertices())
+        random.Random(14).shuffle(perm)
+        g = relabeled(family, perm)
+        order, width = _greedy_order(g)
+        assert order == frontier_greedy_order(g)
+        assert width == _annotate(g, linear_decomposition(g, order)).width
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_greedy_order_against_frontier(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        assert _greedy_order(g)[0] == frontier_greedy_order(g)
+
+
+def unrecorded(d: RootedBranchDecomposition) -> RootedBranchDecomposition:
+    """A fresh copy of d, with no recorded width and no annotation."""
+    children = [None if d.is_leaf(t) else d.children(t) for t in range(d.node_count)]
+    leaves = {t: d.leaf_vertex(t) for t in d.leaves()}
+    return RootedBranchDecomposition(children, leaves, root=d.root)
+
+
+@pytest.fixture
+def annotate_calls(monkeypatch):
+    """The decompositions _annotate is called on, wherever it is called."""
+    calls = []
+    original = decomposition._annotate
+
+    def counting(g, d):
+        calls.append(d)
+        return original(g, d)
+
+    monkeypatch.setattr(decomposition, "_annotate", counting)
+    monkeypatch.setattr(bcol_dp, "_annotate", counting)
+    return calls
+
+
+class TestRecordedWidth:
+    """best_decomposition records the width its search measured, and
+    module_width returns it for the same graph object without annotating."""
+
+    @pytest.mark.parametrize("effort", ["heuristic", "exact-tiny"])
+    def test_recorded_width_is_the_module_width(self, effort, annotate_calls):
+        rng = random.Random(21)
+        for _ in range(30):
+            n = rng.randint(1, 6 if effort == "exact-tiny" else 12)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.9))
+            d = best_decomposition(g, effort)
+            width = module_width(g, d)
+            assert annotate_calls == []
+            counts = [len(equivalence_classes(g, d, t)) for t in d.postorder()]
+            assert width == max(counts)
+            h = Graph(g.n, g.edges())
+            if effort == "heuristic":
+                fresh = linear_decomposition(h, _greedy_order(h)[0])
+            else:
+                fresh = unrecorded(d)
+            assert width == _annotate(h, fresh).width
+
+    def test_decompose_never_annotates_and_cw_annotates_once(
+        self, tmp_path, capsys, annotate_calls
+    ):
+        g = Graph.cycle(9)
+        path = tmp_path / "c9.col"
+        path.write_text(cli.format_graph(g))
+        argv = ["decompose", "--graph", str(path), "--out", str(tmp_path / "c9.dec")]
+        assert cli.main(argv) == 0
+        assert annotate_calls == []
+        assert cli.main(["bcol", "--graph", str(path), "--k", "3", "--solver", "cw"]) == 0
+        assert len(annotate_calls) == 1
+        capsys.readouterr()
+
+    def test_other_graph_object_is_annotated_and_validated(self, annotate_calls):
+        g = Graph.cycle(6)
+        d = best_decomposition(g, "heuristic")
+        h = Graph(6, g.edges())
+        assert module_width(h, d) == module_width(g, d)
+        assert annotate_calls == [d]
+        with pytest.raises(StructuralError, match="not bijective"):
+            module_width(Graph.cycle(7), d)
