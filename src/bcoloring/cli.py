@@ -62,22 +62,27 @@ def _parse_graph_lines(lines: Iterable[str]) -> Graph:
     """parse_graph_text over lines consumed one at a time, so a refusal at
     a line reads nothing after it."""
     n = m = problem_line = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+    edges: dict[tuple[int, int], tuple[int, int]] = {}  # sorted pair -> edge
+    for record in _records(lines):
+        lineno, _, parts = record
+        if parts[0] == "e":
+            if n is None:
+                raise InputError(f"line {lineno}: edge line before problem line")
+            u, v = _ints(record, "edge", parts[1:], 2)
+            if not (0 < u <= n and 0 < v <= n):
+                raise InputError(f"line {lineno}: vertex out of range 1..{n}")
+            if u == v:
+                raise InputError(f"line {lineno}: self-loop at vertex {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise InputError(f"line {lineno}: duplicate edge")
+            edges[key] = (u - 1, v - 1)
+        elif parts[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "edge":
-                raise InputError(f"line {lineno}: malformed problem line {line!r}")
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed problem line {line!r}")
+            if parts[1:2] != ["edge"]:
+                raise _bad_line(record, "malformed problem")
+            n, m = _ints(record, "problem", parts[2:], 2)
             if n < 0:
                 raise InputError(f"line {lineno}: negative vertex count")
             if n > _MAX_VERTICES:
@@ -85,26 +90,8 @@ def _parse_graph_lines(lines: Iterable[str]) -> Graph:
                     f"line {lineno}: {n} vertices, above the limit of {_MAX_VERTICES}"
                 )
             problem_line = lineno
-        elif parts[0] == "e":
-            if n is None:
-                raise InputError(f"line {lineno}: edge line before problem line")
-            if len(parts) != 3:
-                raise InputError(f"line {lineno}: malformed edge line {line!r}")
-            try:
-                u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed edge line {line!r}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"line {lineno}: vertex out of range 1..{n}")
-            if u == v:
-                raise InputError(f"line {lineno}: self-loop at vertex {u + 1}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError(f"line {lineno}: duplicate edge")
-            seen.add(key)
-            edges.append((u, v))
         else:
-            raise InputError(f"line {lineno}: unrecognized line {line!r}")
+            raise _bad_line(record, "unrecognized")
     if n is None:
         raise InputError("missing problem line")
     if m != len(edges):
@@ -112,7 +99,7 @@ def _parse_graph_lines(lines: Iterable[str]) -> Graph:
             f"line {problem_line}: problem line declares {m} edges, "
             f"but {len(edges)} edge lines follow"
         )
-    return Graph(n, edges)
+    return Graph(n, edges.values())
 
 
 def format_graph(g: Graph) -> str:
@@ -129,47 +116,31 @@ def parse_graph(path: str) -> Graph:
 
 def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
     """Decomposition file to a validated RootedBranchDecomposition."""
-    entries: dict[int, tuple] = {}
-    order: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
+    entries: dict[int, tuple] = {}  # in file order: the first is the root
+    for record in _records(text.splitlines()):
+        lineno, _, parts = record
         if parts[0] != "n":
-            raise InputError(f"line {lineno}: unrecognized line {line!r}")
-        try:
-            node_id = int(parts[1])
-        except (IndexError, ValueError):
-            raise InputError(f"line {lineno}: malformed node line {line!r}")
+            raise _bad_line(record, "unrecognized")
+        (node_id,) = _ints(record, "node", parts[1:2], 1)
         if node_id in entries:
             raise InputError(f"line {lineno}: duplicate node id {node_id}")
-        if len(parts) >= 3 and parts[2] == "internal":
+        if parts[2:3] == ["internal"]:
             if len(parts) != 5:
                 raise InputError(
                     f"line {lineno}: not binary: internal nodes take exactly two children"
                 )
-            try:
-                entries[node_id] = ("internal", int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed node line {line!r}")
-        elif len(parts) >= 3 and parts[2] == "leaf":
-            if len(parts) != 4:
-                raise InputError(f"line {lineno}: malformed leaf line {line!r}")
-            try:
-                vertex = int(parts[3]) - 1
-            except ValueError:
-                raise InputError(f"line {lineno}: malformed leaf line {line!r}")
-            if not (0 <= vertex < g.n):
+            entries[node_id] = ("internal", *_ints(record, "node", parts[3:], 2))
+        elif parts[2:3] == ["leaf"]:
+            (vertex,) = _ints(record, "leaf", parts[3:], 1)
+            if not (0 < vertex <= g.n):
                 raise InputError(f"line {lineno}: leaf vertex out of range 1..{g.n}")
-            entries[node_id] = ("leaf", vertex)
+            entries[node_id] = ("leaf", vertex - 1)
         else:
-            raise InputError(f"line {lineno}: malformed node line {line!r}")
-        order.append(node_id)
-    if not order:
+            raise _bad_line(record, "malformed node")
+    if not entries:
         raise InputError("decomposition file lists no nodes")
-    dense = {node_id: i for i, node_id in enumerate(order)}
-    children: list[tuple[int, int] | None] = [None] * len(order)
+    dense = {node_id: i for i, node_id in enumerate(entries)}
+    children: list[tuple[int, int] | None] = [None] * len(entries)
     leaf_vertex: dict[int, int] = {}
     for node_id, entry in entries.items():
         if entry[0] == "internal":
@@ -210,35 +181,50 @@ def parse_decomposition(path: str, g: Graph) -> RootedBranchDecomposition:
 
 
 def parse_coloring_text(text: str, g: Graph) -> Coloring:
-    assignment: dict[int, int] = {}
-    max_color = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InputError(f"line {lineno}: malformed coloring line {line!r}")
-        try:
-            v, color = int(parts[0]) - 1, int(parts[1])
-        except ValueError:
-            raise InputError(f"line {lineno}: malformed coloring line {line!r}")
-        if not (0 <= v < g.n):
+    assignment: dict[int, int] = {}  # 1-based vertex -> color
+    for record in _records(text.splitlines()):
+        lineno, _, parts = record
+        v, color = _ints(record, "coloring", parts, 2)
+        if not (1 <= v <= g.n):
             raise InputError(f"line {lineno}: vertex out of range 1..{g.n}")
         if color < 1:
             raise InputError(f"line {lineno}: colors must be positive")
         if v in assignment:
-            raise InputError(f"line {lineno}: vertex {v + 1} colored twice")
+            raise InputError(f"line {lineno}: vertex {v} colored twice")
         assignment[v] = color
-        max_color = max(max_color, color)
-    missing = [v + 1 for v in g.vertices() if v not in assignment]
+    missing = [v for v in range(1, g.n + 1) if v not in assignment]
     if missing:
         raise InputError(f"coloring misses vertices {missing}")
-    return Coloring(tuple(assignment[v] for v in g.vertices()), max(max_color, 1))
+    colors = tuple(assignment[v] for v in range(1, g.n + 1))
+    return Coloring(colors, max(colors, default=1))
 
 
 def parse_coloring(path: str, g: Graph) -> Coloring:
     return parse_coloring_text(_read(path), g)
+
+
+def _records(lines: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, fields) of each line neither blank nor a c comment."""
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split()
+        if parts and parts[0][0] != "c":
+            yield lineno, line, parts
+
+
+def _ints(record: tuple, kind: str, fields: list[str], count: int) -> list[int]:
+    """fields as count integers, else the record is a malformed kind line."""
+    if len(fields) == count:
+        try:
+            return [*map(int, fields)]
+        except ValueError:
+            pass
+    raise _bad_line(record, f"malformed {kind}")
+
+
+def _bad_line(record: tuple, what: str) -> InputError:
+    """The error naming the record a `what` line, quoting it stripped."""
+    lineno, line, _ = record
+    return InputError(f"line {lineno}: {what} line {line.strip()!r}")
 
 
 def _read(path: str) -> str:
@@ -330,12 +316,6 @@ ROUTES = {
 }
 
 
-def _load_decomposition(args, g: Graph) -> RootedBranchDecomposition:
-    if args.dec:
-        return parse_decomposition(args.dec, g)
-    return best_decomposition(g, args.dec_effort)
-
-
 def _auto_solver(args, g: Graph, width: int | None) -> str:
     # Prefer the tractable exponent: fall back to the vertex-cover solver
     # when the heuristic decomposition (of this module-width) is wide but
@@ -369,8 +349,12 @@ def _cmd_solve(args) -> dict:
         raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
     d = width = None
-    if args.solver in (None, "cw") and g.n:
-        d = _load_decomposition(args, g)
+    # A given --dec is read even for the empty graph, which no file decomposes.
+    if args.dec:
+        d = parse_decomposition(args.dec, g)
+    elif args.solver in (None, "cw") and g.n:
+        d = best_decomposition(g, args.dec_effort)
+    if d is not None:
         width = module_width(g, d)
     solver = args.solver or _auto_solver(args, g, width)
     found = max_table = None

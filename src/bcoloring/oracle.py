@@ -23,12 +23,8 @@ def b_vertices(g: Graph, c: Coloring) -> frozenset[int] | None:
     """The smallest b-vertex of each class of c, or None if c is not a
     b-coloring: proper, every class nonempty, and every class holding a
     vertex with neighbors in all other classes."""
-    if c.n != g.n:
-        raise InputError(f"coloring covers {c.n} vertices, graph has {g.n}")
-    if not is_proper(g, c):
-        return None
     classes = c.classes()
-    if any(not cls for cls in classes):
+    if not is_proper(g, c) or not all(classes):
         return None
     all_colors = set(range(1, c.k + 1))
     found = []
@@ -52,11 +48,7 @@ def is_b_coloring(g: Graph, c: Coloring) -> bool:
 def is_fall_coloring(g: Graph, c: Coloring) -> bool:
     """True iff c is proper, every class is nonempty, and every vertex has
     a neighbor in each class other than its own."""
-    if c.n != g.n:
-        raise InputError(f"coloring covers {c.n} vertices, graph has {g.n}")
-    if not is_proper(g, c):
-        return False
-    if any(not cls for cls in c.classes()):
+    if not is_proper(g, c) or not all(c.classes()):
         return False
     all_colors = set(range(1, c.k + 1))
     for v in g.vertices():
@@ -64,13 +56,6 @@ def is_fall_coloring(g: Graph, c: Coloring) -> bool:
         if not (all_colors - {c.colors[v]}) <= seen:
             return False
     return True
-
-
-def _check_capacity(g: Graph) -> None:
-    if g.n > DEFAULT_CAPACITY:
-        raise CapacityError(
-            f"brute force refused: n={g.n} exceeds capacity {DEFAULT_CAPACITY}"
-        )
 
 
 def _surjective_colorings(g: Graph, k: int):
@@ -85,7 +70,7 @@ def _surjective_colorings(g: Graph, k: int):
     assignment = [0] * n
     adj = [sorted(g.neighbors(v)) for v in range(n)]
 
-    def extend(v: int, used: set[int]):
+    def extend(v: int, used: frozenset[int]):
         if v == n:
             if len(used) == k:
                 yield Coloring(tuple(assignment), k)
@@ -94,49 +79,42 @@ def _surjective_colorings(g: Graph, k: int):
             return
         forbidden = {assignment[u] for u in adj[v] if u < v}
         for color in range(1, k + 1):
-            if color in forbidden:
-                continue
-            assignment[v] = color
-            added = color not in used
-            if added:
-                used.add(color)
-            yield from extend(v + 1, used)
-            if added:
-                used.discard(color)
+            if color not in forbidden:
+                assignment[v] = color
+                yield from extend(v + 1, used | {color})
         assignment[v] = 0
 
-    yield from extend(0, set())
+    yield from extend(0, frozenset())
 
 
 def brute_force_bcoloring(g: Graph, k: int) -> Coloring | None:
     """First b-coloring of g with k colors in lexicographic order, or None."""
-    _check_capacity(g)
-    if k < 1:
-        raise InputError(f"number of colors must be positive, got {k}")
-    for c in _surjective_colorings(g, k):
-        if is_b_coloring(g, c):
-            return c
-    return None
+    return _first_coloring(g, k, is_b_coloring)
 
 
 def brute_force_fallcoloring(g: Graph, k: int) -> Coloring | None:
     """First fall coloring of g with k colors in lexicographic order, or None."""
-    _check_capacity(g)
+    return _first_coloring(g, k, is_fall_coloring)
+
+
+def _first_coloring(g: Graph, k: int, check) -> Coloring | None:
+    """The first proper coloring c of g using all k colors with check(g, c)."""
+    if g.n > DEFAULT_CAPACITY:
+        raise CapacityError(
+            f"brute force refused: n={g.n} exceeds capacity {DEFAULT_CAPACITY}"
+        )
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
-    for c in _surjective_colorings(g, k):
-        if is_fall_coloring(g, c):
-            return c
-    return None
+    return next((c for c in _surjective_colorings(g, k) if check(g, c)), None)
 
 
 def brute_force_chi_b(g: Graph) -> int:
     """The b-chromatic number by probing every k in 1..max_degree+1.
 
     Existence of a k-b-coloring is not monotone in k, so all candidates are
-    tried and the largest feasible one returned.
+    tried and the largest feasible one returned; brute_force_bcoloring
+    refuses a graph above the capacity.
     """
-    _check_capacity(g)
     if g.n < 1:
         raise InputError("b-chromatic number needs at least one vertex")
     best = 0

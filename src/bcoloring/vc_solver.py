@@ -1,5 +1,17 @@
 """Exact b-coloring solver parameterized by the vertex cover number.
 
+The cover S is the first least vertex cover in branching order, the one a
+search deepening the size limit from 0 returns.  vertex_cover_within finds
+it by one depth-first branch-and-bound: a node branches on its first
+uncovered edge (u, v) in g.edges() order, u first, and is skipped once its
+chosen vertices plus a matching of its uncovered edges reach the best
+cover's size.  Every cover of those edges holds an end of each matching
+edge, so a skipped subtree holds no strictly smaller cover: the first least
+cover, of size tau, is reached, as no node on its way bounds above tau and
+every earlier cover is larger, and is never replaced.  The matching takes a
+vertex with one free neighbor first, so it is maximum, and the bound exact,
+on forests.
+
 Strategy: instances with k above the m-degree m(G), or at least two beyond
 the minimum cover size, are rejected outright.  Otherwise the proper
 colorings of the cover S, one per renaming of colors, are tried together
@@ -58,34 +70,59 @@ NeedSet = dict[tuple[int, int], frozenset[int]]
 
 
 def vertex_cover_within(g: Graph, limit: int) -> frozenset[int] | None:
-    """Some vertex cover of at most limit vertices, or None if none exists.
-
-    Branches on the first uncovered edge: every cover holds one of its
-    endpoints."""
-
-    def search(remaining, budget, chosen):
+    """The first least vertex cover in branching order, if it has at most
+    limit vertices, else None: the branch-and-bound of the module docstring,
+    over an explicit stack of (chosen vertices, edges they leave uncovered)."""
+    best, bound = None, limit + 1  # a kept cover has fewer than bound vertices
+    stack = [(frozenset(), list(g.edges()))]
+    while stack:
+        chosen, remaining = stack.pop()
+        slack = bound - len(chosen)  # a matching this large prunes the node
+        # and has at most one edge per two vertices left, so it may be skipped.
+        if (g.n - len(chosen)) // 2 >= slack and _matching_size(remaining) >= slack:
+            continue
         if not remaining:
-            return chosen
-        if budget == 0:
-            return None
-        u, v = remaining[0]
-        for w in (u, v):
-            rest = [e for e in remaining if w not in e]
-            found = search(rest, budget - 1, chosen | {w})
-            if found is not None:
-                return found
-        return None
+            best, bound = chosen, len(chosen)
+        else:
+            u, v = remaining[0]
+            for w in (v, u):  # u is pushed last, so it is tried first
+                stack.append((chosen | {w}, [e for e in remaining if w not in e]))
+    return best
 
-    return search(list(g.edges()), limit, frozenset())
+
+def _matching_size(edges: list[tuple[int, int]]) -> int:
+    """The size of a matching of edges: a vertex with one free neighbor is
+    matched to it first, else the first edge in order with both ends free."""
+    adj: dict[int, set[int]] = {}  # free vertex -> its free neighbors
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    leaves = [x for x, nb in adj.items() if len(nb) == 1]
+    size = 0
+    for u, v in edges:
+        while leaves or (u in adj and v in adj):
+            if leaves:
+                x = leaves.pop()
+                if len(adj.get(x, ())) != 1:
+                    continue  # matched, or its last neighbor was
+                (y,) = adj[x]
+            else:
+                x, y = u, v
+            size += 1
+            for w in (x, y):
+                for z in adj.pop(w):
+                    if z in adj:
+                        adj[z].discard(w)
+                        if len(adj[z]) == 1:
+                            leaves.append(z)
+    return size
 
 
 def min_vertex_cover(g: Graph) -> frozenset[int]:
-    """A minimum vertex cover: the first size budget that admits one."""
-    for size in range(g.n + 1):
-        found = vertex_cover_within(g, size)
-        if found is not None:
-            return found
-    return frozenset(range(g.n))
+    """A minimum vertex cover: the first least one in branching order."""
+    cover = vertex_cover_within(g, g.n)
+    assert cover is not None  # the n vertices cover every edge
+    return cover
 
 
 def small_extension_search(

@@ -28,7 +28,10 @@ coloring's facts once and omitted doomed guesses: every distinctly colored
 cover subset on every cover coloring, each extended anew, the needs with
 at most k^2-k candidates by the exact search reference_extension_search
 and the larger ones greedily after it.  They are the oracle for its
-answers, witnesses and omissions.
+answers, witnesses and omissions.  reference_vertex_cover_within and
+reference_min_vertex_cover are the cover search as it was before the
+branch-and-bound: a recursive search with no bound, rerun at every size
+limit from 0; reference_vc_solve takes its cover from them.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from bcoloring.decomposition import (
 from bcoloring.errors import InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
-from bcoloring.vc_solver import NeedSet, _proper_cover_colorings, min_vertex_cover
+from bcoloring.vc_solver import NeedSet, _proper_cover_colorings
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -602,6 +605,37 @@ def atlas_connected_corpus(max_n: int = 6) -> list[Graph]:
 # --- vertex-cover solver reference -----------------------------------------
 
 
+def reference_vertex_cover_within(g: Graph, limit: int) -> frozenset[int] | None:
+    """Some vertex cover of at most limit vertices, or None if none exists.
+
+    Branches on the first uncovered edge: every cover holds one of its
+    endpoints."""
+
+    def search(remaining, budget, chosen):
+        if not remaining:
+            return chosen
+        if budget == 0:
+            return None
+        u, v = remaining[0]
+        for w in (u, v):
+            rest = [e for e in remaining if w not in e]
+            found = search(rest, budget - 1, chosen | {w})
+            if found is not None:
+                return found
+        return None
+
+    return search(list(g.edges()), limit, frozenset())
+
+
+def reference_min_vertex_cover(g: Graph) -> frozenset[int]:
+    """A minimum vertex cover: the first size budget that admits one."""
+    for size in range(g.n + 1):
+        found = reference_vertex_cover_within(g, size)
+        if found is not None:
+            return found
+    return frozenset(range(g.n))
+
+
 def reference_b_vertex_guesses(cover: list[int], phi: dict[int, int]):
     """Subsets of the cover with pairwise distinct colors, the empty one
     first."""
@@ -736,7 +770,7 @@ def reference_vc_solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | No
     # Manlove 1999).
     if k > g.m_degree():
         return None
-    cover = min_vertex_cover(g)
+    cover = reference_min_vertex_cover(g)
     if k >= len(cover) + 2:
         return None
     for phi, b_guess in reference_cover_guesses(g, cover, k):

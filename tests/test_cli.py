@@ -293,6 +293,28 @@ class TestCommands:
         assert result["solver"] == "cw-dp"
         assert result["stats"]["module_width"] == 10
 
+    def test_empty_graph(self, tmp_path, capsys):
+        # bcol answers false on the empty graph, but a given --dec is read
+        # and refused: no file decomposes it.  bchrom and decompose refuse
+        # the graph itself.
+        graph_path = tmp_path / "empty.col"
+        graph_path.write_text("p edge 0 0\n")
+        graph = ["--graph", str(graph_path)]
+        leaf_dec, empty_dec = tmp_path / "leaf.dec", tmp_path / "empty.dec"
+        leaf_dec.write_text("n 0 leaf 1\n")
+        empty_dec.write_text("")
+        for dec, message in ((leaf_dec, "out of range"), (empty_dec, "lists no nodes")):
+            code, result, err = run(capsys, ["bcol", *graph, "--k", "1", "--dec", str(dec)])
+            assert (code, result) == (2, None)
+            assert message in err
+        code, result, _ = run(capsys, ["bcol", *graph, "--k", "1"])
+        assert code == 0
+        assert result["answer"] is False
+        for argv in (["bchrom"], ["decompose", "--out", str(tmp_path / "out.dec")]):
+            code, result, err = run(capsys, [*argv, *graph])
+            assert (code, result) == (2, None)
+            assert err.startswith("input error:")
+
     def test_verify_modes(self, tmp_path, capsys):
         graph_path = tmp_path / "c4.col"
         graph_path.write_text("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,20 @@ from bcoloring import (
     solve_bcoloring_vc_witness,
 )
 from bcoloring import vc_solver
-from bcoloring.vc_solver import cover_guesses, min_vertex_cover, small_extension_search
+from bcoloring.vc_solver import (
+    cover_guesses,
+    min_vertex_cover,
+    small_extension_search,
+    vertex_cover_within,
+)
 from helpers import (
     random_graph,
     reference_cover_guesses,
+    reference_min_vertex_cover,
     reference_try_guess,
     reference_vc_solve,
+    reference_vertex_cover_within,
+    relabeled,
 )
 
 
@@ -53,6 +62,79 @@ class TestMinVertexCover:
             cover = min_vertex_cover(g)
             assert is_cover(g, cover)
             assert len(cover) == brute_min_cover_size(g)
+
+
+def ladder(n):
+    half = n // 2
+    rails = [(i, i + 1) for i in range(half - 1)]
+    rails += [(half + i, half + i + 1) for i in range(half - 1)]
+    return Graph(n, rails + [(i, half + i) for i in range(half)])
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+class TestCoverSearchAgainstReference:
+    """The branch-and-bound against the recursive search rerun at every
+    size limit (helpers.reference_min_vertex_cover): the same cover, as a
+    set, not only of the same size."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(68)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            assert min_vertex_cover(g) == reference_min_vertex_cover(g), g.edges()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 12), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    def test_property(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        assert min_vertex_cover(g) == reference_min_vertex_cover(g)
+
+    def test_within_limit_none_exactly_when_reference_is(self):
+        rng = random.Random(69)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            for limit in range(g.n + 1):
+                found = vertex_cover_within(g, limit)
+                assert (found is None) == (
+                    reference_vertex_cover_within(g, limit) is None
+                ), (g.edges(), limit)
+                assert found is None or len(found) <= limit
+
+
+class TestCoverSearchBoundedTime:
+    """Paths, cycles, ladders and a grid with covers of 50 to 101
+    vertices: the cover has its closed-form size, in natural and in
+    shuffled vertex order, and each search stays far below a generous time
+    bound."""
+
+    SECONDS = 5.0
+
+    def check(self, g, size):
+        perm = list(g.vertices())
+        random.Random(1).shuffle(perm)
+        for graph in (g, relabeled(g, perm)):
+            start = time.perf_counter()
+            cover = min_vertex_cover(graph)
+            elapsed = time.perf_counter() - start
+            assert is_cover(graph, cover) and len(cover) == size
+            assert elapsed < self.SECONDS, elapsed
+
+    def test_path_200(self):
+        self.check(Graph.path(200), 100)
+
+    def test_cycle_201(self):
+        self.check(Graph.cycle(201), 101)
+
+    def test_ladder_200(self):
+        self.check(ladder(200), 100)
+
+    def test_grid_10_by_10(self):
+        self.check(grid(10, 10), 50)
 
 
 class TestSolveBColoringVC:
