@@ -36,6 +36,13 @@ signature to a child pair (sig_r, sig_s) that reaches it, the first one
 joined; no labeling is kept in the table, and the order in which a join
 meets its signatures is no part of its result.
 
+A join is a function of the node's operator, its two child tables in
+their order (their annotations never reach the parent) and the b-vertex
+classes a pair must bring, max(k - supply, 0); the skeleton is a function
+of the operator and the two child type lists, which the tables fix.  So
+_run_dp computes each distinct join once per run and nodes that repeat
+one share its skeleton and table; nothing writes to a table once built.
+
 compute_tables seeds every leaf with both leaf signatures and is the
 unpruned reference: its per-node tables are exactly the achievable
 signature sets.  The decision at one k, decide (the cw route, and
@@ -60,9 +67,10 @@ class.  _realize replays the stored annotations of an accepting root into
 that pair, its classes numbered by smallest vertex.  At each node on the
 way it rebuilds a labeling of the stored child pair that makes the chosen
 signature, joining the pair again with _combine_pair over the node's
-skeleton, kept with the table, whatever the pair's shape.  Any such
-labeling will do: it pairs off classes of the stored child types along
-skeleton edges, so the unions are classes of the chosen parent types.
+skeleton, kept with the table, whatever the pair's shape, and builds each
+distinct labeling (skeleton, pair, chosen signature) once per replay.
+Any such labeling will do: it pairs off classes of the stored child types
+along skeleton edges, so the unions are classes of the chosen parent types.
 reconstruct_witness, the one place a DP b-coloring witness is built,
 checks the pair against the definition before handing it out.
 """
@@ -512,32 +520,54 @@ def _run_dp(
     With canonical set, every internal node's table is canonical at its
     dead class, and with suppliers, a bitmask of the vertices that may be
     b-vertices, each node skips the child pairs its outside suppliers cannot
-    complete (both as in _decision_tables).  A skeleton depends only on the
-    operator and the two child type lists, so nodes that repeat all three
-    share one."""
+    complete (both as in _decision_tables).
+
+    Each distinct join is computed once per run.  A node's table is a
+    function of its operator, its two child tables as ordered signature
+    tuples, and need = max(k - supply, 0): combine_signatures reads the
+    child tables in order and never their annotations, and treats every
+    need of 0 or less as no supply at all.  Its skeleton is a function of
+    the operator and the two child type lists, which the child tables fix.
+    So a node whose (operator, r table, s table, need) repeats takes the
+    earlier node's skeleton and table, the very dict: nodes may share a
+    table, and nothing writes to one once built.  Each distinct table gets
+    an id when it is built, so a key holds two ids, not two tables.  Joins
+    that repeat only the operator and the type lists share one skeleton."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
     tables: dict[int, dict[Signature, tuple | None]] = {}
+    table_ids: dict[tuple, int] = {}  # each distinct table's signatures -> its id
+    node_ids: dict[int, int] = {}  # node -> the id of its table
     skeletons: dict[tuple, MergeSkeleton] = {}
+    joins: dict[tuple, tuple] = {}  # (op, r id, s id, need) -> (skeleton, table, id)
     node_skeletons: dict[int, MergeSkeleton] = {}
     for t in d.postorder():
         if d.is_leaf(t):
             tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
+            node_ids[t] = table_ids.setdefault(tuple(tables[t]), len(table_ids))
             continue
         r, s = d.children(t)
         op = ops[t]
-        r_types = tuple(sorted({tau for sig in tables[r] for tau, _ in sig}))
-        s_types = tuple(sorted({tau for sig in tables[s] for tau, _ in sig}))
-        key = (op, r_types, s_types)
-        skel = skeletons.get(key)
-        if skel is None:
-            skel = skeletons[key] = build_merge_skeleton(op, r_types, s_types, canonical)
-        node_skeletons[t] = skel
         supply = None
         if suppliers is not None:
             supply = (suppliers & ~d.vertex_mask(t)).bit_count()
-        tables[t] = combine_signatures(tables[r], tables[s], skel, k, supply)
+        need = 0 if supply is None else max(k - supply, 0)
+        key = (op, node_ids[r], node_ids[s], need)
+        join = joins.get(key)
+        if join is None:
+            r_types = tuple(sorted({tau for sig in tables[r] for tau, _ in sig}))
+            s_types = tuple(sorted({tau for sig in tables[s] for tau, _ in sig}))
+            skel_key = (op, r_types, s_types)
+            skel = skeletons.get(skel_key)
+            if skel is None:
+                skel = skeletons[skel_key] = build_merge_skeleton(
+                    op, r_types, s_types, canonical
+                )
+            table = combine_signatures(tables[r], tables[s], skel, k, supply)
+            table_id = table_ids.setdefault(tuple(table), len(table_ids))
+            join = joins[key] = (skel, table, table_id)
+        node_skeletons[t], tables[t], node_ids[t] = join
     return DPTable(k, d.root, tables, node_skeletons)
 
 
@@ -704,12 +734,15 @@ def _realize(
     and any one serves: it pairs x classes of type rho with x of type
     sigma along each edge, the child pools hold exactly the classes their
     chosen signatures count, and each union is a class of the edge's merge
-    type, which the merge rule makes valid at this node.
+    type, which the merge rule makes valid at this node.  Nodes that
+    repeat the skeleton, the pair and the chosen signature reuse the first
+    one's labeling: the join that makes it reads nothing else.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
     chosen = _assign_top_down(table, d, accepting)
     realized: dict[int, tuple] = {}  # node -> (classes by type, b-vertices)
+    labelings: dict[tuple, tuple] = {}  # (skeleton id, sig_r, sig_s, want) -> labeling
     for t in d.postorder():
         if d.is_leaf(t):
             v = d.leaf_vertex(t)
@@ -723,7 +756,13 @@ def _realize(
             continue
         (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
         sig_r, sig_s = table.tables[t][chosen[t]]
-        labeling = _combine_pair(sig_r, sig_s, table.skeletons[t].rows, None, chosen[t])
+        skel = table.skeletons[t]
+        key = (id(skel), sig_r, sig_s, chosen[t])
+        labeling = labelings.get(key)
+        if labeling is None:
+            labeling = labelings[key] = _combine_pair(
+                sig_r, sig_s, skel.rows, None, chosen[t]
+            )
         if labeling is None:
             raise StructuralError("witness replay: a stored pair misses its signature")
         pool = {}

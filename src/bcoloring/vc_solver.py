@@ -266,7 +266,16 @@ def _try_guess(
     g: Graph, facts: _CoverColoring, b_guess: frozenset[int], k: int
 ) -> tuple[Coloring, frozenset[int]] | None:
     """Extend one guess that cover_guesses admits on the coloring
-    facts.phi to a full b-coloring, or show it cannot be."""
+    facts.phi to a full b-coloring, or show it cannot be.
+
+    A b-vertex with more open needs than the union of their candidate sets
+    is refused before the search, which would refuse it too.  A need
+    (x, c) is met by a neighbor y of x colored c, a distinct one per color.
+    y is not colored before the search, or c would not be missing at x,
+    and is proper for c, so c is not among the colors y sees: y lies in
+    needs[(x, c)].  So x's needs take as many distinct vertices from the
+    union of their candidate sets as there are needs.
+    """
     phi = facts.phi
     kset = frozenset(range(1, k + 1))
     nb_colors = facts.nb_colors
@@ -276,7 +285,9 @@ def _try_guess(
     needs: NeedSet = {}
     for xj in b_guess:
         seen = {colored[u] for u in g.neighbors(xj) if u in colored}
-        for ci in kset - {phi[xj]} - seen:
+        missing = kset - {phi[xj]} - seen
+        reach: set[int] = set()
+        for ci in missing:
             cand = frozenset(
                 x
                 for x in g.neighbors(xj)
@@ -285,6 +296,9 @@ def _try_guess(
             if not cand:
                 return None
             needs[(xj, ci)] = cand
+            reach |= cand
+        if len(reach) < len(missing):
+            return None
     # One search meets every need, the small ones exactly; it orders them
     # itself and never backtracks into a large one.
     ext = small_extension_search(g, needs, k)

@@ -74,6 +74,24 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, edges)
 
 
+def ladder(m: int) -> Graph:
+    """Two m-vertex rails, numbered rail by rail, and m rungs."""
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return Graph(2 * m, rails + [(i, m + i) for i in range(m)])
+
+
+def caterpillar(spine: int) -> Graph:
+    """A spine path with one pendant leg per spine vertex."""
+    legs = [(i, spine + i) for i in range(spine)]
+    return Graph(2 * spine, [(i, i + 1) for i in range(spine - 1)] + legs)
+
+
+def span_tree(n: int, rng: random.Random) -> Graph:
+    """A random tree where vertex i hangs from one of the two vertices
+    before it."""
+    return Graph(n, [(rng.randint(max(0, i - 2), i - 1), i) for i in range(1, n)])
+
+
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     """g with vertex v renamed to perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])

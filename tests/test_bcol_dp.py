@@ -25,6 +25,9 @@ from bcoloring.bcol_dp import (
     DEMAND,
     NONE,
     ClassType,
+    DPTable,
+    MergeSkeleton,
+    _assign_top_down,
     _combine_pair,
     _decision_tables,
     _gated_mask,
@@ -32,6 +35,7 @@ from bcoloring.bcol_dp import (
     _leaf_join,
     _leaf_rows,
     _leaf_split,
+    _realize,
     _run_dp,
     accepting_signature,
     build_merge_skeleton,
@@ -55,9 +59,11 @@ from helpers import (
     atlas_connected_corpus,
     b_vertex_supply,
     canonical_image,
+    caterpillar,
     compatible,
     enumerate_bcol_signatures,
     is_valid_class,
+    ladder,
     merge_type,
     mirrored,
     operator_of,
@@ -66,6 +72,7 @@ from helpers import (
     reference_leaf_join,
     reference_merge,
     relabeled,
+    span_tree,
     type_of_class,
     unclaimed,
 )
@@ -87,6 +94,39 @@ def decoded_edges(skel, op):
     return [
         tuple(decode(code, w) for code, w in zip(edge, widths)) for edge in skel.edges
     ]
+
+
+def count_calls(monkeypatch, names):
+    """A list that each call of the named bcol_dp functions appends its
+    name to."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(bcol_dp, name, counted(name, getattr(bcol_dp, name)))
+    return calls
+
+
+def join_keys(g, d, table, suppliers):
+    """The distinct (operator, r table, s table, need) keys of table's
+    internal nodes, need the b-vertex classes a pair must bring (0 without
+    suppliers, the bitmask of vertices that may be b-vertices)."""
+    ops = _annotate(g, d).operators
+    keys = set()
+    for t in d.postorder():
+        if not d.is_leaf(t):
+            r, s = d.children(t)
+            need = 0
+            if suppliers is not None:
+                need = max(table.k - (suppliers & ~d.vertex_mask(t)).bit_count(), 0)
+            keys.add((ops[t], tuple(table.tables[r]), tuple(table.tables[s]), need))
+    return keys
 
 
 def k2_setup():
@@ -832,20 +872,11 @@ class TestCanonicalDecision:
     def test_witness_tables_keep_only_child_pairs(self, monkeypatch):
         # Every table, reference or decision, b-coloring or fall coloring,
         # maps each signature to the child pair that first reached it, both
-        # members keys of the child tables.  Replay rebuilds labelings with
-        # _combine_pair alone: no combine_signatures, _leaf_join or
-        # _leaf_rows call.
-        calls = []
-
-        def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("combine_signatures", "_leaf_join", "_leaf_rows"):
-            monkeypatch.setattr(bcol_dp, name, counted(name, getattr(bcol_dp, name)))
+        # members keys of the child tables.  A DP joins once per distinct
+        # (operator, r table, s table, need) key, so at most once per
+        # internal node.  Replay rebuilds labelings with _combine_pair
+        # alone: no combine_signatures, _leaf_join or _leaf_rows call.
+        calls = count_calls(monkeypatch, ("combine_signatures", "_leaf_join", "_leaf_rows"))
         rng = random.Random(83)
         replayed = 0
         for _ in range(16):
@@ -853,13 +884,16 @@ class TestCanonicalDecision:
             d = best_decomposition(g, "heuristic")
             internal = sum(not d.is_leaf(t) for t in d.postorder())
             for k in range(1, g.n + 1):
-                calls.clear()
-                tables = [
-                    _decision_tables(g, d, k),
-                    compute_tables(g, d, k),
-                    compute_fall_tables(g, d, k),
-                ]
-                assert calls.count("combine_signatures") == 3 * internal
+                tables = []
+                for build, suppliers in (
+                    (_decision_tables, _gated_mask(g, k)),
+                    (compute_tables, None),
+                    (compute_fall_tables, None),
+                ):
+                    calls.clear()
+                    tables.append(build(g, d, k))
+                    keys = join_keys(g, d, tables[-1], suppliers)
+                    assert calls.count("combine_signatures") == len(keys) <= internal
                 calls.clear()
                 tables.append(compute_fall_tables(g, d, k, canonical=True))
                 fall_dp_calls = sorted(calls)
@@ -923,6 +957,129 @@ class TestCanonicalDecision:
                 assert (found is not None) == expected
                 if found is not None:
                     assert is_b_coloring(g, found[0])
+
+
+class TestJoinReuse:
+    """A DP run joins each distinct (operator, r table, s table, need) once
+    and replay builds each distinct labeling once; nodes may share a table
+    and a skeleton."""
+
+    @staticmethod
+    def cases():
+        """(g, d, ks): seeded random graphs with n <= 8 on their heuristic,
+        mirrored, random-shape and (n <= 6) exact-tiny decompositions, every
+        k, and the five sparse families at n = 60 on their heuristic
+        decompositions."""
+        rng = random.Random(97)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            shapes = [d, mirrored(d), random_decomposition(g, rng)]
+            if g.n <= 6:
+                shapes.append(best_decomposition(g, "exact-tiny"))
+            for d in shapes:
+                yield g, d, range(1, g.n + 1)
+        for g in (
+            Graph.path(60),
+            Graph.cycle(60),
+            caterpillar(30),
+            ladder(30),
+            span_tree(60, random.Random(60)),
+        ):
+            yield g, best_decomposition(g, "heuristic"), (2, 3, 4)
+
+    def test_every_table_is_a_fresh_join_of_its_children(self):
+        # Each internal table equals, items and order, combine_signatures of
+        # the node's own child tables over its skeleton, and the skeleton
+        # equals one built afresh from the child type lists; over a
+        # thousand nodes take an earlier node's table.
+        nodes = shared = 0
+        for g, d, ks in self.cases():
+            ops = _annotate(g, d).operators
+            for k in ks:
+                gated = _gated_mask(g, k)
+                for table, suppliers, canonical in (
+                    (_decision_tables(g, d, k), gated, True),
+                    (compute_tables(g, d, k), None, False),
+                    (compute_fall_tables(g, d, k), None, False),
+                    (compute_fall_tables(g, d, k, canonical=True), None, True),
+                ):
+                    internal = [t for t in d.postorder() if not d.is_leaf(t)]
+                    shared += len(internal) - len({id(table.tables[t]) for t in internal})
+                    for t in internal:
+                        r, s = d.children(t)
+                        supply = None
+                        if suppliers is not None:
+                            supply = (suppliers & ~d.vertex_mask(t)).bit_count()
+                        skel = table.skeletons[t]
+                        fresh = combine_signatures(
+                            table.tables[r], table.tables[s], skel, k, supply
+                        )
+                        assert list(fresh.items()) == list(table.tables[t].items())
+                        r_types, s_types = (
+                            sorted({tau for sig in table.tables[c] for tau, _ in sig})
+                            for c in (r, s)
+                        )
+                        rebuilt = build_merge_skeleton(ops[t], r_types, s_types, canonical)
+                        assert rebuilt.rows == skel.rows
+                        nodes += 1
+        assert nodes > 5_000 and shared > 1_000
+
+    def test_shared_labelings_replay_as_unshared(self):
+        # Replay (_realize, as reconstruct_witness runs it) of decision and
+        # canonical fall tables, where nodes share labelings, gives the
+        # witness a replay that joins at every node gives: over the cases above and graphs with n = 8-10 on random
+        # shapes, k = 2-4, where two replay nodes can share a skeleton and a
+        # stored pair but not the chosen signature.
+        def unshared(table):
+            skeletons = {t: MergeSkeleton(skel.rows) for t, skel in table.skeletons.items()}
+            return DPTable(table.k, table.root, table.tables, skeletons)
+
+        def clashes(table, d, accepting):
+            chosen = _assign_top_down(table, d, accepting)
+            first, count = {}, 0
+            for t in d.postorder():
+                if not d.is_leaf(t):
+                    key = (id(table.skeletons[t]), table.tables[t][chosen[t]])
+                    count += first.setdefault(key, chosen[t]) != chosen[t]
+            return count
+
+        rng = random.Random(98)
+        random_shapes = []
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(8, 10), rng.uniform(0.15, 0.6))
+            random_shapes.append((g, random_decomposition(g, rng), (2, 3, 4)))
+        replayed = clashed = 0
+        for g, d, ks in itertools.chain(self.cases(), random_shapes):
+            for k in ks:
+                for table, accepting in (
+                    (_decision_tables(g, d, k), decision_accepting(d, k)),
+                    (compute_fall_tables(g, d, k, canonical=True), decision_accepting(d, k, 0)),
+                ):
+                    if accepting in table.tables[d.root]:
+                        found = _realize(table, d, accepting)
+                        assert found == _realize(unshared(table), d, accepting)
+                        clashed += clashes(table, d, accepting)
+                        replayed += 1
+        assert replayed > 200 and clashed >= 4
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph.path(200), Graph.cycle(200), ladder(100)],
+        ids=["path", "cycle", "ladder"],
+    )
+    def test_long_sparse_graphs_join_few_times(self, g, monkeypatch):
+        # Natural order, k = 3: the 199 internal nodes repeat a few join
+        # keys, and the witness replay a few labelings (9-16 and 8-16 here).
+        calls = count_calls(monkeypatch, ("combine_signatures", "_combine_pair"))
+        d = best_decomposition(g, "heuristic")
+        assert sum(not d.is_leaf(t) for t in d.postorder()) == 199
+        table = _decision_tables(g, d, 3)
+        assert calls.count("combine_signatures") < 40
+        calls.clear()
+        coloring, _ = reconstruct_witness(table, g, d, 3)
+        assert is_b_coloring(g, coloring)
+        assert calls.count("_combine_pair") < 40
 
 
 class TestRandomShapes:

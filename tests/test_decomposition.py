@@ -19,13 +19,16 @@ from bcoloring import (
 from bcoloring import bcol_dp, cli, decomposition
 from bcoloring.decomposition import _annotate, _greedy_order, equivalence_classes
 from helpers import (
+    caterpillar,
     frontier_greedy_order,
+    ladder,
     operator_of,
     random_decomposition,
     random_graph,
     reference_greedy_order,
     reference_partition,
     relabeled,
+    span_tree,
 )
 
 
@@ -288,22 +291,6 @@ def heuristic_and_random_shape(g, rng):
     """g's heuristic decomposition, a caterpillar where one child of every
     join is a leaf, and a random-shape one, where both can be subtrees."""
     return best_decomposition(g, "heuristic"), random_decomposition(g, rng)
-
-
-def ladder(m: int) -> Graph:
-    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
-    return Graph(2 * m, rails + [(i, m + i) for i in range(m)])
-
-
-def caterpillar(spine: int) -> Graph:
-    legs = [(i, spine + i) for i in range(spine)]
-    return Graph(2 * spine, [(i, i + 1) for i in range(spine - 1)] + legs)
-
-
-def span_tree(n: int, rng: random.Random) -> Graph:
-    """A random tree where vertex i hangs from one of the two vertices
-    before it."""
-    return Graph(n, [(rng.randint(max(0, i - 2), i - 1), i) for i in range(1, n)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -328,6 +328,27 @@ def omission_reason(g, phi, b_guess, k):
     return None
 
 
+class TestTryGuess:
+    def test_hall_violation_skips_the_search(self, monkeypatch):
+        # k = 4, cover 0, 1, 2 colored 1, 2, 3; outside 3, 4, 5.  Vertices 4
+        # and 5 see colors 1, 2 and 3, so both are forced to 4, and b-vertex
+        # 0 still misses colors 2 and 3, each with the one candidate 3.
+        g = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5)])
+        facts = vc_solver._cover_coloring(g, [3, 4, 5], {0: 1, 1: 2, 2: 3}, 4)
+        assert facts.forced[4] == facts.forced[5] == 4
+        needs = {(0, 2): frozenset({3}), (0, 3): frozenset({3})}
+        assert small_extension_search(g, needs, 4) is None
+        calls = []
+
+        def counted(*args, search=vc_solver.small_extension_search):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(vc_solver, "small_extension_search", counted)
+        assert vc_solver._try_guess(g, facts, frozenset({0}), 4) is None
+        assert calls == []
+
+
 class TestAgainstReference:
     """The solver against the guess loop that builds every fact per guess
     and omits no guess (helpers.reference_vc_solve): the same answers and
