@@ -64,13 +64,14 @@ bound m(G).
 
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
 class.  _realize replays the stored annotations of an accepting root into
-that pair, its classes numbered by smallest vertex.  At each node on the
-way it rebuilds a labeling of the stored child pair that makes the chosen
-signature, joining the pair again with _combine_pair over the node's
-skeleton, kept with the table, whatever the pair's shape, and builds each
-distinct labeling (skeleton, pair, chosen signature) once per replay.
-Any such labeling will do: it pairs off classes of the stored child types
-along skeleton edges, so the unions are classes of the chosen parent types.
+that pair in one pass down the tree, handing each class's color to the
+child classes it splits into, down to the leaves; no vertex set is built.
+At each node it rebuilds a labeling of the stored child pair that makes
+the chosen signature, joining the pair again with _combine_pair over the
+node's skeleton, kept with the table, whatever the pair's shape, and
+builds each distinct labeling (skeleton, pair, chosen signature) once per
+replay.  Any such labeling will do: it splits each class of a chosen
+parent type into classes of the stored child types along skeleton edges.
 reconstruct_witness, the one place a DP b-coloring witness is built,
 checks the pair against the definition before handing it out.
 """
@@ -531,15 +532,13 @@ def _run_dp(
     So a node whose (operator, r table, s table, need) repeats takes the
     earlier node's skeleton and table, the very dict: nodes may share a
     table, and nothing writes to one once built.  Each distinct table gets
-    an id when it is built, so a key holds two ids, not two tables.  Joins
-    that repeat only the operator and the type lists share one skeleton."""
+    an id when it is built, so a key holds two ids, not two tables."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
     tables: dict[int, dict[Signature, tuple | None]] = {}
     table_ids: dict[tuple, int] = {}  # each distinct table's signatures -> its id
     node_ids: dict[int, int] = {}  # node -> the id of its table
-    skeletons: dict[tuple, MergeSkeleton] = {}
     joins: dict[tuple, tuple] = {}  # (op, r id, s id, need) -> (skeleton, table, id)
     node_skeletons: dict[int, MergeSkeleton] = {}
     for t in d.postorder():
@@ -556,14 +555,9 @@ def _run_dp(
         key = (op, node_ids[r], node_ids[s], need)
         join = joins.get(key)
         if join is None:
-            r_types = tuple(sorted({tau for sig in tables[r] for tau, _ in sig}))
-            s_types = tuple(sorted({tau for sig in tables[s] for tau, _ in sig}))
-            skel_key = (op, r_types, s_types)
-            skel = skeletons.get(skel_key)
-            if skel is None:
-                skel = skeletons[skel_key] = build_merge_skeleton(
-                    op, r_types, s_types, canonical
-                )
+            r_types = sorted({tau for sig in tables[r] for tau, _ in sig})
+            s_types = sorted({tau for sig in tables[s] for tau, _ in sig})
+            skel = build_merge_skeleton(op, r_types, s_types, canonical)
             table = combine_signatures(tables[r], tables[s], skel, k, supply)
             table_id = table_ids.setdefault(tuple(table), len(table_ids))
             join = joins[key] = (skel, table, table_id)
@@ -667,8 +661,8 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     follows.  Replay joins each stored child pair again with _combine_pair
     over its node's skeleton, so each labeling it rebuilds is a step of the
     reference DP with its merge types canonicalised.  The skeleton edges
-    hold the canonical types, which key the classes pooled at each node, so
-    replay pairs off classes exactly as the reference labeling does, and a
+    hold the canonical types, which key the color lists at each node, so
+    replay splits classes exactly as the reference labeling pairs them, and a
     replayed witness is a b-coloring with k colors (reconstruct_witness
     checks it against the definition before handing it out).
     """
@@ -705,78 +699,67 @@ def decision_accepting(
     return signature({ClassType((label,), bvtx): k}, k)
 
 
-def _assign_top_down(table: DPTable, d: RootedBranchDecomposition, accepting):
-    chosen = {d.root: accepting}
-    for t in reversed(d.postorder()):
-        if d.is_leaf(t):
-            continue
-        sig_r, sig_s = table.tables[t][chosen[t]]
-        r, s = d.children(t)
-        chosen[r] = sig_r
-        chosen[s] = sig_s
-    return chosen
-
-
 def _realize(
     table: DPTable, d: RootedBranchDecomposition, accepting: Signature
 ) -> tuple[Coloring, frozenset[int]]:
-    """Replay stored annotations bottom-up into concrete classes.
+    """Replay stored annotations in one pass from the accepting root down
+    into a coloring, its classes numbered by smallest vertex, and its
+    b-vertices.
 
-    The annotations, read top-down from the accepting root, choose each
-    node's signature.  Returns the coloring, its classes numbered by
-    smallest vertex, and the b-vertices.  A leaf puts its vertex in the
-    class of type (CONTAINS,), and the vertex is a b-vertex iff that type's
-    bit is 1.  An internal node rebuilds the one labeling it needs by
-    joining its stored child pair again with _combine_pair over its
-    skeleton's rows, whatever the pair's shape, with the chosen signature
-    as want, and pairs off child classes along it, taking unions.  The
-    stored pair reaches the chosen signature, so such a labeling exists,
-    and any one serves: it pairs x classes of type rho with x of type
-    sigma along each edge, the child pools hold exactly the classes their
-    chosen signatures count, and each union is a class of the edge's merge
-    type, which the merge rule makes valid at this node.  Nodes that
-    repeat the skeleton, the pair and the chosen signature reuse the first
+    Each node holds the colors of its classes, listed by type, counting its
+    chosen signature; the root's get distinct colors.  An internal node
+    looks up its stored child pair and rebuilds a labeling of it that makes
+    the signature, by _combine_pair over its skeleton's rows with the
+    signature as want, whatever the pair's shape.  Along each edge (rho,
+    sigma, tau) taken x times it pops x colors off its tau list and appends
+    each to child r's rho list and child s's sigma list.  The stored pair
+    reaches the signature, so such a labeling exists, and any one serves:
+    it splits each class into classes of the edge's child types, which the
+    merge rule makes valid here.  A leaf's vertex takes the color of its
+    (CONTAINS,) class and is a b-vertex iff that type's bit is 1.  Nodes
+    that repeat the skeleton, the pair and the signature reuse the first
     one's labeling: the join that makes it reads nothing else.
     """
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
-    chosen = _assign_top_down(table, d, accepting)
-    realized: dict[int, tuple] = {}  # node -> (classes by type, b-vertices)
+    contains = encode(ClassType((CONTAINS,), 0), 1)  # + 1 at a b-vertex
+    ids = iter(range(table.k))
+    held = {d.root: {tau: [next(ids) for _ in range(c)] for tau, c in accepting}}
+    color: dict[int, int] = {}
+    b: list[int] = []
     labelings: dict[tuple, tuple] = {}  # (skeleton id, sig_r, sig_s, want) -> labeling
-    for t in d.postorder():
+    for t in reversed(d.postorder()):
+        lists = held.pop(t)
         if d.is_leaf(t):
             v = d.leaf_vertex(t)
-            pool = {
-                tau: [frozenset({v} if decode(tau, 1).cdesc == (CONTAINS,) else ())]
-                * count
-                for tau, count in chosen[t]
-            }
-            b_vertex = encode(ClassType((CONTAINS,), 1), 1) in pool
-            realized[t] = (pool, frozenset({v} if b_vertex else ()))
+            bit = contains + 1 in lists
+            (color[v],) = lists[contains + bit]
+            if bit:
+                b.append(v)
             continue
-        (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
-        sig_r, sig_s = table.tables[t][chosen[t]]
+        want = tuple(sorted((tau, len(got)) for tau, got in lists.items()))
+        sig_r, sig_s = table.tables[t][want]
         skel = table.skeletons[t]
-        key = (id(skel), sig_r, sig_s, chosen[t])
+        key = (id(skel), sig_r, sig_s, want)
         labeling = labelings.get(key)
         if labeling is None:
             labeling = labelings[key] = _combine_pair(
-                sig_r, sig_s, skel.rows, None, chosen[t]
+                sig_r, sig_s, skel.rows, None, want
             )
         if labeling is None:
             raise StructuralError("witness replay: a stored pair misses its signature")
-        pool = {}
+        r, s = d.children(t)
+        lists_r, lists_s = held[r], held[s] = {}, {}
         for (rho, sigma, tau), x in labeling:
             for _ in range(x):
-                union = pool_r[rho].pop() | pool_s[sigma].pop()
-                pool.setdefault(tau, []).append(union)
-        if any(pool_r.values()) or any(pool_s.values()):
-            raise StructuralError("witness replay left unmatched color classes")
-        realized[t] = (pool, b_r | b_s)
-    pool, b = realized[d.root]
-    classes = sorted((cls for group in pool.values() for cls in group), key=min)
-    color = {v: i for i, cls in enumerate(classes, start=1) for v in cls}
-    return Coloring(tuple(color[v] for v in range(len(color))), len(classes)), b
+                c = lists[tau].pop()
+                lists_r.setdefault(rho, []).append(c)
+                lists_s.setdefault(sigma, []).append(c)
+        if any(lists.values()):
+            raise StructuralError("witness replay left color classes unplaced")
+    colors = [color[v] for v in range(len(color))]
+    rank = {c: i for i, c in enumerate(dict.fromkeys(colors), start=1)}
+    return Coloring(tuple(rank[c] for c in colors), len(rank)), frozenset(b)
 
 
 def reconstruct_witness(

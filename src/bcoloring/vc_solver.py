@@ -50,7 +50,8 @@ their extension fails:
 The rules only omit guesses the extension would fail, and the admitted
 guesses come in the same relative order as in the full enumeration of
 distinctly colored cover subsets, so the first successful guess, and the
-witness, are the same.
+witness, are the same.  Those subsets are enumerated directly, not by a
+walk over all 2^m masks of the m gated cover vertices (_distinct_subsets).
 
 The witness is the (Coloring, b-vertices) pair the first successful guess
 builds: its designated b-vertices plus one completer per other color,
@@ -243,23 +244,33 @@ def cover_guesses(g: Graph, cover: frozenset[int], k: int):
     renaming that _cover_coloring does not reject: the subsets of the cover
     vertices of degree at least k-1 with pairwise distinct colors that
     show every uncompleted color, in increasing mask order over those
-    vertices.  A gated vertex's cover index grows with its gated index, so
-    the admitted subsets keep their relative order among all distinctly
-    colored cover subsets."""
+    vertices (_distinct_subsets).  A gated vertex's cover index grows with
+    its gated index, so the admitted subsets keep their relative order
+    among all distinctly colored cover subsets."""
     cover_list = sorted(cover)
     outside = [x for x in g.vertices() if x not in cover]
     gated = [v for v in cover_list if g.degree(v) >= k - 1]
-    m = len(gated)
     for phi in _proper_cover_colorings(g, cover_list, k):
         facts = _cover_coloring(g, outside, phi, k)
         # No subset of the gated vertices shows a color none of them has.
         if facts is None or not facts.uncompleted <= {phi[v] for v in gated}:
             continue
-        for mask in range(1 << m):
-            chosen = [gated[i] for i in range(m) if mask >> i & 1]
-            colors = {phi[v] for v in chosen}
-            if len(colors) == len(chosen) and facts.uncompleted <= colors:
+        for chosen in _distinct_subsets(gated, phi):
+            if facts.uncompleted <= {phi[v] for v in chosen}:
                 yield facts, frozenset(chosen)
+
+
+def _distinct_subsets(vertices: list[int], phi: dict[int, int], used=frozenset()):
+    """The subsets of vertices with pairwise distinct colors, none in used,
+    in increasing mask order (bit i for vertices[i]): the empty one, then
+    for each vertex of an unused color, each such subset of the vertices
+    before it, without its color, plus it.  It recurses at most k + 1
+    deep, and each call yields at least one subset."""
+    yield ()
+    for i, v in enumerate(vertices):
+        if phi[v] not in used:
+            for rest in _distinct_subsets(vertices[:i], phi, used | {phi[v]}):
+                yield rest + (v,)
 
 
 def _try_guess(

@@ -22,6 +22,11 @@ labeling for every parent signature, the oracle for the set of signatures
 the solver's lean join makes.  mirrored swaps the children of every node
 of a decomposition, and random_decomposition builds one of random shape
 (random_shape), whose joins may pair two subtrees.
+chosen_signatures and reference_realize are witness replay as it was
+before it became one pass down the tree: each node's signature chosen
+top-down from the stored pairs, then a bottom-up pass that builds every
+class's vertex set at every node and pairs off child classes along each
+labeling, the oracle for the solver's top-down _realize.
 reference_cover_guesses, reference_try_guess and reference_vc_solve are the
 vertex-cover solver's guess loop as it was before it computed each cover
 coloring's facts once and omitted doomed guesses: every distinctly colored
@@ -46,7 +51,9 @@ from bcoloring.bcol_dp import (
     DEMAND,
     NONE,
     ClassType,
+    DPTable,
     Signature,
+    _combine_pair,
     build_merge_skeleton,
     decode,
     encode,
@@ -122,6 +129,66 @@ def random_decomposition(g: Graph, rng: random.Random) -> RootedBranchDecomposit
     vertices = list(g.vertices())
     rng.shuffle(vertices)
     return _shape_to_decomposition(random_shape(rng, vertices), g.n)
+
+
+# --- witness replay, as it was -------------------------------------------
+
+
+def chosen_signatures(
+    table: DPTable, d: RootedBranchDecomposition, accepting: Signature
+) -> dict[int, Signature]:
+    """Each node's signature in the replay of accepting: the root's is
+    accepting, and each internal node's stored pair gives its children's."""
+    chosen = {d.root: accepting}
+    for t in reversed(d.postorder()):
+        if not d.is_leaf(t):
+            r, s = d.children(t)
+            chosen[r], chosen[s] = table.tables[t][chosen[t]]
+    return chosen
+
+
+def reference_realize(
+    table: DPTable, d: RootedBranchDecomposition, accepting: Signature
+) -> tuple[Coloring, frozenset[int]]:
+    """Replay accepting bottom-up into concrete classes, the oracle for
+    bcol_dp._realize: a leaf pools its vertex's class and k-1 empty ones by
+    type, and an internal node rebuilds a labeling of its stored pair that
+    makes its chosen signature, pops one class of each child type along
+    each labeling edge and pools their union under the merge type.  Returns
+    the coloring, its classes numbered by smallest vertex, and the
+    b-vertices."""
+    if accepting not in table.tables[d.root]:
+        raise InputError("accepting signature not achievable; no witness exists")
+    chosen = chosen_signatures(table, d, accepting)
+    realized: dict[int, tuple] = {}  # node -> (classes by type, b-vertices)
+    for t in d.postorder():
+        if d.is_leaf(t):
+            v = d.leaf_vertex(t)
+            pool = {
+                tau: [frozenset({v} if decode(tau, 1).cdesc == (CONTAINS,) else ())]
+                * count
+                for tau, count in chosen[t]
+            }
+            b_vertex = encode(ClassType((CONTAINS,), 1), 1) in pool
+            realized[t] = (pool, frozenset({v} if b_vertex else ()))
+            continue
+        (pool_r, b_r), (pool_s, b_s) = (realized[c] for c in d.children(t))
+        sig_r, sig_s = table.tables[t][chosen[t]]
+        labeling = _combine_pair(sig_r, sig_s, table.skeletons[t].rows, None, chosen[t])
+        if labeling is None:
+            raise StructuralError("witness replay: a stored pair misses its signature")
+        pool: dict = {}
+        for (rho, sigma, tau), x in labeling:
+            for _ in range(x):
+                union = pool_r[rho].pop() | pool_s[sigma].pop()
+                pool.setdefault(tau, []).append(union)
+        if any(pool_r.values()) or any(pool_s.values()):
+            raise StructuralError("witness replay left unmatched color classes")
+        realized[t] = (pool, b_r | b_s)
+    pool, b = realized[d.root]
+    classes = sorted((cls for group in pool.values() for cls in group), key=min)
+    color = {v: i for i, cls in enumerate(classes, start=1) for v in cls}
+    return Coloring(tuple(color[v] for v in range(len(color))), len(classes)), b
 
 
 # --- views of the solver's type algebra, operators and colorings ---------

@@ -27,7 +27,6 @@ from bcoloring.bcol_dp import (
     ClassType,
     DPTable,
     MergeSkeleton,
-    _assign_top_down,
     _combine_pair,
     _decision_tables,
     _gated_mask,
@@ -60,6 +59,7 @@ from helpers import (
     b_vertex_supply,
     canonical_image,
     caterpillar,
+    chosen_signatures,
     compatible,
     enumerate_bcol_signatures,
     is_valid_class,
@@ -71,6 +71,7 @@ from helpers import (
     random_graph,
     reference_leaf_join,
     reference_merge,
+    reference_realize,
     relabeled,
     span_tree,
     type_of_class,
@@ -1028,15 +1029,17 @@ class TestJoinReuse:
     def test_shared_labelings_replay_as_unshared(self):
         # Replay (_realize, as reconstruct_witness runs it) of decision and
         # canonical fall tables, where nodes share labelings, gives the
-        # witness a replay that joins at every node gives: over the cases above and graphs with n = 8-10 on random
-        # shapes, k = 2-4, where two replay nodes can share a skeleton and a
-        # stored pair but not the chosen signature.
+        # witness a replay that joins at every node gives, and the witness
+        # the bottom-up replay of reference_realize gives: over the cases
+        # above and graphs with n = 8-10 on random shapes, k = 2-4, where
+        # two replay nodes can share a skeleton and a stored pair but not
+        # the chosen signature.
         def unshared(table):
             skeletons = {t: MergeSkeleton(skel.rows) for t, skel in table.skeletons.items()}
             return DPTable(table.k, table.root, table.tables, skeletons)
 
         def clashes(table, d, accepting):
-            chosen = _assign_top_down(table, d, accepting)
+            chosen = chosen_signatures(table, d, accepting)
             first, count = {}, 0
             for t in d.postorder():
                 if not d.is_leaf(t):
@@ -1059,6 +1062,7 @@ class TestJoinReuse:
                     if accepting in table.tables[d.root]:
                         found = _realize(table, d, accepting)
                         assert found == _realize(unshared(table), d, accepting)
+                        assert found == reference_realize(table, d, accepting)
                         clashed += clashes(table, d, accepting)
                         replayed += 1
         assert replayed > 200 and clashed >= 4

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -13,6 +14,7 @@ from bcoloring import (
     solve_bcoloring_vc_witness,
 )
 from bcoloring import vc_solver
+from bcoloring.cli import main
 from bcoloring.vc_solver import (
     cover_guesses,
     min_vertex_cover,
@@ -436,3 +438,41 @@ class TestAgainstReference:
                     pending = next(admitted, None)
                 assert pending is None, (g, k, pending)
         assert omitted["a"] >= 100 and omitted["b"] >= 10, omitted
+
+
+class TestLongPaths:
+    """bcol --solver vc --k 3 on paths: almost every cover vertex is gated,
+    and the guesses come without a walk over their 2^m masks."""
+
+    def test_path_60_by_the_cli(self, tmp_path, capsys):
+        # On an even path the first admitted guess colors the cover 0, 2,
+        # ..., n-2 with 1 but n-2 with 2 and takes b-vertices 2 and n-2.  On
+        # the 24-vertex path that is the reference's first guess that no
+        # omission rule refuses; the reference would walk 2^30 masks on the
+        # 60-vertex path's first cover coloring, so there the form is checked.
+        def first_guess(g):
+            facts, b_guess = next(cover_guesses(g, min_vertex_cover(g), 3))
+            return facts.phi, b_guess
+
+        def expected(n):
+            return {v: 1 + (v == n - 2) for v in range(0, n, 2)}, {2, n - 2}
+
+        g = Graph.path(24)
+        reference = next(
+            (phi, b_guess)
+            for phi, b_guess in reference_cover_guesses(g, min_vertex_cover(g), 3)
+            if omission_reason(g, phi, b_guess, 3) is None
+        )
+        assert first_guess(g) == reference == expected(24)
+        assert solve_bcoloring_vc_witness(g, 3) == reference_vc_solve(g, 3)
+        n = 60
+        assert first_guess(Graph.path(n)) == expected(n)
+        path = tmp_path / "path.dimacs"
+        path.write_text(
+            f"p edge {n} {n - 1}\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n))
+        )
+        start = time.perf_counter()
+        code = main(["bcol", "--solver", "vc", "--k", "3", "--graph", str(path)])
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(capsys.readouterr().out)["answer"] is True
+        assert elapsed < 5.0, elapsed
