@@ -28,7 +28,7 @@ import json
 import random
 import sys
 import time
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from . import bcol_dp, fall_dp, oracle, vc_solver
 from .decomposition import (
@@ -55,43 +55,59 @@ def parse_graph_text(text: str) -> Graph:
 
     A problem line declaring more than _MAX_VERTICES vertices raises
     CapacityError."""
-    return _parse_graph_lines(text.splitlines())
+    return _parse_graph_lines((text,))
 
 
-def _parse_graph_lines(lines: Iterable[str]) -> Graph:
-    """parse_graph_text over lines consumed one at a time, so a refusal at
-    a line reads nothing after it."""
+def _parse_graph_lines(chunks: Iterable[str]) -> Graph:
+    """parse_graph_text over text chunks consumed one at a time, each split
+    as str.splitlines splits the whole text, so the line numbers of a file
+    read line by line match its text's, and a refusal at a line reads
+    nothing after it."""
     n = m = problem_line = None
     edges: dict[tuple[int, int], tuple[int, int]] = {}  # sorted pair -> edge
-    for record in _records(lines):
-        lineno, _, parts = record
-        if parts[0] == "e":
-            if n is None:
-                raise InputError(f"line {lineno}: edge line before problem line")
-            u, v = _ints(record, "edge", parts[1:], 2)
-            if not (0 < u <= n and 0 < v <= n):
-                raise InputError(f"line {lineno}: vertex out of range 1..{n}")
-            if u == v:
-                raise InputError(f"line {lineno}: self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                raise InputError(f"line {lineno}: duplicate edge")
-            edges[key] = (u - 1, v - 1)
-        elif parts[0] == "p":
-            if n is not None:
-                raise InputError(f"line {lineno}: duplicate problem line")
-            if parts[1:2] != ["edge"]:
-                raise _bad_line(record, "malformed problem")
-            n, m = _ints(record, "problem", parts[2:], 2)
-            if n < 0:
-                raise InputError(f"line {lineno}: negative vertex count")
-            if n > _MAX_VERTICES:
-                raise CapacityError(
-                    f"line {lineno}: {n} vertices, above the limit of {_MAX_VERTICES}"
-                )
-            problem_line = lineno
-        else:
-            raise _bad_line(record, "unrecognized")
+    lineno = 0
+    for chunk in chunks:
+        for line in chunk.splitlines():
+            lineno += 1
+            parts = line.split()
+            if not parts or parts[0][0] == "c":
+                continue
+            kind = parts[0]
+            if kind == "e":
+                if n is None:
+                    raise InputError(f"line {lineno}: edge line before problem line")
+                try:
+                    _, first, second = parts
+                    u, v = int(first), int(second)
+                except ValueError:
+                    raise _bad_line((lineno, line), "malformed edge") from None
+                if not (0 < u <= n and 0 < v <= n):
+                    raise InputError(f"line {lineno}: vertex out of range 1..{n}")
+                if u == v:
+                    raise InputError(f"line {lineno}: self-loop at vertex {u}")
+                key = (u, v) if u < v else (v, u)
+                if key in edges:
+                    raise InputError(f"line {lineno}: duplicate edge")
+                edges[key] = (u - 1, v - 1)
+            elif kind == "p":
+                if n is not None:
+                    raise InputError(f"line {lineno}: duplicate problem line")
+                if parts[1:2] != ["edge"]:
+                    raise _bad_line((lineno, line), "malformed problem")
+                try:
+                    _, _, vertices, count = parts
+                    n, m = int(vertices), int(count)
+                except ValueError:
+                    raise _bad_line((lineno, line), "malformed problem") from None
+                if n < 0:
+                    raise InputError(f"line {lineno}: negative vertex count")
+                if n > _MAX_VERTICES:
+                    raise CapacityError(
+                        f"line {lineno}: {n} vertices, above the limit of {_MAX_VERTICES}"
+                    )
+                problem_line = lineno
+            else:
+                raise _bad_line((lineno, line), "unrecognized")
     if n is None:
         raise InputError("missing problem line")
     if m != len(edges):
@@ -109,9 +125,8 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(path: str) -> Graph:
-    # closing: a refusal mid-file closes the file at once.
-    with contextlib.closing(_read_lines(path)) as lines:
-        return _parse_graph_lines(lines)
+    with _opened(path) as handle:
+        return _parse_graph_lines(handle)
 
 
 def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
@@ -161,15 +176,21 @@ def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
 
 
 def format_decomposition(d: RootedBranchDecomposition) -> str:
-    """Serialize with the root first, children before use is not required."""
+    """Serialize with the root first, children before use is not required.
+
+    Each node's entry is read once, from the tree's own child and leaf
+    maps: the walk meets only nodes of d, so the accessors' range tests
+    would never fail."""
+    children, leaf_vertex = d._children, d._leaf_vertex
     lines = []
     stack = [d.root]
     while stack:
         t = stack.pop()
-        if d.is_leaf(t):
-            lines.append(f"n {t} leaf {d.leaf_vertex(t) + 1}")
+        kids = children[t]
+        if kids is None:
+            lines.append(f"n {t} leaf {leaf_vertex[t] + 1}")
         else:
-            left, right = d.children(t)
+            left, right = kids
             lines.append(f"n {t} internal {left} {right}")
             stack.append(right)
             stack.append(left)
@@ -222,23 +243,26 @@ def _ints(record: tuple, kind: str, fields: list[str], count: int) -> list[int]:
 
 
 def _bad_line(record: tuple, what: str) -> InputError:
-    """The error naming the record a `what` line, quoting it stripped."""
-    lineno, line, _ = record
+    """The error naming the record, (line number, line, ...), a `what`
+    line, quoting the line stripped."""
+    lineno, line = record[:2]
     return InputError(f"line {lineno}: {what} line {line.strip()!r}")
 
 
 def _read(path: str) -> str:
-    """The text of a UTF-8 file, its lines as _read_lines splits them."""
-    return "\n".join(_read_lines(path))
+    """The text of a UTF-8 file, its lines split as _parse_graph_lines
+    splits a file's, so line numbers match."""
+    with _opened(path) as handle:
+        return "\n".join(line for raw in handle for line in raw.splitlines())
 
 
-def _read_lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file, read as they are consumed and split
-    as str.splitlines splits the whole text, so line numbers match."""
+@contextlib.contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file, open for reading; failing to open or decode it is
+    an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                yield from raw.splitlines()
+            yield handle
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -168,19 +168,25 @@ class RootedBranchDecomposition:
     def node_count(self) -> int:
         return len(self._children)
 
+    # The accessors run once per node in every pass over a decomposition,
+    # so each makes its one range test inline.
+
     def is_leaf(self, t: int) -> bool:
-        self._check_node(t)
+        if not 0 <= t < len(self._children):
+            raise InputError(f"unknown decomposition node {t}")
         return self._children[t] is None
 
     def children(self, t: int) -> tuple[int, int]:
-        self._check_node(t)
+        if not 0 <= t < len(self._children):
+            raise InputError(f"unknown decomposition node {t}")
         kids = self._children[t]
         if kids is None:
             raise InputError(f"node {t} is a leaf")
         return kids
 
     def leaf_vertex(self, t: int) -> int:
-        self._check_node(t)
+        if not 0 <= t < len(self._children):
+            raise InputError(f"unknown decomposition node {t}")
         if self._children[t] is not None:
             raise InputError(f"node {t} is internal")
         return self._leaf_vertex[t]
@@ -194,16 +200,13 @@ class RootedBranchDecomposition:
 
     def vertex_mask(self, t: int) -> int:
         """V_t as a bitmask: bit v is set iff vertex v is on a leaf below t."""
-        self._check_node(t)
+        if not 0 <= t < len(self._children):
+            raise InputError(f"unknown decomposition node {t}")
         return self._below[t]
 
     def vertex_set(self, t: int) -> frozenset[int]:
         """V_t: the graph vertices on leaves below t."""
         return frozenset(_bits(self.vertex_mask(t)))
-
-    def _check_node(self, t: int) -> None:
-        if not (0 <= t < len(self._children)):
-            raise InputError(f"unknown decomposition node {t}")
 
 
 def equivalence_classes(
@@ -413,61 +416,66 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
     ties to the smallest vertex, and the largest class count of its
     prefixes: the module-width of its linear decomposition.
 
-    sigs holds the prefix's class signatures (neighborhoods outside it),
-    contain[b] those of them with bit b set, own[v] = masks[v] & outside
-    for every remaining v, and buckets[o] the remaining vertices of own o.
-    Adding candidate v clears bit v in every signature, and two signatures
-    merge only if they are s and s ^ bit(v) with bit v set in s, so the
-    class count after v is |sigs| + key(v), where
+    sigs maps the prefix's class signatures (neighborhoods outside it) to
+    their vertices, contain[b] holds those of them with bit b set, own[v]
+    = masks[v] & outside for every remaining v, and empty the remaining
+    vertices of own 0.  Adding candidate v clears bit v in every
+    signature, and two signatures merge only if they are s and s ^ bit(v)
+    with bit v set in s, so the class count after v is |sigs| + key(v),
+    where
 
         key(v) = fresh(v) - #{s in contain[v] : s ^ bit(v) in sigs}
 
     and fresh(v) = [own[v] not in sigs and own[v] | bit(v) not in sigs].
-    The step takes the least (key, v).  No key exceeds 1, so the smallest
-    remaining vertex is at most every (1, v), and the heap supplies the
-    rest.  It is a lazy min-heap of (key, v) entries, under the invariant:
-    every remaining vertex whose key fell since its last entry has a fresh
-    entry, so every remaining v of key(v) <= 0 has an entry of value at
-    most key(v).  Let (e, v) be the least entry.  If v was chosen, it is
-    dropped.  If key(v) > e, v's key rose: the entry is re-keyed and
-    pushed back if key(v) <= 0, dropped otherwise, and the invariant still
-    holds for v.  If key(v) = e, then for any w of key(w) <= 0 with least
-    entry (e', w), (key(w), w) >= (e', w) >= (e, v): so (e, v), taken
-    together with the smallest remaining vertex, is the least (key, v).
-    Each look at the top either ends the search or drops or raises an
-    entry, so it ends.
+    The step takes the least (key, v); no key exceeds 1.  A lazy min-heap
+    of (key, v) entries, each pushed with a key of at most 0, supplies it
+    under the invariant: every remaining vertex whose key fell since its
+    last entry has a fresh entry, so every remaining v of key(v) <= 0 has
+    an entry of value at most key(v).  Let (e, v) be the least entry.  If
+    v was chosen, it is dropped.  If key(v) > e, v's key rose: the entry
+    is re-keyed and pushed back if key(v) <= 0, dropped otherwise, and the
+    invariant still holds for v.  If key(v) = e, v is taken: for any
+    remaining w of key(w) <= 0 with least entry (e', w), (key(w), w) >=
+    (e', w) >= (e, v), and any w of key(w) = 1 > 0 >= e comes after (e, v)
+    too.  If the heap runs empty, no remaining vertex has a key of at most
+    0, by the invariant, so every key is 1 and the smallest remaining
+    vertex is taken.  Each look at the top either ends the search or drops
+    or raises an entry, so it ends.
 
     The invariant survives a step.  Choosing u rewrites each s in
     contain[u] to s ^ bit(u) (which merges with it if present), adds
     own[u] and clears bit u from own[w] at u's remaining neighbors w.
     Removing a signature only raises keys, so a key falls only through an
     added signature t or a changed own.  fresh(v) falls when own[v]
-    changes (v is a neighbor of u), when t = own[v] (v is in t's bucket)
-    or when t = own[v] | bit(v) (v is a bit of t).  The merge count of v
-    rises only with a new pair {s, s ^ bit(v)}, one member of which is an
-    added t: either v is a bit of t, or t | bit(v) is in sigs and v is t's
-    one-bit partner.  That superset lies in contain[b] for every bit b of
-    t, so the smallest of those sets is scanned for it; when t = 0 it is a
-    one-bit signature of sigs.  Every such vertex is re-keyed after the
-    step and pushed if its key is at most 0.  (|sigs| is common to all
-    candidates, so its change moves no key.)
+    changes (v is a neighbor of u), when t = own[v] or when t = own[v] |
+    bit(v) (v is a bit of t).  If t = own[v] is not 0, every vertex b of
+    t, such as the first of sigs[t], lies in own[v], a part of v's
+    neighborhood, so v is a remaining neighbor of b whose own is t; if
+    t = 0, v is in empty.  The merge
+    count of v rises only with a new pair {s, s ^ bit(v)}, one member of
+    which is an added t: either v is a bit of t, or t | bit(v) is in sigs
+    and v is t's one-bit partner.  That superset lies in contain[b] for
+    every bit b of t, so the smallest of those sets is scanned for it;
+    when t = 0 it is a one-bit signature of sigs.  Every such vertex is
+    re-keyed after the step and pushed if its key is at most 0.  (|sigs|
+    is common to all candidates, so its change moves no key.)
 
     A mask removed from sigs has a chosen bit, so it never returns: each
-    mask is added at most once, and the bucket pushes cost O(n + edges)
-    in all.  A step costs the bits of the signatures it rewrites or adds,
-    deg(u), the partner scan of the smallest contain[b] per added
-    signature and the contain sets of the vertices it re-keys, up to heap
-    logarithms; it does not look at every class.
+    mask is added at most once, and 0, never removed, at most once.  A
+    step costs the bits of the signatures it rewrites or adds, deg(u), for
+    each added signature the degree of that first vertex and the partner
+    scan of the smallest contain[b] (for 0, empty and sigs), and the
+    contain sets of the vertices it re-keys, up to heap logarithms; it
+    does not look at every class.
     """
     masks = g.adjacency_masks()
+    adj = [g.neighbors(v) for v in g.vertices()]
     own = list(masks)
-    buckets: dict[int, set[int]] = {}
-    for v in g.vertices():
-        buckets.setdefault(own[v], set()).add(v)
+    empty = {v for v in g.vertices() if not masks[v]}
     contain: list[set[int]] = [set() for _ in range(g.n)]
-    sigs: set[int] = set()
+    sigs: dict[int, tuple[int, ...]] = {}
     heap: list[tuple[int, int]] = []
-    left = (1 << g.n) - 1
+    chosen = bytearray(g.n)
     order: list[int] = []
     low = width = 0
 
@@ -481,54 +489,58 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
         return count
 
     for _ in range(g.n):
-        while not left >> low & 1:
-            low += 1
-        best = (key(low), low)
         while heap:
-            e, v = heap[0]
-            if left >> v & 1:
-                now = key(v)
+            e, u = heap[0]
+            if not chosen[u]:
+                now = key(u)
                 if now == e:
-                    best = min(best, heap[0])
                     break
                 if now <= 0:
-                    heapq.heapreplace(heap, (now, v))
+                    heapq.heapreplace(heap, (now, u))
                     continue
             heapq.heappop(heap)
-        u = best[1]
+        else:
+            while chosen[low]:
+                low += 1
+            u = low
         order.append(u)
+        chosen[u] = 1
         bit = 1 << u
-        left ^= bit
-        added = []  # (signature, its bits)
+        added = []  # (signature, its vertices)
         for s in contain[u]:
-            sigs.remove(s)
-            t = s ^ bit
-            t_bits = list(_bits(t))
+            t_bits = tuple(b for b in sigs.pop(s) if b != u)
             for b in t_bits:
                 contain[b].remove(s)
+            t = s ^ bit
             if t not in sigs:
-                sigs.add(t)
+                sigs[t] = t_bits
                 added.append((t, t_bits))
                 for b in t_bits:
                     contain[b].add(t)
+        near = [w for w in adj[u] if not chosen[w]]  # the vertices of own[u]
         o = own[u]
-        buckets[o].remove(u)
         if o not in sigs:
-            o_bits = list(_bits(o))
-            sigs.add(o)
+            o_bits = sigs[o] = tuple(near)
             added.append((o, o_bits))
             for b in o_bits:
                 contain[b].add(o)
         width = max(width, len(sigs))
-        touched = set(_bits(masks[u] & left))
-        for w in touched:
-            buckets[own[w]].remove(w)
+        empty.discard(u)
+        for w in near:
             own[w] ^= bit
-            buckets.setdefault(own[w], set()).add(w)
+            if not own[w]:
+                empty.add(w)
+        touched = set(near)
         for t, t_bits in added:
-            touched.update(buckets.get(t, ()))
             touched.update(t_bits)
-            pool = min(map(contain.__getitem__, t_bits), key=len) if t else sigs
+            if t:
+                for w in adj[t_bits[0]]:
+                    if own[w] == t and not chosen[w]:
+                        touched.add(w)
+                pool = min(map(contain.__getitem__, t_bits), key=len)
+            else:
+                touched.update(empty)
+                pool = sigs
             for s in pool:
                 extra = s ^ t
                 if s & t == t and extra and not extra & (extra - 1):

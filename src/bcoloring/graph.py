@@ -25,21 +25,27 @@ class Graph:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
+        masks = [0] * n
+        pairs: list[tuple[int, int]] = []
+        # One pass, each edge checked once, in input order: the first
+        # offending edge is the one reported.
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
+            near = adj[u]
+            if v in near:
                 raise InputError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            adj[u].add(v)
+            near.add(v)
             adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = tuple(sum(1 << u for u in s) for s in adj)
-        self._edges = tuple(sorted(seen))
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+            pairs.append((u, v) if u < v else (v, u))
+        pairs.sort()
+        self._adj = tuple(map(frozenset, adj))
+        self._masks = tuple(masks)
+        self._edges = tuple(pairs)
 
     def vertices(self) -> range:
         return range(self.n)

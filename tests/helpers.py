@@ -37,6 +37,10 @@ answers, witnesses and omissions.  reference_vertex_cover_within and
 reference_min_vertex_cover are the cover search as it was before the
 branch-and-bound: a recursive search with no bound, rerun at every size
 limit from 0; reference_vc_solve takes its cover from them.
+reference_graph and reference_parse_graph_text are Graph's construction
+checks and the DIMACS parser as they were before each became one pass,
+the oracle for their graphs and their error messages; graph_structure
+and outcome put a result or a refusal in a form both sides share.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from bcoloring.decomposition import (
     _shape_to_decomposition,
     equivalence_classes,
 )
-from bcoloring.errors import InputError, StructuralError
+from bcoloring.errors import CapacityError, InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
 from bcoloring.vc_solver import NeedSet, _proper_cover_colorings
@@ -685,6 +689,111 @@ def atlas_connected_corpus(max_n: int = 6) -> list[Graph]:
         if 1 <= n <= max_n and nx.is_connected(G):
             corpus.append(Graph(n, list(G.edges())))
     return corpus
+
+
+# --- graph file and construction references ----------------------------------
+
+
+def reference_graph(n: int, edges) -> tuple:
+    """Graph(n, edges)'s checks and structure as they were before its
+    construction became one pass: (n, adjacency sets, masks, sorted edges),
+    or the InputError for the first offending edge in input order."""
+    if n < 0:
+        raise InputError(f"vertex count must be nonnegative, got {n}")
+    adj: list[set[int]] = [set() for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InputError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        adj[u].add(v)
+        adj[v].add(u)
+    masks = tuple(sum(1 << u for u in s) for s in adj)
+    return n, tuple(frozenset(s) for s in adj), masks, tuple(sorted(seen))
+
+
+def graph_structure(g: Graph) -> tuple:
+    """g as reference_graph describes a graph."""
+    return g.n, tuple(map(g.neighbors, g.vertices())), g.adjacency_masks(), g.edges()
+
+
+def reference_parse_graph_text(text: str, max_vertices: int) -> tuple:
+    """cli.parse_graph_text as it was before it became one loop: each line
+    through a record generator and a field parser, the graph checked by
+    reference_graph.  Returns reference_graph's tuple, or raises the
+    parser's InputError or CapacityError."""
+
+    def records(lines):
+        for lineno, line in enumerate(lines, start=1):
+            parts = line.split()
+            if parts and parts[0][0] != "c":
+                yield lineno, line, parts
+
+    def bad_line(record, what):
+        lineno, line, _ = record
+        return InputError(f"line {lineno}: {what} line {line.strip()!r}")
+
+    def ints(record, kind, fields, count):
+        if len(fields) == count:
+            try:
+                return [*map(int, fields)]
+            except ValueError:
+                pass
+        raise bad_line(record, f"malformed {kind}")
+
+    n = m = problem_line = None
+    edges: dict[tuple[int, int], tuple[int, int]] = {}
+    for record in records(text.splitlines()):
+        lineno, _, parts = record
+        if parts[0] == "e":
+            if n is None:
+                raise InputError(f"line {lineno}: edge line before problem line")
+            u, v = ints(record, "edge", parts[1:], 2)
+            if not (0 < u <= n and 0 < v <= n):
+                raise InputError(f"line {lineno}: vertex out of range 1..{n}")
+            if u == v:
+                raise InputError(f"line {lineno}: self-loop at vertex {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise InputError(f"line {lineno}: duplicate edge")
+            edges[key] = (u - 1, v - 1)
+        elif parts[0] == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: duplicate problem line")
+            if parts[1:2] != ["edge"]:
+                raise bad_line(record, "malformed problem")
+            n, m = ints(record, "problem", parts[2:], 2)
+            if n < 0:
+                raise InputError(f"line {lineno}: negative vertex count")
+            if n > max_vertices:
+                raise CapacityError(
+                    f"line {lineno}: {n} vertices, above the limit of {max_vertices}"
+                )
+            problem_line = lineno
+        else:
+            raise bad_line(record, "unrecognized")
+    if n is None:
+        raise InputError("missing problem line")
+    if m != len(edges):
+        raise InputError(
+            f"line {problem_line}: problem line declares {m} edges, "
+            f"but {len(edges)} edge lines follow"
+        )
+    return reference_graph(n, edges.values())
+
+
+def outcome(parse, *args) -> tuple:
+    """("ok", what parse returned) or ("raised", its exception type and
+    message), for comparing a function with its reference."""
+    try:
+        return "ok", parse(*args)
+    except (InputError, CapacityError) as exc:
+        return "raised", type(exc), str(exc)
 
 
 # --- vertex-cover solver reference -----------------------------------------

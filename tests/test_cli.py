@@ -1,5 +1,7 @@
+import collections
 import json
 import random
+import re
 import time
 import tracemalloc
 
@@ -18,6 +20,7 @@ from bcoloring import (
     vc_solver,
 )
 from bcoloring.cli import (
+    _MAX_VERTICES,
     ROUTES,
     build_parser,
     format_decomposition,
@@ -28,7 +31,7 @@ from bcoloring.cli import (
     parse_graph,
     parse_graph_text,
 )
-from helpers import random_graph
+from helpers import graph_structure, outcome, random_graph, reference_parse_graph_text
 from test_cli_contract import wide_bipartite
 
 K2_COL = "p edge 2 1\ne 1 2\n"
@@ -83,6 +86,114 @@ class TestParseGraph:
             parse_graph_text("p edge 3 5\ne 1 2\n")
         with pytest.raises(InputError, match="line 2: problem line declares -1 edges"):
             parse_graph_text("c negative\np edge 3 -1\n")
+
+
+# Line terminators: mostly newlines, some CRLF, now and then another of
+# the separators str.splitlines splits at.
+TERMINATORS = ["\n"] * 20 + ["\r\n"] * 6 + ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+ODD_NUMBERS = ["+2", "1_0", "-1", "0", "x", "1.0", "\u0663", "007", "2e0", ""]
+
+
+def mutated_dimacs(rng: random.Random) -> str:
+    """A small DIMACS text from a random graph, put through up to four
+    random mutations, valid or not, joined with random field separators
+    and line terminators."""
+    n = rng.randint(0, 8)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    rng.shuffle(pairs)
+    problem = ["p", "edge", str(n), str(len(pairs))]
+    lines = [problem] + [["e", *map(str, rng.choice([(u, v), (v, u)]))] for u, v in pairs]
+    for _ in range(rng.randint(0, 4)):
+        at = rng.randint(0, len(lines))
+        edge_lines = [line for line in lines if line[:1] == ["e"] and len(line) == 3]
+        kind = rng.randrange(12)
+        if kind == 0:  # a blank line
+            lines.insert(at, [rng.choice(["", " ", "\t"])])
+        elif kind == 1:  # a comment line
+            comments = [["c"], ["c", "hi"], ["cfoo", "1", "2"], ["comment", "e", "1"]]
+            lines.insert(at, rng.choice(comments))
+        elif kind == 2 and edge_lines:  # an odd number in an edge line
+            rng.choice(edge_lines)[rng.randint(1, 2)] = rng.choice(ODD_NUMBERS + [str(n + 1)])
+        elif kind == 3 and edge_lines:  # a duplicate edge, then one out of range
+            lines[at:at] = [list(rng.choice(edge_lines)), ["e", "1", str(n + rng.randint(1, 3))]]
+        elif kind == 4 and problem in lines:  # the problem line after the edges
+            lines.remove(problem)
+            lines.append(problem)
+        elif kind == 5:  # a second problem line
+            lines.insert(at, ["p", "edge", str(n), str(len(pairs))])
+        elif kind == 6 and len(problem) == 4:  # another vertex or edge count
+            counts = ODD_NUMBERS + [str(n - 1), str(n + 1), str(_MAX_VERTICES + 1)]
+            problem[rng.choice([2, 3])] = rng.choice(counts)
+        elif kind == 7:  # a self-loop
+            lines.insert(at, ["e", *[str(rng.randint(1, n + 1))] * 2])
+        elif kind == 8 and lines:  # a field too many or too few
+            line = rng.choice(lines)
+            if rng.random() < 0.5:
+                line.append(rng.choice(["1", "x"]))
+            elif len(line) > 1:
+                line.pop()
+        elif kind == 9:  # a line of no known kind
+            unknown = [["x", "1", "2"], ["E", "1", "2"], ["P", "edge", "2", "1"]]
+            lines.insert(at, rng.choice(unknown))
+        elif kind == 10:  # a malformed problem line
+            lines.insert(at, rng.choice([["p", "col", "3", "2"], ["p"], ["p", "edge", "3"]]))
+        elif kind == 11 and lines:  # a line dropped
+            del lines[rng.randrange(len(lines))]
+    text = ""
+    for line in lines:
+        sep = rng.choice([" ", " ", "\t", "  ", " \t "])
+        pad, trail = rng.choice(["", "", " ", "\t"]), rng.choice(["", "", " ", "\t"])
+        text += pad + sep.join(line) + trail + rng.choice(TERMINATORS)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return text
+
+
+def refusal_kind(message: str) -> str:
+    """An error message with its numbers and quoted line blanked out."""
+    return re.sub(r"\d+", "N", re.sub(r"'.*'|\".*\"", "'...'", message))
+
+
+class TestParseGraphAgainstReference:
+    """The one-loop parser against the layered one it replaced
+    (helpers.reference_parse_graph_text, which checks the graph as
+    Graph.__init__ did): every text gives the same graph, or the same
+    exception type with the same message."""
+
+    def test_mutated_texts(self):
+        rng = random.Random(2025)
+        kinds = collections.Counter()
+        for _ in range(10_000):
+            text = mutated_dimacs(rng)
+            got = outcome(lambda t: graph_structure(parse_graph_text(t)), text)
+            assert got == outcome(reference_parse_graph_text, text, _MAX_VERTICES), text
+            kinds["graph" if got[0] == "ok" else refusal_kind(got[2])] += 1
+        # Graphs are common, and so is every refusal the parser makes.
+        assert kinds["graph"] > 2_000
+        assert {kind for kind, count in kinds.items() if count >= 20} >= {
+            "line N: edge line before problem line",
+            "line N: vertex out of range N..N",
+            "line N: self-loop at vertex N",
+            "line N: duplicate edge",
+            "line N: duplicate problem line",
+            "line N: malformed problem line '...'",
+            "line N: malformed edge line '...'",
+            "line N: unrecognized line '...'",
+            "line N: negative vertex count",
+            "line N: N vertices, above the limit of N",
+            "line N: problem line declares N edges, but N edge lines follow",
+            "missing problem line",
+        }, kinds
+
+    def test_mutated_files(self, tmp_path):
+        # The same kind of texts read from files, line by line as consumed.
+        rng = random.Random(2026)
+        for i in range(300):
+            text = mutated_dimacs(rng)
+            path = tmp_path / f"g{i}.col"
+            path.write_bytes(text.encode())
+            got = outcome(lambda p: graph_structure(parse_graph(p)), str(path))
+            assert got == outcome(reference_parse_graph_text, text, _MAX_VERTICES), text
 
 
 def shape(d, t=None):

@@ -412,6 +412,45 @@ class TestAgainstReferences:
         assert order == frontier_greedy_order(g)
         assert width == _annotate(g, linear_decomposition(g, order)).width
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            blown_up(10, 10, lambda i, j: j == i + 1),
+            blown_up(12, 10, lambda i, j: i == j or j - i > 1),
+            complete_bipartite(50, 50),
+            # a path on every third vertex, the others isolated
+            Graph(150, [(3 * i, 3 * i + 3) for i in range(49)]),
+            # own neighbourhoods become empty, and 0 a signature, as soon
+            # as a vertex's partner or center is chosen
+            Graph(120, [(2 * i, 2 * i + 1) for i in range(60)]),
+            Graph(120, [(10 * i, 10 * i + j) for i in range(12) for j in range(1, 10)]),
+            random_graph(random.Random(15), 150, 0.5),
+        ],
+        ids=[
+            "false-twins-100",
+            "true-twins-120",
+            "K50,50",
+            "isolated",
+            "matching",
+            "stars",
+            "dense-150",
+        ],
+    )
+    def test_twins_isolated_and_dense(self, g):
+        # The paths of the search that find the vertices whose own
+        # neighbourhood equals a new signature: many twins share one, an
+        # isolated vertex starts with the empty one, and a matched or leaf
+        # vertex gets it when its partner or center is chosen.
+        rng = random.Random(16)
+        for trial in range(3):
+            perm = list(g.vertices())
+            if trial:
+                rng.shuffle(perm)
+            h = relabeled(g, perm)
+            order, width = _greedy_order(h)
+            assert order == frontier_greedy_order(h)
+            assert width == _annotate(h, linear_decomposition(h, order)).width
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(1, 40),

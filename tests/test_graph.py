@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcoloring import Coloring, Graph, InputError, brute_force_chi_b, is_proper
+from helpers import graph_structure, outcome, reference_graph
 
 
 class TestNeighbors:
@@ -38,6 +41,40 @@ class TestConstruction:
         assert g.max_degree() == 3
         assert g.min_degree() == 1
         assert g.degree(0) == 3
+
+
+class TestConstructionAgainstReference:
+    """One-pass construction against helpers.reference_graph, the checks
+    and structure as they were: the same graph, or the same InputError,
+    for the first offending edge in input order."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 1), (0, 5)], "self-loop at vertex 1"),
+            ([(0, 5), (1, 1)], "edge (0, 5) out of range for n=3"),
+            ([(0, 1), (1, 0), (2, 2)], "duplicate edge (1, 0)"),
+            ([(2, 2), (0, 1), (1, 0)], "self-loop at vertex 2"),
+            ([(0, 1), (1, 2), (2, 1), (0, 3)], "duplicate edge (2, 1)"),
+            ([(1, 2), (-1, 0), (1, 2)], "edge (-1, 0) out of range for n=3"),
+        ],
+    )
+    def test_first_fault_in_input_order(self, edges, message):
+        with pytest.raises(InputError) as caught:
+            Graph(3, iter(edges))
+        assert str(caught.value) == message
+        assert outcome(reference_graph, 3, edges) == ("raised", InputError, message)
+
+    def test_random_edge_lists(self):
+        rng = random.Random(7)
+        for _ in range(3_000):
+            n = rng.randint(0, 9)
+            edges = [(rng.randint(-1, n), rng.randint(-1, n)) for _ in range(rng.randint(0, 12))]
+            if rng.random() < 0.5:  # mostly valid, faults late
+                edges = [(u, v) for u, v in edges if 0 <= u < v < n]
+                edges = list(dict.fromkeys(edges)) + edges[: rng.randint(0, 1)]
+            expected = outcome(reference_graph, n, edges)
+            assert outcome(lambda: graph_structure(Graph(n, edges))) == expected, (n, edges)
 
 
 class TestIsProper:
