@@ -348,67 +348,46 @@ def linear_decomposition(g: Graph, order: Sequence[int]) -> RootedBranchDecompos
 EXACT_TINY_LIMIT = 8
 
 
-def _width_of_shape(shape, adj_masks: Sequence[int], full_mask: int, cutoff: int) -> int:
-    """Module-width of a nested-tuple tree shape, via bitmask class counting.
+def _exact_decomposition(g: Graph) -> tuple[RootedBranchDecomposition, int]:
+    """A decomposition of g of minimum module-width, and that width.
 
-    Stops early (returning cutoff) as soon as the running maximum reaches
-    cutoff, since such a shape cannot beat the best one found so far.
+    A tree's width is the largest class count cls(S) over its nodes' vertex
+    sets S, so the least width over S is f(S) = max(cls(S), min over splits
+    S = A + B, A holding S's lowest vertex, of max(f(A), f(B))), and 1 for
+    one vertex.  Proper submasks of S are smaller integers, so S is visited
+    in increasing order.  Ties go to the more balanced split, then the first.
     """
-    best = 1  # root and leaves always have one class
-
-    def walk(node) -> int:
-        nonlocal best
-        if isinstance(node, int):
-            return 1 << node
-        mask = walk(node[0]) | walk(node[1])
-        if best < cutoff:
-            outside = full_mask & ~mask
-            sigs = {adj_masks[v] & outside for v in _bits(mask)}
-            if len(sigs) > best:
-                best = len(sigs)
-        return mask
-
-    walk(shape)
-    return best
-
-
-def _all_shapes(n: int):
-    """All rooted binary trees with leaves labeled 0..n-1, as nested tuples.
-
-    Trees are grown by inserting leaf i into every subtree position of each
-    tree on leaves 0..i-1, which enumerates each shape exactly once."""
-
-    def insertions(tree, leaf):
-        yield (tree, leaf)
-        if not isinstance(tree, int):
-            left, right = tree
-            for mod in insertions(left, leaf):
-                yield (mod, right)
-            for mod in insertions(right, leaf):
-                yield (left, mod)
-
-    shapes = [0]
-    for leaf in range(1, n):
-        shapes = [t for s in shapes for t in insertions(s, leaf)]
-    return shapes
-
-
-def _shape_to_decomposition(shape, n: int) -> RootedBranchDecomposition:
+    masks = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    width = [1] * (full + 1)
+    split = [0] * (full + 1)  # A of S's best split; 0 for a single vertex
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = sub = s ^ low
+        best = (g.n, g.n) if rest else (1, 1)  # any split wins: f(A) <= |A| < n
+        while sub:
+            sub = (sub - 1) & rest
+            a, b = low | sub, rest ^ sub
+            key = (max(width[a], width[b]), max(a.bit_count(), b.bit_count()))
+            if key < best:
+                best, split[s] = key, a
+        width[s] = max(len({masks[v] & ~s for v in _bits(s)}), best[0])
+    # Node ids children before parents: ~S on the stack joins S = A + B
+    # once both parts are built, B's subtree as the last 2|B| - 1 nodes.
     children: list[tuple[int, int] | None] = []
     leaf_vertex: dict[int, int] = {}
-
-    def build(node) -> int:
-        if isinstance(node, int):
+    stack = [full]
+    while stack:
+        s = stack.pop()
+        t = len(children)
+        if s < 0:
+            children.append((t - 2 * (~s ^ split[~s]).bit_count(), t - 1))
+        elif split[s]:
+            stack += [~s, s ^ split[s], split[s]]
+        else:
+            leaf_vertex[t] = s.bit_length() - 1
             children.append(None)
-            leaf_vertex[len(children) - 1] = node
-            return len(children) - 1
-        left = build(node[0])
-        right = build(node[1])
-        children.append((left, right))
-        return len(children) - 1
-
-    root = build(shape)
-    return RootedBranchDecomposition(children, leaf_vertex, root=root)
+    return RootedBranchDecomposition(children, leaf_vertex, t), width[full]
 
 
 def _greedy_order(g: Graph) -> tuple[list[int], int]:
@@ -555,8 +534,8 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
 def best_decomposition(g: Graph, effort: str = "heuristic") -> RootedBranchDecomposition:
     """Construct a decomposition of g.
 
-    effort="exact-tiny" searches all rooted binary trees and leaf
-    assignments (n <= 8 only) and returns one of minimum module-width;
+    effort="exact-tiny" returns a tree of minimum module-width, found by
+    a DP over vertex subsets (n <= 8 only; see _exact_decomposition);
     effort="heuristic" returns a linear decomposition under a greedy order.
     Either search measures the module-width of what it returns, and records
     it on the decomposition for g, where module_width reads it.
@@ -574,15 +553,6 @@ def best_decomposition(g: Graph, effort: str = "heuristic") -> RootedBranchDecom
         raise CapacityError(
             f"exact-tiny search refused: n={g.n} exceeds limit {EXACT_TINY_LIMIT}"
         )
-    masks = g.adjacency_masks()
-    full_mask = (1 << g.n) - 1
-    best_shape, best_width = None, g.n + 1
-    for shape in _all_shapes(g.n):
-        w = _width_of_shape(shape, masks, full_mask, best_width)
-        if w < best_width:
-            best_shape, best_width = shape, w
-            if best_width == 1:
-                break
-    d = _shape_to_decomposition(best_shape, g.n)
-    d._width = (g, best_width)
+    d, width = _exact_decomposition(g)
+    d._width = (g, width)
     return d

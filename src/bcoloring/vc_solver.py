@@ -185,21 +185,28 @@ def _proper_cover_colorings(g: Graph, cover: list[int], k: int):
       has a coloring kept here.
     """
     assignment: dict[int, int] = {}
-
-    def extend(i: int, max_used: int):
-        if i == len(cover):
+    # levels[i]: the colors cover[i] has yet to try on this branch, smallest
+    # last, and the largest color on cover[:i].  An explicit stack, since a
+    # cover may have thousands of vertices.
+    levels: list[tuple[list[int], int]] = []
+    used = 0  # the largest color on cover[:len(levels)]
+    while True:
+        if len(levels) == len(cover):
             yield dict(assignment)
+        else:
+            v = cover[len(levels)]
+            forbidden = {assignment[u] for u in g.neighbors(v) if u in assignment}
+            top = min(k, used + 1)
+            levels.append(([c for c in range(top, 0, -1) if c not in forbidden], used))
+        while levels and not levels[-1][0]:
+            levels.pop()
+            assignment.pop(cover[len(levels)], None)
+        if not levels:
             return
-        v = cover[i]
-        forbidden = {assignment[u] for u in g.neighbors(v) if u in assignment}
-        for color in range(1, min(k, max_used + 1) + 1):
-            if color in forbidden:
-                continue
-            assignment[v] = color
-            yield from extend(i + 1, max(max_used, color))
-            del assignment[v]
-
-    yield from extend(0, 0)
+        colors, before = levels[-1]
+        color = colors.pop()
+        assignment[cover[len(levels) - 1]] = color
+        used = max(before, color)
 
 
 class _CoverColoring(NamedTuple):

@@ -21,7 +21,11 @@ reference_leaf_join the one-step join that tries every taker and builds a
 labeling for every parent signature, the oracle for the set of signatures
 the solver's lean join makes.  mirrored swaps the children of every node
 of a decomposition, and random_decomposition builds one of random shape
-(random_shape), whose joins may pair two subtrees.
+(random_shape, _shape_to_decomposition), whose joins may pair two subtrees.
+reference_exact_decomposition is the exact-tiny search as it was before
+it became a DP over vertex subsets: every rooted binary tree over V(g)
+(all_shapes), each measured by width_of_shape, the first of least width
+kept; the oracle for the DP's width.
 chosen_signatures and reference_realize are witness replay as it was
 before it became one pass down the tree: each node's signature chosen
 top-down from the stored pairs, then a bottom-up pass that builds every
@@ -37,6 +41,9 @@ answers, witnesses and omissions.  reference_vertex_cover_within and
 reference_min_vertex_cover are the cover search as it was before the
 branch-and-bound: a recursive search with no bound, rerun at every size
 limit from 0; reference_vc_solve takes its cover from them.
+reference_proper_cover_colorings is the cover coloring enumeration as a
+recursive generator, one level per cover vertex, the oracle for the
+solver's explicit-stack one.
 reference_graph and reference_parse_graph_text are Graph's construction
 checks and the DIMACS parser as they were before each became one pass,
 the oracle for their graphs and their error messages; graph_structure
@@ -69,13 +76,12 @@ from bcoloring.decomposition import (
     RootedBranchDecomposition,
     _annotate,
     _bits,
-    _shape_to_decomposition,
     equivalence_classes,
 )
 from bcoloring.errors import CapacityError, InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
-from bcoloring.vc_solver import NeedSet, _proper_cover_colorings
+from bcoloring.vc_solver import NeedSet
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -132,7 +138,27 @@ def random_decomposition(g: Graph, rng: random.Random) -> RootedBranchDecomposit
     side."""
     vertices = list(g.vertices())
     rng.shuffle(vertices)
-    return _shape_to_decomposition(random_shape(rng, vertices), g.n)
+    return _shape_to_decomposition(random_shape(rng, vertices))
+
+
+def _shape_to_decomposition(shape) -> RootedBranchDecomposition:
+    """The decomposition of a nested-tuple tree shape whose leaves are
+    vertex ids."""
+    children: list[tuple[int, int] | None] = []
+    leaf_vertex: dict[int, int] = {}
+
+    def build(node) -> int:
+        if isinstance(node, int):
+            children.append(None)
+            leaf_vertex[len(children) - 1] = node
+            return len(children) - 1
+        left = build(node[0])
+        right = build(node[1])
+        children.append((left, right))
+        return len(children) - 1
+
+    root = build(shape)
+    return RootedBranchDecomposition(children, leaf_vertex, root=root)
 
 
 # --- witness replay, as it was -------------------------------------------
@@ -669,6 +695,69 @@ def frontier_greedy_order(g: Graph) -> list[int]:
     return order
 
 
+def width_of_shape(shape, adj_masks, full_mask: int, cutoff: int) -> int:
+    """Module-width of a nested-tuple tree shape, via bitmask class counting.
+
+    Stops early (returning cutoff) as soon as the running maximum reaches
+    cutoff, since such a shape cannot beat the best one found so far.
+    """
+    best = 1  # root and leaves always have one class
+
+    def walk(node) -> int:
+        nonlocal best
+        if isinstance(node, int):
+            return 1 << node
+        mask = walk(node[0]) | walk(node[1])
+        if best < cutoff:
+            outside = full_mask & ~mask
+            sigs = {adj_masks[v] & outside for v in _bits(mask)}
+            if len(sigs) > best:
+                best = len(sigs)
+        return mask
+
+    walk(shape)
+    return best
+
+
+def all_shapes(n: int):
+    """All rooted binary trees with leaves labeled 0..n-1, as nested tuples.
+
+    Trees are grown by inserting leaf i into every subtree position of each
+    tree on leaves 0..i-1, which enumerates each shape exactly once."""
+
+    def insertions(tree, leaf):
+        yield (tree, leaf)
+        if not isinstance(tree, int):
+            left, right = tree
+            for mod in insertions(left, leaf):
+                yield (mod, right)
+            for mod in insertions(right, leaf):
+                yield (left, mod)
+
+    shapes = [0]
+    for leaf in range(1, n):
+        shapes = [t for s in shapes for t in insertions(s, leaf)]
+    return shapes
+
+
+def reference_exact_decomposition(
+    g: Graph, shapes=None
+) -> tuple[RootedBranchDecomposition, int]:
+    """The first tree of minimum module-width among all_shapes(g.n), and
+    that width: every rooted binary tree over V(g) is tried.  shapes, if
+    given, is all_shapes(g.n) computed once by the caller."""
+    masks = g.adjacency_masks()
+    full_mask = (1 << g.n) - 1
+    best_shape, best_width = None, g.n + 1
+    for shape in all_shapes(g.n) if shapes is None else shapes:
+        w = width_of_shape(shape, masks, full_mask, best_width)
+        if w < best_width:
+            best_shape, best_width = shape, w
+            if best_width == 1:
+                break
+    return _shape_to_decomposition(best_shape), best_width
+
+
 def reference_partition(g: Graph, vt: frozenset[int]) -> tuple[tuple[int, ...], ...]:
     """V_t grouped by neighborhood outside V_t, from frozensets, ordered by
     minimum vertex."""
@@ -830,6 +919,29 @@ def reference_min_vertex_cover(g: Graph) -> frozenset[int]:
     return frozenset(range(g.n))
 
 
+def reference_proper_cover_colorings(g: Graph, cover: list[int], k: int):
+    """The proper colorings of G[cover] with colors 1..k, one per renaming
+    of colors, lexicographically: each vertex takes a color already used
+    or the smallest unused one.  A recursive generator, one level per
+    cover vertex."""
+    assignment: dict[int, int] = {}
+
+    def extend(i: int, max_used: int):
+        if i == len(cover):
+            yield dict(assignment)
+            return
+        v = cover[i]
+        forbidden = {assignment[u] for u in g.neighbors(v) if u in assignment}
+        for color in range(1, min(k, max_used + 1) + 1):
+            if color in forbidden:
+                continue
+            assignment[v] = color
+            yield from extend(i + 1, max(max_used, color))
+            del assignment[v]
+
+    yield from extend(0, 0)
+
+
 def reference_b_vertex_guesses(cover: list[int], phi: dict[int, int]):
     """Subsets of the cover with pairwise distinct colors, the empty one
     first."""
@@ -845,7 +957,7 @@ def reference_cover_guesses(g: Graph, cover: frozenset[int], k: int):
     """All (phi, b-vertex subset) guesses, phi a proper coloring of the
     cover up to renaming as a vertex -> color dict, in a fixed order."""
     cover_list = sorted(cover)
-    for phi in _proper_cover_colorings(g, cover_list, k):
+    for phi in reference_proper_cover_colorings(g, cover_list, k):
         for b_guess in reference_b_vertex_guesses(cover_list, phi):
             yield phi, b_guess
 

@@ -1208,7 +1208,8 @@ class TestWitnessDigest:
         """Decompositions whose replay meets other pair shapes: over 80
         seeded random graphs with n <= 10, the mirrored heuristic
         decomposition, whose leaves sit on the r side, and for n <= 6 the
-        exact-tiny one, whose joins need not have a leaf child."""
+        exact-tiny one, a minimum-width tree whose splits lean to the
+        balanced, so some of its joins have two internal children."""
         rng = random.Random(1414)
         for _ in range(80):
             g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.15, 0.75))
@@ -1233,22 +1234,30 @@ class TestWitnessDigest:
                 h.update(repr((k, None if fall is None else fall.colors)).encode())
         return h.hexdigest()
 
-    # sha256 of the answers below over both case sets, recorded before the
-    # join layer stopped keeping an order: a change of join order may move
-    # a witness, but never an answer or a table's size.
-    ANSWERS_DIGEST = "285b62884ff7a3af559fba53d67615932377c71e646a0832359c4e47c5316d65"
+    # sha256 of the answers below over both case sets, recorded when the
+    # exact-tiny search became a DP over vertex subsets and returned other
+    # minimum-width trees (285b6288... before): a change of join order may
+    # move a witness, but never an answer or a table's size, and a change
+    # of tree may move a table's size, but never an answer.
+    ANSWERS_DIGEST = "146cad9440e55251d399f129c4ad0e18ad02f3070a7e63b5a966711b46dd8926"
+    # The same without the table sizes, unchanged by that new tree.
+    ANSWERS_ONLY_DIGEST = "fc14e36074da5e94bb69a7569495e0f4f78fc396111d048b2e094d78e7d5a233"
 
     def test_answers_match_the_recorded_digest(self):
         """The answers alone over both case sets: chi_b and the largest
         decision table, and whether a fall coloring exists for each k <= 4.
         No witness is replayed, so this digest moves only when an answer or
-        a table's size does."""
-        h = hashlib.sha256()
+        a table's size does; without the sizes, only when an answer does."""
+        h, answers_only = hashlib.sha256(), hashlib.sha256()
         for g, d in itertools.chain(self.heuristic_cases(), self.replay_cases()):
             chi, _, size = bcol_dp.chi_b(bcol_dp.decide, g, d)
             h.update(repr((g.edges(), chi, size)).encode())
+            answers_only.update(repr((g.edges(), chi)).encode())
             for k in range(1, min(g.n, 4) + 1):
-                h.update(repr((k, solve_fallcoloring(g, d, k))).encode())
+                fall = repr((k, solve_fallcoloring(g, d, k))).encode()
+                h.update(fall)
+                answers_only.update(fall)
+        assert answers_only.hexdigest() == self.ANSWERS_ONLY_DIGEST
         assert h.hexdigest() == self.ANSWERS_DIGEST
 
     # sha256 of the pinned outputs, recorded when the one-step leaf join
@@ -1265,10 +1274,21 @@ class TestWitnessDigest:
         """
         assert self.witness_digest(self.heuristic_cases()) == self.DIGEST
 
-    # sha256 of the pinned outputs below, recorded with DIGEST
-    # (b95ea5e9... before).
-    REPLAY_DIGEST = "3681a37d8ab4996b0b6d42eb4eb0ccb752dcb0a7266e49965c644b5813ac17dc"
+    # sha256 of the pinned outputs below, recorded with ANSWERS_DIGEST
+    # (3681a37d... before, and b95ea5e9... before that).
+    REPLAY_DIGEST = "1b0ff89d9cd24a2b8a6563156bb79fd2002ae2802e951618a3fc9225ccfc63a0"
 
     def test_mirrored_and_exact_tiny_witnesses_match_the_recorded_digest(self):
         """The witness digest over replay_cases."""
         assert self.witness_digest(self.replay_cases()) == self.REPLAY_DIGEST
+
+    def test_replay_cases_join_two_subtrees(self):
+        """Replay meets joins with no leaf child: 22 of the 48 exact-tiny
+        trees have a node whose two children are both internal (13 when the
+        search took the first minimum-width tree of an enumeration)."""
+        joined = 0
+        for _, d in self.replay_cases():
+            joins = [d.children(t) for t in d.postorder() if not d.is_leaf(t)]
+            if any(not d.is_leaf(r) and not d.is_leaf(s) for r, s in joins):
+                joined += 1
+        assert joined >= 13

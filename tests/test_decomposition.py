@@ -19,12 +19,15 @@ from bcoloring import (
 from bcoloring import bcol_dp, cli, decomposition
 from bcoloring.decomposition import _annotate, _greedy_order, equivalence_classes
 from helpers import (
+    all_shapes,
+    atlas_connected_corpus,
     caterpillar,
     frontier_greedy_order,
     ladder,
     operator_of,
     random_decomposition,
     random_graph,
+    reference_exact_decomposition,
     reference_greedy_order,
     reference_partition,
     relabeled,
@@ -199,6 +202,36 @@ class TestBestDecomposition:
             exact = module_width(g, best_decomposition(g, "exact-tiny"))
             heur = module_width(g, best_decomposition(g, "heuristic"))
             assert exact <= heur
+
+
+class TestExactSearch:
+    """exact-tiny's DP over vertex subsets against the enumeration of every
+    rooted binary tree, which it replaced."""
+
+    @staticmethod
+    def check(g, shapes):
+        d = best_decomposition(g, "exact-tiny")
+        width = module_width(g, d)
+        assert width == reference_exact_decomposition(g, shapes)[1]
+        assert validate(g, d)
+        assert width == _annotate(g, unrecorded(d)).width
+        assert width <= module_width(g, best_decomposition(g, "heuristic"))
+
+    def test_the_atlas(self):
+        graphs = atlas_connected_corpus(6)
+        assert len(graphs) == 143
+        shapes = {n: all_shapes(n) for n in range(1, 7)}
+        for g in graphs:
+            self.check(g, shapes[g.n])
+
+    def test_seeded_graphs(self):
+        """300 graphs with n <= 7, then 5 with n = 8, where the
+        enumeration tries 135,135 trees per graph."""
+        rng = random.Random(2026)
+        sizes = [rng.randint(1, 7) for _ in range(300)] + [8] * 5
+        shapes = {n: all_shapes(n) for n in set(sizes)}
+        for n in sizes:
+            self.check(random_graph(rng, n, rng.uniform(0.1, 0.9)), shapes[n])
 
 
 class TestInvariants:

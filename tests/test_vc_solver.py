@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcoloring import (
+    Coloring,
     Graph,
     brute_force_bcoloring,
     is_b_coloring,
@@ -25,6 +26,7 @@ from helpers import (
     random_graph,
     reference_cover_guesses,
     reference_min_vertex_cover,
+    reference_proper_cover_colorings,
     reference_try_guess,
     reference_vc_solve,
     reference_vertex_cover_within,
@@ -232,6 +234,21 @@ class TestCoverGuesses:
             return tuple(names.setdefault(c, len(names) + 1) for _, c in phi)
 
         assert len({renamed_to_first_use(phi) for phi in colorings}) == 5
+
+    def test_colorings_match_the_recursive_reference(self):
+        """The explicit-stack enumeration yields the recursive one's
+        colorings in the same order, on covers that are not independent
+        and on vertex sets that are not covers."""
+        rng = random.Random(404)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 7), rng.uniform(0.1, 0.8))
+            cover = sorted(min_vertex_cover(g))
+            some = sorted(v for v in g.vertices() if rng.random() < 0.6)
+            for vertices in (cover, some):
+                for k in range(1, 5):
+                    ours = vc_solver._proper_cover_colorings(g, vertices, k)
+                    theirs = reference_proper_cover_colorings(g, vertices, k)
+                    assert list(ours) == list(theirs)
 
 
 class TestSmallExtensionSearch:
@@ -476,3 +493,21 @@ class TestLongPaths:
         elapsed = time.perf_counter() - start
         assert code == 0 and json.loads(capsys.readouterr().out)["answer"] is True
         assert elapsed < 5.0, elapsed
+
+
+def test_a_thousand_vertex_cover_by_the_cli(tmp_path, capsys):
+    """The cover colorings are enumerated without one stack frame per
+    cover vertex: 1,000 disjoint edges have a 1,000-vertex cover."""
+    m = 1000
+    path = tmp_path / "matching.dimacs"
+    path.write_text(
+        f"p edge {2 * m} {m}\n"
+        + "".join(f"e {2 * i + 1} {2 * i + 2}\n" for i in range(m))
+    )
+    argv = ["bcol", "--solver", "vc", "--k", "2", "--witness", "--graph", str(path)]
+    assert main(argv) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["answer"] is True
+    colors = dict(result["witness"]["coloring"])
+    g = Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+    assert is_b_coloring(g, Coloring(tuple(colors[v + 1] for v in g.vertices()), 2))
