@@ -83,7 +83,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle
 from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate, _bits
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .graph import Coloring, Graph
 
 # Labels for how a color class relates to an equivalence class.
@@ -521,7 +521,8 @@ def _run_dp(
     With canonical set, every internal node's table is canonical at its
     dead class, and with suppliers, a bitmask of the vertices that may be
     b-vertices, each node skips the child pairs its outside suppliers cannot
-    complete (both as in _decision_tables).
+    complete (both as in _decision_tables): a node's suppliers outside V_t
+    are all of them less its children's inside, counted bottom-up.
 
     Each distinct join is computed once per run.  A node's table is a
     function of its operator, its two child tables as ordered signature
@@ -536,21 +537,24 @@ def _run_dp(
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
+    total = 0 if suppliers is None else suppliers.bit_count()
     tables: dict[int, dict[Signature, tuple | None]] = {}
     table_ids: dict[tuple, int] = {}  # each distinct table's signatures -> its id
     node_ids: dict[int, int] = {}  # node -> the id of its table
     joins: dict[tuple, tuple] = {}  # (op, r id, s id, need) -> (skeleton, table, id)
     node_skeletons: dict[int, MergeSkeleton] = {}
+    inside: dict[int, int] = {}  # node waiting for its parent -> suppliers in V_t
     for t in d.postorder():
         if d.is_leaf(t):
-            tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
+            v = d.leaf_vertex(t)
+            tables[t] = dict.fromkeys(seeds[v])
             node_ids[t] = table_ids.setdefault(tuple(tables[t]), len(table_ids))
+            inside[t] = suppliers >> v & 1 if suppliers else 0
             continue
         r, s = d.children(t)
         op = ops[t]
-        supply = None
-        if suppliers is not None:
-            supply = (suppliers & ~d.vertex_mask(t)).bit_count()
+        inside[t] = inside.pop(r) + inside.pop(s)
+        supply = None if suppliers is None else total - inside[t]
         need = 0 if supply is None else max(k - supply, 0)
         key = (op, node_ids[r], node_ids[s], need)
         join = joins.get(key)
@@ -747,7 +751,7 @@ def _realize(
                 sig_r, sig_s, skel.rows, None, want
             )
         if labeling is None:
-            raise StructuralError("witness replay: a stored pair misses its signature")
+            raise RuntimeError("witness replay: a stored pair misses its signature")
         r, s = d.children(t)
         lists_r, lists_s = held[r], held[s] = {}, {}
         for (rho, sigma, tau), x in labeling:
@@ -756,7 +760,7 @@ def _realize(
                 lists_r.setdefault(rho, []).append(c)
                 lists_s.setdefault(sigma, []).append(c)
         if any(lists.values()):
-            raise StructuralError("witness replay left color classes unplaced")
+            raise RuntimeError("witness replay left color classes unplaced")
     colors = [color[v] for v in range(len(color))]
     rank = {c: i for i, c in enumerate(dict.fromkeys(colors), start=1)}
     return Coloring(tuple(rank[c] for c in colors), len(rank)), frozenset(b)
@@ -774,7 +778,7 @@ def reconstruct_witness(
     """
     coloring, b = _realize(table, d, decision_accepting(d, k))
     if not oracle.is_b_coloring(g, coloring):
-        raise StructuralError("reconstructed witness failed the b-coloring check")
+        raise RuntimeError("reconstructed witness failed the b-coloring check")
     return coloring, b
 
 

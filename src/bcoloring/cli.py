@@ -16,7 +16,8 @@ first listed node is the root.  Colorings are `<vertex> <color>` lines,
 
 Results go to standard output as a JSON document with sorted keys.  Exit
 codes: 0 = ran (the answer is inside the document), 2 = input error,
-3 = capacity refusal.
+3 = capacity refusal, 1 = a failed self-check of the program (a
+RuntimeError escapes main with its traceback).
 """
 
 from __future__ import annotations
@@ -176,24 +177,19 @@ def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
 
 
 def format_decomposition(d: RootedBranchDecomposition) -> str:
-    """Serialize with the root first, children before use is not required.
+    """Serialize in reverse postorder, so the root first.
 
     Each node's entry is read once, from the tree's own child and leaf
-    maps: the walk meets only nodes of d, so the accessors' range tests
-    would never fail."""
+    maps: the postorder lists only nodes of d, so the accessors' range
+    tests would never fail."""
     children, leaf_vertex = d._children, d._leaf_vertex
     lines = []
-    stack = [d.root]
-    while stack:
-        t = stack.pop()
+    for t in reversed(d.postorder()):
         kids = children[t]
         if kids is None:
             lines.append(f"n {t} leaf {leaf_vertex[t] + 1}")
         else:
-            left, right = kids
-            lines.append(f"n {t} internal {left} {right}")
-            stack.append(right)
-            stack.append(left)
+            lines.append(f"n {t} internal {kids[0]} {kids[1]}")
     return "\n".join(lines) + "\n"
 
 

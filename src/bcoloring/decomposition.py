@@ -98,7 +98,6 @@ class RootedBranchDecomposition:
         "_children",
         "_leaf_vertex",
         "_postorder",
-        "_below",
         "_annotation",
         "_width",
     )
@@ -126,27 +125,22 @@ class RootedBranchDecomposition:
         if vertices and vertices[0] < 0:
             raise StructuralError(f"leaf_map not bijective: vertex {vertices[0]}")
 
-        # One iterative postorder walk: the shape checks when a node is
-        # first met, V_t as a bitmask once its children are done.
-        post: list[int] = []
-        below: dict[int, int] = {}
-        seen: set[int] = set()
-        stack: list[tuple[int, bool]] = [(root, False)]
+        # One stack preorder checks the shape.  It pushes both children, so
+        # the right one pops first, and reversed it lists the left subtree,
+        # then the right one, then the node: children before parents.
+        order: list[int] = []
+        seen = bytearray(m)
+        stack = [root]
         while stack:
-            t, expanded = stack.pop()
-            kids = self._children[t]
-            if expanded:
-                post.append(t)
-                below[t] = below[kids[0]] | below[kids[1]]
-                continue
-            if t in seen:
+            t = stack.pop()
+            if seen[t]:
                 raise StructuralError(f"node {t}: not a tree (visited twice)")
-            seen.add(t)
+            seen[t] = 1
+            order.append(t)
+            kids = self._children[t]
             if kids is None:
                 if t not in self._leaf_vertex:
                     raise StructuralError(f"node {t}: leaf without a graph vertex")
-                post.append(t)
-                below[t] = 1 << self._leaf_vertex[t]
                 continue
             if t in self._leaf_vertex:
                 raise StructuralError(f"node {t}: internal node mapped to a vertex")
@@ -155,14 +149,11 @@ class RootedBranchDecomposition:
             for c in kids:
                 if not (0 <= c < m):
                     raise StructuralError(f"node {t}: child {c} out of range")
-            stack.append((t, True))
-            stack.append((kids[1], False))
-            stack.append((kids[0], False))
-        if len(seen) != m:
-            missing = sorted(set(range(m)) - seen)
+            stack += kids
+        if len(order) != m:
+            missing = [t for t in range(m) if not seen[t]]
             raise StructuralError(f"nodes unreachable from root: {missing}")
-        self._postorder = tuple(post)
-        self._below = below
+        self._postorder = tuple(reversed(order))
 
     @property
     def node_count(self) -> int:
@@ -198,15 +189,19 @@ class RootedBranchDecomposition:
         """All nodes, children before parents; the root is last."""
         return self._postorder
 
-    def vertex_mask(self, t: int) -> int:
-        """V_t as a bitmask: bit v is set iff vertex v is on a leaf below t."""
+    def vertex_set(self, t: int) -> frozenset[int]:
+        """V_t: the graph vertices on leaves below t, found by walking t's
+        subtree; the tree stores no V_t."""
         if not 0 <= t < len(self._children):
             raise InputError(f"unknown decomposition node {t}")
-        return self._below[t]
+        below = [t]
+        for u in below:  # the list grows as it is read: a breadth-first walk
+            below += self._children[u] or ()
+        return frozenset(self._leaf_vertex[u] for u in below if u in self._leaf_vertex)
 
-    def vertex_set(self, t: int) -> frozenset[int]:
-        """V_t: the graph vertices on leaves below t."""
-        return frozenset(_bits(self.vertex_mask(t)))
+    def vertex_mask(self, t: int) -> int:
+        """V_t as a bitmask: bit v is set iff vertex v is on a leaf below t."""
+        return sum(1 << v for v in self.vertex_set(t))
 
 
 def equivalence_classes(
@@ -232,9 +227,10 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     """The operators and module-width of d over g; StructuralError if d is
     not a decomposition of g.
 
-    One postorder pass keeps only the smallest vertex of each class of each
-    node, in increasing order, and reads an internal node's classes and
-    operator off its children's representatives.  Graphs and
+    One postorder pass keeps V_t as a bitmask and only the smallest vertex
+    of each class of each node, in increasing order, reads an internal
+    node's classes and operator off its children's, and drops a child's
+    once its parent is built.  Graphs and
     decompositions are immutable, so the result is cached on d for this
     graph object, matched by identity (d keeps g alive): validate,
     module_width, the DP and every k probe share it.
@@ -257,22 +253,25 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     cached = d._annotation
     if cached is not None and cached[0] is g:
         return cached[1]
-    if d.vertex_mask(d.root) != (1 << g.n) - 1:
+    covered = sorted(d.leaf_vertex(t) for t in d.leaves())
+    if covered != list(range(g.n)):
         raise StructuralError(
             "leaf_map not bijective: decomposition covers "
-            f"{sorted(d.vertex_set(d.root))}, graph has vertices 0..{g.n - 1}"
+            f"{covered}, graph has vertices 0..{g.n - 1}"
         )
     masks = g.adjacency_masks()
-    reps: dict[int, list[int]] = {}
+    reps: dict[int, tuple[int, list[int]]] = {}  # node -> (V_t, representatives)
     operators: dict[int, NodeOperator] = {}
     width = 1
     for t in d.postorder():
         if d.is_leaf(t):
-            reps[t] = [d.leaf_vertex(t)]
+            v = d.leaf_vertex(t)
+            reps[t] = (1 << v, [v])
             continue
         r, s = d.children(t)
-        rep_r, rep_s = reps.pop(r), reps.pop(s)
-        outside = ~d.vertex_mask(t)
+        (vt_r, rep_r), (vt_s, rep_s) = reps.pop(r), reps.pop(s)
+        vt = vt_r | vt_s
+        outside = ~vt
         first: dict[int, int] = {}  # neighborhood outside V_t -> smallest member
         for v in sorted(rep_r + rep_s):
             first.setdefault(masks[v] & outside, v)
@@ -288,7 +287,7 @@ def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
             bubble_s=tuple(index[masks[v] & outside] for v in rep_s),
             dead=index.get(0),
         )
-        reps[t] = list(first.values())
+        reps[t] = (vt, list(first.values()))
         width = max(width, len(first))
     annotation = Annotation(operators, width)
     d._annotation = (g, annotation)

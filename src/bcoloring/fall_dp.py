@@ -34,7 +34,7 @@ from .bcol_dp import (
     signature,
 )
 from .decomposition import RootedBranchDecomposition
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .graph import Coloring, Graph
 
 
@@ -101,5 +101,5 @@ def _decide(
         return True, None
     coloring, _ = _realize(table, d, accepting)
     if not oracle.is_fall_coloring(g, coloring):
-        raise StructuralError("reconstructed witness failed the fall-coloring check")
+        raise RuntimeError("reconstructed witness failed the fall-coloring check")
     return True, coloring

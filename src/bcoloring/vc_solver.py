@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import InputError, StructuralError
+from .errors import InputError
 from .graph import Coloring, Graph
 from .oracle import is_b_coloring
 
@@ -332,7 +332,7 @@ def _try_guess(
     b_colors = {phi[b] for b in b_guess}
     b_vertices = b_guess | {facts.completer[c] for c in kset - b_colors}
     if not is_b_coloring(g, coloring):
-        raise StructuralError("completed cover guess failed the b-coloring check")
+        raise RuntimeError("completed cover guess failed the b-coloring check")
     return coloring, b_vertices
 
 

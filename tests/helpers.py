@@ -161,6 +161,28 @@ def _shape_to_decomposition(shape) -> RootedBranchDecomposition:
     return RootedBranchDecomposition(children, leaf_vertex, root=root)
 
 
+def reference_walk(d: RootedBranchDecomposition) -> tuple[list[int], dict[int, int]]:
+    """The postorder and every node's V_t as a bitmask, by a two-phase
+    (node, expanded) stack walk: a node is listed, and its mask is the
+    union of its children's, once both children are done."""
+    post: list[int] = []
+    below: dict[int, int] = {}
+    stack = [(d.root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if d.is_leaf(t):
+            post.append(t)
+            below[t] = 1 << d.leaf_vertex(t)
+        elif expanded:
+            r, s = d.children(t)
+            post.append(t)
+            below[t] = below[r] | below[s]
+        else:
+            r, s = d.children(t)
+            stack += [(t, True), (s, False), (r, False)]
+    return post, below
+
+
 # --- witness replay, as it was -------------------------------------------
 
 

@@ -31,7 +31,13 @@ from bcoloring.cli import (
     parse_graph,
     parse_graph_text,
 )
-from helpers import graph_structure, outcome, random_graph, reference_parse_graph_text
+from helpers import (
+    graph_structure,
+    outcome,
+    random_graph,
+    reference_exact_decomposition,
+    reference_parse_graph_text,
+)
 from test_cli_contract import wide_bipartite
 
 K2_COL = "p edge 2 1\ne 1 2\n"
@@ -882,3 +888,106 @@ def test_bcoloring_witness_is_coloring_with_one_b_vertex_per_class(source):
                 assert seen == set(range(1, k + 1)) - {coloring.colors[b]}
             checked += 1
     assert checked == 9
+
+
+class TestSelfCheckFailures:
+    """A witness that fails its definitional check is a fault of the
+    program, not of the input: it escapes main as a RuntimeError (exit 1
+    with a traceback), never exit 2 or 3."""
+
+    @pytest.mark.parametrize(
+        "module, name, argv, message",
+        [
+            (
+                oracle,
+                "is_b_coloring",
+                ["bcol", "--k", "2", "--witness"],
+                "reconstructed witness failed the b-coloring check",
+            ),
+            (
+                vc_solver,
+                "is_b_coloring",
+                ["bcol", "--k", "2", "--solver", "vc"],
+                "completed cover guess failed the b-coloring check",
+            ),
+            (
+                oracle,
+                "is_fall_coloring",
+                ["fallcol", "--k", "2", "--witness"],
+                "reconstructed witness failed the fall-coloring check",
+            ),
+        ],
+        ids=["bcol-cw", "bcol-vc", "fallcol-cw"],
+    )
+    def test_raises_out_of_main(
+        self, tmp_path, capsys, monkeypatch, module, name, argv, message
+    ):
+        monkeypatch.setattr(module, name, lambda g, c: False)
+        path = tmp_path / "p3.col"
+        path.write_text(format_graph(Graph.path(3)))
+        with pytest.raises(RuntimeError, match=message) as caught:
+            main(argv + ["--graph", str(path)])
+        assert type(caught.value) is RuntimeError  # not a CapacityError (exit 3)
+        assert capsys.readouterr().out == ""
+
+
+def exact_tiny_graphs():
+    """Seeded graphs with n from 1 to 8, two of each size from 5 on."""
+    rng = random.Random(31)
+    sizes = [1, 2, 3, 4, 5, 5, 6, 6, 7, 7, 8, 8]
+    return [random_graph(rng, n, rng.uniform(0.2, 0.8)) for n in sizes]
+
+
+class TestDecEffortExactTiny:
+    """--dec-effort exact-tiny answers as the default search does, and as
+    decompose --effort exact-tiny followed by --dec, at the exact width."""
+
+    @pytest.mark.parametrize("index", range(len(exact_tiny_graphs())))
+    def test_answers_and_width(self, tmp_path, capsys, index):
+        g = exact_tiny_graphs()[index]
+        graph_path = tmp_path / "g.col"
+        graph_path.write_text(format_graph(g))
+        dec_path = tmp_path / "g.dec"
+        code, result, _ = run(
+            capsys,
+            [
+                "decompose",
+                "--graph",
+                str(graph_path),
+                "--effort",
+                "exact-tiny",
+                "--out",
+                str(dec_path),
+            ],
+        )
+        assert code == 0
+        exact = reference_exact_decomposition(g)[1]
+        assert result["answer"] == exact
+        requests = [["bchrom"]] + [
+            [problem, "--k", str(k)] for problem in ("bcol", "fallcol") for k in (2, 3)
+        ]
+        for request in requests:
+            argv = request + ["--graph", str(graph_path), "--witness"]
+            answers = []
+            for extra in ([], ["--dec-effort", "exact-tiny"], ["--dec", str(dec_path)]):
+                code, result, _ = run(capsys, argv + extra)
+                assert code == 0, (request, extra)
+                answers.append(result["answer"])
+                if extra:
+                    assert result["stats"]["module_width"] == exact, (request, extra)
+            assert answers[0] == answers[1] == answers[2], (request, answers)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [["bcol", "--k", "2"], ["bchrom"], ["fallcol", "--k", "2"]],
+        ids=["bcol", "bchrom", "fallcol"],
+    )
+    def test_nine_vertices_refused(self, tmp_path, capsys, request_):
+        path = tmp_path / "p9.col"
+        path.write_text(format_graph(Graph.path(9)))
+        code, result, err = run(
+            capsys, request_ + ["--graph", str(path), "--dec-effort", "exact-tiny"]
+        )
+        assert code == 3
+        assert result is None
+        assert "exact-tiny" in err

@@ -30,6 +30,7 @@ from helpers import (
     reference_exact_decomposition,
     reference_greedy_order,
     reference_partition,
+    reference_walk,
     relabeled,
     span_tree,
 )
@@ -148,6 +149,112 @@ class TestValidate:
     def test_negative_leaf_vertex_rejected(self):
         with pytest.raises(StructuralError, match="bijective"):
             RootedBranchDecomposition([(1, 2), None, None], {1: 0, 2: -1}, root=0)
+
+
+class TestConstructorRefusals:
+    """Each structural defect, alone in its tree, refused by its message."""
+
+    @pytest.mark.parametrize(
+        "children, leaf_vertex, root, message",
+        [
+            ([], {}, 0, "decomposition has no nodes"),
+            ([(1, 2), None, None], {1: 0, 2: 1}, 3, "root 3 out of range"),
+            ([(1, 2), None, None], {1: 0}, 0, "node 2: leaf without a graph vertex"),
+            (
+                [(1, 2), None, None],
+                {0: 2, 1: 0, 2: 1},
+                0,
+                "node 0: internal node mapped to a vertex",
+            ),
+            ([(1, 5), None, None], {1: 0}, 0, "node 0: child 5 out of range"),
+            (
+                [(1, 2), None, None, (1, 2), None],
+                {1: 0, 2: 1, 4: 2},
+                0,
+                r"nodes unreachable from root: \[3, 4\]",
+            ),
+            ([(1, 2), (3, 4), None, None, None], {2: 0, 3: 1}, 0, "node 4: leaf without"),
+        ],
+        ids=[
+            "no-nodes",
+            "root-out-of-range",
+            "leaf-without-vertex",
+            "internal-mapped",
+            "child-out-of-range",
+            "unreachable",
+            "deeper-leaf-without-vertex",
+        ],
+    )
+    def test_refusal_message(self, children, leaf_vertex, root, message):
+        with pytest.raises(StructuralError, match=message):
+            RootedBranchDecomposition(children, leaf_vertex, root=root)
+
+    @pytest.mark.parametrize(
+        "children",
+        [[(1, 2), (0, 2), None], [(1, 1), None], [(1, 2), (3, 3), None, None]],
+        ids=["cycle", "same-child-twice", "shared-grandchild"],
+    )
+    def test_visited_twice(self, children):
+        leaves = {t: v for v, t in enumerate(t for t, c in enumerate(children) if c is None)}
+        with pytest.raises(StructuralError, match=r"not a tree \(visited twice\)"):
+            RootedBranchDecomposition(children, leaves, root=0)
+
+
+def shape_corpus() -> list[tuple[Graph, RootedBranchDecomposition]]:
+    """240 random-shape trees over seeded graphs (n up to 12), 30 linear
+    ones under shuffled orders and 20 exact-tiny ones."""
+    rng = random.Random(27)
+    pairs = []
+    for _ in range(240):
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+        pairs.append((g, random_decomposition(g, rng)))
+    for _ in range(30):
+        g = random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9))
+        order = list(g.vertices())
+        rng.shuffle(order)
+        pairs.append((g, linear_decomposition(g, order)))
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
+        pairs.append((g, best_decomposition(g, "exact-tiny")))
+    return pairs
+
+
+class TestTreeShape:
+    """The tree keeps its shape and one walk order; V_t is built on demand.
+    Both are checked against the two-phase walk that builds every V_t."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return shape_corpus()
+
+    def test_postorder_and_vertex_sets_match_the_reference_walk(self, corpus):
+        for g, d in corpus:
+            post, below = reference_walk(d)
+            assert list(d.postorder()) == post
+            assert sorted(post) == list(range(d.node_count))
+            for t in post:
+                assert d.vertex_mask(t) == below[t]
+                assert d.vertex_set(t) == frozenset(
+                    v for v in g.vertices() if below[t] >> v & 1
+                )
+            assert d.vertex_mask(d.root) == (1 << g.n) - 1
+
+    def test_format_round_trip(self, corpus):
+        for g, d in corpus:
+            text = cli.format_decomposition(d)
+            ids = [int(line.split()[1]) for line in text.splitlines()]
+            assert ids[0] == d.root
+            assert sorted(ids) == list(range(d.node_count))
+            back = cli.parse_decomposition_text(text, g)
+            # the parser numbers the nodes in the order they are listed
+            assert back.root == 0
+            for i, t in enumerate(ids):
+                assert back.is_leaf(i) == d.is_leaf(t)
+                if d.is_leaf(t):
+                    assert back.leaf_vertex(i) == d.leaf_vertex(t)
+                else:
+                    assert tuple(ids[c] for c in back.children(i)) == d.children(t)
+            assert [ids[i] for i in back.postorder()] == list(d.postorder())
 
 
 class TestLinearDecomposition:
