@@ -38,34 +38,34 @@ meets its signatures is no part of its result.
 
 A join is a function of the node's operator, its two child tables in
 their order (their annotations never reach the parent) and the b-vertex
-classes a pair must bring, max(k - supply, 0); the skeleton is a function
-of the operator and the two child type lists, which the tables fix.  So
-_run_dp computes each distinct join once per run and nodes that repeat
-one share its skeleton and table; nothing writes to a table once built.
+classes a pair must bring; the skeleton is a function of the operator and
+the two child type lists, which the tables fix.  So _run_dp computes each
+distinct join once per run and nodes that repeat one share its skeleton
+and table; nothing writes to a table once built.
 
-compute_tables seeds every leaf with both leaf signatures and is the
-unpruned reference: its per-node tables are exactly the achievable
-signature sets.  The decision at one k, decide (the cw route, and
-solve_bcoloring and solve_bcoloring_witness through it), runs
-_decision_tables instead, and a witness is replayed from the same tables
-a decision reads.
-It seeds the b-vertex signature only at vertices of degree at least k-1,
-and it keeps every internal table canonical at the node's dead class (the
-class with no neighbor outside V_t): a type with a DEMAND there, which can
-never be met, is dropped, and a CONTAINS there becomes NONE.  It also
-skips each child pair that would leave more classes without a b-vertex
-than there are vertices of degree at least k-1 outside V_t to supply
-them; the pair's b-vertex classes are known before the join, so the check
-costs one comparison per pair.  Its root accepts decision_accepting(d, k);
-its docstring proves that none of the three steps changes an answer or a
-witness.  chi_b is the one loop over k, for b_chromatic_number and for
-the CLI's bchrom on every route: it probes k downward from the m-degree
-bound m(G).
+A run is told its leaf seeds and, for a decision, the root signature it
+decides, which its table records.  compute_tables seeds every leaf with
+both leaf signatures and decides nothing: the unpruned reference, whose
+per-node tables are exactly the achievable signature sets.  decide (the
+cw route, and solve_bcoloring and solve_bcoloring_witness through it)
+runs _decision_tables, which seeds the b-vertex signature only at
+vertices of degree at least k-1 and decides decision_accepting(d, k).
+A decision run keeps every internal table canonical at the node's dead
+class (the class with no neighbor outside V_t): a type with a DEMAND
+there, which can never be met, is dropped, and a CONTAINS there becomes
+NONE.  As the root's k classes hold b-vertices, it also skips each child
+pair that would leave more classes without a b-vertex than there are
+leaves outside V_t whose seeds claim their vertex, one comparison per
+pair.  _decision_tables proves that none of the three steps changes an
+answer or a witness.  chi_b is the one loop over k, for
+b_chromatic_number and for the CLI's bchrom on every route: it probes k
+downward from the m-degree bound m(G).
 
 A b-coloring witness is a (Coloring, b-vertices) pair with one b-vertex per
-class.  _realize replays the stored annotations of an accepting root into
-that pair in one pass down the tree, handing each class's color to the
-child classes it splits into, down to the leaves; no vertex set is built.
+class.  _realize replays the stored annotations of the table's accepting
+root into that pair in one pass down the tree, handing each class's color
+to the child classes it splits into, down to the leaves; no vertex set is
+built.
 At each node it rebuilds a labeling of the stored child pair that makes
 the chosen signature, joining the pair again with _combine_pair over the
 node's skeleton, kept with the table, whatever the pair's shape, and
@@ -497,12 +497,13 @@ def _combine_pair(sig_r, sig_s, skel_rows, out, want=None):
 class DPTable:
     """Per-node achievable signature sets.  An internal node's table maps
     each signature to a child pair (sig_r, sig_s) that reaches it, a
-    leaf's to None."""
+    leaf's to None.  accepting is the root signature the run decides."""
 
     k: int
     root: int
     tables: dict[int, dict[Signature, tuple | None]]
     skeletons: dict[int, MergeSkeleton]  # internal node -> its skeleton
+    accepting: Signature | None  # None for a reference run
 
     def max_table_size(self) -> int:
         return max(len(m) for m in self.tables.values())
@@ -513,31 +514,33 @@ def _run_dp(
     d: RootedBranchDecomposition,
     k: int,
     seeds: Sequence[Iterable[Signature]],
-    *,
-    canonical: bool = False,
-    suppliers: int | None = None,
+    accepting: Signature | None = None,
 ) -> DPTable:
     """The DP over d; seeds[v] lists the signatures of the leaf of vertex v.
-    With canonical set, every internal node's table is canonical at its
-    dead class, and with suppliers, a bitmask of the vertices that may be
-    b-vertices, each node skips the child pairs its outside suppliers cannot
-    complete (both as in _decision_tables): a node's suppliers outside V_t
-    are all of them less its children's inside, counted bottom-up.
+    Without accepting, the root it decides, it is the unpruned reference.
+    Otherwise every internal table is canonical at its dead class, and a
+    node skips the child pairs that cannot bring accepting's b-vertex
+    classes (both as in _decision_tables): its suppliers outside V_t, the
+    leaves whose seeds claim their vertex, are counted bottom-up.
 
     Each distinct join is computed once per run.  A node's table is a
     function of its operator, its two child tables as ordered signature
-    tuples, and need = max(k - supply, 0): combine_signatures reads the
-    child tables in order and never their annotations, and treats every
-    need of 0 or less as no supply at all.  Its skeleton is a function of
-    the operator and the two child type lists, which the child tables fix.
-    So a node whose (operator, r table, s table, need) repeats takes the
-    earlier node's skeleton and table, the very dict: nodes may share a
-    table, and nothing writes to one once built.  Each distinct table gets
-    an id when it is built, so a key holds two ids, not two tables."""
+    tuples, and need, the b-vertex classes a pair must bring:
+    combine_signatures reads the child tables in order and never their
+    annotations.  Its skeleton is a function of the operator and the two
+    child type lists, which the child tables fix.  So a node whose
+    (operator, r table, s table, need) repeats takes the earlier node's
+    skeleton and table, the very dict: nodes may share a table, and nothing
+    writes to one once built.  Each distinct table gets an id when it is
+    built, so a key holds two ids, not two tables."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     ops = _annotate(g, d).operators
-    total = 0 if suppliers is None else suppliers.bit_count()
+    wanted = 0 if accepting is None else _b_count(accepting)  # root's b-vertex classes
+    claims = [  # does a leaf's seed claim its vertex as a b-vertex?
+        wanted and any(tau & 1 for sig in sigs for tau, _ in sig) for sigs in seeds
+    ]
+    total = sum(claims)
     tables: dict[int, dict[Signature, tuple | None]] = {}
     table_ids: dict[tuple, int] = {}  # each distinct table's signatures -> its id
     node_ids: dict[int, int] = {}  # node -> the id of its table
@@ -549,24 +552,24 @@ def _run_dp(
             v = d.leaf_vertex(t)
             tables[t] = dict.fromkeys(seeds[v])
             node_ids[t] = table_ids.setdefault(tuple(tables[t]), len(table_ids))
-            inside[t] = suppliers >> v & 1 if suppliers else 0
+            inside[t] = claims[v]
             continue
         r, s = d.children(t)
         op = ops[t]
         inside[t] = inside.pop(r) + inside.pop(s)
-        supply = None if suppliers is None else total - inside[t]
-        need = 0 if supply is None else max(k - supply, 0)
+        need = max(wanted - (total - inside[t]), 0)
         key = (op, node_ids[r], node_ids[s], need)
         join = joins.get(key)
         if join is None:
             r_types = sorted({tau for sig in tables[r] for tau, _ in sig})
             s_types = sorted({tau for sig in tables[s] for tau, _ in sig})
-            skel = build_merge_skeleton(op, r_types, s_types, canonical)
-            table = combine_signatures(tables[r], tables[s], skel, k, supply)
+            skel = build_merge_skeleton(op, r_types, s_types, accepting is not None)
+            # skips the pairs with fewer than need b-vertex classes
+            table = combine_signatures(tables[r], tables[s], skel, k, k - need)
             table_id = table_ids.setdefault(tuple(table), len(table_ids))
             join = joins[key] = (skel, table, table_id)
         node_skeletons[t], tables[t], node_ids[t] = join
-    return DPTable(k, d.root, tables, node_skeletons)
+    return DPTable(k, d.root, tables, node_skeletons, accepting)
 
 
 def compute_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
@@ -576,11 +579,11 @@ def compute_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
 
 def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     """The decision DP: the b-vertex leaf signature is seeded only at
-    vertices of degree at least k-1 (every other leaf holds the non-b
-    signature alone), every internal node's table is canonical at its
+    vertices of degree at least k-1, and the run decides
+    decision_accepting(d, k), so every internal table is canonical at its
     dead class, and a node skips the child pairs that leave more classes
-    without a b-vertex than there are gated vertices outside V_t.  Its root
-    accepts decision_accepting(d, k) exactly when compute_tables' root
+    without a b-vertex than there are claiming leaves outside V_t.  Its
+    root holds decision_accepting(d, k) exactly when compute_tables' root
     holds accepting_signature(k).
 
     Gating.  Each pair of child signatures is combined exactly as in the
@@ -629,22 +632,22 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     reference accepts only when no DEMAND is left.
 
     b-vertex supply.  Write b1(sig) for the number of classes of sig whose
-    b-vertex bit is 1, and S_t for the gated vertices (degree at least k-1)
-    outside V_t.  At node t a child pair is skipped when
-    k - b1(sig_r) - b1(sig_s) > |S_t|.  Every labeling pairs each class of
-    one side with one class of the other, and two bit-1 classes never
-    merge, so every parent signature of the pair has exactly
-    b1(sig_r) + b1(sig_s) bit-1 classes: the skipped pairs make exactly the
-    parent signatures with more than |S_t| classes without a b-vertex.  No
-    such signature is completed: each of those classes still needs its own
-    b-vertex, outside V_t and so of degree at least k-1.  At the root S_t is
-    empty and every kept signature has k bit-1 classes.  Each table is
-    exactly the table built without skipping, filtered by the rule, in the
-    same order and with the same annotations:
+    b-vertex bit is 1, B for b1 of the root signature decided (k here; 0
+    for fall coloring, which skips nothing), and S_t for the claiming
+    leaves outside V_t, those with a bit-1 class in a seed signature (here
+    the vertices of degree at least k-1).  At node t a child pair is
+    skipped when B - b1(sig_r) - b1(sig_s) > |S_t|.  Every labeling pairs
+    each class of one side with one class of the other, and two bit-1
+    classes never merge, so every parent signature of the pair has exactly
+    b1(sig_r) + b1(sig_s) bit-1 classes, and only a claiming leaf starts
+    one more: no skipped pair reaches B of them at the root, where S_t is
+    empty and every kept signature has B.  Each table is exactly the table
+    built without skipping, filtered by the rule, in the same order and
+    with the same annotations:
     - A dropped child signature only makes dropped parents.  A bit-1 class
-      holds its own gated vertex, so b1(sig_s) is at most the number of
-      gated vertices in V_s, and S_r is S_t plus those.  So
-      k - b1(sig_r) > |S_r| gives k - b1(sig_r) - b1(sig_s) > |S_t|.
+      holds its own claimed vertex, so b1(sig_s) is at most the number of
+      claiming leaves in V_s, and S_r is S_t plus those.  So
+      B - b1(sig_r) > |S_r| gives B - b1(sig_r) - b1(sig_s) > |S_t|.
     - So every pair that makes a kept signature is joined here too, in the
       same relative order.  A pair's join reads only the skeleton edges
       among its own types, in their relative order, which a skeleton over
@@ -670,21 +673,10 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     replayed witness is a b-coloring with k colors (reconstruct_witness
     checks it against the definition before handing it out).
     """
-    gated = _gated_mask(g, k)
-    return _run_dp(g, d, k, _gated_seeds(g, k, gated), canonical=True, suppliers=gated)
-
-
-def _gated_mask(g: Graph, k: int) -> int:
-    """The vertices of degree at least k-1, the only ones that can be
-    b-vertices of a b-coloring with k colors, as a bitmask."""
-    return sum(1 << v for v in g.vertices() if g.degree(v) >= k - 1)
-
-
-def _gated_seeds(g: Graph, k: int, gated: int) -> list[tuple[Signature, ...]]:
-    """Both leaf signatures at the vertices of gated, the _gated_mask of g
-    and k, the non-b one alone elsewhere."""
     plain, claimed = leaf_signatures(k)
-    return [(plain, claimed) if gated >> v & 1 else (plain,) for v in g.vertices()]
+    both, alone = (plain, claimed), (plain,)
+    seeds = [both if g.degree(v) >= k - 1 else alone for v in g.vertices()]
+    return _run_dp(g, d, k, seeds, decision_accepting(d, k))
 
 
 def accepting_signature(k: int) -> Signature:
@@ -704,11 +696,11 @@ def decision_accepting(
 
 
 def _realize(
-    table: DPTable, d: RootedBranchDecomposition, accepting: Signature
+    table: DPTable, d: RootedBranchDecomposition
 ) -> tuple[Coloring, frozenset[int]]:
-    """Replay stored annotations in one pass from the accepting root down
-    into a coloring, its classes numbered by smallest vertex, and its
-    b-vertices.
+    """Replay stored annotations in one pass from the table's accepting
+    root down into a coloring, its classes numbered by smallest vertex, and
+    its b-vertices.  Raises InputError if the root lacks it, or it is None.
 
     Each node holds the colors of its classes, listed by type, counting its
     chosen signature; the root's get distinct colors.  An internal node
@@ -724,6 +716,7 @@ def _realize(
     that repeat the skeleton, the pair and the signature reuse the first
     one's labeling: the join that makes it reads nothing else.
     """
+    accepting = table.accepting  # never a key when None
     if accepting not in table.tables[d.root]:
         raise InputError("accepting signature not achievable; no witness exists")
     contains = encode(ClassType((CONTAINS,), 0), 1)  # + 1 at a b-vertex
@@ -767,16 +760,16 @@ def _realize(
 
 
 def reconstruct_witness(
-    table: DPTable, g: Graph, d: RootedBranchDecomposition, k: int
+    table: DPTable, g: Graph, d: RootedBranchDecomposition
 ) -> tuple[Coloring, frozenset[int]]:
     """Replay the accepting root signature of a decision table
     (_decision_tables) into a b-coloring and its b-vertices, one per class.
-    Raises InputError if the root lacks that signature.
+    Raises InputError if the root lacks it, or the table has none.
 
     This is where every DP b-coloring witness is built, and it is checked
     here, once, against the definition before it is handed out.
     """
-    coloring, b = _realize(table, d, decision_accepting(d, k))
+    coloring, b = _realize(table, d)
     if not oracle.is_b_coloring(g, coloring):
         raise RuntimeError("reconstructed witness failed the b-coloring check")
     return coloring, b
@@ -787,13 +780,14 @@ def decide(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool = False
 
     Returns the answer, the witness (Coloring, b-vertices) when asked for
     and found, checked by reconstruct_witness, else None, and the largest
-    decision table.  Raises InputError for k outside 1..n.
+    decision table.  For k > n no DP runs: no coloring has more colors than
+    vertices.  Raises InputError for k < 1.
     """
-    if not (1 <= k <= g.n):
-        raise InputError(f"k must be in 1..{g.n}, got {k}")
+    if k > g.n:
+        return False, None, None
     table = _decision_tables(g, d, k)
-    answer = decision_accepting(d, k) in table.tables[d.root]
-    found = reconstruct_witness(table, g, d, k) if answer and witness else None
+    answer = table.accepting in table.tables[d.root]
+    found = reconstruct_witness(table, g, d) if answer and witness else None
     return answer, found, table.max_table_size()
 
 

@@ -386,10 +386,10 @@ def _cmd_solve(args) -> dict:
         answer, found, max_table = ROUTES[problem][solver](g, d, k, args.witness)
     else:
         answer = False
-    if solver == "cw" and d is not None:
-        stats = _stats(start, d.node_count, max_table, width)
-    else:
+    if d is None:
         stats = _stats(start)
+    else:
+        stats = _stats(start, d.node_count, max_table, width)
     emitted = None
     if found is not None:
         coloring, b_vertices = found

@@ -2,7 +2,7 @@
 
 Fall coloring is the b-coloring dynamic program with different seeds and a
 different accepting signature.  Every vertex must be a b-vertex, so every
-leaf seeds the one signature that claims its vertex for its own color: one
+leaf seeds the one signature that puts its vertex in its own color: one
 CONTAINS class and k-1 DEMAND classes.  DEMAND then means what fall
 coloring needs, that some vertex of the equivalence class still lacks a
 neighbor in the color class.  Types are the b-coloring ClassType with the
@@ -11,12 +11,12 @@ so the merge, skeleton, signature combination and witness replay are the
 b-coloring ones.  A fall coloring exists iff the reference root table
 holds k classes of type (CONTAINS,) with bit 0.  compute_fall_tables
 builds that reference by default; the one decision, _decide, behind
-solve_fallcoloring and solve_fallcoloring_witness, asks it for canonical
-tables instead, as the b-coloring decision DP keeps them
-(bcol_dp._decision_tables), whose root accepts k classes of type (NONE,)
-with bit 0 (decision_accepting).  Every table keeps each signature's
-first child pair, so a witness is replayed (bcol_dp._realize) from the
-very tables the decision reads.
+solve_fallcoloring and solve_fallcoloring_witness, asks it to decide k
+classes of type (NONE,) with bit 0 (decision_accepting) instead, so its
+tables are canonical as in bcol_dp._decision_tables; that root has no
+b-vertex class, so no pair is skipped.  Every table keeps each
+signature's first child pair and its root, so a witness is replayed
+(bcol_dp._realize) from the very tables the decision reads.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def compute_fall_tables(
     canonical: bool = False,
 ) -> DPTable:
     """The fall-coloring DP.  By default its tables are the unpruned
-    reference; canonical=True gives the decision tables, canonical at each
-    node's dead class, whose root accepts decision_accepting(d, k, 0).
+    reference; canonical=True gives the decision tables, which decide
+    decision_accepting(d, k, 0), canonical at each node's dead class.
 
     The tables are sound as in bcol_dp._decision_tables: each canonical
     table is the canonical image of the reference one.  At the root, a
@@ -67,7 +67,7 @@ def compute_fall_tables(
     only the reference's accepting signature maps to the canonical one.
     """
     seeds = [(fall_leaf_signature(k),)] * g.n
-    return _run_dp(g, d, k, seeds, canonical=canonical)
+    return _run_dp(g, d, k, seeds, decision_accepting(d, k, 0) if canonical else None)
 
 
 def solve_fallcoloring(g: Graph, d: RootedBranchDecomposition, k: int) -> bool:
@@ -94,12 +94,11 @@ def _decide(
     if k > g.min_degree() + 1 or (k == 1 and g.edge_count > 0):
         return False, None
     table = compute_fall_tables(g, d, k, canonical=True)
-    accepting = decision_accepting(d, k, 0)
-    if accepting not in table.tables[d.root]:
+    if table.accepting not in table.tables[d.root]:
         return False, None
     if not witness:
         return True, None
-    coloring, _ = _realize(table, d, accepting)
+    coloring, _ = _realize(table, d)
     if not oracle.is_fall_coloring(g, coloring):
         raise RuntimeError("reconstructed witness failed the fall-coloring check")
     return True, coloring

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -17,6 +18,8 @@ from bcoloring import (
     is_fall_coloring,
     linear_decomposition,
     solve_bcoloring,
+    solve_bcoloring_vc,
+    solve_bcoloring_vc_witness,
     solve_bcoloring_witness,
 )
 from bcoloring import bcol_dp
@@ -29,8 +32,6 @@ from bcoloring.bcol_dp import (
     MergeSkeleton,
     _combine_pair,
     _decision_tables,
-    _gated_mask,
-    _gated_seeds,
     _leaf_join,
     _leaf_rows,
     _leaf_split,
@@ -112,6 +113,19 @@ def count_calls(monkeypatch, names):
     for name in names:
         monkeypatch.setattr(bcol_dp, name, counted(name, getattr(bcol_dp, name)))
     return calls
+
+
+def gated_mask(g, k):
+    """The vertices of degree at least k-1, the only ones that can be
+    b-vertices of a b-coloring with k colors, as a bitmask."""
+    return sum(1 << v for v in g.vertices() if g.degree(v) >= k - 1)
+
+
+def gated_seeds(g, k):
+    """Both leaf signatures at the vertices of degree at least k-1, the
+    non-b one alone elsewhere: the decision DP's seeds."""
+    plain, claimed = leaf_signatures(k)
+    return [(plain, claimed) if g.degree(v) >= k - 1 else (plain,) for v in g.vertices()]
 
 
 def join_keys(g, d, table, suppliers):
@@ -421,8 +435,8 @@ class TestMergeSkeleton:
         monkeypatch.undo()
 
         ops = _annotate(g, d).operators
-        gated = _gated_mask(g, 3)
-        seeds = _gated_seeds(g, 3, gated)
+        gated = gated_mask(g, 3)
+        seeds = gated_seeds(g, 3)
         tables, skeletons = {}, {}
         for t in d.postorder():
             if d.is_leaf(t):
@@ -440,9 +454,9 @@ class TestMergeSkeleton:
             tables[t] = combine_signatures(tables[r], tables[s], skel, 3, supply)
         for t in d.postorder():
             assert list(cached.tables[t].items()) == list(tables[t].items())
-        uncached = bcol_dp.DPTable(3, d.root, tables, skeletons)
-        assert reconstruct_witness(cached, g, d, 3) == reconstruct_witness(
-            uncached, g, d, 3
+        uncached = bcol_dp.DPTable(3, d.root, tables, skeletons, cached.accepting)
+        assert reconstruct_witness(cached, g, d) == reconstruct_witness(
+            uncached, g, d
         )
 
 
@@ -639,9 +653,11 @@ class TestSolveBColoring:
         assert solve_bcoloring(g, d, 1)
 
     def test_k_out_of_range(self):
+        # k above n answers false, as every other route does; k < 1 is an
+        # input error.
         g, d, _ = k2_setup()
-        with pytest.raises(InputError):
-            solve_bcoloring(g, d, 3)
+        assert solve_bcoloring(g, d, 3) is False
+        assert solve_bcoloring_witness(g, d, 3) is None
         with pytest.raises(InputError):
             solve_bcoloring(g, d, 0)
 
@@ -677,12 +693,58 @@ class TestWitness:
         assert solve_bcoloring_witness(g, d, 1) is None
 
     def test_reconstruct_refuses_a_root_without_the_accepting_signature(self):
-        # The reference root holds k classes of type ((CONTAINS,), 1), not
-        # the canonical decision_accepting signature replay starts from.
+        # The reference table decides no root signature, so replay has none
+        # to start from.
         g, d, _ = k2_setup()
         table = compute_tables(g, d, 2)
         with pytest.raises(InputError, match="witness"):
-            reconstruct_witness(table, g, d, 2)
+            reconstruct_witness(table, g, d)
+
+    def test_realize_refuses_a_table_without_a_root(self):
+        g = Graph.cycle(6)
+        d = best_decomposition(g, "heuristic")
+        for table in (compute_tables(g, d, 2), compute_fall_tables(g, d, 2)):
+            assert table.accepting is None
+            with pytest.raises(InputError, match="witness"):
+                _realize(table, d)
+
+
+class TestTableRoot:
+    """A table records the root signature its run decides, and only a
+    decision run decides one."""
+
+    def test_accepting_is_none_exactly_for_references(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            for k in range(1, g.n + 1):
+                assert compute_tables(g, d, k).accepting is None
+                assert compute_fall_tables(g, d, k).accepting is None
+                assert _decision_tables(g, d, k).accepting == decision_accepting(d, k)
+                fall = compute_fall_tables(g, d, k, canonical=True)
+                assert fall.accepting == decision_accepting(d, k, 0)
+
+
+class TestBeyondN:
+    """No coloring has more colors than vertices: every library route
+    answers false, or None for a witness, at k = n + 1 and n + 2."""
+
+    def test_every_route_answers_false(self):
+        rng = random.Random(31)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.15, 0.85))
+            d = best_decomposition(g, "heuristic")
+            for k in (g.n + 1, g.n + 2):
+                assert bcol_dp.decide(g, d, k, True) == (False, None, None)
+                assert solve_bcoloring(g, d, k) is False
+                assert solve_bcoloring_witness(g, d, k) is None
+                assert solve_bcoloring_vc(g, k) is False
+                assert solve_bcoloring_vc_witness(g, k) is None
+                assert solve_fallcoloring(g, d, k) is False
+                assert solve_fallcoloring_witness(g, d, k) is None
+                assert brute_force_bcoloring(g, k) is None
+                assert brute_force_fallcoloring(g, k) is None
 
 
 class TestBChromaticNumber:
@@ -720,7 +782,7 @@ class TestDegreeGatedTables:
             ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
                 reference = compute_tables(g, d, k)
-                gated = _run_dp(g, d, k, _gated_seeds(g, k, _gated_mask(g, k)))
+                gated = _run_dp(g, d, k, gated_seeds(g, k))
                 decision = _decision_tables(g, d, k)
                 for t in d.postorder():
                     if d.is_leaf(t):
@@ -736,6 +798,20 @@ class TestDegreeGatedTables:
                 assert (decision_accepting(d, k) in decision.tables[d.root]) == (
                     accepting_signature(k) in reference.tables[d.root]
                 ), (g.edges(), k)
+
+    def test_root_without_b_vertex_classes_skips_no_pair(self, corpus):
+        # A decision run whose root has no b-vertex class keeps its tables
+        # canonical and skips no pair: on the gated b-coloring seeds each
+        # internal table is the canonical image of the gated reference run.
+        for g, d in corpus:
+            ops = _annotate(g, d).operators
+            for k in range(1, g.n + 1):
+                gated = _run_dp(g, d, k, gated_seeds(g, k))
+                bare = _run_dp(g, d, k, gated_seeds(g, k), decision_accepting(d, k, 0))
+                for t in d.postorder():
+                    if not d.is_leaf(t):
+                        image = canonical_image(gated.tables[t], ops[t])
+                        assert set(bare.tables[t]) == image, (g.edges(), k, t)
 
     def test_low_degree_leaves_hold_no_b_vertex(self):
         g = Graph.star(3)  # the leaves have degree 1 < k - 1 for k = 3
@@ -771,8 +847,8 @@ class TestBVertexSupply:
                 ops = _annotate(g, d).operators
                 feasible = [0]
                 for k in range(1, g.n + 1):
-                    seeds = _gated_seeds(g, k, _gated_mask(g, k))
-                    full = _run_dp(g, d, k, seeds, canonical=True)
+                    # a root with no b-vertex class: canonical, no pair skipped
+                    full = _run_dp(g, d, k, gated_seeds(g, k), decision_accepting(d, k, 0))
                     pruned = _decision_tables(g, d, k)
                     for t in d.postorder():
                         expected = list(full.tables[t].items())
@@ -791,9 +867,10 @@ class TestBVertexSupply:
                         )
                     if decision_accepting(d, k) in full.tables[d.root]:
                         feasible.append(k)
+                        unpruned = dataclasses.replace(full, accepting=pruned.accepting)
                         assert reconstruct_witness(
-                            pruned, g, d, k
-                        ) == reconstruct_witness(full, g, d, k)
+                            pruned, g, d
+                        ) == reconstruct_witness(unpruned, g, d)
                 assert b_chromatic_number(g, d) == max(feasible), g.edges()
         assert dropped > entries // 4
 
@@ -887,7 +964,7 @@ class TestCanonicalDecision:
             for k in range(1, g.n + 1):
                 tables = []
                 for build, suppliers in (
-                    (_decision_tables, _gated_mask(g, k)),
+                    (_decision_tables, gated_mask(g, k)),
                     (compute_tables, None),
                     (compute_fall_tables, None),
                 ):
@@ -909,7 +986,7 @@ class TestCanonicalDecision:
                             assert sig_r in table.tables[r] and sig_s in table.tables[s]
                 if decision_accepting(d, k) in tables[0].tables[d.root]:
                     calls.clear()
-                    coloring, _ = reconstruct_witness(tables[0], g, d, k)
+                    coloring, _ = reconstruct_witness(tables[0], g, d)
                     assert calls == [] and is_b_coloring(g, coloring)
                     replayed += 1
                 calls.clear()
@@ -998,7 +1075,7 @@ class TestJoinReuse:
         for g, d, ks in self.cases():
             ops = _annotate(g, d).operators
             for k in ks:
-                gated = _gated_mask(g, k)
+                gated = gated_mask(g, k)
                 for table, suppliers, canonical in (
                     (_decision_tables(g, d, k), gated, True),
                     (compute_tables(g, d, k), None, False),
@@ -1036,7 +1113,7 @@ class TestJoinReuse:
         # the chosen signature.
         def unshared(table):
             skeletons = {t: MergeSkeleton(skel.rows) for t, skel in table.skeletons.items()}
-            return DPTable(table.k, table.root, table.tables, skeletons)
+            return DPTable(table.k, table.root, table.tables, skeletons, table.accepting)
 
         def clashes(table, d, accepting):
             chosen = chosen_signatures(table, d, accepting)
@@ -1060,8 +1137,8 @@ class TestJoinReuse:
                     (compute_fall_tables(g, d, k, canonical=True), decision_accepting(d, k, 0)),
                 ):
                     if accepting in table.tables[d.root]:
-                        found = _realize(table, d, accepting)
-                        assert found == _realize(unshared(table), d, accepting)
+                        found = _realize(table, d)
+                        assert found == _realize(unshared(table), d)
                         assert found == reference_realize(table, d, accepting)
                         clashed += clashes(table, d, accepting)
                         replayed += 1
@@ -1081,7 +1158,7 @@ class TestJoinReuse:
         table = _decision_tables(g, d, 3)
         assert calls.count("combine_signatures") < 40
         calls.clear()
-        coloring, _ = reconstruct_witness(table, g, d, 3)
+        coloring, _ = reconstruct_witness(table, g, d)
         assert is_b_coloring(g, coloring)
         assert calls.count("_combine_pair") < 40
 

@@ -410,6 +410,36 @@ class TestCommands:
         assert result["solver"] == "cw-dp"
         assert result["stats"]["module_width"] == 10
 
+    def test_automatic_route_follows_its_rule(self, tmp_path, capsys):
+        # Without --solver, bcol takes vc exactly when the heuristic width it
+        # reports is above 8 and a cover of at most 12 vertices exists, over
+        # 60 seeded bipartite cover graphs (7-14 cover vertices, 15-30
+        # outside vertices each joined to 2-5 of them) that reach all three
+        # regions of the rule.
+        rng = random.Random(1)
+        regions = set()
+        for i in range(60):
+            c, t = rng.randint(7, 14), rng.randint(15, 30)
+            edges = [
+                (u, x)
+                for x in range(c, c + t)
+                for u in sorted(rng.sample(range(c), rng.randint(2, 5)))
+            ]
+            g = Graph(c + t, edges)
+            path = tmp_path / f"cover{i}.col"
+            path.write_text(format_graph(g))
+            code, result, _ = run(capsys, ["bcol", "--graph", str(path), "--k", "1"])
+            assert code == 0
+            width = result["stats"]["module_width"]
+            small_cover = vc_solver.vertex_cover_within(g, 12) is not None
+            if width <= 8:
+                regions.add("narrow")
+            else:
+                regions.add("wide, small cover" if small_cover else "wide, large cover")
+            expected = "vc" if width > 8 and small_cover else "cw-dp"
+            assert result["solver"] == expected, (i, width, small_cover)
+        assert regions == {"narrow", "wide, small cover", "wide, large cover"}
+
     def test_empty_graph(self, tmp_path, capsys):
         # bcol answers false on the empty graph, but a given --dec is read
         # and refused: no file decomposes it.  bchrom and decompose refuse
