@@ -37,11 +37,12 @@ joined; no labeling is kept in the table, and the order in which a join
 meets its signatures is no part of its result.
 
 A join is a function of the node's operator, its two child tables in
-their order (their annotations never reach the parent) and the b-vertex
-classes a pair must bring; the skeleton is a function of the operator and
-the two child type lists, which the tables fix.  So _run_dp computes each
-distinct join once per run and nodes that repeat one share its skeleton
-and table; nothing writes to a table once built.
+their order (their annotations never reach the parent), the b-vertex
+classes a pair must bring and, in a decision, the facts its two rules
+read (below); the skeleton is a function of the operator, the two child
+type lists, which the tables fix, and those facts.  So _run_dp computes
+each distinct join once per run and nodes that repeat one share its
+skeleton and table; nothing writes to a table once built.
 
 A run is told its leaf seeds and, for a decision, the root signature it
 decides, which its table records.  compute_tables seeds every leaf with
@@ -51,12 +52,19 @@ cw route, and solve_bcoloring and solve_bcoloring_witness through it)
 runs _decision_tables, which seeds the b-vertex signature only at
 vertices of degree at least k-1 and decides decision_accepting(d, k).
 A decision run keeps every internal table canonical at the node's dead
-class (the class with no neighbor outside V_t): a type with a DEMAND
-there, which can never be met, is dropped, and a CONTAINS there becomes
-NONE.  As the root's k classes hold b-vertices, it also skips each child
-pair that would leave more classes without a b-vertex than there are
-leaves outside V_t whose seeds claim their vertex, one comparison per
-pair.  _decision_tables proves that none of the three steps changes an
+class (the class with no neighbor outside V_t): a CONTAINS there becomes
+NONE.  It drops every type that no completion of G_t can satisfy, read
+off the outside neighborhoods O_q of the node's classes q: by the demand
+rule, a type with a DEMAND on a class whose O_q lies in the union U of
+the O_q of its CONTAINS classes (the dead class, whose O_q is empty,
+among them); and, as the root's k classes hold b-vertices, by the supply
+rule, a type without its b-vertex when every leaf outside V_t whose
+seeds claim its vertex lies in U.  Both are tested once per distinct
+merge type of a skeleton, on facts that only a decision run gathers,
+in the walk that annotates d (decomposition._outside_facts).  It
+also skips each child pair that would leave more classes without a
+b-vertex than there are such claiming leaves outside V_t, one comparison
+per pair.  _decision_tables proves that none of these steps changes an
 answer or a witness.  chi_b is the one loop over k, for
 b_chromatic_number and for the CLI's bchrom on every route: it probes k
 downward from the m-degree bound m(G).
@@ -82,7 +90,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import oracle
-from .decomposition import NodeOperator, RootedBranchDecomposition, _annotate, _bits
+from .decomposition import (
+    NodeOperator,
+    RootedBranchDecomposition,
+    _annotate,
+    _bits,
+    _outside_facts,
+)
 from .errors import InputError
 from .graph import Coloring, Graph
 
@@ -173,11 +187,14 @@ def build_merge_skeleton(
     r_types: Iterable[int],
     s_types: Iterable[int],
     canonical: bool = False,
+    overlaps: Sequence[int] | None = None,
+    suppliers: Sequence[int] | None = None,
 ) -> MergeSkeleton:
     """Skeleton over the given child type codes: one edge per compatible
     pair, labeled with the code of its merge type, made canonical at the
     node's dead class if asked (the decision DP's skeleton, see
-    _decision_tables).
+    _decision_tables), without the merge types that no completion can
+    satisfy.
 
     Two classes may merge unless both hold a b-vertex, or two CONTAINS
     bubbles are joined by an h-edge (adjacent vertices in one class).  A
@@ -191,10 +208,23 @@ def build_merge_skeleton(
     _decision_tables), a DEMAND there drops the pair and a CONTAINS there
     becomes NONE.
 
+    The decision DP also passes the facts of its demand and supply rules
+    (_decision_tables).  overlaps, the distinct masks of the node's classes
+    adjacent to one outside neighbor, drops a merge type with a DEMAND on a
+    class q whose every outside neighbor is adjacent to one of its CONTAINS
+    classes: no mask holds q and misses them all.  It is None where the
+    classes' outside neighborhoods are pairwise disjoint, where that rule
+    is the test against the dead class and the type's own CONTAINS
+    classes made for every pair.  suppliers, the distinct such masks of
+    the claiming leaves outside V_t, drops a merge type without the bit
+    whose CONTAINS classes meet every one of them; it is None where the
+    rule cannot fire.
+
     Each code is read once into label masks (_side), so a pair costs a few
-    mask operations; the parent masks of open demands and the parent codes
-    are computed once per distinct mask.  Raises InputError if a code is
-    wider than its side's class count.
+    mask operations; the parent masks of open demands are computed once
+    per distinct mask, and the parent codes and both rules once per
+    distinct parent (CONTAINS, DEMAND) masks.  Raises InputError if a code
+    is wider than its side's class count.
     """
     r_side = _side(r_types, op.bubble_r, op.h_edges)
     s_side = _side(s_types, op.bubble_s, [(j, i) for i, j in op.h_edges])
@@ -203,7 +233,8 @@ def build_merge_skeleton(
     dead = 1 << op.dead if canonical and op.dead is not None else 0
     up_r: dict[int, int] = {}  # open r-demands -> their parent classes
     up_s: dict[int, int] = {}
-    base3: dict[int, int] = {}  # parent CONTAINS | DEMAND << width -> labels
+    # parent CONTAINS | DEMAND << width -> its codes by bit, None if dropped
+    parents: dict[int, tuple] = {}
     rows = {}
     for rho, b_r, _, dem_r, meets_r, in_r in r_side:
         row = []
@@ -222,16 +253,41 @@ def build_merge_skeleton(
                 continue
             contains = (in_r | in_s) & ~dead
             key = contains | demand << width
-            labels = base3.get(key)
-            if labels is None:
-                labels = base3[key] = sum(
-                    weight[q] * (CONTAINS if contains >> q & 1 else DEMAND)
-                    for q in _bits(contains | demand)
+            codes = parents.get(key)
+            if codes is None:
+                codes = parents[key] = _parent_codes(
+                    contains, demand, weight, overlaps, suppliers
                 )
-            row.append((sigma, 2 * labels + b_r + b_s))
+            tau = codes[b_r + b_s]
+            if tau is not None:
+                row.append((sigma, tau))
         if row:
             rows[rho] = tuple(row)
     return MergeSkeleton(rows)
+
+
+def _parent_codes(contains, demand, weight, overlaps, suppliers) -> tuple:
+    """The codes of the merge type with these parent CONTAINS and DEMAND
+    masks, without and with the bit, each None if a rule drops it.
+
+    Demand rule: the classes whose outside neighbors a class of this
+    color may still reach are the union of the masks that miss contains;
+    a DEMAND outside that union is dropped.  Supply rule: a type without
+    the bit is dropped when every supplier mask meets contains."""
+    if overlaps is not None:
+        reach = 0
+        for mask in overlaps:
+            if not mask & contains:
+                reach |= mask
+        if demand & ~reach:
+            return None, None
+    code = 2 * sum(
+        weight[q] * (CONTAINS if contains >> q & 1 else DEMAND)
+        for q in _bits(contains | demand)
+    )
+    if suppliers is not None and all(mask & contains for mask in suppliers):
+        return None, code + 1
+    return code, code + 1
 
 
 def _side(codes: Iterable[int], bubble: Sequence[int], h_edges) -> list[tuple]:
@@ -518,23 +574,37 @@ def _run_dp(
 ) -> DPTable:
     """The DP over d; seeds[v] lists the signatures of the leaf of vertex v.
     Without accepting, the root it decides, it is the unpruned reference.
-    Otherwise every internal table is canonical at its dead class, and a
-    node skips the child pairs that cannot bring accepting's b-vertex
-    classes (both as in _decision_tables): its suppliers outside V_t, the
-    leaves whose seeds claim their vertex, are counted bottom-up.
+    Otherwise every internal table is canonical at its dead class, drops
+    the types of the demand rule and, when accepting has b-vertex classes,
+    of the supply rule, and a node skips the child pairs that cannot bring
+    those classes (all as in _decision_tables): its suppliers outside V_t,
+    the leaves whose seeds claim their vertex, are counted bottom-up.
+
+    The rules' facts at each node are as build_merge_skeleton takes them,
+    None where a rule reduces to the canonical form or cannot fire, and
+    only a decision run asks for them (decomposition._outside_facts):
+    overlaps as listed, and suppliers, the distinct class masks of the
+    claiming leaves outside V_t, read off the node's listed outside
+    neighbors when all those leaves are among them.  Where a node's
+    neighbors are not listed (its class representatives have too many),
+    both facts are None: the demand rule is the dead-class drop there, and
+    the supply rule is not applied.
 
     Each distinct join is computed once per run.  A node's table is a
     function of its operator, its two child tables as ordered signature
-    tuples, and need, the b-vertex classes a pair must bring:
-    combine_signatures reads the child tables in order and never their
-    annotations.  Its skeleton is a function of the operator and the two
-    child type lists, which the child tables fix.  So a node whose
-    (operator, r table, s table, need) repeats takes the earlier node's
+    tuples, need, the b-vertex classes a pair must bring, and the rules'
+    facts: combine_signatures reads the child tables in order and never
+    their annotations.  Its skeleton is a function of the operator, the two
+    child type lists, which the child tables fix, and those facts, which
+    name classes, not vertices.  So a node whose (operator, r table,
+    s table, need, overlaps, suppliers) repeats takes the earlier node's
     skeleton and table, the very dict: nodes may share a table, and nothing
     writes to one once built.  Each distinct table gets an id when it is
     built, so a key holds two ids, not two tables."""
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
+    decision = accepting is not None
+    facts = _outside_facts(g, d) if decision else None  # annotates d too
     ops = _annotate(g, d).operators
     wanted = 0 if accepting is None else _b_count(accepting)  # root's b-vertex classes
     claims = [  # does a leaf's seed claim its vertex as a b-vertex?
@@ -544,7 +614,8 @@ def _run_dp(
     tables: dict[int, dict[Signature, tuple | None]] = {}
     table_ids: dict[tuple, int] = {}  # each distinct table's signatures -> its id
     node_ids: dict[int, int] = {}  # node -> the id of its table
-    joins: dict[tuple, tuple] = {}  # (op, r id, s id, need) -> (skeleton, table, id)
+    # (op, r id, s id, need, overlaps, suppliers) -> (skeleton, table, id)
+    joins: dict[tuple, tuple] = {}
     node_skeletons: dict[int, MergeSkeleton] = {}
     inside: dict[int, int] = {}  # node waiting for its parent -> suppliers in V_t
     for t in d.postorder():
@@ -557,13 +628,26 @@ def _run_dp(
         r, s = d.children(t)
         op = ops[t]
         inside[t] = inside.pop(r) + inside.pop(s)
-        need = max(wanted - (total - inside[t]), 0)
-        key = (op, node_ids[r], node_ids[s], need)
+        far = total - inside[t]  # claiming leaves outside V_t
+        need = max(wanted - far, 0)
+        overlaps = suppliers = None
+        if decision:
+            overlaps = facts.overlaps.get(t)
+            near = facts.neighbors.get(t)
+            if wanted and near is not None and far <= len(near):
+                # the supply rule fires only if every claiming leaf outside
+                # V_t is a neighbor of V_t
+                masks = [mask for w, mask in near if claims[w]]
+                if len(masks) == far:
+                    suppliers = tuple(sorted(set(masks)))
+        key = (op, node_ids[r], node_ids[s], need, overlaps, suppliers)
         join = joins.get(key)
         if join is None:
             r_types = sorted({tau for sig in tables[r] for tau, _ in sig})
             s_types = sorted({tau for sig in tables[s] for tau, _ in sig})
-            skel = build_merge_skeleton(op, r_types, s_types, accepting is not None)
+            skel = build_merge_skeleton(
+                op, r_types, s_types, decision, overlaps, suppliers
+            )
             # skips the pairs with fewer than need b-vertex classes
             table = combine_signatures(tables[r], tables[s], skel, k, k - need)
             table_id = table_ids.setdefault(tuple(table), len(table_ids))
@@ -581,10 +665,11 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
     """The decision DP: the b-vertex leaf signature is seeded only at
     vertices of degree at least k-1, and the run decides
     decision_accepting(d, k), so every internal table is canonical at its
-    dead class, and a node skips the child pairs that leave more classes
-    without a b-vertex than there are claiming leaves outside V_t.  Its
-    root holds decision_accepting(d, k) exactly when compute_tables' root
-    holds accepting_signature(k).
+    dead class, drops the types that the demand and supply rules show no
+    completion can satisfy, and a node skips the child pairs that leave
+    more classes without a b-vertex than there are claiming leaves outside
+    V_t.  Its root holds decision_accepting(d, k) exactly when
+    compute_tables' root holds accepting_signature(k).
 
     Gating.  Each pair of child signatures is combined exactly as in the
     reference: the skeleton holds every compatible pair among the types of
@@ -656,6 +741,68 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
       reaches it first without skipping, and replay rebuilds the same
       labeling from it.
     Answers and witnesses are therefore unchanged.
+
+    Demand and supply rules.  At an internal node t, let O_q be the
+    neighbors outside V_t of the vertices of class q: one set per class,
+    by the definition of the classes, and empty for the dead class.  For a
+    type with CONTAINS on the classes C, let U be the union of O_q over q in
+    C.  Every vertex of U is adjacent to a vertex of this color class in
+    G_t, so none of them can take its color.
+    - Demand rule: a type with a DEMAND on q is dropped when O_q lies in U.
+      The neighbor owed to q must lie in O_q and take this color.  The
+      dead class is the case O_q empty, so this rule is the canonical drop
+      of a DEMAND there, made general.
+    - Supply rule, for a root whose classes hold b-vertices (not fall
+      coloring): a type with bit 0 is dropped when every claiming leaf
+      outside V_t lies in U.  Its b-vertex must be such a leaf of this
+      color.
+    Both are applied in full at the nodes whose outside neighbors
+    decomposition._outside_facts lists, and the parent of such a node is
+    one of them; elsewhere only the dead-class drop is.  "Dropped" below
+    means dropped by a rule applied at the node.
+    So no dropped type is the type at t of a color class of a coloring the
+    root accepts.  A rule reads only the merge type, so build_merge_skeleton
+    drops exactly the skeleton edges whose merge type is dropped; for the
+    supply rule, those where neither child type carries the bit.
+
+    Each table is the table built without the two rules, filtered: less
+    the signatures holding a dropped type, in the same order and with the
+    same annotations, as with the supply count.  Leaves are not filtered.
+    A child signature holding a type dropped at a child makes only dropped
+    parents, or none.  Say rho at r, with CONTAINS on C_r, is dropped, and
+    a labeling puts a class of type rho with one of type sigma, making a
+    class of type tau at t (the same with r and s swapped).
+    - rho has a DEMAND on the r-class i, with O_i inside the union of the
+      O_i' of r over i' in C_r.  If an s-class j meets it across the join,
+      j's vertices are adjacent to i's and lie outside V_r, so in O_i, and
+      one of them lies in O_i' for some i' in C_r: i' and j are joined by
+      an h-edge and both are CONTAINS, so the merge is blocked.  Otherwise
+      the DEMAND stays open on the parent class q of i, and O_q at t is
+      O_i less V_s, inside the union of the O_i' less V_s, each of which is
+      O at t of the parent class of i', a CONTAINS class of tau: tau is
+      dropped, as a rule applied at r is applied at t (O_q empty is the
+      dead-class drop, applied everywhere).
+    - rho has bit 0, and every claiming leaf outside V_r lies in the union
+      of the O_i' over i' in C_r.  If sigma has the bit, its b-vertex is a
+      claiming leaf in V_s, outside V_r, so in some O_i', and its s-class is
+      CONTAINS in sigma: it holds the vertex, which has a neighbor outside
+      V_s, so the class is not s's dead class.  An h-edge joins that class
+      and i', so the merge is blocked.  Otherwise tau has bit 0, and every
+      claiming leaf outside V_t lies outside V_r, so in some O_i' less
+      V_t, which is O at t of the parent class of i': tau is dropped, as
+      the rule applied at r is applied at t.
+    A CONTAINS made NONE on a dead class adds nothing to U, as its O_q is
+    empty.  So every pair that makes a kept signature is joined here too,
+    in the same relative order.  Over the skeleton without the dropped
+    edges, a pair's join makes exactly its signatures that hold no dropped
+    type, since a labeling makes a dropped type exactly when it uses a
+    dropped edge: _leaf_join tries the same takers in order and skips those
+    whose signature holds one, and in _combine_pair a parent-type count
+    never falls, so the states that lead to a kept signature are met in the
+    same order.  So a kept signature's first pair is the one that reaches
+    it first without the rules, and replay, which reads only edges whose
+    merge type is in the chosen signature, rebuilds the same labeling from
+    it.  Answers and witnesses are therefore unchanged.
 
     The root.  Its canonical image of accepting_signature(k), k classes of
     type ((CONTAINS,), 1), is k classes of type ((NONE,), 1), and nothing

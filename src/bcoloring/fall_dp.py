@@ -13,8 +13,9 @@ holds k classes of type (CONTAINS,) with bit 0.  compute_fall_tables
 builds that reference by default; the one decision, _decide, behind
 solve_fallcoloring and solve_fallcoloring_witness, asks it to decide k
 classes of type (NONE,) with bit 0 (decision_accepting) instead, so its
-tables are canonical as in bcol_dp._decision_tables; that root has no
-b-vertex class, so no pair is skipped.  Every table keeps each
+tables are canonical and drop the types of the demand rule as in
+bcol_dp._decision_tables; that root has no b-vertex class, so no pair is
+skipped and the supply rule drops nothing.  Every table keeps each
 signature's first child pair and its root, so a witness is replayed
 (bcol_dp._realize) from the very tables the decision reads.
 """
@@ -57,14 +58,19 @@ def compute_fall_tables(
 ) -> DPTable:
     """The fall-coloring DP.  By default its tables are the unpruned
     reference; canonical=True gives the decision tables, which decide
-    decision_accepting(d, k, 0), canonical at each node's dead class.
+    decision_accepting(d, k, 0), canonical at each node's dead class and
+    less the types of the demand rule.
 
     The tables are sound as in bcol_dp._decision_tables: each canonical
-    table is the canonical image of the reference one.  At the root, a
-    class of type (NONE,) in the reference table would be an empty color
-    class; for k >= 2 every vertex of another color still demands it, so
-    its type is DEMAND, and for k = 1 the one class holds every vertex.  So
-    only the reference's accepting signature maps to the canonical one.
+    table is the canonical image of the reference one, less the signatures
+    holding a type the demand rule drops.  DEMAND means here that a vertex
+    of the class still lacks a neighbor of this color, which must lie in
+    its outside neighborhood and take the color, so the rule and its
+    proof read the same.  At the root, a class of type (NONE,) in the
+    reference table would be an empty color class; for k >= 2 every vertex
+    of another color still demands it, so its type is DEMAND, and for k = 1
+    the one class holds every vertex.  So only the reference's accepting
+    signature maps to the canonical one.
     """
     seeds = [(fall_leaf_signature(k),)] * g.n
     return _run_dp(g, d, k, seeds, decision_accepting(d, k, 0) if canonical else None)

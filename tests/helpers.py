@@ -11,7 +11,10 @@ use (type_of_class, is_valid_class and their fall-coloring twins) are the
 paper's definitions, written out directly; the solver never calls them.
 canonical_image applies the decision DP's dead-class rewrite to a table,
 from its definition, for comparing the canonical tables with the others;
-b_vertex_supply and unclaimed give its b-vertex supply rule the same way.
+b_vertex_supply and unclaimed give its b-vertex supply count the same way,
+and completion_test and completable its demand and supply rules, and
+outside_masks, neighbors_listed and rule_facts the facts those rules
+read, from equivalence_classes, adjacency and degrees.
 Both read signatures as ClassType counts (type_counts).  merged,
 compatible, merge_type, operator_of, all_types and nonempty_class_count
 are test-side views of the solver's own merge, operators and colorings,
@@ -72,6 +75,7 @@ from bcoloring.bcol_dp import (
     type_counts,
 )
 from bcoloring.decomposition import (
+    NEIGHBOR_SCAN_LIMIT,
     NodeOperator,
     RootedBranchDecomposition,
     _annotate,
@@ -600,6 +604,104 @@ def unclaimed(sig: Signature, width: int) -> int:
     """The number of classes of sig, a signature at a node with width
     classes, whose b-vertex bit is 0."""
     return sum(c for tau, c in type_counts(sig, width).items() if not tau.bvtx)
+
+
+def completion_test(
+    g: Graph, d: RootedBranchDecomposition, t: int, k: int, b_vertices: bool
+):
+    """The decision DP's demand and supply rules at internal node t, from
+    the definitions: a predicate that is False for a type no completion
+    of G_t can satisfy.  With O_q the neighbors outside V_t of class q
+    and U the union of O_q over the type's CONTAINS classes, a DEMAND on a
+    class q with O_q inside U can never be met, and, when b_vertices (the
+    root's classes hold b-vertices), a type without the bit can never get
+    its b-vertex when every vertex outside V_t of degree at least k-1
+    lies in U."""
+    vt = d.vertex_set(t)
+    classes = equivalence_classes(g, d, t).classes
+    outside = [set(g.neighbors(cls[0])) - vt for cls in classes]
+    claimers = {w for w in g.vertices() if w not in vt and g.degree(w) >= k - 1}
+
+    def completable_type(tau: ClassType) -> bool:
+        touched = set()
+        for q, label in enumerate(tau.cdesc):
+            if label == CONTAINS:
+                touched |= outside[q]
+        for q, label in enumerate(tau.cdesc):
+            if label == DEMAND and outside[q] <= touched:
+                return False
+        return not (b_vertices and not tau.bvtx and claimers <= touched)
+
+    return completable_type
+
+
+def outside_masks(g: Graph, d: RootedBranchDecomposition, t: int) -> dict[int, int]:
+    """Each vertex w outside V_t adjacent to a class of internal node t,
+    mapped to the mask of the classes q with w in O_q, from
+    equivalence_classes."""
+    vt = d.vertex_set(t)
+    masks: dict[int, int] = {}
+    for q, cls in enumerate(equivalence_classes(g, d, t).classes):
+        for w in g.neighbors(cls[0]) - vt:
+            masks[w] = masks.get(w, 0) | 1 << q
+    return masks
+
+
+def neighbors_listed(g: Graph, d: RootedBranchDecomposition, t: int) -> bool:
+    """Whether the decision DP lists the outside neighbors of internal node
+    t: at t and at every ancestor, the smallest members of the classes
+    with outside neighbors have at most NEIGHBOR_SCAN_LIMIT neighbors in
+    all."""
+    parent = {c: u for u in d.postorder() if not d.is_leaf(u) for c in d.children(u)}
+    while True:
+        vt = d.vertex_set(t)
+        classes = equivalence_classes(g, d, t).classes
+        scanned = sum(g.degree(cls[0]) for cls in classes if g.neighbors(cls[0]) - vt)
+        if scanned > NEIGHBOR_SCAN_LIMIT:
+            return False
+        if t == d.root:
+            return True
+        t = parent[t]
+
+
+def rule_facts(
+    g: Graph, d: RootedBranchDecomposition, t: int, k: int, b_vertices: bool
+) -> tuple:
+    """The facts the decision DP's rules read at internal node t, as
+    build_merge_skeleton takes them, from the definitions: (overlaps,
+    suppliers), with outside_masks, both None where the node's neighbors
+    are not listed (neighbors_listed).  overlaps is the distinct masks,
+    sorted, when some mask has two classes, else None.  suppliers, only
+    when b_vertices, is the distinct masks of the vertices outside V_t of
+    degree at least k-1, sorted, or None when one of them lies in no
+    O_q."""
+    if not neighbors_listed(g, d, t):
+        return None, None
+    vt = d.vertex_set(t)
+    masks = outside_masks(g, d, t)
+    overlaps = None
+    if any(mask & (mask - 1) for mask in masks.values()):
+        overlaps = tuple(sorted(set(masks.values())))
+    suppliers = None
+    claimers = [w for w in g.vertices() if w not in vt and g.degree(w) >= k - 1]
+    if b_vertices and all(w in masks for w in claimers):
+        suppliers = tuple(sorted({masks[w] for w in claimers}))
+    return overlaps, suppliers
+
+
+def completable(
+    table: Iterable[Signature],
+    g: Graph,
+    d: RootedBranchDecomposition,
+    t: int,
+    k: int,
+    b_vertices: bool,
+) -> list[Signature]:
+    """The signatures of table at internal node t, in order, whose every
+    type passes completion_test."""
+    test = completion_test(g, d, t, k, b_vertices)
+    width = len(equivalence_classes(g, d, t))
+    return [sig for sig in table if all(map(test, type_counts(sig, width)))]
 
 
 def _improper(g, vt, coloring) -> bool:

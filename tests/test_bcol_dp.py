@@ -40,6 +40,7 @@ from bcoloring.bcol_dp import (
     accepting_signature,
     build_merge_skeleton,
     combine_signatures,
+    decide,
     decision_accepting,
     decode,
     encode,
@@ -48,9 +49,15 @@ from bcoloring.bcol_dp import (
     signature,
     type_counts,
 )
-from bcoloring.decomposition import NodeOperator, _annotate
+from bcoloring.decomposition import (
+    NEIGHBOR_SCAN_LIMIT,
+    NodeOperator,
+    _annotate,
+    _outside_facts,
+)
 from bcoloring.fall_dp import (
     compute_fall_tables,
+    fall_leaf_signature,
     solve_fallcoloring,
     solve_fallcoloring_witness,
 )
@@ -62,6 +69,8 @@ from helpers import (
     caterpillar,
     chosen_signatures,
     compatible,
+    completable,
+    completion_test,
     enumerate_bcol_signatures,
     is_valid_class,
     ladder,
@@ -73,7 +82,9 @@ from helpers import (
     reference_leaf_join,
     reference_merge,
     reference_realize,
+    neighbors_listed,
     relabeled,
+    rule_facts,
     span_tree,
     type_of_class,
     unclaimed,
@@ -128,19 +139,49 @@ def gated_seeds(g, k):
     return [(plain, claimed) if g.degree(v) >= k - 1 else (plain,) for v in g.vertices()]
 
 
+def canonical_run(g, d, k, seeds, accepting):
+    """The decision DP without its demand and supply rules, node by node:
+    a canonical skeleton built afresh at every internal node, and, when
+    accepting has b-vertex classes, the pairs that cannot bring them
+    skipped by the supply count (b_vertex_supply).  The unpruned canonical
+    tables the rules filter."""
+    ops = _annotate(g, d).operators
+    tables, skeletons = {}, {}
+    for t in d.postorder():
+        if d.is_leaf(t):
+            tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
+            continue
+        r, s = d.children(t)
+        r_types, s_types = (
+            sorted({tau for sig in tables[c] for tau, _ in sig}) for c in (r, s)
+        )
+        skel = skeletons[t] = build_merge_skeleton(
+            ops[t], r_types, s_types, canonical=True
+        )
+        supply = None
+        if any(code & 1 for code, _ in accepting):  # b-vertex classes at the root
+            supply = b_vertex_supply(g, d, t, k)
+        tables[t] = combine_signatures(tables[r], tables[s], skel, k, supply)
+    return DPTable(k, d.root, tables, skeletons, accepting)
+
+
 def join_keys(g, d, table, suppliers):
-    """The distinct (operator, r table, s table, need) keys of table's
-    internal nodes, need the b-vertex classes a pair must bring (0 without
-    suppliers, the bitmask of vertices that may be b-vertices)."""
+    """The distinct (operator, r table, s table, need, overlaps, suppliers)
+    keys of table's internal nodes.  Without suppliers, a reference run,
+    need is 0 and the rules' facts are None; with it, a b-coloring
+    decision, suppliers is the bitmask of vertices that may be b-vertices,
+    need the b-vertex classes a pair must bring, and the facts are
+    rule_facts'."""
     ops = _annotate(g, d).operators
     keys = set()
     for t in d.postorder():
         if not d.is_leaf(t):
             r, s = d.children(t)
-            need = 0
+            need, facts = 0, (None, None)
             if suppliers is not None:
                 need = max(table.k - (suppliers & ~d.vertex_mask(t)).bit_count(), 0)
-            keys.add((ops[t], tuple(table.tables[r]), tuple(table.tables[s]), need))
+                facts = rule_facts(g, d, t, table.k, True)
+            keys.add((ops[t], tuple(table.tables[r]), tuple(table.tables[s]), need, *facts))
     return keys
 
 
@@ -419,7 +460,8 @@ class TestMergeSkeleton:
         # and child type lists along its spine: one DP run builds each
         # distinct skeleton once, and its tables and witness equal those
         # of a node-by-node run that builds a skeleton at every node and
-        # applies the same b-vertex supply bound.
+        # applies the same b-vertex supply bound, less the types that the
+        # demand and supply rules drop (completable).
         g = Graph.path(300)
         d = linear_decomposition(g, list(g.vertices()))
         calls = []
@@ -434,27 +476,13 @@ class TestMergeSkeleton:
         assert len(calls) <= 40
         monkeypatch.undo()
 
-        ops = _annotate(g, d).operators
-        gated = gated_mask(g, 3)
-        seeds = gated_seeds(g, 3)
-        tables, skeletons = {}, {}
+        uncached = canonical_run(g, d, 3, gated_seeds(g, 3), cached.accepting)
         for t in d.postorder():
-            if d.is_leaf(t):
-                tables[t] = dict.fromkeys(seeds[d.leaf_vertex(t)])
-                continue
-            r, s = d.children(t)
-            r_types, s_types = (
-                sorted({tau for sig in tables[c] for tau, _ in sig})
-                for c in (r, s)
-            )
-            skel = skeletons[t] = build_merge_skeleton(
-                ops[t], r_types, s_types, canonical=True
-            )
-            supply = (gated & ~d.vertex_mask(t)).bit_count()
-            tables[t] = combine_signatures(tables[r], tables[s], skel, 3, supply)
-        for t in d.postorder():
-            assert list(cached.tables[t].items()) == list(tables[t].items())
-        uncached = bcol_dp.DPTable(3, d.root, tables, skeletons, cached.accepting)
+            expected = list(uncached.tables[t].items())
+            if not d.is_leaf(t):
+                kept = set(completable(uncached.tables[t], g, d, t, 3, True))
+                expected = [item for item in expected if item[0] in kept]
+            assert list(cached.tables[t].items()) == expected
         assert reconstruct_witness(cached, g, d) == reconstruct_witness(
             uncached, g, d
         )
@@ -463,34 +491,28 @@ class TestMergeSkeleton:
 class TestPlainValues:
     """Signatures are plain tuples, and a skeleton's edges are its rows."""
 
-    def test_table_keys_are_tuples_and_edges_flatten_rows(self, monkeypatch):
+    def test_table_keys_are_tuples_and_edges_flatten_rows(self):
         # Every key of the decision, reference and both fall-coloring
         # tables is a plain tuple of (code, count) items, counts positive,
-        # codes increasing.  Every skeleton built on the way keeps its rows
+        # codes increasing.  Every internal node's skeleton keeps its rows
         # in child type order, its edges flatten them in order, and there
-        # is one edge per pair of child types that reference_merge merges.
-        built = []
-
-        def recorded(op, r_types, s_types, canonical=False):
-            skel = build(op, r_types, s_types, canonical)
-            built.append((op, r_types, s_types, canonical, skel))
-            return skel
-
-        build = bcol_dp.build_merge_skeleton
-        monkeypatch.setattr(bcol_dp, "build_merge_skeleton", recorded)
+        # is one edge per pair of child types that reference_merge merges;
+        # in the decision runs, into a type that completion_test keeps at
+        # the node (both rules for b-coloring, the demand rule for fall).
         rng = random.Random(85)
-        keys = 0
+        keys = edges = 0
         for _ in range(12):
             g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.15, 0.85))
             d = best_decomposition(g, "heuristic")
+            ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
                 tables = [
-                    _decision_tables(g, d, k),
-                    compute_tables(g, d, k),
-                    compute_fall_tables(g, d, k),
-                    compute_fall_tables(g, d, k, canonical=True),
+                    (_decision_tables(g, d, k), True),
+                    (compute_tables(g, d, k), None),
+                    (compute_fall_tables(g, d, k), None),
+                    (compute_fall_tables(g, d, k, canonical=True), False),
                 ]
-                for table in tables:
+                for table, b_vertices in tables:
                     for t in d.postorder():
                         for sig in table.tables[t]:
                             assert type(sig) is tuple
@@ -499,23 +521,37 @@ class TestPlainValues:
                             codes_of = [code for code, _ in sig]
                             assert codes_of == sorted(set(codes_of))
                             keys += 1
-        edges = 0
-        for op, r_types, s_types, canonical, skel in built:
-            flat = tuple(
-                (rho, sigma, tau) for rho, row in skel.rows.items() for sigma, tau in row
-            )
-            assert skel.edges == flat
-            assert list(skel.rows) == [rho for rho in r_types if rho in skel.rows]
-            wr, ws = len(op.bubble_r), len(op.bubble_s)
-            dead = op.dead if canonical else None
-            merges = sum(
-                reference_merge(decode(rho, wr), decode(sigma, ws), op, dead)
-                is not None
-                for rho in r_types
-                for sigma in s_types
-            )
-            assert len(skel.edges) == merges
-            edges += merges
+                        if d.is_leaf(t):
+                            continue
+                        op, skel = ops[t], table.skeletons[t]
+                        r_types, s_types = (
+                            sorted({tau for sig in table.tables[c] for tau, _ in sig})
+                            for c in d.children(t)
+                        )
+                        flat = tuple(
+                            (rho, sigma, tau)
+                            for rho, row in skel.rows.items()
+                            for sigma, tau in row
+                        )
+                        assert skel.edges == flat
+                        rows = [rho for rho in r_types if rho in skel.rows]
+                        assert list(skel.rows) == rows
+                        wr, ws = len(op.bubble_r), len(op.bubble_s)
+                        dead = None if b_vertices is None else op.dead
+                        keep = (
+                            (lambda tau: True)
+                            if b_vertices is None
+                            else completion_test(g, d, t, k, b_vertices)
+                        )
+                        merges = 0
+                        for rho in r_types:
+                            for sigma in s_types:
+                                tau = reference_merge(
+                                    decode(rho, wr), decode(sigma, ws), op, dead
+                                )
+                                merges += tau is not None and keep(tau)
+                        assert len(skel.edges) == merges
+                        edges += merges
         assert keys > 2_000 and edges > 3_000
 
 
@@ -776,8 +812,9 @@ class TestDegreeGatedTables:
         # Each decision table is the canonical image of the gated table
         # built without canonicalisation, less the signatures with more
         # classes lacking a b-vertex than the gated vertices outside V_t,
-        # and that image lies in the canonical image of the reference
-        # table; leaves are neither canonicalised nor filtered.
+        # less those holding a type that the demand or supply rule drops
+        # (completable), and that image lies in the canonical image of the
+        # reference table; leaves are neither canonicalised nor filtered.
         for g, d in corpus:
             ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
@@ -793,6 +830,7 @@ class TestDegreeGatedTables:
                     supply = b_vertex_supply(g, d, t, k)
                     width = ops[t].parent_class_count
                     kept = {sig for sig in image if unclaimed(sig, width) <= supply}
+                    kept = set(completable(kept, g, d, t, k, True))
                     assert set(decision.tables[t]) == kept, (g.edges(), k, t)
                     assert image <= canonical_image(reference.tables[t], ops[t])
                 assert (decision_accepting(d, k) in decision.tables[d.root]) == (
@@ -801,8 +839,10 @@ class TestDegreeGatedTables:
 
     def test_root_without_b_vertex_classes_skips_no_pair(self, corpus):
         # A decision run whose root has no b-vertex class keeps its tables
-        # canonical and skips no pair: on the gated b-coloring seeds each
-        # internal table is the canonical image of the gated reference run.
+        # canonical, skips no pair and drops no type by the supply rule: on
+        # the gated b-coloring seeds each internal table is the canonical
+        # image of the gated reference run, less the signatures holding a
+        # type that the demand rule drops.
         for g, d in corpus:
             ops = _annotate(g, d).operators
             for k in range(1, g.n + 1):
@@ -811,7 +851,8 @@ class TestDegreeGatedTables:
                 for t in d.postorder():
                     if not d.is_leaf(t):
                         image = canonical_image(gated.tables[t], ops[t])
-                        assert set(bare.tables[t]) == image, (g.edges(), k, t)
+                        kept = set(completable(image, g, d, t, k, False))
+                        assert set(bare.tables[t]) == kept, (g.edges(), k, t)
 
     def test_low_degree_leaves_hold_no_b_vertex(self):
         g = Graph.star(3)  # the leaves have degree 1 < k - 1 for k = 3
@@ -829,11 +870,13 @@ class TestDegreeGatedTables:
 
 class TestBVertexSupply:
     """The decision DP against a node-by-node run of it without the b-vertex
-    supply rule, over random graphs with n <= 8 and every k."""
+    supply count and without the demand and supply rules, over random
+    graphs with n <= 8 and every k."""
 
     def test_tables_are_the_unpruned_ones_filtered(self):
         # Each internal table is the unpruned canonical table less the
-        # signatures the rule drops, in the same order with the same
+        # signatures the supply count drops and less those holding a type
+        # the demand or supply rule drops, in the same order with the same
         # annotations; so witnesses and chi_b are identical.
         rng = random.Random(23)
         entries = dropped = 0
@@ -848,7 +891,9 @@ class TestBVertexSupply:
                 feasible = [0]
                 for k in range(1, g.n + 1):
                     # a root with no b-vertex class: canonical, no pair skipped
-                    full = _run_dp(g, d, k, gated_seeds(g, k), decision_accepting(d, k, 0))
+                    full = canonical_run(
+                        g, d, k, gated_seeds(g, k), decision_accepting(d, k, 0)
+                    )
                     pruned = _decision_tables(g, d, k)
                     for t in d.postorder():
                         expected = list(full.tables[t].items())
@@ -856,10 +901,11 @@ class TestBVertexSupply:
                             supply = b_vertex_supply(g, d, t, k)
                             width = ops[t].parent_class_count
                             entries += len(expected)
+                            kept = set(completable(full.tables[t], g, d, t, k, True))
                             expected = [
                                 (sig, annotation)
                                 for sig, annotation in expected
-                                if unclaimed(sig, width) <= supply
+                                if unclaimed(sig, width) <= supply and sig in kept
                             ]
                             dropped += len(full.tables[t]) - len(expected)
                         assert list(pruned.tables[t].items()) == expected, (
@@ -873,6 +919,87 @@ class TestBVertexSupply:
                         ) == reconstruct_witness(unpruned, g, d)
                 assert b_chromatic_number(g, d) == max(feasible), g.edges()
         assert dropped > entries // 4
+
+
+class TestCompletionRules:
+    """The decision DP's demand and supply rules against the canonical run
+    without them and against the oracle."""
+
+    def test_rules_drop_entries_and_never_an_answer(self):
+        # Over heuristic, mirrored and exact-tiny trees of random graphs
+        # with n <= 8, every k, b-coloring and fall coloring: the decision
+        # tables hold fewer entries than the canonical run without the
+        # rules, and every decision is the oracle's.  No b-coloring has
+        # more colors than m(G) and no fall coloring more than the least
+        # degree plus 1, so the oracle is asked only below those bounds.
+        rng = random.Random(29)
+        entries = {"b": [0, 0], "fall": [0, 0]}  # unpruned, kept
+        accepted = {"b": 0, "fall": 0}
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.2, 0.8))
+            d = best_decomposition(g, "heuristic")
+            for d in (d, mirrored(d), best_decomposition(g, "exact-tiny")):
+                internal = [t for t in d.postorder() if not d.is_leaf(t)]
+                for k in range(1, g.n + 1):
+                    fall_seeds = [(fall_leaf_signature(k),)] * g.n
+                    for problem, seeds, accepting, pruned, expected in (
+                        (
+                            "b",
+                            gated_seeds(g, k),
+                            decision_accepting(d, k),
+                            _decision_tables(g, d, k),
+                            k <= g.m_degree() and brute_force_bcoloring(g, k) is not None,
+                        ),
+                        (
+                            "fall",
+                            fall_seeds,
+                            decision_accepting(d, k, 0),
+                            compute_fall_tables(g, d, k, canonical=True),
+                            k <= g.min_degree() + 1
+                            and brute_force_fallcoloring(g, k) is not None,
+                        ),
+                    ):
+                        full = canonical_run(g, d, k, seeds, accepting)
+                        entries[problem][0] += sum(len(full.tables[t]) for t in internal)
+                        entries[problem][1] += sum(len(pruned.tables[t]) for t in internal)
+                        assert (accepting in pruned.tables[d.root]) == expected, (
+                            problem, g.edges(), k
+                        )
+                        assert (accepting in full.tables[d.root]) == expected
+                        accepted[problem] += expected
+        for unpruned, kept in entries.values():
+            assert kept < 0.9 * unpruned, entries
+        assert accepted["b"] > 100 and accepted["fall"] > 30, accepted
+
+    def test_hub_beyond_the_scan_limit(self):
+        # A star and a fan whose hub has more neighbors than
+        # NEIGHBOR_SCAN_LIMIT, hub first, last or ninth: the nodes with
+        # their outside neighbors listed are those neighbors_listed names,
+        # only the root when the hub comes first, and none below the hub's
+        # leaf when it comes ninth.  The star's b-chromatic number is 2; on
+        # both graphs the orders agree and every witness is a b-coloring.
+        n = NEIGHBOR_SCAN_LIMIT + 6
+        star = Graph.star(n - 1)
+        fan = Graph(n, list(star.edges()) + [(i, i + 1) for i in range(1, n - 1)])
+        for g in (star, fan):
+            answers = []
+            for order in (range(n), [*range(1, n), 0], [*range(1, 9), 0, *range(9, n)]):
+                d = linear_decomposition(g, order)
+                listed = _outside_facts(g, d).neighbors
+                for t in d.postorder():
+                    if not d.is_leaf(t):
+                        assert (t in listed) == neighbors_listed(g, d, t)
+                if order[0] == 0:  # the hub represents a class at every node but the root
+                    assert set(listed) == {d.root}
+                answers.append([])
+                for k in range(2, 6):
+                    answer, found, _ = decide(g, d, k, True)
+                    answers[-1].append(answer)
+                    if answer:
+                        assert is_b_coloring(g, found[0]) and len(found[1]) == k
+            assert answers[0] == answers[1] == answers[2]
+            if g is star:
+                assert answers[0] == [True, False, False, False]
 
 
 class TestCanonicalDecision:
@@ -951,8 +1078,8 @@ class TestCanonicalDecision:
         # Every table, reference or decision, b-coloring or fall coloring,
         # maps each signature to the child pair that first reached it, both
         # members keys of the child tables.  A DP joins once per distinct
-        # (operator, r table, s table, need) key, so at most once per
-        # internal node.  Replay rebuilds labelings with _combine_pair
+        # (operator, r table, s table, need, overlaps, suppliers) key, so at
+        # most once per internal node.  Replay rebuilds labelings with _combine_pair
         # alone: no combine_signatures, _leaf_join or _leaf_rows call.
         calls = count_calls(monkeypatch, ("combine_signatures", "_leaf_join", "_leaf_rows"))
         rng = random.Random(83)
@@ -1069,18 +1196,19 @@ class TestJoinReuse:
     def test_every_table_is_a_fresh_join_of_its_children(self):
         # Each internal table equals, items and order, combine_signatures of
         # the node's own child tables over its skeleton, and the skeleton
-        # equals one built afresh from the child type lists; over a
-        # thousand nodes take an earlier node's table.
+        # equals one built afresh from the child type lists, in a decision
+        # run less the edges whose merge type completion_test drops at the
+        # node; over a thousand nodes take an earlier node's table.
         nodes = shared = 0
         for g, d, ks in self.cases():
             ops = _annotate(g, d).operators
             for k in ks:
                 gated = gated_mask(g, k)
-                for table, suppliers, canonical in (
+                for table, suppliers, b_vertices in (
                     (_decision_tables(g, d, k), gated, True),
-                    (compute_tables(g, d, k), None, False),
-                    (compute_fall_tables(g, d, k), None, False),
-                    (compute_fall_tables(g, d, k, canonical=True), None, True),
+                    (compute_tables(g, d, k), None, None),
+                    (compute_fall_tables(g, d, k), None, None),
+                    (compute_fall_tables(g, d, k, canonical=True), None, False),
                 ):
                     internal = [t for t in d.postorder() if not d.is_leaf(t)]
                     shared += len(internal) - len({id(table.tables[t]) for t in internal})
@@ -1098,8 +1226,18 @@ class TestJoinReuse:
                             sorted({tau for sig in table.tables[c] for tau, _ in sig})
                             for c in (r, s)
                         )
+                        canonical = b_vertices is not None
                         rebuilt = build_merge_skeleton(ops[t], r_types, s_types, canonical)
-                        assert rebuilt.rows == skel.rows
+                        rows = rebuilt.rows
+                        if canonical:
+                            keep = completion_test(g, d, t, k, b_vertices)
+                            width = ops[t].parent_class_count
+                            rows = {
+                                rho: tuple(e for e in row if keep(decode(e[1], width)))
+                                for rho, row in rows.items()
+                            }
+                            rows = {rho: row for rho, row in rows.items() if row}
+                        assert rows == skel.rows
                         nodes += 1
         assert nodes > 5_000 and shared > 1_000
 
@@ -1295,28 +1433,29 @@ class TestWitnessDigest:
                 yield g, best_decomposition(g, "exact-tiny")
 
     @staticmethod
-    def witness_digest(cases) -> str:
+    def witness_digest(cases, sizes: bool = True) -> str:
         """sha256, over cases, of bcol_dp.chi_b's chi_b, witness coloring,
-        b-vertices and largest table, and the fall-coloring witness (or
-        None) for each k <= 4."""
+        b-vertices and, if sizes, largest table, and the fall-coloring
+        witness (or None) for each k <= 4."""
         h = hashlib.sha256()
         for g, d in cases:
             chi, (coloring, b_vertices), size = bcol_dp.chi_b(
                 bcol_dp.decide, g, d, True
             )
-            pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices), size)
-            h.update(repr(pinned).encode())
+            pinned = (g.edges(), chi, coloring.colors, sorted(b_vertices))
+            h.update(repr(pinned + ((size,) if sizes else ())).encode())
             for k in range(1, min(g.n, 4) + 1):
                 fall = solve_fallcoloring_witness(g, d, k)
                 h.update(repr((k, None if fall is None else fall.colors)).encode())
         return h.hexdigest()
 
     # sha256 of the answers below over both case sets, recorded when the
-    # exact-tiny search became a DP over vertex subsets and returned other
-    # minimum-width trees (285b6288... before): a change of join order may
-    # move a witness, but never an answer or a table's size, and a change
-    # of tree may move a table's size, but never an answer.
-    ANSWERS_DIGEST = "146cad9440e55251d399f129c4ad0e18ad02f3070a7e63b5a966711b46dd8926"
+    # decision DP's demand and supply rules shrank its tables (146cad94...
+    # before, and 285b6288... before the exact-tiny search became a DP over
+    # vertex subsets): a change of join order may move a witness, but never
+    # an answer or a table's size, and a change of tree or of pruning may
+    # move a table's size, but never an answer.
+    ANSWERS_DIGEST = "cb9f98488883037cba014fbc2f652b94dd8f4b30074157d77401f2d503a79120"
     # The same without the table sizes, unchanged by that new tree.
     ANSWERS_ONLY_DIGEST = "fc14e36074da5e94bb69a7569495e0f4f78fc396111d048b2e094d78e7d5a233"
 
@@ -1337,9 +1476,11 @@ class TestWitnessDigest:
         assert answers_only.hexdigest() == self.ANSWERS_ONLY_DIGEST
         assert h.hexdigest() == self.ANSWERS_DIGEST
 
-    # sha256 of the pinned outputs, recorded when the one-step leaf join
-    # stopped following _combine_pair's search order (d99ecaf6... before).
-    DIGEST = "50c5c4e1f3f32dcc2fe6823cca845a23a8f7fa7e41d78f3f9da303a82e5cf0f3"
+    # sha256 of the pinned outputs, recorded when the demand and supply
+    # rules shrank the largest tables, the one input that moved (50c5c4e1...
+    # before, and d99ecaf6... before the one-step leaf join stopped
+    # following _combine_pair's search order).
+    DIGEST = "fdeaef0eea6f1ee8ba441c6ad2158a59e446419acbd1cb35c81e68f69b136cd7"
 
     def test_witnesses_match_the_recorded_digest(self):
         """The witness digest over heuristic_cases.
@@ -1352,12 +1493,28 @@ class TestWitnessDigest:
         assert self.witness_digest(self.heuristic_cases()) == self.DIGEST
 
     # sha256 of the pinned outputs below, recorded with ANSWERS_DIGEST
-    # (3681a37d... before, and b95ea5e9... before that).
-    REPLAY_DIGEST = "1b0ff89d9cd24a2b8a6563156bb79fd2002ae2802e951618a3fc9225ccfc63a0"
+    # (1b0ff89d... before, 3681a37d... and b95ea5e9... before that).
+    REPLAY_DIGEST = "4af54db9f7f796b662a3a55f4f418f8fe963a1d9889f4b0c8da04b8f33b02828"
 
     def test_mirrored_and_exact_tiny_witnesses_match_the_recorded_digest(self):
         """The witness digest over replay_cases."""
         assert self.witness_digest(self.replay_cases()) == self.REPLAY_DIGEST
+
+    # The witness digests without the largest table sizes, over
+    # heuristic_cases and replay_cases, recorded before the demand and
+    # supply rules: a pruning that keeps every witness keeps them.
+    WITNESS_ONLY_DIGEST = "0afd217ece4c1f95e520c3d9702006982feaa15b73d6cd638ee70f36e3ab5569"
+    REPLAY_WITNESS_ONLY_DIGEST = (
+        "517d6f8012d4c152cf5d6a01ff66ef22a148c063ac70e18d3c20534035481abd"
+    )
+
+    def test_witnesses_without_table_sizes_match_the_recorded_digests(self):
+        """Both witness digests without the table sizes: they move only when
+        a witness or an answer does."""
+        heuristic = self.witness_digest(self.heuristic_cases(), sizes=False)
+        assert heuristic == self.WITNESS_ONLY_DIGEST
+        replay = self.witness_digest(self.replay_cases(), sizes=False)
+        assert replay == self.REPLAY_WITNESS_ONLY_DIGEST
 
     def test_replay_cases_join_two_subtrees(self):
         """Replay meets joins with no leaf child: 22 of the 48 exact-tiny

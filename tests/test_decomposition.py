@@ -16,15 +16,22 @@ from bcoloring import (
     module_width,
     validate,
 )
-from bcoloring import bcol_dp, cli, decomposition
-from bcoloring.decomposition import _annotate, _greedy_order, equivalence_classes
+from bcoloring import bcol_dp, cli, decomposition, fall_dp
+from bcoloring.decomposition import (
+    _annotate,
+    _greedy_order,
+    _outside_facts,
+    equivalence_classes,
+)
 from helpers import (
     all_shapes,
     atlas_connected_corpus,
     caterpillar,
     frontier_greedy_order,
     ladder,
+    mirrored,
     operator_of,
+    outside_masks,
     random_decomposition,
     random_graph,
     reference_exact_decomposition,
@@ -32,6 +39,7 @@ from helpers import (
     reference_partition,
     reference_walk,
     relabeled,
+    rule_facts,
     span_tree,
 )
 
@@ -425,6 +433,54 @@ class TestInvariants:
                     assert operator_of(g, d, t).dead == (dead[0] if dead else None)
                     if t == d.root or any(not g.neighbors(v) for v in vt):
                         assert dead
+
+    def test_outside_facts(self):
+        # The overlaps: the nodes where some vertex outside V_t is adjacent
+        # to two classes, each with the distinct masks of the classes
+        # adjacent to one outside vertex.  The neighbors: each vertex
+        # outside V_t with its class mask, at every node here (no hub
+        # reaches the limit).  Both from equivalence_classes (rule_facts,
+        # outside_masks); the walk that finds them annotates d as a plain
+        # one does.  Mirrored trees put the leaves on the r side.
+        rng, shapes = random.Random(12), random.Random(112)
+        overlapping = 0
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.9))
+            trees = heuristic_and_random_shape(g, shapes)
+            for d in (*trees, *map(mirrored, trees)):
+                plain = _annotate(g, unrecorded(d))
+                facts = _outside_facts(g, d)
+                assert _annotate(g, d) == plain
+                expected = {}
+                internal = [t for t in d.postorder() if not d.is_leaf(t)]
+                for t in internal:
+                    overlaps, _ = rule_facts(g, d, t, 1, False)
+                    if overlaps is not None:
+                        expected[t] = overlaps
+                    assert dict(facts.neighbors[t]) == outside_masks(g, d, t)
+                    assert len(facts.neighbors[t]) == len(outside_masks(g, d, t))
+                assert facts.overlaps == expected
+                assert set(facts.neighbors) == set(internal)
+                overlapping += len(expected)
+        assert overlapping > 50
+
+    def test_only_a_decision_gathers_outside_facts(self):
+        # validate, module_width and the reference runs annotate without
+        # gathering the facts; a decision run gathers them, once per graph
+        # object, and reuses the annotation.
+        g = Graph.cycle(7)
+        d = linear_decomposition(g, range(7))
+        assert validate(g, d) and module_width(g, d) == 3
+        bcol_dp.compute_tables(g, d, 2)
+        fall_dp.compute_fall_tables(g, d, 2)
+        assert d._outside is None
+        for k in (1, 2, 3):
+            bcol_dp.decide(g, d, k)
+            fall_dp.compute_fall_tables(g, d, k, canonical=True)
+        facts = d._outside
+        assert facts[0] is g and facts[1] is _outside_facts(g, d)
+        bcol_dp.decide(g, d, 2)
+        assert d._outside is facts
 
 
 def heuristic_and_random_shape(g, rng):
