@@ -1,8 +1,9 @@
 """Exact solvers for b-coloring, b-chromatic number, and fall coloring.
 
 The main algorithm is a dynamic program over rooted branch decompositions
-of bounded module-width; a vertex-cover-parameterized solver and a
-brute-force oracle provide independent routes to the same answers.
+of bounded module-width; a vertex-cover-parameterized solver, a budgeted
+b-vertex-first search (bv_solver) and a brute-force oracle provide
+independent routes to the same answers.
 The DP's building blocks (types, signatures, merge skeletons, class
 partitions) stay in their submodules.
 """

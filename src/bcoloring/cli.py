@@ -6,6 +6,12 @@ been checked once against the definition.  bchrom and selftest's chi_b run
 the library's one downward k loop, bcol_dp.chi_b, over a bcol route.
 selftest compares every route with its problem's oracle route.
 
+bcol and bchrom without --solver, --dec or --dec-effort take the automatic
+route (_Automatic): every k is first given to the budgeted b-vertex search
+(bv); only a probe that runs out of budget builds the heuristic
+decomposition, once per request, and goes to the route that
+_decomposition_rule picks from its width (vc or cw).
+
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored), with n at most
 100,000: a larger n is a capacity refusal, made at the problem line,
@@ -31,7 +37,7 @@ import sys
 import time
 from typing import Iterable, Iterator, TextIO
 
-from . import bcol_dp, fall_dp, oracle, vc_solver
+from . import bcol_dp, bv_solver, fall_dp, oracle, vc_solver
 from .decomposition import (
     RootedBranchDecomposition,
     best_decomposition,
@@ -295,10 +301,10 @@ def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
 # witness (Coloring, frozenset of b-vertices) when asked for and found, and
 # the largest DP table when the route has one.  The solver builds the pair
 # and checks it against the definition exactly once: reconstruct_witness
-# for the DP, _try_guess for vc, the brute force for the oracle routes and
-# solve_fallcoloring_witness for the fall DP.  The routes pass it on
-# unchanged; a fall coloring's b-vertices are all its vertices.  The bcol
-# cw route is bcol_dp.decide itself.
+# for the DP, _try_guess for vc, bv_solver.search for bv, the brute force
+# for the oracle routes and solve_fallcoloring_witness for the fall DP.
+# The routes pass it on unchanged; a fall coloring's b-vertices are all
+# its vertices.  The bcol cw route is bcol_dp.decide itself.
 
 
 def _bcol_vc(g: Graph, d, k: int, witness: bool):
@@ -306,6 +312,11 @@ def _bcol_vc(g: Graph, d, k: int, witness: bool):
         return vc_solver.solve_bcoloring_vc(g, k), None, None
     found = vc_solver.solve_bcoloring_vc_witness(g, k)
     return found is not None, found, None
+
+
+def _bcol_bv(g: Graph, d, k: int, witness: bool):
+    found = bv_solver.search(g, k)
+    return found is not None, found if witness else None, None
 
 
 def _bcol_oracle(g: Graph, d, k: int, witness: bool):
@@ -331,25 +342,45 @@ def _fall_oracle(g: Graph, d, k: int, witness: bool):
 
 
 ROUTES = {
-    "bcol": {"cw": bcol_dp.decide, "vc": _bcol_vc, "oracle": _bcol_oracle},
+    "bcol": {"cw": bcol_dp.decide, "vc": _bcol_vc, "oracle": _bcol_oracle, "bv": _bcol_bv},
     "fallcol": {"cw": _fall_cw, "oracle": _fall_oracle},
 }
 
 
-def _auto_solver(args, g: Graph, width: int | None) -> str:
-    # Prefer the tractable exponent: fall back to the vertex-cover solver
-    # when the heuristic decomposition (of this module-width) is wide but
-    # the cover is small.  A decomposition given by --dec is for cw, and
-    # fall coloring has no vertex-cover solver.
-    if args.dec or args.command == "fallcol":
-        return "cw"
-    if width is not None and width > 8:
-        if vc_solver.vertex_cover_within(g, 12) is not None:
-            return "vc"
+def _decomposition_rule(g: Graph, width: int | None) -> str:
+    # Prefer the tractable exponent: the vertex-cover solver when the
+    # heuristic decomposition (of this module-width) is wide but the cover
+    # is small, else the DP on that decomposition.
+    if width is not None and width > 8 and vc_solver.vertex_cover_within(g, 12) is not None:
+        return "vc"
     return "cw"
 
 
-SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle"}
+class _Automatic:
+    """The automatic bcol route.  Each probe is first the bv search; one
+    that runs out of budget builds the heuristic decomposition, on the
+    first such probe only, and is decided by the route _decomposition_rule
+    picks for it.  solver names what decided the probes: bv while the
+    search settled them all, else that route; d and width are None until
+    a decomposition is built."""
+
+    def __init__(self) -> None:
+        self.d = self.width = None
+        self.solver = "bv"
+
+    def __call__(self, g: Graph, d, k: int, witness: bool):
+        try:
+            return _bcol_bv(g, d, k, witness)
+        except CapacityError:
+            pass
+        if self.d is None:
+            self.d = best_decomposition(g, "heuristic")
+            self.width = module_width(g, self.d)
+            self.solver = _decomposition_rule(g, self.width)
+        return ROUTES["bcol"][self.solver](g, self.d, k, witness)
+
+
+SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle", "bv": "bv"}
 
 
 # --- command handlers ---------------------------------------------------------
@@ -363,29 +394,39 @@ def _cmd_solve(args) -> dict:
     k = getattr(args, "k", None)  # bchrom takes no k
     if k is not None and k < 1:
         raise InputError(f"k must be positive, got {k}")
-    if problem == "fallcol" and args.solver == "vc":
-        raise InputError("fall coloring has no vertex-cover solver")
-    if args.dec and args.solver in ("vc", "oracle"):
+    if problem == "fallcol" and args.solver in ("vc", "bv"):
+        name = "vertex-cover" if args.solver == "vc" else "b-vertex search"
+        raise InputError(f"fall coloring has no {name} solver")
+    if args.dec and args.solver not in (None, "cw"):
         raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
-    d = width = None
-    # A given --dec is read even for the empty graph, which no file decomposes.
-    if args.dec:
-        d = parse_decomposition(args.dec, g)
-    elif args.solver in (None, "cw") and g.n:
-        d = best_decomposition(g, args.dec_effort)
-    if d is not None:
-        width = module_width(g, d)
-    solver = args.solver or _auto_solver(args, g, width)
+    d = width = automatic = None
+    if problem == "fallcol" or args.solver or args.dec or args.dec_effort:
+        # A given --dec is read even for the empty graph, which no file
+        # decomposes.
+        if args.dec:
+            d = parse_decomposition(args.dec, g)
+        elif args.solver in (None, "cw") and g.n:
+            d = best_decomposition(g, args.dec_effort or "heuristic")
+        if d is not None:
+            width = module_width(g, d)
+        # A decomposition given by --dec is for cw, and fall coloring has
+        # only cw.
+        solver = args.solver
+        if solver is None:
+            solver = "cw" if args.dec or problem == "fallcol" else _decomposition_rule(g, width)
+        route = ROUTES["bcol" if problem == "bchrom" else problem][solver]
+    else:
+        route = automatic = _Automatic()
     found = max_table = None
     if problem == "bchrom":
-        answer, found, max_table = bcol_dp.chi_b(
-            ROUTES["bcol"][solver], g, d, args.witness
-        )
+        answer, found, max_table = bcol_dp.chi_b(route, g, d, args.witness)
     elif k <= g.n:  # no coloring has more colors than vertices
-        answer, found, max_table = ROUTES[problem][solver](g, d, k, args.witness)
+        answer, found, max_table = route(g, d, k, args.witness)
     else:
         answer = False
+    if automatic is not None:
+        d, width, solver = automatic.d, automatic.width, automatic.solver
     if d is None:
         stats = _stats(start)
     else:
@@ -542,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         group.add_argument(
             "--dec-effort",
             choices=efforts,
-            default="heuristic",
             help="how hard to search for a decomposition (default: heuristic)",
         )
         solve.add_argument("--witness", action="store_true")

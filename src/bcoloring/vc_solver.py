@@ -29,7 +29,7 @@ per phi, by _cover_coloring: the colors each outside vertex sees, the
 rejection of phi when some outside vertex sees all k colors, the forced
 colors, the completer of each color and the colors with none.
 cover_guesses pairs them with the guesses on phi it admits, and
-_try_guess extends each.  The generator omits two kinds of guess, as
+_try_guess extends each.  The generator omits three kinds of guess, as
 their extension fails:
 
 (a) A guess whose b-vertices' colors miss a color c that has no completer.
@@ -46,12 +46,18 @@ their extension fails:
     ones, too few.  Every candidate set of x_j lies in its neighborhood,
     so has fewer than k-1 <= k^2-k vertices and goes to the exact search,
     which must fail, if no need set is empty before it.
+(c) A guess with two b-vertices u and v whose open neighborhoods are
+    nested, N(u) ⊆ N(v).  Their colors a = phi(u) and b = phi(v) differ,
+    so u needs a neighbor w of color b; but w lies in N(v), next to v of
+    color b, so no proper extension gives u one.  Indeed the need (u, b)
+    has no candidate: an outside w in N(v) sees b, and a cover vertex w
+    is colored already, not b.
 
 The rules only omit guesses the extension would fail, and the admitted
 guesses come in the same relative order as in the full enumeration of
 distinctly colored cover subsets, so the first successful guess, and the
 witness, are the same.  Those subsets are enumerated directly, not by a
-walk over all 2^m masks of the m gated cover vertices (_distinct_subsets).
+walk over all 2^m masks of the m gated cover vertices (_antichain_subsets).
 
 The witness is the (Coloring, b-vertices) pair the first successful guess
 builds: its designated b-vertices plus one completer per other color,
@@ -246,14 +252,15 @@ def _cover_coloring(
 
 
 def cover_guesses(g: Graph, cover: frozenset[int], k: int):
-    """The (facts, b-vertex subset) guesses that rules (a) and (b) admit,
-    in a fixed order.  For each proper coloring phi of the cover up to
-    renaming that _cover_coloring does not reject: the subsets of the cover
-    vertices of degree at least k-1 with pairwise distinct colors that
-    show every uncompleted color, in increasing mask order over those
-    vertices (_distinct_subsets).  A gated vertex's cover index grows with
-    its gated index, so the admitted subsets keep their relative order
-    among all distinctly colored cover subsets."""
+    """The (facts, b-vertex subset) guesses that rules (a), (b) and (c)
+    admit, in a fixed order.  For each proper coloring phi of the cover up
+    to renaming that _cover_coloring does not reject: the subsets of the
+    cover vertices of degree at least k-1 with pairwise distinct colors
+    and pairwise non-nested open neighborhoods that show every uncompleted
+    color, in increasing mask order over those vertices
+    (_antichain_subsets).  A gated vertex's cover index grows with its
+    gated index, so the admitted subsets keep their relative order among
+    all distinctly colored cover subsets."""
     cover_list = sorted(cover)
     outside = [x for x in g.vertices() if x not in cover]
     gated = [v for v in cover_list if g.degree(v) >= k - 1]
@@ -262,22 +269,30 @@ def cover_guesses(g: Graph, cover: frozenset[int], k: int):
         # No subset of the gated vertices shows a color none of them has.
         if facts is None or not facts.uncompleted <= {phi[v] for v in gated}:
             continue
-        for chosen in _distinct_subsets(gated, phi):
+        for chosen in _antichain_subsets(g, gated, phi):
             if facts.uncompleted <= {phi[v] for v in chosen}:
                 yield facts, frozenset(chosen)
 
 
-def _distinct_subsets(vertices: list[int], phi: dict[int, int], used=frozenset()):
-    """The subsets of vertices with pairwise distinct colors, none in used,
-    in increasing mask order (bit i for vertices[i]): the empty one, then
-    for each vertex of an unused color, each such subset of the vertices
-    before it, without its color, plus it.  It recurses at most k + 1
-    deep, and each call yields at least one subset."""
+def _antichain_subsets(g: Graph, vertices: list[int], phi: dict[int, int]):
+    """The subsets of vertices with pairwise distinct colors and pairwise
+    non-nested open neighborhoods, in increasing mask order (bit i for
+    vertices[i]): the empty one, then for each vertex v, each such subset
+    of the vertices before it that differ from v in color and are not
+    nested with it, plus v.  A subset of a sublist keeps its place in
+    mask order.  Each level drops the colors of the levels above, so it
+    recurses at most k + 1 deep, and each call yields at least one
+    subset."""
     yield ()
     for i, v in enumerate(vertices):
-        if phi[v] not in used:
-            for rest in _distinct_subsets(vertices[:i], phi, used | {phi[v]}):
-                yield rest + (v,)
+        near = g.neighbors(v)
+        rest = [
+            u
+            for u in vertices[:i]
+            if phi[u] != phi[v] and not (near <= g.neighbors(u) or g.neighbors(u) <= near)
+        ]
+        for chosen in _antichain_subsets(g, rest, phi):
+            yield chosen + (v,)
 
 
 def _try_guess(

@@ -46,7 +46,10 @@ branch-and-bound: a recursive search with no bound, rerun at every size
 limit from 0; reference_vc_solve takes its cover from them.
 reference_proper_cover_colorings is the cover coloring enumeration as a
 recursive generator, one level per cover vertex, the oracle for the
-solver's explicit-stack one.
+solver's explicit-stack one.  unfiltered_cover_guesses and
+unfiltered_vc_solve are the solver's guess loop as it was before it
+omitted guesses with two nested b-vertex neighborhoods: the oracle that
+the omission changes no witness.
 reference_graph and reference_parse_graph_text are Graph's construction
 checks and the DIMACS parser as they were before each became one pass,
 the oracle for their graphs and their error messages; graph_structure
@@ -85,6 +88,7 @@ from bcoloring.decomposition import (
 from bcoloring.errors import CapacityError, InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
+from bcoloring import vc_solver
 from bcoloring.vc_solver import NeedSet
 
 
@@ -1205,6 +1209,45 @@ def reference_vc_solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | No
         return None
     for phi, b_guess in reference_cover_guesses(g, cover, k):
         result = reference_try_guess(g, cover, phi, b_guess, k)
+        if result is not None:
+            return result
+    return None
+
+
+def _distinct_subsets(vertices: list[int], phi: dict[int, int], used=frozenset()):
+    """The subsets of vertices with pairwise distinct colors, none in used,
+    in increasing mask order (bit i for vertices[i])."""
+    yield ()
+    for i, v in enumerate(vertices):
+        if phi[v] not in used:
+            for rest in _distinct_subsets(vertices[:i], phi, used | {phi[v]}):
+                yield rest + (v,)
+
+
+def unfiltered_cover_guesses(g: Graph, cover: frozenset[int], k: int):
+    """vc_solver.cover_guesses admitting guesses whose b-vertices have
+    nested open neighborhoods: rules (a) and (b) only."""
+    cover_list = sorted(cover)
+    outside = [x for x in g.vertices() if x not in cover]
+    gated = [v for v in cover_list if g.degree(v) >= k - 1]
+    for phi in vc_solver._proper_cover_colorings(g, cover_list, k):
+        facts = vc_solver._cover_coloring(g, outside, phi, k)
+        if facts is None or not facts.uncompleted <= {phi[v] for v in gated}:
+            continue
+        for chosen in _distinct_subsets(gated, phi):
+            if facts.uncompleted <= {phi[v] for v in chosen}:
+                yield facts, frozenset(chosen)
+
+
+def unfiltered_vc_solve(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
+    """vc_solver._solve over unfiltered_cover_guesses."""
+    if k > g.m_degree():
+        return None
+    cover = vc_solver.min_vertex_cover(g)
+    if k >= len(cover) + 2:
+        return None
+    for facts, b_guess in unfiltered_cover_guesses(g, cover, k):
+        result = vc_solver._try_guess(g, facts, b_guess, k)
         if result is not None:
             return result
     return None

@@ -14,6 +14,7 @@ from bcoloring import (
     InputError,
     best_decomposition,
     bcol_dp,
+    bv_solver,
     fall_dp,
     linear_decomposition,
     oracle,
@@ -276,7 +277,7 @@ class TestCommands:
         assert result["problem"] == "bcol"
         assert result["witness"]["coloring"] == [[1, 1], [2, 2]]
         assert result["witness"]["b_vertices"] == [1, 2]
-        assert result["solver"] == "cw-dp"
+        assert result["solver"] == "bv"
 
     def test_bcol_false(self, tmp_path, capsys):
         path = tmp_path / "k2.col"
@@ -289,7 +290,16 @@ class TestCommands:
     def test_bcol_k_beyond_n(self, tmp_path, capsys):
         path = tmp_path / "k2.col"
         path.write_text(K2_COL)
-        code, result, _ = run(capsys, ["bcol", "--graph", str(path), "--k", "9"])
+        argv = ["bcol", "--graph", str(path), "--k", "9"]
+        code, result, _ = run(capsys, argv)
+        assert code == 0
+        assert result["answer"] is False
+        # the automatic route ran no search and built no decomposition
+        stats = result["stats"]
+        assert result["solver"] == "bv"
+        assert stats["decomposition_nodes"] is stats["module_width"] is None
+        assert stats["max_table_size"] is None
+        code, result, _ = run(capsys, argv + ["--solver", "cw"])
         assert code == 0
         assert result["answer"] is False
         # the cw route built and measured a decomposition, but ran no DP
@@ -389,8 +399,9 @@ class TestCommands:
         assert result["answer"] is True
 
     def test_dec_without_solver_runs_cw(self, tmp_path, capsys):
-        # Without --dec the automatic route takes vc on this graph (heuristic
-        # width 10, 9-vertex cover); a given decomposition is run by cw.
+        # Without --dec the automatic route falls back to vc on this graph
+        # (heuristic width 10, 9-vertex cover) when the b-vertex search runs
+        # out; a given decomposition is run by cw.
         g = wide_bipartite()
         graph_path = tmp_path / "wide.col"
         graph_path.write_text(format_graph(g))
@@ -410,12 +421,15 @@ class TestCommands:
         assert result["solver"] == "cw-dp"
         assert result["stats"]["module_width"] == 10
 
-    def test_automatic_route_follows_its_rule(self, tmp_path, capsys):
-        # Without --solver, bcol takes vc exactly when the heuristic width it
-        # reports is above 8 and a cover of at most 12 vertices exists, over
-        # 60 seeded bipartite cover graphs (7-14 cover vertices, 15-30
-        # outside vertices each joined to 2-5 of them) that reach all three
-        # regions of the rule.
+    def test_automatic_route_follows_its_rule(self, tmp_path, capsys, monkeypatch):
+        # Without --solver, a bcol probe that the b-vertex search cannot
+        # settle (here every probe: its budget is 0, and k = 1 on a graph
+        # with edges meets a dead end at once) takes vc exactly when the
+        # heuristic width it reports is above 8 and a cover of at most 12
+        # vertices exists, over 60 seeded bipartite cover graphs (7-14
+        # cover vertices, 15-30 outside vertices each joined to 2-5 of
+        # them) that reach all three regions of the rule.
+        monkeypatch.setattr(bv_solver, "SEARCH_BUDGET", 0)
         rng = random.Random(1)
         regions = set()
         for i in range(60):
@@ -516,11 +530,12 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["bcol", "--k", "3", "--solver", "cw"],
             ["bcol", "--k", "3"],
             ["bcol", "--k", "3", "--solver", "vc"],
             ["fallcol", "--k", "3"],
         ],
-        ids=["bcol-cw", "bcol-vc", "fallcol-cw"],
+        ids=["bcol-cw", "bcol-bv", "bcol-vc", "fallcol-cw"],
     )
     def test_witness_checked_once(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
@@ -618,7 +633,7 @@ class TestOneRequestPath:
         assert calls == [bcol_dp.decide]
         path = tmp_path / "c5.col"
         path.write_text(C5_COL)
-        for solver in ("cw", "vc", "oracle"):
+        for solver in ("cw", "vc", "oracle", "bv"):
             calls.clear()
             argv = ["bchrom", "--graph", str(path), "--solver", solver, "--witness"]
             code, result, _ = run(capsys, argv)
@@ -629,7 +644,7 @@ class TestOneRequestPath:
             capsys, ["selftest", "--n-max", "4", "--trials", "3", "--seed", "5"]
         )
         assert (code, result["answer"]) == (0, True)
-        assert calls == [ROUTES["bcol"]["cw"], ROUTES["bcol"]["vc"]] * 3
+        assert calls == [ROUTES["bcol"][name] for name in ("cw", "vc", "bv")] * 3
 
     def test_each_cw_decision_builds_its_tables_once(self, monkeypatch):
         built = []
@@ -931,8 +946,14 @@ class TestSelfCheckFailures:
             (
                 oracle,
                 "is_b_coloring",
-                ["bcol", "--k", "2", "--witness"],
+                ["bcol", "--k", "2", "--solver", "cw", "--witness"],
                 "reconstructed witness failed the b-coloring check",
+            ),
+            (
+                oracle,
+                "is_b_coloring",
+                ["bcol", "--k", "2"],
+                "b-vertex search witness failed the b-coloring check",
             ),
             (
                 vc_solver,
@@ -947,7 +968,7 @@ class TestSelfCheckFailures:
                 "reconstructed witness failed the fall-coloring check",
             ),
         ],
-        ids=["bcol-cw", "bcol-vc", "fallcol-cw"],
+        ids=["bcol-cw", "bcol-bv", "bcol-vc", "fallcol-cw"],
     )
     def test_raises_out_of_main(
         self, tmp_path, capsys, monkeypatch, module, name, argv, message

@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import json
+import pathlib
 import random
+import sys
 import time
 
 from hypothesis import given, settings
@@ -31,6 +34,8 @@ from helpers import (
     reference_vc_solve,
     reference_vertex_cover_within,
     relabeled,
+    unfiltered_cover_guesses,
+    unfiltered_vc_solve,
 )
 
 
@@ -332,8 +337,8 @@ def omission_reason(g, phi, b_guess, k):
     """Why cover_guesses omits the guess, from the definitions: "full" if
     some outside vertex sees all k colors on phi, else "a" if a color
     outside the guess's colors has no outside vertex seeing exactly the
-    other k-1 colors, "b" if a guessed b-vertex has degree below k-1, else
-    None."""
+    other k-1 colors, "b" if a guessed b-vertex has degree below k-1, "c"
+    if two guessed b-vertices have nested open neighborhoods, else None."""
     kset = frozenset(range(1, k + 1))
     outside_sees = [
         frozenset(phi[u] for u in g.neighbors(x)) for x in g.vertices() if x not in phi
@@ -344,6 +349,11 @@ def omission_reason(g, phi, b_guess, k):
         return "a"
     if any(g.degree(b) < k - 1 for b in b_guess):
         return "b"
+    if any(
+        g.neighbors(u) <= g.neighbors(v)
+        for u, v in itertools.permutations(b_guess, 2)
+    ):
+        return "c"
     return None
 
 
@@ -431,7 +441,7 @@ class TestAgainstReference:
         # the reference's result; every omitted guess fails under the
         # reference.
         rng = random.Random(67)
-        omitted = {"full": 0, "a": 0, "b": 0}
+        omitted = {"full": 0, "a": 0, "b": 0, "c": 0}
         for i in range(60):
             if i % 2:
                 g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.2, 0.8))
@@ -454,7 +464,61 @@ class TestAgainstReference:
                     assert vc_solver._try_guess(g, facts, b_guess, k) == expected
                     pending = next(admitted, None)
                 assert pending is None, (g, k, pending)
-        assert omitted["a"] >= 100 and omitted["b"] >= 10, omitted
+        assert omitted["a"] >= 100 and omitted["b"] >= 10 and omitted["c"] >= 10, omitted
+
+
+def vc_pool():
+    """The benchmark's frozen vc pool: (graph, the k its requests ask)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    pool = []
+    for i, entry in enumerate(corpus.load_pools()["vc"]):
+        h = corpus.vc_pool_graph(i)
+        pool.append((Graph(h.n, h.edges), sorted(map(int, entry["answers"]))))
+    return pool
+
+
+class TestAntichainRule:
+    """Rule (c) only drops guesses that fail: the solver returns the
+    witness of the guess loop that keeps them (helpers.unfiltered_vc_solve)."""
+
+    def test_vc_pool(self, monkeypatch):
+        # The benchmark's vc requests try 61 guesses without the rule and
+        # 57 with it, and get the same witnesses.
+        tried = []
+
+        def counted(*args, guesses=vc_solver.cover_guesses):
+            for guess in guesses(*args):
+                tried.append(guess)
+                yield guess
+
+        monkeypatch.setattr(vc_solver, "cover_guesses", counted)
+        unfiltered = 0
+        for g, ks in vc_pool():
+            for k in ks:
+                expected = unfiltered_vc_solve(g, k)
+                for guess in unfiltered_cover_guesses(g, min_vertex_cover(g), k):
+                    unfiltered += 1
+                    if vc_solver._try_guess(g, *guess, k) is not None:
+                        break
+                assert vc_solver._solve(g, k) == expected, (g, k)
+        assert (unfiltered, len(tried)) == (61, 57)
+
+    def test_seeded_cover_graphs(self):
+        rng = random.Random(68)
+        dropped = 0
+        for _ in range(40):
+            g = cover_graph(rng, rng.randint(4, 6), rng.randint(4, 10))
+            cover = min_vertex_cover(g)
+            for k in range(1, g.n + 1):
+                assert vc_solver._solve(g, k) == unfiltered_vc_solve(g, k), (g, k)
+                dropped += len(list(unfiltered_cover_guesses(g, cover, k))) - len(
+                    list(cover_guesses(g, cover, k))
+                )
+        assert dropped >= 10, dropped
 
 
 class TestLongPaths:
