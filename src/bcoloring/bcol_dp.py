@@ -60,8 +60,8 @@ the O_q of its CONTAINS classes (the dead class, whose O_q is empty,
 among them); and, as the root's k classes hold b-vertices, by the supply
 rule, a type without its b-vertex when every leaf outside V_t whose
 seeds claim its vertex lies in U.  Both are tested once per distinct
-merge type of a skeleton, on facts that only a decision run gathers,
-in the walk that annotates d (decomposition._outside_facts).  It
+merge type of a skeleton, on facts gathered by the one walk that
+annotates d (decomposition.Annotation's overlaps and neighbors).  It
 also skips each child pair that would leave more classes without a
 b-vertex than there are such claiming leaves outside V_t, one comparison
 per pair.  _decision_tables proves that none of these steps changes an
@@ -95,7 +95,6 @@ from .decomposition import (
     RootedBranchDecomposition,
     _annotate,
     _bits,
-    _outside_facts,
 )
 from .errors import InputError
 from .graph import Coloring, Graph
@@ -582,13 +581,13 @@ def _run_dp(
 
     The rules' facts at each node are as build_merge_skeleton takes them,
     None where a rule reduces to the canonical form or cannot fire, and
-    only a decision run asks for them (decomposition._outside_facts):
-    overlaps as listed, and suppliers, the distinct class masks of the
-    claiming leaves outside V_t, read off the node's listed outside
-    neighbors when all those leaves are among them.  Where a node's
-    neighbors are not listed (its class representatives have too many),
-    both facts are None: the demand rule is the dead-class drop there, and
-    the supply rule is not applied.
+    only a decision run reads them, off d's one annotation (its overlaps
+    and neighbors, see decomposition.Annotation): overlaps as listed, and
+    suppliers, the distinct class masks of the claiming leaves outside
+    V_t, read off the node's listed outside neighbors when all those
+    leaves are among them.  Where a node's neighbors are not listed (its
+    class representatives have too many), both facts are None: the demand
+    rule is the dead-class drop there, and the supply rule is not applied.
 
     Each distinct join is computed once per run.  A node's table is a
     function of its operator, its two child tables as ordered signature
@@ -604,8 +603,8 @@ def _run_dp(
     if k < 1:
         raise InputError(f"number of colors must be positive, got {k}")
     decision = accepting is not None
-    facts = _outside_facts(g, d) if decision else None  # annotates d too
-    ops = _annotate(g, d).operators
+    annotation = _annotate(g, d)
+    ops = annotation.operators
     wanted = 0 if accepting is None else _b_count(accepting)  # root's b-vertex classes
     claims = [  # does a leaf's seed claim its vertex as a b-vertex?
         wanted and any(tau & 1 for sig in sigs for tau, _ in sig) for sigs in seeds
@@ -632,8 +631,8 @@ def _run_dp(
         need = max(wanted - far, 0)
         overlaps = suppliers = None
         if decision:
-            overlaps = facts.overlaps.get(t)
-            near = facts.neighbors.get(t)
+            overlaps = annotation.overlaps.get(t)
+            near = annotation.neighbors.get(t)
             if wanted and near is not None and far <= len(near):
                 # the supply rule fires only if every claiming leaf outside
                 # V_t is a neighbor of V_t
@@ -756,10 +755,10 @@ def _decision_tables(g: Graph, d: RootedBranchDecomposition, k: int) -> DPTable:
       coloring): a type with bit 0 is dropped when every claiming leaf
       outside V_t lies in U.  Its b-vertex must be such a leaf of this
       color.
-    Both are applied in full at the nodes whose outside neighbors
-    decomposition._outside_facts lists, and the parent of such a node is
-    one of them; elsewhere only the dead-class drop is.  "Dropped" below
-    means dropped by a rule applied at the node.
+    Both are applied in full at the nodes whose outside neighbors the
+    annotation lists (decomposition.Annotation.neighbors), and the parent
+    of such a node is one of them; elsewhere only the dead-class drop is.
+    "Dropped" below means dropped by a rule applied at the node.
     So no dropped type is the type at t of a color class of a coloring the
     root accepts.  A rule reads only the merge type, so build_merge_skeleton
     drops exactly the skeleton edges whose merge type is dropped; for the

@@ -4,7 +4,9 @@ The solve commands and selftest reach every solver through one table,
 ROUTES: one route per problem and solver, each returning a witness that has
 been checked once against the definition.  bchrom and selftest's chi_b run
 the library's one downward k loop, bcol_dp.chi_b, over a bcol route.
-selftest compares every route with its problem's oracle route.
+selftest compares every route with its problem's oracle route; a call
+that gives up (CapacityError, as bv does when out of budget) is counted
+in its gave_up instead.
 
 bcol and bchrom without --solver, --dec or --dec-effort take the automatic
 route (_Automatic): every k is first given to the budgeted b-vertex search
@@ -397,8 +399,9 @@ def _cmd_solve(args) -> dict:
     if problem == "fallcol" and args.solver in ("vc", "bv"):
         name = "vertex-cover" if args.solver == "vc" else "b-vertex search"
         raise InputError(f"fall coloring has no {name} solver")
-    if args.dec and args.solver not in (None, "cw"):
-        raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
+    if (args.dec or args.dec_effort) and args.solver not in (None, "cw"):
+        option = "--dec" if args.dec else "--dec-effort"
+        raise InputError(f"{option} is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
     d = width = automatic = None
     if problem == "fallcol" or args.solver or args.dec or args.dec_effort:
@@ -495,8 +498,7 @@ def _cmd_selftest(args) -> dict:
         raise InputError("--trials must be at least 1")
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    checks = 0
-    witnesses = 0
+    checks = witnesses = gave_up = 0
     mismatches: list[dict] = []
     for trial in range(args.trials):
         n = rng.randint(1, args.n_max)
@@ -512,7 +514,12 @@ def _cmd_selftest(args) -> dict:
         compared = []  # (problem, k, oracle's answer, route, its answer, witness)
         for k in range(1, n + 1):
             for problem, routes in ROUTES.items():
-                got = {name: route(g, d, k, True) for name, route in routes.items()}
+                got = {}
+                for name, route in routes.items():
+                    try:
+                        got[name] = route(g, d, k, True)
+                    except CapacityError:  # a budgeted route gave up
+                        gave_up += 1
                 witnesses += sum(found is not None for _, found, _ in got.values())
                 expected = got.pop("oracle")[0]
                 for name, (answer, found, _) in got.items():
@@ -521,7 +528,11 @@ def _cmd_selftest(args) -> dict:
         expected = oracle.brute_force_chi_b(g)
         for name, route in ROUTES["bcol"].items():
             if name != "oracle":
-                chi_b, found, _ = bcol_dp.chi_b(route, g, d, True)
+                try:
+                    chi_b, found, _ = bcol_dp.chi_b(route, g, d, True)
+                except CapacityError:
+                    gave_up += 1
+                    continue
                 witnesses += found is not None
                 compared.append(("bchrom", None, expected, name, chi_b, found))
         for problem, k, expected, name, answer, found in compared:
@@ -547,6 +558,7 @@ def _cmd_selftest(args) -> dict:
         "mismatches": mismatches,
         "stats": {
             "checks": checks,
+            "gave_up": gave_up,
             "trials": args.trials,
             "seed": args.seed,
             "witnesses_verified": witnesses,

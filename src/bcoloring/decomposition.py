@@ -69,10 +69,24 @@ class ValidationReport:
 @dataclass(frozen=True)
 class Annotation:
     """What the DP reads from a decomposition of a graph: the operator of
-    every internal node, and the module-width (the largest class count)."""
+    every internal node, the module-width (the largest class count), and
+    the facts that the decision DP's demand and supply rules read
+    (bcol_dp._decision_tables) about the outside neighborhoods O_q of each
+    internal node's classes q.
+
+    neighbors[t] lists each vertex w outside V_t adjacent to a class of t,
+    as (w, the mask of those classes), for the nodes t such that the
+    class representatives (smallest members) of t and of every ancestor
+    of t have at most NEIGHBOR_SCAN_LIMIT neighbors in all; no other node
+    is listed, so the parent of a listed node is listed.  overlaps[t], for
+    the listed nodes where some such w is adjacent to two classes, is the
+    distinct masks, in increasing order.
+    """
 
     operators: Mapping[int, NodeOperator]
     width: int
+    overlaps: Mapping[int, tuple[int, ...]]
+    neighbors: Mapping[int, tuple[tuple[int, int], ...]]
 
 
 def _bits(mask: int):
@@ -99,7 +113,6 @@ class RootedBranchDecomposition:
         "_leaf_vertex",
         "_postorder",
         "_annotation",
-        "_outside",
         "_width",
     )
 
@@ -118,7 +131,6 @@ class RootedBranchDecomposition:
         self._children = tuple(children)
         self._leaf_vertex = dict(leaf_vertex)
         self._annotation: tuple[Graph, Annotation] | None = None
-        self._outside: tuple[Graph, OutsideFacts] | None = None
         self._width: tuple[Graph, int] | None = None
 
         vertices = sorted(self._leaf_vertex.values())
@@ -226,77 +238,32 @@ def equivalence_classes(
 
 
 def _annotate(g: Graph, d: RootedBranchDecomposition) -> Annotation:
-    """The operators and module-width of d over g; StructuralError if d is
-    not a decomposition of g.  Found by _walk, then cached on d.
+    """The Annotation of d over g; StructuralError if d is not a
+    decomposition of g.  Found by _walk, then cached on d.
     """
     cached = d._annotation
     if cached is not None and cached[0] is g:
         return cached[1]
-    return _walk(g, d, None)
+    return _walk(g, d)
 
 
 # The most neighbors, in all, of the class representatives of a node whose
-# outside neighbors OutsideFacts lists: a bound on the work and the memory
+# outside neighbors an Annotation lists: a bound on the work and the memory
 # each node may take, so that a vertex of high degree costs nothing at the
 # nodes where it represents a class.
 NEIGHBOR_SCAN_LIMIT = 128
 
 
-@dataclass(frozen=True)
-class OutsideFacts:
-    """What the decision DP's demand and supply rules read of a
-    decomposition of a graph (bcol_dp._decision_tables), about the outside
-    neighborhoods O_q of each internal node's classes q.
-
-    neighbors[t] lists each vertex w outside V_t adjacent to a class of t,
-    as (w, the mask of those classes), for the nodes t such that the
-    class representatives (smallest members) of t and of every ancestor
-    of t have at most NEIGHBOR_SCAN_LIMIT neighbors in all; no other node
-    is listed, so the parent of a listed node is listed.  overlaps[t], for
-    the listed nodes where some such w is adjacent to two classes, is the
-    distinct masks, in increasing order.
-    """
-
-    overlaps: Mapping[int, tuple[int, ...]]
-    neighbors: Mapping[int, tuple[tuple[int, int], ...]]
-
-
-def _outside_facts(g: Graph, d: RootedBranchDecomposition) -> OutsideFacts:
-    """The OutsideFacts of d over g, found by _walk, which annotates d in
-    the same pass, and cached on d as the annotation is.  Only a decision
-    run asks for them: a walk that only annotates (for validate,
-    module_width or a reference run) gathers none, so after one a
-    decision walks d again.
-    """
-    cached = d._outside
-    if cached is not None and cached[0] is g:
-        return cached[1]
-    facts = OutsideFacts({}, {})
-    operators = _walk(g, d, facts).operators
-    if len(facts.neighbors) < len(operators):  # some node is over the limit
-        unlisted: set[int] = set()
-        for t in reversed(d.postorder()):  # parents first
-            if t in operators and (t in unlisted or t not in facts.neighbors):
-                facts.neighbors.pop(t, None)
-                facts.overlaps.pop(t, None)
-                unlisted.update(d.children(t))
-    d._outside = (g, facts)
-    return facts
-
-
-def _walk(
-    g: Graph, d: RootedBranchDecomposition, facts: OutsideFacts | None
-) -> Annotation:
-    """Annotate d over g, cache the annotation on d and return it; with
-    facts given, fill its maps as OutsideFacts describes.
+def _walk(g: Graph, d: RootedBranchDecomposition) -> Annotation:
+    """Annotate d over g, cache the annotation on d and return it.
 
     One postorder pass keeps V_t as a bitmask and only the smallest vertex
     of each class of each node, in increasing order, reads an internal
-    node's classes and operator off its children's, and drops a child's
-    once its parent is built.  Graphs and
-    decompositions are immutable, so the result is cached on d for this
-    graph object, matched by identity (d keeps g alive): validate,
-    module_width, the DP and every k probe share it.
+    node's classes, operator and outside facts off its children's, and
+    drops a child's once its parent is built.  Graphs and decompositions
+    are immutable, so the result is cached on d for this graph object,
+    matched by identity (d keeps g alive): validate, module_width, the
+    reference runs, the decisions and every k probe share one walk.
 
     This is exact, by induction from the leaves, whose one class {v} has
     representative v.  At t with children r and s, the members of an
@@ -315,67 +282,65 @@ def _walk(
 
     The outside neighborhood O_q of class q is that of its representative,
     so a node's outside neighbors and their class masks are read off the
-    representatives' adjacency, where the limit allows.  The leaves below
-    a node are consecutive in postorder (r's, then s's), so a vertex lies
-    in V_t iff its leaf's position lies in t's range: no n-bit mask is
-    kept per node for them.
+    representatives' adjacency, where the limit allows; a node over it, and
+    then every node below it, is dropped from the lists after the pass,
+    parents first.  The leaves below a node are consecutive in postorder
+    (r's, then s's), so a vertex lies in V_t iff its leaf's position lies in
+    t's range: no n-bit mask is kept per node for them.
     """
-    covered = sorted(d.leaf_vertex(t) for t in d.leaves())
+    order = [d.leaf_vertex(t) for t in d.leaves()]  # leaf vertices in postorder
+    covered = sorted(order)
     if covered != list(range(g.n)):
         raise StructuralError(
             "leaf_map not bijective: decomposition covers "
             f"{covered}, graph has vertices 0..{g.n - 1}"
         )
     masks = g.adjacency_masks()
-    reps: dict[int, tuple[int, list[int]]] = {}  # node -> (V_t, representatives)
+    adj = [g.neighbors(v) for v in g.vertices()]
+    degree = list(map(len, adj))
+    position = [0] * g.n  # vertex -> its leaf's place in postorder
+    for p, v in enumerate(order):
+        position[v] = p
+    # node -> (V_t, its leaves' positions lo..hi-1, representatives)
+    reps: dict[int, tuple[int, int, int, list[int]]] = {}
     operators: dict[int, NodeOperator] = {}
+    overlaps: dict[int, tuple[int, ...]] = {}
+    neighbors: dict[int, tuple[tuple[int, int], ...]] = {}
     width = 1
-    if facts is not None:
-        adj = [g.neighbors(v) for v in g.vertices()]
-        degree = list(map(len, adj))
-        position = [0] * g.n  # vertex -> its leaf's place in postorder
-        for p, leaf in enumerate(d.leaves()):
-            position[d.leaf_vertex(leaf)] = p
-        spans: dict[int, tuple[int, int]] = {}  # node -> its leaves' positions
     for t in d.postorder():
         if d.is_leaf(t):
             v = d.leaf_vertex(t)
-            reps[t] = (1 << v, [v])
-            if facts is not None:
-                spans[t] = (position[v], position[v] + 1)
+            reps[t] = (1 << v, position[v], position[v] + 1, [v])
             continue
         r, s = d.children(t)
-        (vt_r, rep_r), (vt_s, rep_s) = reps.pop(r), reps.pop(s)
+        (vt_r, lo, _, rep_r), (vt_s, _, hi, rep_s) = reps.pop(r), reps.pop(s)
         vt = vt_r | vt_s
         outside = ~vt
         first: dict[int, int] = {}  # neighborhood outside V_t -> smallest member
         for v in sorted(rep_r + rep_s):
             first.setdefault(masks[v] & outside, v)
         index = {key: q for q, key in enumerate(first)}
-        if facts is not None:
-            lo, hi = spans.pop(r)[0], spans.pop(s)[1]
-            spans[t] = (lo, hi)
-            near: dict[int, int] = {}  # neighbor outside V_t -> its classes
-            shared = False  # is a neighbor adjacent to two classes?
-            budget = NEIGHBOR_SCAN_LIMIT
-            for q, (key, v) in enumerate(first.items()):
-                if key:  # the dead class has no outside neighbor
-                    budget -= degree[v]
-                    if budget < 0:
-                        break
-                    bit = 1 << q
-                    for w in adj[v]:
-                        if lo <= position[w] < hi:
-                            continue
-                        if w in near:
-                            near[w] |= bit
-                            shared = True
-                        else:
-                            near[w] = bit
-            else:
-                facts.neighbors[t] = tuple(near.items())
-                if shared:
-                    facts.overlaps[t] = tuple(sorted(set(near.values())))
+        near: dict[int, int] = {}  # neighbor outside V_t -> its classes
+        shared = False  # is a neighbor adjacent to two classes?
+        budget = NEIGHBOR_SCAN_LIMIT
+        for q, (key, v) in enumerate(first.items()):
+            if key:  # the dead class has no outside neighbor
+                budget -= degree[v]
+                if budget < 0:
+                    break
+                bit = 1 << q
+                for w in adj[v]:
+                    if lo <= position[w] < hi:
+                        continue
+                    if w in near:
+                        near[w] |= bit
+                        shared = True
+                    else:
+                        near[w] = bit
+        else:
+            neighbors[t] = tuple(near.items())
+            if shared:
+                overlaps[t] = tuple(sorted(set(near.values())))
         operators[t] = NodeOperator(
             h_edges=frozenset(
                 (i, j)
@@ -387,9 +352,16 @@ def _walk(
             bubble_s=tuple(index[masks[v] & outside] for v in rep_s),
             dead=index.get(0),
         )
-        reps[t] = (vt, list(first.values()))
+        reps[t] = (vt, lo, hi, list(first.values()))
         width = max(width, len(first))
-    annotation = Annotation(operators, width)
+    if len(neighbors) < len(operators):  # some node is over the limit
+        unlisted: set[int] = set()
+        for t in reversed(d.postorder()):  # parents first
+            if t in operators and (t in unlisted or t not in neighbors):
+                neighbors.pop(t, None)
+                overlaps.pop(t, None)
+                unlisted.update(d.children(t))
+    annotation = Annotation(operators, width, overlaps, neighbors)
     d._annotation = (g, annotation)
     return annotation
 

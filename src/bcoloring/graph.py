@@ -1,6 +1,10 @@
 """Simple undirected graphs on dense vertex ids 0..n-1, plus colorings.
 
 Graphs are immutable after construction and safe to share between workers.
+A graph holds its neighborhoods as sets; the n-bit adjacency masks that
+the decomposition passes read are built on the first adjacency_masks()
+call and kept, so a run that never decomposes, such as the b-vertex
+search, pays no memory quadratic in n for them.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ class Graph:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
-        masks = [0] * n
         pairs: list[tuple[int, int]] = []
         # One pass, each edge checked once, in input order: the first
         # offending edge is the one reported.
@@ -39,12 +42,10 @@ class Graph:
                 raise InputError(f"duplicate edge ({u}, {v})")
             near.add(v)
             adj[v].add(u)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
             pairs.append((u, v) if u < v else (v, u))
         pairs.sort()
         self._adj = tuple(map(frozenset, adj))
-        self._masks = tuple(masks)
+        self._masks: tuple[int, ...] | None = None
         self._edges = tuple(pairs)
 
     def vertices(self) -> range:
@@ -57,7 +58,11 @@ class Graph:
         return self._adj[v]
 
     def adjacency_masks(self) -> tuple[int, ...]:
-        """Neighborhoods as bitmasks: bit u of entry v is set iff uv is an edge."""
+        """Neighborhoods as bitmasks: bit u of entry v is set iff uv is an
+        edge.  Built on the first call and kept; two threads that both
+        build them get equal tuples."""
+        if self._masks is None:
+            self._masks = tuple(sum(1 << u for u in near) for near in self._adj)
         return self._masks
 
     def degree(self, v: int) -> int:

@@ -53,7 +53,6 @@ from bcoloring.decomposition import (
     NEIGHBOR_SCAN_LIMIT,
     NodeOperator,
     _annotate,
-    _outside_facts,
 )
 from bcoloring.fall_dp import (
     compute_fall_tables,
@@ -985,7 +984,7 @@ class TestCompletionRules:
             answers = []
             for order in (range(n), [*range(1, n), 0], [*range(1, 9), 0, *range(9, n)]):
                 d = linear_decomposition(g, order)
-                listed = _outside_facts(g, d).neighbors
+                listed = _annotate(g, d).neighbors
                 for t in d.postorder():
                     if not d.is_leaf(t):
                         assert (t in listed) == neighbors_listed(g, d, t)

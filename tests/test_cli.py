@@ -421,6 +421,30 @@ class TestCommands:
         assert result["solver"] == "cw-dp"
         assert result["stats"]["module_width"] == 10
 
+    def test_bv_runs_build_no_masks(self, tmp_path, capsys, monkeypatch):
+        # The b-vertex search reads neighbor sets only, so a request it
+        # settles never builds the n-bit adjacency masks; a cw request does.
+        built = []
+        masks = Graph.adjacency_masks
+
+        def counted(g):
+            built.append(g)
+            return masks(g)
+
+        monkeypatch.setattr(Graph, "adjacency_masks", counted)
+        g = Graph.path(200)
+        assert bv_solver.search(g, 3) is not None and g._masks is None
+        path = tmp_path / "p200.col"
+        path.write_text(format_graph(g))
+        graph = ["--graph", str(path), "--witness"]
+        for request in (["bcol", "--k", "3"], ["bchrom"], ["bcol", "--k", "3", "--solver", "bv"]):
+            code, result, _ = run(capsys, request + graph)
+            assert (code, result["solver"]) == (0, "bv"), request
+        assert built == []
+        code, result, _ = run(capsys, ["bcol", "--k", "3", "--solver", "cw"] + graph)
+        assert (code, result["answer"]) == (0, True)
+        assert len(built) > 0
+
     def test_automatic_route_follows_its_rule(self, tmp_path, capsys, monkeypatch):
         # Without --solver, a bcol probe that the b-vertex search cannot
         # settle (here every probe: its budget is 0, and k = 1 on a graph
@@ -505,6 +529,23 @@ class TestCommands:
         assert result["answer"] is True
         assert result["mismatches"] == []
         assert result["stats"]["checks"] > 0
+
+    def test_selftest_counts_give_ups(self, capsys, monkeypatch):
+        # With no budget the b-vertex search gives up on some probes and
+        # chi_b loops: selftest counts those calls in gave_up, exits 0 and
+        # still compares every other route call, cw, vc and the fall DP
+        # against the oracle.
+        argv = ["selftest", "--n-max", "5", "--trials", "3"]
+        code, full, _ = run(capsys, argv)
+        assert (code, full["stats"]["gave_up"]) == (0, 0)
+        monkeypatch.setattr(bv_solver, "SEARCH_BUDGET", 0)
+        code, result, _ = run(capsys, argv)
+        assert code == 0
+        assert result["answer"] is True
+        assert result["mismatches"] == []
+        stats = result["stats"]
+        assert stats["gave_up"] > 0
+        assert stats["checks"] + stats["gave_up"] == full["stats"]["checks"]
 
     def test_verify_color_above_n(self, tmp_path, capsys):
         # A color above n leaves a class empty: false, without building a
@@ -774,6 +815,23 @@ class TestExitCodes:
             assert code == 2
             assert result is None
             assert "input error" in err
+
+    @pytest.mark.parametrize("solver", ["vc", "bv", "oracle"])
+    def test_dec_effort_needs_cw_solver(self, tmp_path, capsys, solver):
+        # --dec-effort only says how to search for the cw route's
+        # decomposition: with another solver it is refused, not ignored,
+        # even where cw would refuse it too (exact-tiny on 12 vertices).
+        path = tmp_path / "p12.col"
+        path.write_text(format_graph(Graph.path(12)))
+        for argv in (["bchrom"], ["bcol", "--k", "2"], ["fallcol", "--k", "2"]):
+            for effort in ("exact-tiny", "heuristic"):
+                extra = ["--graph", str(path), "--solver", solver, "--dec-effort", effort]
+                code, result, err = run(capsys, argv + extra)
+                assert code == 2
+                assert result is None
+                if argv[0] != "fallcol" or solver == "oracle":
+                    message = f"--dec-effort is for the cw solver, not --solver {solver}"
+                    assert message in err
 
     @pytest.mark.parametrize("bad", ["graph", "dec", "coloring"])
     def test_non_utf8_file(self, tmp_path, capsys, bad):

@@ -20,7 +20,6 @@ from bcoloring import bcol_dp, cli, decomposition, fall_dp
 from bcoloring.decomposition import (
     _annotate,
     _greedy_order,
-    _outside_facts,
     equivalence_classes,
 )
 from helpers import (
@@ -440,47 +439,64 @@ class TestInvariants:
         # adjacent to one outside vertex.  The neighbors: each vertex
         # outside V_t with its class mask, at every node here (no hub
         # reaches the limit).  Both from equivalence_classes (rule_facts,
-        # outside_masks); the walk that finds them annotates d as a plain
-        # one does.  Mirrored trees put the leaves on the r side.
+        # outside_masks), on the annotation of each tree and of a fresh
+        # copy of it first annotated by validate, which holds the same
+        # facts.  Mirrored trees put the leaves on the r side.
         rng, shapes = random.Random(12), random.Random(112)
         overlapping = 0
         for _ in range(20):
             g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.9))
             trees = heuristic_and_random_shape(g, shapes)
             for d in (*trees, *map(mirrored, trees)):
-                plain = _annotate(g, unrecorded(d))
-                facts = _outside_facts(g, d)
-                assert _annotate(g, d) == plain
+                validated = unrecorded(d)
+                assert validate(g, validated)
                 expected = {}
                 internal = [t for t in d.postorder() if not d.is_leaf(t)]
                 for t in internal:
                     overlaps, _ = rule_facts(g, d, t, 1, False)
                     if overlaps is not None:
                         expected[t] = overlaps
-                    assert dict(facts.neighbors[t]) == outside_masks(g, d, t)
-                    assert len(facts.neighbors[t]) == len(outside_masks(g, d, t))
-                assert facts.overlaps == expected
-                assert set(facts.neighbors) == set(internal)
+                for annotation in (_annotate(g, d), _annotate(g, validated)):
+                    for t in internal:
+                        near = annotation.neighbors[t]
+                        assert dict(near) == outside_masks(g, d, t)
+                        assert len(near) == len(outside_masks(g, d, t))
+                    assert annotation.overlaps == expected
+                    assert set(annotation.neighbors) == set(internal)
+                assert _annotate(g, validated) == _annotate(g, d)
                 overlapping += len(expected)
         assert overlapping > 50
 
-    def test_only_a_decision_gathers_outside_facts(self):
-        # validate, module_width and the reference runs annotate without
-        # gathering the facts; a decision run gathers them, once per graph
-        # object, and reuses the annotation.
+    def test_one_walk_per_graph_and_tree(self, monkeypatch):
+        # validate, module_width, the reference runs, the decisions at
+        # every k and the fall decision all read one walk per graph object
+        # and tree, whichever of them comes first; an equal graph object
+        # is walked again.
+        walks = []
+        original = decomposition._walk
+
+        def counting(g, d):
+            walks.append((g, d))
+            return original(g, d)
+
+        monkeypatch.setattr(decomposition, "_walk", counting)
         g = Graph.cycle(7)
-        d = linear_decomposition(g, range(7))
-        assert validate(g, d) and module_width(g, d) == 3
-        bcol_dp.compute_tables(g, d, 2)
-        fall_dp.compute_fall_tables(g, d, 2)
-        assert d._outside is None
-        for k in (1, 2, 3):
-            bcol_dp.decide(g, d, k)
-            fall_dp.compute_fall_tables(g, d, k, canonical=True)
-        facts = d._outside
-        assert facts[0] is g and facts[1] is _outside_facts(g, d)
-        bcol_dp.decide(g, d, 2)
-        assert d._outside is facts
+        trees = [linear_decomposition(g, range(7)) for _ in range(2)]
+        for validate_first, d in zip((True, False), trees):
+            if validate_first:
+                assert validate(g, d) and module_width(g, d) == 3
+            bcol_dp.compute_tables(g, d, 2)
+            fall_dp.compute_fall_tables(g, d, 2)
+            for k in (1, 2, 3):
+                bcol_dp.decide(g, d, k)
+            for k in (2, 3):
+                assert fall_dp.solve_fallcoloring_witness(g, d, k) is None
+            assert validate(g, d) and module_width(g, d) == 3
+        assert len(walks) == 2
+        assert all(w is g and e is d for (w, e), d in zip(walks, trees))
+        h = Graph(7, g.edges())
+        assert module_width(h, trees[0]) == 3
+        assert len(walks) == 3 and walks[2][0] is h and walks[2][1] is trees[0]
 
 
 def heuristic_and_random_shape(g, rng):

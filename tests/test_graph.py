@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcoloring import Coloring, Graph, InputError, brute_force_chi_b, is_proper
-from helpers import graph_structure, outcome, reference_graph
+from helpers import graph_structure, outcome, random_graph, reference_graph
 
 
 class TestNeighbors:
@@ -75,6 +75,23 @@ class TestConstructionAgainstReference:
                 edges = list(dict.fromkeys(edges)) + edges[: rng.randint(0, 1)]
             expected = outcome(reference_graph, n, edges)
             assert outcome(lambda: graph_structure(Graph(n, edges))) == expected, (n, edges)
+
+
+class TestAdjacencyMasks:
+    """The n-bit masks are built on the first adjacency_masks() call, equal
+    to masks built edge by edge, and kept."""
+
+    def test_lazy_masks_equal_eager_ones(self):
+        rng = random.Random(9)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 40), rng.uniform(0.0, 1.0))
+            eager = [0] * g.n
+            for u, v in g.edges():
+                eager[u] |= 1 << v
+                eager[v] |= 1 << u
+            assert g._masks is None
+            assert g.adjacency_masks() == tuple(eager)
+            assert g.adjacency_masks() is g.adjacency_masks()
 
 
 class TestIsProper:
