@@ -19,15 +19,17 @@ with the admitted guesses of cover vertices designated as b-vertices
 (distinct colors).  Colors lacking a designated b-vertex must be
 completable by a vertex outside S seeing all other colors; vertices
 outside S whose neighborhood already shows k-1 colors are forced.  What
-remains is, for each designated b-vertex and each color it still misses, a
-need set of outside vertices able to supply that color.  One backtracking
-search meets them all, the small candidate sets first and exactly, the
-large ones last: a small extension can never exhaust those.
+remains is, for each designated b-vertex, the colors it still misses, each
+to be put on an outside neighbor.  bv_solver's need search, started from
+the cover coloring and the forced vertices, meets them all, the need with
+the fewest live candidates first, and colors the other outside vertices;
+only needs with at most k^2-k candidates ever branch
+(small_extension_search).
 
 The facts that depend on the cover coloring phi alone are computed once
-per phi, by _cover_coloring: the colors each outside vertex sees, the
-rejection of phi when some outside vertex sees all k colors, the forced
-colors, the completer of each color and the colors with none.
+per phi, by _cover_coloring: the rejection of phi when some outside vertex
+sees all k colors, the forced colors, the completer of each color and the
+colors with none.
 cover_guesses pairs them with the guesses on phi it admits, and
 _try_guess extends each.  The generator omits three kinds of guess, as
 their extension fails:
@@ -43,9 +45,7 @@ their extension fails:
     x_j is left with k-1-s needs, one per missing color, each met only by
     a distinct uncolored neighbor of x_j taking that color; with at least s
     colored neighbors, x_j has at most deg(x_j) - s < k-1-s uncolored
-    ones, too few.  Every candidate set of x_j lies in its neighborhood,
-    so has fewer than k-1 <= k^2-k vertices and goes to the exact search,
-    which must fail, if no need set is empty before it.
+    ones, too few: the need search's first need point refutes the guess.
 (c) A guess with two b-vertices u and v whose open neighborhoods are
     nested, N(u) ⊆ N(v).  Their colors a = phi(u) and b = phi(v) differ,
     so u needs a neighbor w of color b; but w lies in N(v), next to v of
@@ -68,13 +68,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import bv_solver
 from .errors import InputError
 from .graph import Coloring, Graph
 from .oracle import is_b_coloring
-
-# (x_j, missing color) -> outside vertices that could take that color.
-NeedSet = dict[tuple[int, int], frozenset[int]]
-
 
 def vertex_cover_within(g: Graph, limit: int) -> frozenset[int] | None:
     """The first least vertex cover in branching order, if it has at most
@@ -132,48 +129,6 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
     return cover
 
 
-def small_extension_search(
-    g: Graph, needs: NeedSet, k: int
-) -> dict[int, int] | None:
-    """A proper extension satisfying every need, coloring at most one vertex
-    per need (hence at most k^2-k vertices), or None.
-
-    needs maps (b-vertex, missing color) to the candidate vertices that may
-    receive that color; candidates are assumed proper for it.  A need is
-    also satisfied when an earlier assignment put its color on another
-    neighbor of its b-vertex.  Needs with at most k^2-k candidates come
-    first, then the large ones, each part in key order.  From _try_guess
-    (at most k(k-1) needs, candidates outside the cover) the search never
-    backtracks into a large need: fewer than k^2-k vertices are colored
-    when it is reached, so it has a free candidate, proper because outside
-    vertices are pairwise nonadjacent and a candidate sees no cover vertex
-    of its color.  A large need takes its least free candidate, if unmet.
-    """
-    bound = k * k - k
-    ordered = sorted(needs, key=lambda key: (len(needs[key]) > bound, key))
-    ext: dict[int, int] = {}
-
-    def dfs(idx: int):
-        if idx == len(ordered):
-            return dict(ext)
-        xj, ci = ordered[idx]
-        if any(color == ci and y in g.neighbors(xj) for y, color in ext.items()):
-            return dfs(idx + 1)
-        for y in sorted(needs[(xj, ci)]):
-            if y in ext:
-                continue
-            ext[y] = ci
-            result = dfs(idx + 1)
-            if result is not None:
-                return result
-            del ext[y]
-        return None
-
-    result = dfs(0)
-    assert result is None or len(result) <= bound
-    return result
-
-
 def _proper_cover_colorings(g: Graph, cover: list[int], k: int):
     """The proper colorings of G[cover] with colors 1..k, one per renaming
     of colors, lexicographically: each vertex takes a color already used
@@ -220,8 +175,6 @@ class _CoverColoring(NamedTuple):
     once per phi by _cover_coloring."""
 
     phi: dict[int, int]
-    # outside vertex -> the colors of its neighbors, all in the cover
-    nb_colors: dict[int, frozenset[int]]
     # phi, plus each outside vertex seeing k-1 colors on the one it misses
     forced: dict[int, int]
     # color -> the least outside vertex seeing exactly the other k-1 colors
@@ -236,10 +189,10 @@ def _cover_coloring(
     """The facts of phi, or None if some outside vertex already sees all k
     colors: then no guess on phi has a proper extension."""
     kset = frozenset(range(1, k + 1))
-    nb_colors = {x: frozenset(phi[u] for u in g.neighbors(x)) for x in outside}
     forced = dict(phi)
     completer: dict[int, int] = {}
-    for x, seen in nb_colors.items():
+    for x in outside:
+        seen = {phi[u] for u in g.neighbors(x)}  # all in the cover
         if len(seen) == k:
             return None
         # A vertex seeing exactly the other k-1 colors is forced to the
@@ -248,7 +201,35 @@ def _cover_coloring(
             (missing,) = kset - seen
             forced[x] = missing
             completer.setdefault(missing, x)
-    return _CoverColoring(phi, nb_colors, forced, completer, kset.difference(completer))
+    return _CoverColoring(phi, forced, completer, kset.difference(completer))
+
+
+def small_extension_search(
+    g: Graph, facts: _CoverColoring, b_guess: frozenset[int], k: int
+) -> list[int] | None:
+    """The colors of a b-coloring extending facts.forced in which every
+    vertex of b_guess is a b-vertex, vertex by vertex, or None: vc's one
+    call per admitted guess into bv_solver's need search, from the start
+    facts.forced, with b_guess fixed, no candidates and no budget.  The
+    benchmark's tracer (bench/spans.py) counts these calls by this name.
+
+    The search is bounded as in the paper.  Every uncolored vertex lies
+    outside the cover: the outside vertices are pairwise nonadjacent and
+    see only cover vertices, all colored in the start, so an assignment
+    shrinks no domain, forward checking never empties one, and the third
+    stage takes each vertex's least color without backtracking.  Each
+    second-stage assignment meets at least one of the at most k^2-k needs,
+    so with s vertices assigned and r needs open, s + r <= k^2-k.  Once
+    the search picks a need with more than k^2-k candidates, it has more
+    than k^2-k-s >= r live ones, and so, as the search takes the fewest
+    first, does every open need.  An assignment meets the need it serves
+    and takes at most one live candidate from each other need (the vertex
+    it colors), so that stays true, and the first branch below meets them
+    all: the search never backtracks into that need.  Hence only needs
+    with at most k^2-k candidates branch, at most k^2-k deep.
+    """
+    found = bv_solver._need_search(g, k, facts.forced, sorted(b_guess), [], None)
+    return None if found is None else found[0]
 
 
 def cover_guesses(g: Graph, cover: frozenset[int], k: int):
@@ -299,53 +280,18 @@ def _try_guess(
     g: Graph, facts: _CoverColoring, b_guess: frozenset[int], k: int
 ) -> tuple[Coloring, frozenset[int]] | None:
     """Extend one guess that cover_guesses admits on the coloring
-    facts.phi to a full b-coloring, or show it cannot be.
-
-    A b-vertex with more open needs than the union of their candidate sets
-    is refused before the search, which would refuse it too.  A need
-    (x, c) is met by a neighbor y of x colored c, a distinct one per color.
-    y is not colored before the search, or c would not be missing at x,
-    and is proper for c, so c is not among the colors y sees: y lies in
-    needs[(x, c)].  So x's needs take as many distinct vertices from the
-    union of their candidate sets as there are needs.
-    """
-    phi = facts.phi
-    kset = frozenset(range(1, k + 1))
-    nb_colors = facts.nb_colors
-    colored = dict(facts.forced)
-    # Need sets for the designated b-vertices; the cover is colored, so an
-    # uncolored neighbor is an outside vertex.
-    needs: NeedSet = {}
-    for xj in b_guess:
-        seen = {colored[u] for u in g.neighbors(xj) if u in colored}
-        missing = kset - {phi[xj]} - seen
-        reach: set[int] = set()
-        for ci in missing:
-            cand = frozenset(
-                x
-                for x in g.neighbors(xj)
-                if x not in colored and ci not in nb_colors[x]
-            )
-            if not cand:
-                return None
-            needs[(xj, ci)] = cand
-            reach |= cand
-        if len(reach) < len(missing):
-            return None
-    # One search meets every need, the small ones exactly; it orders them
-    # itself and never backtracks into a large one.
-    ext = small_extension_search(g, needs, k)
-    if ext is None:
+    facts.phi to a full b-coloring, or show it cannot be: the cover keeps
+    phi, the forced outside vertices their colors, and the need search
+    (small_extension_search) colors the rest so that each guessed
+    b-vertex sees every other color.  By rule (a), each color without a
+    guessed b-vertex has a completer, which sees the other k-1 colors in
+    the cover and becomes the color's b-vertex."""
+    colors = small_extension_search(g, facts, b_guess, k)
+    if colors is None:
         return None
-    colored.update(ext)
-    for x, seen in nb_colors.items():
-        if x not in colored:
-            colored[x] = min(kset - seen)
-    coloring = Coloring(tuple(colored[v] for v in g.vertices()), k)
-    # By rule (a), each color without a designated b-vertex has a
-    # completer, which becomes the color's b-vertex.
-    b_colors = {phi[b] for b in b_guess}
-    b_vertices = b_guess | {facts.completer[c] for c in kset - b_colors}
+    coloring = Coloring(tuple(colors), k)
+    b_colors = {facts.phi[b] for b in b_guess}
+    b_vertices = b_guess | {facts.completer[c] for c in range(1, k + 1) if c not in b_colors}
     if not is_b_coloring(g, coloring):
         raise RuntimeError("completed cover guess failed the b-coloring check")
     return coloring, b_vertices

@@ -89,7 +89,10 @@ from bcoloring.errors import CapacityError, InputError, StructuralError
 from bcoloring.graph import Coloring, Graph
 from bcoloring.oracle import is_b_coloring
 from bcoloring import vc_solver
-from bcoloring.vc_solver import NeedSet
+
+# (b-vertex, missing color) -> the outside vertices that could take that
+# color, for the reference extension search.
+NeedSet = dict[tuple[int, int], frozenset[int]]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -22,7 +22,6 @@ from bcoloring.cli import main
 from bcoloring.vc_solver import (
     cover_guesses,
     min_vertex_cover,
-    small_extension_search,
     vertex_cover_within,
 )
 from helpers import (
@@ -256,56 +255,54 @@ class TestCoverGuesses:
                     assert list(ours) == list(theirs)
 
 
+def cover_guess(k, phi, edges, b_guess):
+    """g, the facts of the cover coloring phi and the guess b_guess on it:
+    the cover is phi's vertices, the others are outside it."""
+    g = Graph(1 + max(map(max, edges)), edges)
+    outside = [x for x in g.vertices() if x not in phi]
+    return g, vc_solver._cover_coloring(g, outside, phi, k), frozenset(b_guess)
+
+
 class TestSmallExtensionSearch:
+    """Guesses built by hand, extended by _try_guess through the need
+    search."""
+
     def test_no_needs(self):
-        assert small_extension_search(Graph.complete(2), {}, 2) == {}
+        # Vertex 1 is forced to 2, which meets the one need of b-vertex 0.
+        g, facts, b_guess = cover_guess(2, {0: 1}, [(0, 1)], {0})
+        found = vc_solver._try_guess(g, facts, b_guess, 2)
+        assert found == (Coloring((1, 2), 2), frozenset({0, 1}))
 
     def test_single_forced_candidate(self):
-        g = Graph(3, [(0, 2), (1, 2)])
-        ext = small_extension_search(g, {(0, 2): frozenset({2})}, 2)
-        assert ext == {2: 2}
+        # b-vertex 0 sees color 2 and misses 3, which only 4 can take; 5
+        # and 6 are forced to 2 and 3 and complete those colors.
+        cover = {0: 1, 1: 2, 2: 3, 3: 1}
+        edges = [(0, 1), (0, 4), (2, 5), (3, 5), (1, 6), (3, 6)]
+        g, facts, b_guess = cover_guess(3, cover, edges, {0})
+        found = vc_solver._try_guess(g, facts, b_guess, 3)
+        assert found == (Coloring((1, 2, 3, 1, 3, 2, 3), 3), frozenset({0, 5, 6}))
 
     def test_contradictory_needs(self):
-        # Two b-vertices sharing their only candidate, which cannot take two
-        # colors at once; exhaustive check on a 6-vertex instance.
-        g = Graph(6, [(0, 2), (1, 2), (0, 3), (1, 4)])
-        needs = {(0, 3): frozenset({2}), (1, 4): frozenset({2})}
-        assert small_extension_search(g, needs, 5) is None
+        # b-vertices 0 and 1 miss colors 3 and 4, and 6 is the only
+        # candidate of each: it cannot take both.
+        cover = {0: 1, 1: 2, 2: 4, 3: 3, 4: 1, 5: 2}
+        edges = [(0, 1), (0, 2), (1, 3), (0, 6), (1, 6)]
+        edges += [(2, 7), (4, 7), (5, 7), (3, 8), (4, 8), (5, 8)]  # completers
+        g, facts, b_guess = cover_guess(4, cover, edges, {0, 1})
+        assert vc_solver._try_guess(g, facts, b_guess, 4) is None
+        assert reference_try_guess(g, frozenset(cover), cover, b_guess, 4) is None
 
     def test_cross_satisfaction(self):
-        # One assignment can satisfy two needs for the same color.
-        g = Graph(4, [(0, 2), (1, 2), (0, 3)])
-        needs = {(0, 4): frozenset({2}), (1, 4): frozenset({2})}
-        ext = small_extension_search(g, needs, 5)
-        assert ext == {2: 4}
-
-    def test_small_needs_first_then_large(self):
-        # (0, 2) has 7 > k^2-k = 6 candidates, so the small need (1, 3) is
-        # met first, on 10, and the large one takes the next free vertex,
-        # as the greedy completion after the small needs did.  In key order
-        # alone the large need would take 10 and the small one 11.
-        g = Graph(17, [(0, y) for y in range(10, 17)] + [(1, 10), (1, 11)])
-        needs = {(0, 2): frozenset(range(10, 17)), (1, 3): frozenset({10, 11})}
-        assert small_extension_search(g, needs, 3) == {10: 3, 11: 2}
-
-    def test_extension_size_bound(self):
-        rng = random.Random(64)
-        for _ in range(50):
-            g = random_graph(rng, rng.randint(2, 7), rng.uniform(0.2, 0.8))
-            k = rng.randint(2, 4)
-            outside = sorted(g.vertices())[: g.n // 2]
-            needs = {}
-            for xj in range(min(2, g.n)):
-                for ci in range(1, rng.randint(1, k)):
-                    cand = frozenset(
-                        v for v in g.neighbors(xj) if v in outside
-                    )
-                    if cand:
-                        needs[(xj, ci)] = cand
-            ext = small_extension_search(g, needs, k)
-            if ext is not None:
-                assert len(ext) <= max(k * k - k, 0)
-                assert len(ext) <= len(needs)
+        # b-vertices 0 and 1 both miss color 3; 6, next to both, meets
+        # both needs, and their other candidates 7 and 8 take their least
+        # colors.
+        cover = {0: 1, 1: 2, 2: 4, 3: 3, 4: 1, 5: 2}
+        edges = [(0, 1), (0, 2), (1, 2), (0, 6), (1, 6), (0, 7), (1, 8)]
+        edges += [(2, 9), (4, 9), (5, 9), (3, 10), (4, 10), (5, 10)]  # completers
+        g, facts, b_guess = cover_guess(4, cover, edges, {0, 1})
+        found = vc_solver._try_guess(g, facts, b_guess, 4)
+        colors = (1, 2, 4, 3, 1, 2, 3, 2, 1, 3, 4)
+        assert found == (Coloring(colors, 4), frozenset({0, 1, 9, 10}))
 
 
 def cover_graph(rng, s, t):
@@ -358,24 +355,90 @@ def omission_reason(g, phi, b_guess, k):
 
 
 class TestTryGuess:
-    def test_hall_violation_skips_the_search(self, monkeypatch):
+    def test_hall_violation_is_refused(self):
         # k = 4, cover 0, 1, 2 colored 1, 2, 3; outside 3, 4, 5.  Vertices 4
         # and 5 see colors 1, 2 and 3, so both are forced to 4, and b-vertex
         # 0 still misses colors 2 and 3, each with the one candidate 3.
         g = Graph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5)])
         facts = vc_solver._cover_coloring(g, [3, 4, 5], {0: 1, 1: 2, 2: 3}, 4)
         assert facts.forced[4] == facts.forced[5] == 4
-        needs = {(0, 2): frozenset({3}), (0, 3): frozenset({3})}
-        assert small_extension_search(g, needs, 4) is None
-        calls = []
-
-        def counted(*args, search=vc_solver.small_extension_search):
-            calls.append(args)
-            return search(*args)
-
-        monkeypatch.setattr(vc_solver, "small_extension_search", counted)
         assert vc_solver._try_guess(g, facts, frozenset({0}), 4) is None
-        assert calls == []
+
+
+def check_extension(g, facts, b_guess, k, found, expected):
+    """_try_guess's result found on a guess answers as the reference's
+    result expected does.  The need search may pick another witness than
+    the reference's key order, so a witness is checked by its definition:
+    a b-coloring that keeps phi on the cover and facts.forced wherever it
+    is set, whose b-vertices include b_guess, one per color."""
+    assert (found is None) == (expected is None), (g, k, b_guess)
+    if found is None:
+        return
+    coloring, b_vertices = found
+    assert is_b_coloring(g, coloring)
+    assert all(coloring.colors[v] == c for v, c in facts.forced.items())
+    assert b_guess <= b_vertices
+    assert sorted(coloring.colors[b] for b in b_vertices) == list(range(1, k + 1))
+    for b in b_vertices:
+        seen = {coloring.colors[u] for u in g.neighbors(b)}
+        assert seen == set(range(1, k + 1)) - {coloring.colors[b]}
+
+
+def check_solve(g, k):
+    """vc_solver._solve against reference_vc_solve: the same answer, and a
+    witness that the first successful guess gives and check_extension
+    accepts.  Returns the guess's facts and b-vertices, or None."""
+    found = vc_solver._solve(g, k)
+    expected = reference_vc_solve(g, k)
+    for facts, b_guess in cover_guesses(g, min_vertex_cover(g), k):
+        result = vc_solver._try_guess(g, facts, b_guess, k)
+        if result is not None:
+            assert result == found
+            check_extension(g, facts, b_guess, k, found, expected)
+            return facts, b_guess
+    assert found is None and expected is None, (g, k)
+    return None
+
+
+def large_needs(g, facts, b_guess, k):
+    """The needs of the guess with more than k^2-k candidates: outside
+    neighbors of the b-vertex, not forced, that see no cover vertex of
+    the missing color."""
+    large = 0
+    for b in b_guess:
+        seen = {facts.forced[u] for u in g.neighbors(b) if u in facts.forced}
+        for c in set(range(1, k + 1)) - seen - {facts.phi[b]}:
+            candidates = [
+                x
+                for x in g.neighbors(b)
+                if x not in facts.forced
+                and c not in {facts.phi[u] for u in g.neighbors(x)}
+            ]
+            large += len(candidates) > k * k - k
+    return large
+
+
+def found_spider(seed):
+    """The spider of a 6-vertex core and 30 outside vertices that the old
+    recursive extension search did not finish at k = 6 for seed 357."""
+    rng = random.Random(seed)
+    p = rng.uniform(0, 0.6)
+    edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if rng.random() < p]
+    for x in range(6, 36):
+        degree = rng.choices((1, 2, 3), weights=(3, 2, 1))[0]
+        edges.extend((u, x) for u in rng.sample(range(6), degree))
+    return Graph(36, edges)
+
+
+def test_spider_357_at_k_6():
+    # Its first admitted guess has 26 needs, every b-vertex's with
+    # distinct representatives; the need search settles it at once.
+    g = found_spider(357)
+    start = time.perf_counter()
+    found = vc_solver._solve(g, 6)
+    elapsed = time.perf_counter() - start
+    assert found is not None and is_b_coloring(g, found[0])
+    assert elapsed < 5.0, elapsed
 
 
 class TestAgainstReference:
@@ -400,27 +463,19 @@ class TestAgainstReference:
         for _ in range(40):
             g = cover_graph(rng, rng.randint(4, 6), rng.randint(4, 10))
             for k in range(1, g.n + 1):
-                expected = reference_vc_solve(g, k)
-                assert solve_bcoloring_vc_witness(g, k) == expected, (g, k)
-                found += expected is not None
+                found += check_solve(g, k) is not None
         assert found >= 40
 
-    def test_spider_graphs_large_needs(self, monkeypatch):
+    def test_spider_graphs_large_needs(self):
         # The reference searches the small needs alone and completes the
         # large ones greedily; the solver hands every need to one search.
         large = 0
-
-        def counted(g, needs, k, search=vc_solver.small_extension_search):
-            nonlocal large
-            large += any(len(cand) > k * k - k for cand in needs.values())
-            return search(g, needs, k)
-
-        monkeypatch.setattr(vc_solver, "small_extension_search", counted)
         rng = random.Random(11)
         for _ in range(150):
             g = spider_graph(rng)
             for k in (3, 4):
-                assert vc_solver._solve(g, k) == reference_vc_solve(g, k), (g, k)
+                guess = check_solve(g, k)
+                large += guess is not None and large_needs(g, *guess, k) > 0
         assert large >= 10, large
 
     @settings(max_examples=150, deadline=None)
@@ -437,9 +492,9 @@ class TestAgainstReference:
     def test_every_guess_and_every_refusal(self):
         # cover_guesses yields a subsequence of the reference enumeration,
         # in its order: exactly the guesses no omission reason applies to.
-        # On each, the solver's extension from the per-coloring facts gives
-        # the reference's result; every omitted guess fails under the
-        # reference.
+        # On each, the solver's extension from the per-coloring facts
+        # answers as the reference does; every omitted guess fails under
+        # the reference.
         rng = random.Random(67)
         omitted = {"full": 0, "a": 0, "b": 0, "c": 0}
         for i in range(60):
@@ -461,7 +516,8 @@ class TestAgainstReference:
                     assert pending is not None, (g, k, phi, b_guess)
                     facts, admitted_guess = pending
                     assert (facts.phi, admitted_guess) == (phi, b_guess)
-                    assert vc_solver._try_guess(g, facts, b_guess, k) == expected
+                    found = vc_solver._try_guess(g, facts, b_guess, k)
+                    check_extension(g, facts, b_guess, k, found, expected)
                     pending = next(admitted, None)
                 assert pending is None, (g, k, pending)
         assert omitted["a"] >= 100 and omitted["b"] >= 10 and omitted["c"] >= 10, omitted
