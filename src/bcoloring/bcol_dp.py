@@ -918,6 +918,8 @@ def reconstruct_witness(
     coloring, b = _realize(table, d)
     if not oracle.is_b_coloring(g, coloring):
         raise RuntimeError("reconstructed witness failed the b-coloring check")
+    if not oracle.is_b_vertex_set(g, coloring, b):
+        raise RuntimeError("reconstructed witness failed the b-vertex check")
     return coloring, b
 
 

@@ -64,8 +64,8 @@ The search is exact: it misses no b-coloring.
 Choice order only decides speed and which witness comes first.
 
 Each caller checks the witness once against the definition
-(oracle.is_b_coloring) before it returns it; a failed check raises
-RuntimeError.
+(oracle.is_b_coloring, and oracle.is_b_vertex_set for its b-vertices)
+before it returns it; a failed check raises RuntimeError.
 
 Budget.  A dead end is an assignment undone or a candidate refused.  The
 searches of one call to search are allowed SEARCH_BUDGET dead ends
@@ -119,10 +119,12 @@ def search(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     found = _need_search(g, k, {}, (), candidates, SEARCH_BUDGET)
     if found is None:
         return None
-    coloring = Coloring(tuple(found[0]), k)
+    coloring, b_vertices = Coloring(tuple(found[0]), k), frozenset(found[1])
     if not oracle.is_b_coloring(g, coloring):
         raise RuntimeError("b-vertex search witness failed the b-coloring check")
-    return coloring, frozenset(found[1])
+    if not oracle.is_b_vertex_set(g, coloring, b_vertices):
+        raise RuntimeError("b-vertex search witness failed the b-vertex check")
+    return coloring, b_vertices
 
 
 def _need_search(

@@ -8,11 +8,13 @@ selftest compares every route with its problem's oracle route; a call
 that gives up (CapacityError, as bv does when out of budget) is counted
 in its gave_up instead.
 
-bcol and bchrom without --solver, --dec or --dec-effort take the automatic
-route (_Automatic): every k is first given to the budgeted b-vertex search
-(bv); only a probe that runs out of budget builds the heuristic
-decomposition, once per request, and goes to the route that
-_decomposition_rule picks from its width (vc or cw).
+An explicit --solver names the route.  Otherwise --dec, --dec-effort and
+fallcol each mean cw, on the given decomposition or one searched for at
+the given effort; without any of them, bcol and bchrom take the automatic
+route (_Automatic): every k is first given to the budgeted b-vertex
+search (bv); only a probe that runs out of budget builds the heuristic
+decomposition, once per request, and goes to the route picked from its
+width (vc or cw).
 
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored), with n at most
@@ -20,7 +22,9 @@ Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 before anything is built for it.  Decompositions are
 line-based: `n <id> internal <left> <right>` or `n <id> leaf <vertex>`,
 first listed node is the root.  Colorings are `<vertex> <color>` lines,
-1-indexed.
+1-indexed.  All three formats skip blank lines and lines whose first field
+starts with `c` (_records), and every file is read line by line, so a
+bad line is refused before the rest of the file is read.
 
 Results go to standard output as a JSON document with sorted keys.  Exit
 codes: 0 = ran (the answer is inside the document), 2 = input error,
@@ -37,7 +41,7 @@ import json
 import random
 import sys
 import time
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from . import bcol_dp, bv_solver, fall_dp, oracle, vc_solver
 from .decomposition import (
@@ -64,59 +68,53 @@ def parse_graph_text(text: str) -> Graph:
 
     A problem line declaring more than _MAX_VERTICES vertices raises
     CapacityError."""
-    return _parse_graph_lines((text,))
+    return _parse_graph_lines(text.splitlines())
 
 
-def _parse_graph_lines(chunks: Iterable[str]) -> Graph:
-    """parse_graph_text over text chunks consumed one at a time, each split
-    as str.splitlines splits the whole text, so the line numbers of a file
-    read line by line match its text's, and a refusal at a line reads
-    nothing after it."""
+def _parse_graph_lines(lines: Iterable[str]) -> Graph:
+    """parse_graph_text over its lines, consumed one at a time, so a
+    refusal at a line reads nothing after it.  The edge fields are parsed
+    in the loop: every request reads a graph."""
     n = m = problem_line = None
     edges: dict[tuple[int, int], tuple[int, int]] = {}  # sorted pair -> edge
-    lineno = 0
-    for chunk in chunks:
-        for line in chunk.splitlines():
-            lineno += 1
-            parts = line.split()
-            if not parts or parts[0][0] == "c":
-                continue
-            kind = parts[0]
-            if kind == "e":
-                if n is None:
-                    raise InputError(f"line {lineno}: edge line before problem line")
-                try:
-                    _, first, second = parts
-                    u, v = int(first), int(second)
-                except ValueError:
-                    raise _bad_line((lineno, line), "malformed edge") from None
-                if not (0 < u <= n and 0 < v <= n):
-                    raise InputError(f"line {lineno}: vertex out of range 1..{n}")
-                if u == v:
-                    raise InputError(f"line {lineno}: self-loop at vertex {u}")
-                key = (u, v) if u < v else (v, u)
-                if key in edges:
-                    raise InputError(f"line {lineno}: duplicate edge")
-                edges[key] = (u - 1, v - 1)
-            elif kind == "p":
-                if n is not None:
-                    raise InputError(f"line {lineno}: duplicate problem line")
-                if parts[1:2] != ["edge"]:
-                    raise _bad_line((lineno, line), "malformed problem")
-                try:
-                    _, _, vertices, count = parts
-                    n, m = int(vertices), int(count)
-                except ValueError:
-                    raise _bad_line((lineno, line), "malformed problem") from None
-                if n < 0:
-                    raise InputError(f"line {lineno}: negative vertex count")
-                if n > _MAX_VERTICES:
-                    raise CapacityError(
-                        f"line {lineno}: {n} vertices, above the limit of {_MAX_VERTICES}"
-                    )
-                problem_line = lineno
-            else:
-                raise _bad_line((lineno, line), "unrecognized")
+    for record in _records(lines):
+        lineno, line, parts = record
+        kind = parts[0]
+        if kind == "e":
+            if n is None:
+                raise InputError(f"line {lineno}: edge line before problem line")
+            try:
+                _, first, second = parts
+                u, v = int(first), int(second)
+            except ValueError:
+                raise _bad_line(record, "malformed edge") from None
+            if not (0 < u <= n and 0 < v <= n):
+                raise InputError(f"line {lineno}: vertex out of range 1..{n}")
+            if u == v:
+                raise InputError(f"line {lineno}: self-loop at vertex {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in edges:
+                raise InputError(f"line {lineno}: duplicate edge")
+            edges[key] = (u - 1, v - 1)
+        elif kind == "p":
+            if n is not None:
+                raise InputError(f"line {lineno}: duplicate problem line")
+            if parts[1:2] != ["edge"]:
+                raise _bad_line(record, "malformed problem")
+            try:
+                _, _, vertices, count = parts
+                n, m = int(vertices), int(count)
+            except ValueError:
+                raise _bad_line(record, "malformed problem") from None
+            if n < 0:
+                raise InputError(f"line {lineno}: negative vertex count")
+            if n > _MAX_VERTICES:
+                raise CapacityError(
+                    f"line {lineno}: {n} vertices, above the limit of {_MAX_VERTICES}"
+                )
+            problem_line = lineno
+        else:
+            raise _bad_line(record, "unrecognized")
     if n is None:
         raise InputError("missing problem line")
     if m != len(edges):
@@ -134,14 +132,18 @@ def format_graph(g: Graph) -> str:
 
 
 def parse_graph(path: str) -> Graph:
-    with _opened(path) as handle:
-        return _parse_graph_lines(handle)
+    with _file_lines(path) as lines:
+        return _parse_graph_lines(lines)
 
 
 def parse_decomposition_text(text: str, g: Graph) -> RootedBranchDecomposition:
     """Decomposition file to a validated RootedBranchDecomposition."""
+    return _parse_decomposition_lines(text.splitlines(), g)
+
+
+def _parse_decomposition_lines(lines: Iterable[str], g: Graph) -> RootedBranchDecomposition:
     entries: dict[int, tuple] = {}  # in file order: the first is the root
-    for record in _records(text.splitlines()):
+    for record in _records(lines):
         lineno, _, parts = record
         if parts[0] != "n":
             raise _bad_line(record, "unrecognized")
@@ -202,12 +204,17 @@ def format_decomposition(d: RootedBranchDecomposition) -> str:
 
 
 def parse_decomposition(path: str, g: Graph) -> RootedBranchDecomposition:
-    return parse_decomposition_text(_read(path), g)
+    with _file_lines(path) as lines:
+        return _parse_decomposition_lines(lines, g)
 
 
 def parse_coloring_text(text: str, g: Graph) -> Coloring:
+    return _parse_coloring_lines(text.splitlines(), g)
+
+
+def _parse_coloring_lines(lines: Iterable[str], g: Graph) -> Coloring:
     assignment: dict[int, int] = {}  # 1-based vertex -> color
-    for record in _records(text.splitlines()):
+    for record in _records(lines):
         lineno, _, parts = record
         v, color = _ints(record, "coloring", parts, 2)
         if not (1 <= v <= g.n):
@@ -225,7 +232,8 @@ def parse_coloring_text(text: str, g: Graph) -> Coloring:
 
 
 def parse_coloring(path: str, g: Graph) -> Coloring:
-    return parse_coloring_text(_read(path), g)
+    with _file_lines(path) as lines:
+        return _parse_coloring_lines(lines, g)
 
 
 def _records(lines: Iterable[str]) -> Iterator[tuple[int, str, list[str]]]:
@@ -253,20 +261,14 @@ def _bad_line(record: tuple, what: str) -> InputError:
     return InputError(f"line {lineno}: {what} line {line.strip()!r}")
 
 
-def _read(path: str) -> str:
-    """The text of a UTF-8 file, its lines split as _parse_graph_lines
-    splits a file's, so line numbers match."""
-    with _opened(path) as handle:
-        return "\n".join(line for raw in handle for line in raw.splitlines())
-
-
 @contextlib.contextmanager
-def _opened(path: str) -> Iterator[TextIO]:
-    """A UTF-8 text file, open for reading; failing to open or decode it is
-    an InputError."""
+def _file_lines(path: str) -> Iterator[Iterator[str]]:
+    """The lines of a UTF-8 text file, read one at a time, each file line
+    split as str.splitlines splits the whole text, so line numbers match
+    the text's; failing to open or decode it is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            yield handle
+            yield (line for raw in handle for line in raw.splitlines())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -349,22 +351,13 @@ ROUTES = {
 }
 
 
-def _decomposition_rule(g: Graph, width: int | None) -> str:
-    # Prefer the tractable exponent: the vertex-cover solver when the
-    # heuristic decomposition (of this module-width) is wide but the cover
-    # is small, else the DP on that decomposition.
-    if width is not None and width > 8 and vc_solver.vertex_cover_within(g, 12) is not None:
-        return "vc"
-    return "cw"
-
-
 class _Automatic:
     """The automatic bcol route.  Each probe is first the bv search; one
     that runs out of budget builds the heuristic decomposition, on the
-    first such probe only, and is decided by the route _decomposition_rule
-    picks for it.  solver names what decided the probes: bv while the
-    search settled them all, else that route; d and width are None until
-    a decomposition is built."""
+    first such probe only, and is decided by the route picked for it.
+    solver names what decided the probes: bv while the search settled them
+    all, else that route; d and width are None until a decomposition is
+    built."""
 
     def __init__(self) -> None:
         self.d = self.width = None
@@ -378,7 +371,11 @@ class _Automatic:
         if self.d is None:
             self.d = best_decomposition(g, "heuristic")
             self.width = module_width(g, self.d)
-            self.solver = _decomposition_rule(g, self.width)
+            # Prefer the tractable exponent: the vertex-cover solver when
+            # the decomposition is wide but the cover is small, else the
+            # DP on the decomposition.
+            small_cover = vc_solver.vertex_cover_within(g, 12) is not None
+            self.solver = "vc" if self.width > 8 and small_cover else "cw"
         return ROUTES["bcol"][self.solver](g, self.d, k, witness)
 
 
@@ -404,23 +401,21 @@ def _cmd_solve(args) -> dict:
         raise InputError(f"{option} is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
     d = width = automatic = None
-    if problem == "fallcol" or args.solver or args.dec or args.dec_effort:
+    # Without --solver, a decomposition option means cw, and so does
+    # fallcol, which has no automatic route.
+    solver = args.solver or ("cw" if args.dec or args.dec_effort or problem == "fallcol" else None)
+    if solver is None:
+        route = automatic = _Automatic()
+    else:
         # A given --dec is read even for the empty graph, which no file
         # decomposes.
         if args.dec:
             d = parse_decomposition(args.dec, g)
-        elif args.solver in (None, "cw") and g.n:
+        elif solver == "cw" and g.n:
             d = best_decomposition(g, args.dec_effort or "heuristic")
         if d is not None:
             width = module_width(g, d)
-        # A decomposition given by --dec is for cw, and fall coloring has
-        # only cw.
-        solver = args.solver
-        if solver is None:
-            solver = "cw" if args.dec or problem == "fallcol" else _decomposition_rule(g, width)
         route = ROUTES["bcol" if problem == "bchrom" else problem][solver]
-    else:
-        route = automatic = _Automatic()
     found = max_table = None
     if problem == "bchrom":
         answer, found, max_table = bcol_dp.chi_b(route, g, d, args.witness)

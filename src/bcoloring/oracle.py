@@ -8,7 +8,8 @@ deterministic and usable as frozen test fixtures.
 
 b_vertices is the one b-vertex definition: is_b_coloring asks it whether
 a coloring is a b-coloring, and the oracle route pairs a brute-force
-coloring with its b-vertices through it.
+coloring with its b-vertices through it.  is_b_vertex_set checks the
+b-vertices a solver names with its witness.
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ def b_vertices(g: Graph, c: Coloring) -> frozenset[int] | None:
         else:
             return None
     return frozenset(found)
+
+
+def is_b_vertex_set(g: Graph, c: Coloring, b: frozenset[int]) -> bool:
+    """True iff b holds c.k vertices, one per class of c, each with
+    neighbors in all other classes: the b-vertices a witness names."""
+    colors, all_colors = c.colors, set(range(1, c.k + 1))
+    return (
+        len(b) == c.k
+        and {colors[v] for v in b} == all_colors
+        and all(all_colors - {colors[v]} <= {colors[u] for u in g.neighbors(v)} for v in b)
+    )
 
 
 def is_b_coloring(g: Graph, c: Coloring) -> bool:

@@ -1,5 +1,6 @@
 import collections
 import json
+import operator
 import random
 import re
 import time
@@ -27,7 +28,9 @@ from bcoloring.cli import (
     format_decomposition,
     format_graph,
     main,
+    parse_coloring,
     parse_coloring_text,
+    parse_decomposition,
     parse_decomposition_text,
     parse_graph,
     parse_graph_text,
@@ -146,6 +149,40 @@ def mutated_dimacs(rng: random.Random) -> str:
             lines.insert(at, rng.choice([["p", "col", "3", "2"], ["p"], ["p", "edge", "3"]]))
         elif kind == 11 and lines:  # a line dropped
             del lines[rng.randrange(len(lines))]
+    return joined(rng, lines)
+
+
+def mutated_records(rng: random.Random, lines: list[list[str]]) -> str:
+    """The fields of a decomposition or coloring file, put through up to
+    four random mutations, valid or not, joined as mutated_dimacs joins."""
+    for _ in range(rng.randint(0, 4)):
+        at = rng.randint(0, len(lines))
+        kind = rng.randrange(7)
+        if kind == 0:  # a blank line
+            lines.insert(at, [rng.choice(["", " ", "\t"])])
+        elif kind == 1:  # a comment line
+            lines.insert(at, rng.choice([["c"], ["c", "hi"], ["cfoo", "1", "2"]]))
+        elif kind == 2 and lines:  # an odd value in some field
+            line = rng.choice(lines)
+            line[rng.randrange(len(line))] = rng.choice(ODD_NUMBERS + ["99", "leaf"])
+        elif kind == 3 and lines:  # a line repeated
+            lines.insert(at, list(rng.choice(lines)))
+        elif kind == 4 and lines:  # a field too many or too few
+            line = rng.choice(lines)
+            if rng.random() < 0.5:
+                line.append(rng.choice(["1", "x"]))
+            elif len(line) > 1:
+                line.pop()
+        elif kind == 5:  # a line of no known kind
+            lines.insert(at, rng.choice([["x", "1", "2"], ["N", "0", "leaf", "1"]]))
+        elif kind == 6 and lines:  # a line dropped
+            del lines[rng.randrange(len(lines))]
+    return joined(rng, lines)
+
+
+def joined(rng: random.Random, lines: list[list[str]]) -> str:
+    """The lines' fields joined with random field separators, padding and
+    line terminators; the last terminator is sometimes left off."""
     text = ""
     for line in lines:
         sep = rng.choice([" ", " ", "\t", "  ", " \t "])
@@ -201,6 +238,36 @@ class TestParseGraphAgainstReference:
             path.write_bytes(text.encode())
             got = outcome(lambda p: graph_structure(parse_graph(p)), str(path))
             assert got == outcome(reference_parse_graph_text, text, _MAX_VERTICES), text
+
+
+class TestParseFilesAgainstText:
+    """Decomposition and coloring files, read line by line, parse as their
+    texts do: the same result, or the same exception type and message."""
+
+    @pytest.mark.parametrize("kind", ["decomposition", "coloring"])
+    def test_mutated_files(self, tmp_path, kind):
+        rng = random.Random(2027)
+        texts, kinds = [], collections.Counter()
+        for i in range(300):
+            g = random_graph(rng, rng.randint(1, 6), 0.5)
+            if kind == "decomposition":
+                d = best_decomposition(g, "heuristic")
+                lines = [line.split() for line in format_decomposition(d).splitlines()]
+                parse_text, parse_file, result = parse_decomposition_text, parse_decomposition, shape
+            else:
+                lines = [[str(v + 1), str(rng.randint(1, 3))] for v in g.vertices()]
+                rng.shuffle(lines)
+                parse_text, parse_file = parse_coloring_text, parse_coloring
+                result = operator.attrgetter("colors", "k")
+            text = mutated_records(rng, lines)
+            path = tmp_path / f"{kind}{i}.txt"
+            path.write_bytes(text.encode())
+            got = outcome(lambda p: result(parse_file(p, g)), str(path))
+            assert got == outcome(lambda t: result(parse_text(t, g)), text), text
+            texts.append(text)
+            kinds["parsed" if got[0] == "ok" else refusal_kind(got[2])] += 1
+        assert all(any(end in text for text in texts) for end in TERMINATORS)
+        assert kinds["parsed"] >= 50 and len(kinds) >= 6, kinds
 
 
 def shape(d, t=None):
@@ -399,9 +466,10 @@ class TestCommands:
         assert result["answer"] is True
 
     def test_dec_without_solver_runs_cw(self, tmp_path, capsys):
-        # Without --dec the automatic route falls back to vc on this graph
-        # (heuristic width 10, 9-vertex cover) when the b-vertex search runs
-        # out; a given decomposition is run by cw.
+        # Without a decomposition option the automatic route falls back to
+        # vc on this graph (heuristic width 10, 9-vertex cover) when the
+        # b-vertex search runs out; a given decomposition, or one searched
+        # for at a given effort, is run by cw.
         g = wide_bipartite()
         graph_path = tmp_path / "wide.col"
         graph_path.write_text(format_graph(g))
@@ -412,14 +480,15 @@ class TestCommands:
         )
         assert code == 0
         assert result["answer"] == 10
-        code, result, _ = run(
-            capsys,
-            ["bcol", "--graph", str(graph_path), "--k", "2", "--dec", str(dec_path)],
-        )
-        assert code == 0
-        assert result["answer"] is True
-        assert result["solver"] == "cw-dp"
-        assert result["stats"]["module_width"] == 10
+        for option in (["--dec", str(dec_path)], ["--dec-effort", "heuristic"]):
+            code, result, _ = run(
+                capsys, ["bcol", "--graph", str(graph_path), "--k", "2", *option]
+            )
+            assert code == 0
+            assert result["answer"] is True
+            assert result["solver"] == "cw-dp", option
+            assert result["stats"]["module_width"] == 10
+            assert result["stats"]["max_table_size"] is not None
 
     def test_bv_runs_build_no_masks(self, tmp_path, capsys, monkeypatch):
         # The b-vertex search reads neighbor sets only, so a request it
@@ -862,6 +931,27 @@ class TestExitCodes:
         assert result is None
         assert f"cannot read {path}: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("bad", ["dec", "coloring"])
+    def test_bad_first_line_refused_before_a_later_bad_byte(self, tmp_path, capsys, bad):
+        # Decomposition and coloring files are read line by line, as graph
+        # files are: a bad first line is refused before the undecodable
+        # byte after 64 KiB of comment lines is read.
+        graph = tmp_path / "k2.col"
+        graph.write_text(K2_COL)
+        path = tmp_path / f"bad.{bad}"
+        first = "n x leaf 1" if bad == "dec" else "1 x"
+        padding = b"c padding\n" * (64 * 1024 // 10 + 1)
+        path.write_bytes(first.encode() + b"\n" + padding + b"\xff\n")
+        if bad == "dec":
+            argv = ["bcol", "--k", "1", "--dec", str(path)]
+            message = "line 1: malformed node line 'n x leaf 1'"
+        else:
+            argv = ["verify", "--coloring", str(path), "--mode", "b"]
+            message = "line 1: malformed coloring line '1 x'"
+        code, result, err = run(capsys, argv + ["--graph", str(graph)])
+        assert (code, result) == (2, None)
+        assert message in err
+
     def test_graph_file_lines_numbered_as_text_lines(self, tmp_path):
         # A file is split into the lines str.splitlines gives for its text,
         # so an error names the same line whether read from a file or text.
@@ -1037,6 +1127,39 @@ class TestSelfCheckFailures:
         with pytest.raises(RuntimeError, match=message) as caught:
             main(argv + ["--graph", str(path)])
         assert type(caught.value) is RuntimeError  # not a CapacityError (exit 3)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("route", ["cw", "bv", "vc"])
+    def test_wrong_b_vertices_raise_out_of_main(self, tmp_path, capsys, monkeypatch, route):
+        # Each route checks the b-vertices it names, not only its coloring:
+        # a set that misses a class, patched in where the route builds it,
+        # fails the check.
+        def spoil(module, name, wrong):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args: wrong(real(*args)))
+
+        if route == "cw":
+            spoil(bcol_dp, "_realize", lambda found: (found[0], frozenset(sorted(found[1])[1:])))
+            message = "reconstructed witness failed the b-vertex check"
+        elif route == "bv":
+            spoil(bv_solver, "_need_search", lambda found: found and (found[0], found[1][1:]))
+            message = "b-vertex search witness failed the b-vertex check"
+        else:
+            # Each color without a guessed b-vertex takes its completer as
+            # its b-vertex; a cover vertex stands in for every completer.
+            spoil(
+                vc_solver,
+                "_cover_coloring",
+                lambda facts: facts
+                and facts._replace(completer=dict.fromkeys(facts.completer, min(facts.phi))),
+            )
+            message = "completed cover guess failed the b-vertex check"
+        path = tmp_path / "p3.col"
+        path.write_text(format_graph(Graph.path(3)))
+        argv = ["bcol", "--k", "2", "--solver", route, "--witness", "--graph", str(path)]
+        with pytest.raises(RuntimeError, match=message) as caught:
+            main(argv)
+        assert type(caught.value) is RuntimeError
         assert capsys.readouterr().out == ""
 
 

@@ -13,6 +13,7 @@ from bcoloring import (
     brute_force_fallcoloring,
     is_b_coloring,
     is_fall_coloring,
+    oracle,
 )
 from helpers import random_graph
 
@@ -30,6 +31,15 @@ class TestIsBColoring:
 
     def test_empty_class_fails(self):
         assert not is_b_coloring(Graph.complete(2), Coloring((1, 2), 3))
+
+
+def test_is_b_vertex_set():
+    # P_5 colored 1 2 3 1 2: vertices 3, 1 and 2 are the b-vertices of
+    # classes 1, 2 and 3; vertex 0 (color 1) sees color 2 only.
+    g, c = Graph.path(5), Coloring((1, 2, 3, 1, 2), 3)
+    assert oracle.is_b_vertex_set(g, c, frozenset({1, 2, 3}))
+    for b in ({0, 1, 2}, {1, 2}, {1, 2, 3, 0}, {2, 3, 4}, {1, 3}):
+        assert not oracle.is_b_vertex_set(g, c, frozenset(b)), b
 
 
 class TestIsFallColoring:
