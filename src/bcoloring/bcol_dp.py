@@ -916,10 +916,7 @@ def reconstruct_witness(
     here, once, against the definition before it is handed out.
     """
     coloring, b = _realize(table, d)
-    if not oracle.is_b_coloring(g, coloring):
-        raise RuntimeError("reconstructed witness failed the b-coloring check")
-    if not oracle.is_b_vertex_set(g, coloring, b):
-        raise RuntimeError("reconstructed witness failed the b-vertex check")
+    oracle._check_b_witness(g, coloring, b, "reconstructed witness")
     return coloring, b
 
 

@@ -63,9 +63,9 @@ The search is exact: it misses no b-coloring.
   branch follows c to the end, or to a b-coloring found before it.
 Choice order only decides speed and which witness comes first.
 
-Each caller checks the witness once against the definition
-(oracle.is_b_coloring, and oracle.is_b_vertex_set for its b-vertices)
-before it returns it; a failed check raises RuntimeError.
+Each caller checks the witness and its b-vertices once against the
+definition (oracle._check_b_witness) before it returns it; a failed
+check raises RuntimeError.
 
 Budget.  A dead end is an assignment undone or a candidate refused.  The
 searches of one call to search are allowed SEARCH_BUDGET dead ends
@@ -120,10 +120,7 @@ def search(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     if found is None:
         return None
     coloring, b_vertices = Coloring(tuple(found[0]), k), frozenset(found[1])
-    if not oracle.is_b_coloring(g, coloring):
-        raise RuntimeError("b-vertex search witness failed the b-coloring check")
-    if not oracle.is_b_vertex_set(g, coloring, b_vertices):
-        raise RuntimeError("b-vertex search witness failed the b-vertex check")
+    oracle._check_b_witness(g, coloring, b_vertices, "b-vertex search witness")
     return coloring, b_vertices
 
 
@@ -141,7 +138,7 @@ def _need_search(
     after the proper-coloring pre-pass.  None if the stages of the module
     docstring find none.  Raises CapacityError after budget dead ends,
     unless budget is None."""
-    adj = [g.neighbors(v) for v in g.vertices()]
+    adj = g._adj
     position = {w: i for i, w in enumerate(candidates)}
     full = (1 << (k + 1)) - 2  # bits 1..k
     color = [0] * g.n

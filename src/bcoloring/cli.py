@@ -8,13 +8,13 @@ selftest compares every route with its problem's oracle route; a call
 that gives up (CapacityError, as bv does when out of budget) is counted
 in its gave_up instead.
 
-An explicit --solver names the route.  Otherwise --dec, --dec-effort and
-fallcol each mean cw, on the given decomposition or one searched for at
-the given effort; without any of them, bcol and bchrom take the automatic
-route (_Automatic): every k is first given to the budgeted b-vertex
-search (bv); only a probe that runs out of budget builds the heuristic
-decomposition, once per request, and goes to the route picked from its
-width (vc or cw).
+A solve command's --solver names one of its ROUTES.  Without it, --dec
+and fallcol each mean cw, on the given decomposition (an exact one is
+decompose --effort exact-tiny's) or the heuristic search's; without
+either, bcol and bchrom take the automatic route (_Automatic):
+every k is first given to the budgeted b-vertex search (bv); only a
+probe that runs out of budget builds the heuristic decomposition, once
+per request, and goes to the route picked from its width (vc or cw).
 
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored), with n at most
@@ -24,7 +24,8 @@ line-based: `n <id> internal <left> <right>` or `n <id> leaf <vertex>`,
 first listed node is the root.  Colorings are `<vertex> <color>` lines,
 1-indexed.  All three formats skip blank lines and lines whose first field
 starts with `c` (_records), and every file is read line by line, so a
-bad line is refused before the rest of the file is read.
+bad line is refused, and quoted in part (_bad_line), before the rest of
+the file is read.
 
 Results go to standard output as a JSON document with sorted keys.  Exit
 codes: 0 = ran (the answer is inside the document), 2 = input error,
@@ -58,6 +59,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_CAPACITY = 3
 # The largest vertex count a graph file may declare.
 _MAX_VERTICES = 100_000
+# The most characters of a bad line that its error message quotes.
+_QUOTED = 80
 
 
 # --- file formats -----------------------------------------------------------
@@ -256,9 +259,11 @@ def _ints(record: tuple, kind: str, fields: list[str], count: int) -> list[int]:
 
 def _bad_line(record: tuple, what: str) -> InputError:
     """The error naming the record, (line number, line, ...), a `what`
-    line, quoting the line stripped."""
+    line, quoting the line stripped, cut to its first _QUOTED characters."""
     lineno, line = record[:2]
-    return InputError(f"line {lineno}: {what} line {line.strip()!r}")
+    text = line.strip()
+    cut = f" (the first {_QUOTED} of {len(text)} characters)" if len(text) > _QUOTED else ""
+    return InputError(f"line {lineno}: {what} line {text[:_QUOTED]!r}{cut}")
 
 
 @contextlib.contextmanager
@@ -290,9 +295,9 @@ def _emit(result: dict) -> None:
     print(json.dumps(result, sort_keys=True, indent=2))
 
 
-def _stats(start: float, nodes=None, max_table=None, width=None) -> dict:
+def _stats(start: float, d=None, max_table=None, width=None) -> dict:
     return {
-        "decomposition_nodes": nodes,
+        "decomposition_nodes": None if d is None else d.node_count,
         "max_table_size": max_table,
         "module_width": width,
         "wall_time_s": round(time.perf_counter() - start, 6),
@@ -369,8 +374,7 @@ class _Automatic:
         except CapacityError:
             pass
         if self.d is None:
-            self.d = best_decomposition(g, "heuristic")
-            self.width = module_width(g, self.d)
+            self.d, self.width = _decomposition(g, None)
             # Prefer the tractable exponent: the vertex-cover solver when
             # the decomposition is wide but the cover is small, else the
             # DP on the decomposition.
@@ -380,6 +384,18 @@ class _Automatic:
 
 
 SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle", "bv": "bv"}
+
+
+def _decomposition(g: Graph, path: str | None):
+    """A request's decomposition and width: the file's at path, read even
+    for the empty graph, else the heuristic one; none for the empty graph."""
+    if path:
+        d = parse_decomposition(path, g)
+    elif g.n:
+        d = best_decomposition(g, "heuristic")
+    else:
+        return None, None
+    return d, module_width(g, d)
 
 
 # --- command handlers ---------------------------------------------------------
@@ -393,28 +409,17 @@ def _cmd_solve(args) -> dict:
     k = getattr(args, "k", None)  # bchrom takes no k
     if k is not None and k < 1:
         raise InputError(f"k must be positive, got {k}")
-    if problem == "fallcol" and args.solver in ("vc", "bv"):
-        name = "vertex-cover" if args.solver == "vc" else "b-vertex search"
-        raise InputError(f"fall coloring has no {name} solver")
-    if (args.dec or args.dec_effort) and args.solver not in (None, "cw"):
-        option = "--dec" if args.dec else "--dec-effort"
-        raise InputError(f"{option} is for the cw solver, not --solver {args.solver}")
+    if args.dec and args.solver not in (None, "cw"):
+        raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
     d = width = automatic = None
-    # Without --solver, a decomposition option means cw, and so does
-    # fallcol, which has no automatic route.
-    solver = args.solver or ("cw" if args.dec or args.dec_effort or problem == "fallcol" else None)
+    # Without --solver, --dec means cw, and so does fallcol (no automatic route).
+    solver = args.solver or ("cw" if args.dec or problem == "fallcol" else None)
     if solver is None:
         route = automatic = _Automatic()
     else:
-        # A given --dec is read even for the empty graph, which no file
-        # decomposes.
-        if args.dec:
-            d = parse_decomposition(args.dec, g)
-        elif solver == "cw" and g.n:
-            d = best_decomposition(g, args.dec_effort or "heuristic")
-        if d is not None:
-            width = module_width(g, d)
+        if solver == "cw":
+            d, width = _decomposition(g, args.dec)
         route = ROUTES["bcol" if problem == "bchrom" else problem][solver]
     found = max_table = None
     if problem == "bchrom":
@@ -425,10 +430,7 @@ def _cmd_solve(args) -> dict:
         answer = False
     if automatic is not None:
         d, width, solver = automatic.d, automatic.width, automatic.solver
-    if d is None:
-        stats = _stats(start)
-    else:
-        stats = _stats(start, d.node_count, max_table, width)
+    stats = _stats(start, d, max_table, width)  # all null without a decomposition
     emitted = None
     if found is not None:
         coloring, b_vertices = found
@@ -458,7 +460,7 @@ def _cmd_decompose(args) -> dict:
         "answer": width,
         "solver": args.effort,
         "witness": None,
-        "stats": _stats(start, d.node_count, None, width),
+        "stats": _stats(start, d, None, width),
     }
 
 
@@ -574,31 +576,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact b-coloring, b-chromatic number, and fall coloring solvers.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    efforts = ("exact-tiny", "heuristic")  # what best_decomposition accepts
 
-    for name, help_text in (
-        ("bcol", "decide b-coloring with k colors"),
-        ("bchrom", "compute the b-chromatic number"),
-        ("fallcol", "decide fall coloring with k colors"),
+    for name, help_text, routes in (
+        ("bcol", "decide b-coloring with k colors", ROUTES["bcol"]),
+        ("bchrom", "compute the b-chromatic number", ROUTES["bcol"]),
+        ("fallcol", "decide fall coloring with k colors", ROUTES["fallcol"]),
     ):
         solve = subs.add_parser(name, help=help_text)
         solve.add_argument("--graph", required=True)
         if name != "bchrom":
             solve.add_argument("--k", type=int, required=True)
-        group = solve.add_mutually_exclusive_group()
-        group.add_argument("--dec", help="decomposition file to use")
-        group.add_argument(
-            "--dec-effort",
-            choices=efforts,
-            help="how hard to search for a decomposition (default: heuristic)",
-        )
+        solve.add_argument("--dec", help="decomposition file to use")
         solve.add_argument("--witness", action="store_true")
-        solve.add_argument("--solver", choices=list(ROUTES["bcol"]))
+        solve.add_argument("--solver", choices=list(routes))
         solve.set_defaults(handler=_cmd_solve)
 
     decompose = subs.add_parser("decompose", help="build and save a decomposition")
     decompose.add_argument("--graph", required=True)
-    decompose.add_argument("--effort", choices=efforts, default="heuristic")
+    decompose.add_argument(
+        "--effort", choices=("exact-tiny", "heuristic"), default="heuristic"
+    )
     decompose.add_argument("--out", required=True)
     decompose.set_defaults(handler=_cmd_decompose)
 

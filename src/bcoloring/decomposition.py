@@ -296,7 +296,7 @@ def _walk(g: Graph, d: RootedBranchDecomposition) -> Annotation:
             f"{covered}, graph has vertices 0..{g.n - 1}"
         )
     masks = g.adjacency_masks()
-    adj = [g.neighbors(v) for v in g.vertices()]
+    adj = g._adj
     degree = list(map(len, adj))
     position = [0] * g.n  # vertex -> its leaf's place in postorder
     for p, v in enumerate(order):
@@ -519,7 +519,7 @@ def _greedy_order(g: Graph) -> tuple[list[int], int]:
     does not look at every class.
     """
     masks = g.adjacency_masks()
-    adj = [g.neighbors(v) for v in g.vertices()]
+    adj = g._adj
     own = list(masks)
     empty = {v for v in g.vertices() if not masks[v]}
     contain: list[set[int]] = [set() for _ in range(g.n)]

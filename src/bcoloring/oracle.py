@@ -9,7 +9,8 @@ deterministic and usable as frozen test fixtures.
 b_vertices is the one b-vertex definition: is_b_coloring asks it whether
 a coloring is a b-coloring, and the oracle route pairs a brute-force
 coloring with its b-vertices through it.  is_b_vertex_set checks the
-b-vertices a solver names with its witness.
+b-vertices a solver names with its witness, and _check_b_witness is the
+one check the cw, vc and bv solvers make of the witness they return.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ def is_b_coloring(g: Graph, c: Coloring) -> bool:
     """True iff c is proper, every class is nonempty, and every class
     contains a vertex with neighbors in all other classes."""
     return b_vertices(g, c) is not None
+
+
+def _check_b_witness(g: Graph, c: Coloring, b: frozenset[int], what: str) -> None:
+    """Raise RuntimeError, saying that what failed, unless c is a
+    b-coloring of g and b its b-vertices: a fault of the program."""
+    if not is_b_coloring(g, c):
+        raise RuntimeError(f"{what} failed the b-coloring check")
+    if not is_b_vertex_set(g, c, b):
+        raise RuntimeError(f"{what} failed the b-vertex check")
 
 
 def is_fall_coloring(g: Graph, c: Coloring) -> bool:

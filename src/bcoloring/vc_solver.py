@@ -68,10 +68,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import bv_solver
+from . import bv_solver, oracle
 from .errors import InputError
 from .graph import Coloring, Graph
-from .oracle import is_b_coloring, is_b_vertex_set
+
 
 def vertex_cover_within(g: Graph, limit: int) -> frozenset[int] | None:
     """The first least vertex cover in branching order, if it has at most
@@ -292,10 +292,7 @@ def _try_guess(
     coloring = Coloring(tuple(colors), k)
     b_colors = {facts.phi[b] for b in b_guess}
     b_vertices = b_guess | {facts.completer[c] for c in range(1, k + 1) if c not in b_colors}
-    if not is_b_coloring(g, coloring):
-        raise RuntimeError("completed cover guess failed the b-coloring check")
-    if not is_b_vertex_set(g, coloring, b_vertices):
-        raise RuntimeError("completed cover guess failed the b-vertex check")
+    oracle._check_b_witness(g, coloring, b_vertices, "completed cover guess")
     return coloring, b_vertices
 
 

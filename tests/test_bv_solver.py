@@ -151,12 +151,14 @@ class TestRoute:
         dec = tmp_path / "c6.dec"
         code, _, _ = run(capsys, ["decompose", "--graph", str(path), "--out", str(dec)])
         assert code == 0
-        for argv in (
-            ["fallcol", "--k", "2", "--solver", "bv"],
-            ["bcol", "--k", "2", "--solver", "bv", "--dec", str(dec)],
-        ):
-            code, result, _ = run(capsys, argv + ["--graph", str(path)])
-            assert (code, result) == (2, None)
+        # fallcol's --solver takes only fallcol routes: argparse refuses bv.
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["fallcol", "--k", "2", "--solver", "bv", "--graph", str(path)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().out == ""
+        argv = ["bcol", "--k", "2", "--solver", "bv", "--dec", str(dec)]
+        code, result, _ = run(capsys, argv + ["--graph", str(path)])
+        assert (code, result) == (2, None)
         code, result, _ = run(capsys, ["bchrom", "--graph", str(path), "--solver", "bv"])
         assert (code, result["answer"], result["solver"]) == (0, 3, "bv")
         assert result["stats"]["module_width"] is None

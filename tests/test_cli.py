@@ -18,6 +18,7 @@ from bcoloring import (
     bv_solver,
     fall_dp,
     linear_decomposition,
+    module_width,
     oracle,
     vc_solver,
 )
@@ -410,14 +411,17 @@ class TestCommands:
         assert sorted(result["witness"]["b_vertices"]) == [1, 2, 3, 4]
 
     def test_fallcol_rejects_vc_solver(self, tmp_path, capsys):
+        # fallcol's --solver takes the names of ROUTES["fallcol"] only, so
+        # argparse refuses vc and bv before anything is read.
         path = tmp_path / "c5.col"
         path.write_text(C5_COL)
-        code, _, err = run(
-            capsys,
-            ["fallcol", "--graph", str(path), "--k", "2", "--solver", "vc"],
-        )
-        assert code == 2
-        assert "vertex-cover" in err
+        for solver in ("vc", "bv"):
+            with pytest.raises(SystemExit) as exited:
+                main(["fallcol", "--graph", str(path), "--k", "2", "--solver", solver])
+            assert exited.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"invalid choice: '{solver}'" in captured.err
 
     def test_solvers_agree(self, tmp_path, capsys):
         path = tmp_path / "star.col"
@@ -468,8 +472,7 @@ class TestCommands:
     def test_dec_without_solver_runs_cw(self, tmp_path, capsys):
         # Without a decomposition option the automatic route falls back to
         # vc on this graph (heuristic width 10, 9-vertex cover) when the
-        # b-vertex search runs out; a given decomposition, or one searched
-        # for at a given effort, is run by cw.
+        # b-vertex search runs out; a given decomposition is run by cw.
         g = wide_bipartite()
         graph_path = tmp_path / "wide.col"
         graph_path.write_text(format_graph(g))
@@ -480,15 +483,14 @@ class TestCommands:
         )
         assert code == 0
         assert result["answer"] == 10
-        for option in (["--dec", str(dec_path)], ["--dec-effort", "heuristic"]):
-            code, result, _ = run(
-                capsys, ["bcol", "--graph", str(graph_path), "--k", "2", *option]
-            )
-            assert code == 0
-            assert result["answer"] is True
-            assert result["solver"] == "cw-dp", option
-            assert result["stats"]["module_width"] == 10
-            assert result["stats"]["max_table_size"] is not None
+        code, result, _ = run(
+            capsys, ["bcol", "--graph", str(graph_path), "--k", "2", "--dec", str(dec_path)]
+        )
+        assert code == 0
+        assert result["answer"] is True
+        assert result["solver"] == "cw-dp"
+        assert result["stats"]["module_width"] == 10
+        assert result["stats"]["max_table_size"] is not None
 
     def test_bv_runs_build_no_masks(self, tmp_path, capsys, monkeypatch):
         # The b-vertex search reads neighbor sets only, so a request it
@@ -649,17 +651,14 @@ class TestCommands:
     )
     def test_witness_checked_once(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
-        for module, name in (
-            (oracle, "is_b_coloring"),
-            (oracle, "is_fall_coloring"),
-            (vc_solver, "is_b_coloring"),
-        ):
+        # Every route checks its witness through the oracle module.
+        for name in ("is_b_coloring", "is_fall_coloring"):
 
-            def counted(g, c, checker=getattr(module, name)):
+            def counted(g, c, checker=getattr(oracle, name)):
                 calls.append(checker)
                 return checker(g, c)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(oracle, name, counted)
         path = tmp_path / "c6.col"
         path.write_text(C6_COL)
         code, result, _ = run(capsys, argv + ["--graph", str(path), "--witness"])
@@ -877,30 +876,39 @@ class TestExitCodes:
         path.write_text(STAR13_COL)
         dec = str(tmp_path / "missing.dec")
         for argv in (["bchrom"], ["bcol", "--k", "2"], ["fallcol", "--k", "2"]):
-            code, result, err = run(
-                capsys,
-                argv + ["--graph", str(path), "--solver", solver, "--dec", dec],
-            )
+            argv = argv + ["--graph", str(path), "--solver", solver, "--dec", dec]
+            if solver not in ROUTES["fallcol"] and argv[0] == "fallcol":
+                # Not a fallcol route: argparse refuses the choice.
+                with pytest.raises(SystemExit) as exited:
+                    main(argv)
+                assert exited.value.code == 2
+                assert capsys.readouterr().out == ""
+                continue
+            code, result, err = run(capsys, argv)
             assert code == 2
             assert result is None
             assert "input error" in err
 
-    @pytest.mark.parametrize("solver", ["vc", "bv", "oracle"])
-    def test_dec_effort_needs_cw_solver(self, tmp_path, capsys, solver):
-        # --dec-effort only says how to search for the cw route's
-        # decomposition: with another solver it is refused, not ignored,
-        # even where cw would refuse it too (exact-tiny on 12 vertices).
-        path = tmp_path / "p12.col"
-        path.write_text(format_graph(Graph.path(12)))
-        for argv in (["bchrom"], ["bcol", "--k", "2"], ["fallcol", "--k", "2"]):
-            for effort in ("exact-tiny", "heuristic"):
-                extra = ["--graph", str(path), "--solver", solver, "--dec-effort", effort]
-                code, result, err = run(capsys, argv + extra)
-                assert code == 2
-                assert result is None
-                if argv[0] != "fallcol" or solver == "oracle":
-                    message = f"--dec-effort is for the cw solver, not --solver {solver}"
-                    assert message in err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bchrom", "--dec-effort", "exact-tiny"],
+            ["bcol", "--k", "2", "--dec-effort", "heuristic"],
+            ["fallcol", "--k", "2", "--dec-effort", "exact-tiny"],
+        ],
+        ids=["bchrom", "bcol", "fallcol"],
+    )
+    def test_no_dec_effort_option(self, tmp_path, capsys, argv):
+        # A solve's decomposition comes from --dec or the heuristic search;
+        # an exact one is decompose --effort exact-tiny's, passed by --dec.
+        path = tmp_path / "c5.col"
+        path.write_text(C5_COL)
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--graph", str(path)])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --dec-effort" in captured.err
 
     @pytest.mark.parametrize("bad", ["graph", "dec", "coloring"])
     def test_non_utf8_file(self, tmp_path, capsys, bad):
@@ -951,6 +959,30 @@ class TestExitCodes:
         code, result, err = run(capsys, argv + ["--graph", str(graph)])
         assert (code, result) == (2, None)
         assert message in err
+
+    @pytest.mark.parametrize("bad", ["graph", "dec", "coloring"])
+    def test_long_bad_line_quoted_in_part(self, tmp_path, capsys, bad):
+        # A malformed line is quoted up to a fixed length, so a huge line
+        # makes a short message of the usual form.
+        graph = tmp_path / "k2.col"
+        graph.write_text(K2_COL)
+        first, what = {
+            "graph": ("p edge 2000000 0 ", "problem"),
+            "dec": ("n ", "node"),
+            "coloring": ("1 1 ", "coloring"),
+        }[bad]
+        path = tmp_path / f"long.{bad}"
+        path.write_text(first + "x" * 100_000)
+        argv = {
+            "graph": ["bcol", "--k", "1", "--graph", str(path)],
+            "dec": ["bcol", "--k", "1", "--graph", str(graph), "--dec", str(path)],
+            "coloring": ["verify", "--mode", "b", "--graph", str(graph), "--coloring", str(path)],
+        }[bad]
+        code, result, err = run(capsys, argv)
+        assert (code, result) == (2, None)
+        quoted = (first + "x" * 100)[:80]
+        assert f"line 1: malformed {what} line {quoted!r} (the first 80 of " in err
+        assert len(err) < 300
 
     def test_graph_file_lines_numbered_as_text_lines(self, tmp_path):
         # A file is split into the lines str.splitlines gives for its text,
@@ -1104,7 +1136,7 @@ class TestSelfCheckFailures:
                 "b-vertex search witness failed the b-coloring check",
             ),
             (
-                vc_solver,
+                oracle,
                 "is_b_coloring",
                 ["bcol", "--k", "2", "--solver", "vc"],
                 "completed cover guess failed the b-coloring check",
@@ -1171,8 +1203,9 @@ def exact_tiny_graphs():
 
 
 class TestDecEffortExactTiny:
-    """--dec-effort exact-tiny answers as the default search does, and as
-    decompose --effort exact-tiny followed by --dec, at the exact width."""
+    """decompose --effort exact-tiny, passed back by --dec, gives the
+    answers, witnesses and width that the library gives on
+    best_decomposition(g, "exact-tiny"), at the exact width."""
 
     @pytest.mark.parametrize("index", range(len(exact_tiny_graphs())))
     def test_answers_and_width(self, tmp_path, capsys, index):
@@ -1195,31 +1228,56 @@ class TestDecEffortExactTiny:
         assert code == 0
         exact = reference_exact_decomposition(g)[1]
         assert result["answer"] == exact
-        requests = [["bchrom"]] + [
-            [problem, "--k", str(k)] for problem in ("bcol", "fallcol") for k in (2, 3)
-        ]
-        for request in requests:
-            argv = request + ["--graph", str(graph_path), "--witness"]
-            answers = []
-            for extra in ([], ["--dec-effort", "exact-tiny"], ["--dec", str(dec_path)]):
-                code, result, _ = run(capsys, argv + extra)
-                assert code == 0, (request, extra)
-                answers.append(result["answer"])
-                if extra:
-                    assert result["stats"]["module_width"] == exact, (request, extra)
-            assert answers[0] == answers[1] == answers[2], (request, answers)
+        d = best_decomposition(g, "exact-tiny")
+        assert module_width(g, d) == exact
+
+        # (request, answer, coloring, b-vertices) by the library; no
+        # coloring has more colors than vertices.
+        chi_b, (coloring, b_vertices), _ = bcol_dp.chi_b(bcol_dp.decide, g, d, True)
+        expected = [(["bchrom"], chi_b, coloring, b_vertices)]
+        for k in (2, 3):
+            answer, found, _ = bcol_dp.decide(g, d, k, True) if k <= g.n else (False, None, None)
+            expected.append((["bcol", "--k", str(k)], answer, *(found or (None, None))))
+            coloring = fall_dp.solve_fallcoloring_witness(g, d, k) if k <= g.n else None
+            expected.append(
+                (["fallcol", "--k", str(k)], coloring is not None, coloring, g.vertices())
+            )
+        for request, answer, coloring, b_vertices in expected:
+            argv = request + ["--graph", str(graph_path), "--witness", "--dec", str(dec_path)]
+            code, result, _ = run(capsys, argv)
+            assert code == 0, request
+            witness = coloring and {
+                "coloring": [[v + 1, color] for v, color in enumerate(coloring.colors)],
+                "b_vertices": sorted(v + 1 for v in b_vertices),
+            }
+            assert (result["answer"], result["witness"]) == (answer, witness), request
+            assert result["solver"] == "cw-dp", request
+            assert result["stats"]["module_width"] == exact, request
 
     @pytest.mark.parametrize(
-        "request_",
-        [["bcol", "--k", "2"], ["bchrom"], ["fallcol", "--k", "2"]],
+        ("request_", "answer"),
+        [(["bcol", "--k", "2"], True), (["bchrom"], 3), (["fallcol", "--k", "2"], True)],
         ids=["bcol", "bchrom", "fallcol"],
     )
-    def test_nine_vertices_refused(self, tmp_path, capsys, request_):
+    def test_nine_vertices_refused(self, tmp_path, capsys, request_, answer):
+        """exact-tiny refuses 9 vertices and writes no file, so a solve
+        command handed that --dec is refused as bad input; without --dec
+        the command still answers on its own route."""
         path = tmp_path / "p9.col"
         path.write_text(format_graph(Graph.path(9)))
+        out = tmp_path / "p9.dec"
         code, result, err = run(
-            capsys, request_ + ["--graph", str(path), "--dec-effort", "exact-tiny"]
+            capsys,
+            ["decompose", "--graph", str(path), "--effort", "exact-tiny", "--out", str(out)],
         )
         assert code == 3
         assert result is None
         assert "exact-tiny" in err
+        assert not out.exists()
+
+        code, result, _ = run(capsys, request_ + ["--graph", str(path), "--dec", str(out)])
+        assert code == 2
+        assert result is None
+        code, result, _ = run(capsys, request_ + ["--graph", str(path)])
+        assert code == 0
+        assert result["answer"] == answer

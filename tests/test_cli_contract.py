@@ -77,7 +77,10 @@ def run_case(case: str, graph_dir: pathlib.Path) -> dict:
         argv.append("--witness")
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
     result = json.loads(out.getvalue()) if out.getvalue() else None
     if result is not None:
         del result["stats"]["wall_time_s"]
