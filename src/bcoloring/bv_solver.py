@@ -1,13 +1,15 @@
-"""Exact b-coloring by a need-driven search that places the b-vertices first.
+"""Exact b-coloring and fall coloring by one need-driven search.
 
-search(g, k) decides whether g has a b-coloring with k colors, 1 <= k <= n.
-Its engine, _need_search, has two callers: search, which chooses the
-b-vertices itself under a budget, and vc_solver, which hands it a
-precolored start (a cover coloring and the outside vertices it forces)
-and the b-vertices it guessed in the cover, with no budget.  Each search
-is depth-first on one explicit stack of choice points, so its depth is
-never the interpreter's (a 100,000-vertex path is searched like a short
-one).  It has three stages:
+search(g, k) decides whether g has a b-coloring with k colors, 1 <= k <= n,
+and fall_search(g, k) whether g has a fall coloring with k colors.  Their
+engine, _need_search, has three callers: search, which chooses the
+b-vertices itself under a budget; vc_solver, which hands it a precolored
+start (a cover coloring and the outside vertices it forces) and the
+b-vertices it guessed in the cover, with no budget; and fall_search, for
+which every vertex it colors is a b-vertex, under the same budget.  Each
+search is depth-first on one explicit stack of choice points, so its
+depth is never the interpreter's (a 100,000-vertex path is searched like
+a short one).  It has three stages:
 
 1. *b-vertices* (search only).  It picks b_1 < b_2 < ... < b_k among the
    candidates, in increasing order, and colors b_i with i.  The
@@ -63,15 +65,51 @@ The search is exact: it misses no b-coloring.
   branch follows c to the end, or to a b-coloring found before it.
 Choice order only decides speed and which witness comes first.
 
-Each caller checks the witness and its b-vertices once against the
-definition (oracle._check_b_witness) before it returns it; a failed
-check raises RuntimeError.
+Fall coloring.  A fall coloring is a proper coloring in which every
+vertex is a b-vertex: a partition into k independent dominating sets
+(Dunbar et al. 2000).  fall_search first applies the degree test of the
+fall DP (fall_dp._refuted_by_degrees: every degree at least k-1, and k = 1
+only without edges), then runs the third stage alone from no color, with
+two dead-end rules at the colored vertices an assignment touches, the
+vertex colored and its colored neighbors.  Call a color j open at a
+colored w while j is not w's color and no neighbor of w has it:
+- F1: w may not have more open colors than uncolored neighbors;
+- F2: each open color of w must lie in the domain of some uncolored
+  neighbor of w (a live candidate).
+Needs are not branched on: the third stage picks by domain size alone.
+The fall search is exact:
+- F1 and F2.  Let c be a fall coloring that agrees with the current
+  assignment.  Each open color j of w is met in c by a neighbor of color
+  j, which is uncolored now (a colored one would show j), and distinct
+  open colors are met by distinct neighbors, so w has at least as many
+  uncolored neighbors as open colors; that neighbor's domain still holds
+  j, since forward checking only removes the colors of colored
+  neighbors, which c avoids as a proper coloring.  So neither rule cuts
+  a branch that c follows.
+- Colors.  Renaming colors maps fall colorings to fall colorings, and
+  the colors above the largest in use appear nowhere in the assignment,
+  so swapping two of them maps every extension to an extension; trying
+  the first of them is enough.
+- Completeness.  When w's last uncolored neighbor is colored, or w
+  itself if it is colored last, F1 runs at w with no uncolored neighbor,
+  so w has no open color left: it sees every color but its own.  So a
+  complete assignment is a proper coloring in which every vertex is a
+  b-vertex, and each of the k colors is used (a vertex sees all the
+  others).
+The third stage tries every color of the domain of the vertex it
+picks, up to the symmetry above, so some branch follows c to the end,
+or to a fall coloring found before it.
+
+search and vc check the witness and its b-vertices once against the
+definition (oracle._check_b_witness) before returning it, fall_search
+its coloring (oracle.is_fall_coloring); a failed check raises
+RuntimeError.
 
 Budget.  A dead end is an assignment undone or a candidate refused.  The
-searches of one call to search are allowed SEARCH_BUDGET dead ends
-together; the next one raises CapacityError, so None means every choice
-was exhausted.  vc's calls have no budget: its guesses bound the search
-(vc_solver.small_extension_search).  Assigning a vertex v, or undoing it,
+searches of one call to search, or to fall_search, are allowed
+SEARCH_BUDGET dead ends together; the next one raises CapacityError, so
+None means every choice was exhausted.  vc's calls have no budget: its
+guesses bound the search (vc_solver.small_extension_search).  Assigning a vertex v, or undoing it,
 costs O(deg(v) log n): each neighbor's domain, and one heap entry per
 shrunk domain, from which the third stage takes its smallest domain
 lazily.  A refusal costs O(k·Δ), a choice point of the second stage
@@ -81,7 +119,8 @@ neighbors show), one of the others O(k) besides its heap entries.  The
 first branch of a search assigns each vertex once, and every other
 assignment ends undone, a dead end, so a budgeted call is
 O((n + SEARCH_BUDGET)·k·Δ·log n) plus the need ranking, at most k(k-1)
-rankings per assignment.
+rankings per assignment.  The fall rules cost O(Σ deg(w)) per
+assignment of v, over v and its colored neighbors w.
 """
 
 from __future__ import annotations
@@ -89,7 +128,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 
-from . import oracle
+from . import fall_dp, oracle
 from .errors import CapacityError, InputError
 from .graph import Coloring, Graph
 
@@ -97,7 +136,10 @@ from .graph import Coloring, Graph
 # the benchmark pools need.  Their probes take at most 122 on the
 # bchrom-gnp graphs (the 54 probes from m(G) down to chi_b), 50 on the 48
 # decide-mixed bcol requests and 13 on the vc pool; on 1,500 seeded
-# G(n, p) graphs with n <= 10, 2 of about 8,000 probes needed more.
+# G(n, p) graphs with n <= 10, 2 of about 8,000 probes needed more.  The
+# fall search takes at most 62 on 17 of the 18 decide-mixed fallcol
+# requests; the 4 x 4 rook's graph at k = 5, a refutation, needs 3,853, so
+# it gives up and the fall DP decides it.
 SEARCH_BUDGET = 256
 
 
@@ -124,6 +166,22 @@ def search(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     return coloring, b_vertices
 
 
+def fall_search(g: Graph, k: int) -> Coloring | None:
+    """A fall coloring of g with k colors, or None if there is none.
+    Raises CapacityError after SEARCH_BUDGET dead ends, InputError for
+    k < 1.  No search runs for k > n or when the degrees refute k
+    (fall_dp._refuted_by_degrees)."""
+    if fall_dp._refuted_by_degrees(g, k) or k > g.n:
+        return None
+    found = _need_search(g, k, {}, (), [], SEARCH_BUDGET, fall=True)
+    if found is None:
+        return None
+    coloring = Coloring(tuple(found[0]), k)
+    if not oracle.is_fall_coloring(g, coloring):
+        raise RuntimeError("fall search witness failed the fall-coloring check")
+    return coloring
+
+
 def _need_search(
     g: Graph,
     k: int,
@@ -131,13 +189,15 @@ def _need_search(
     fixed: Iterable[int],
     candidates: list[int],
     budget: int | None,
+    fall: bool = False,
 ) -> tuple[list[int], list[int]] | None:
     """The colors of a proper k-coloring extending start, vertex by vertex,
     and its b-vertices: those of fixed (colored by start) and, if
     candidates are given, k more chosen among them in the first stage,
-    after the proper-coloring pre-pass.  None if the stages of the module
-    docstring find none.  Raises CapacityError after budget dead ends,
-    unless budget is None."""
+    after the proper-coloring pre-pass.  With fall, every colored vertex
+    is a b-vertex and only the third stage runs, under the fall rules.
+    None if the stages of the module docstring find none.  Raises
+    CapacityError after budget dead ends, unless budget is None."""
     adj = g._adj
     position = {w: i for i, w in enumerate(candidates)}
     full = (1 << (k + 1)) - 2  # bits 1..k
@@ -180,7 +240,20 @@ def _need_search(
                     if not left:
                         return False
                     heapq.heappush(heap, (left, u))
-        return True
+        return not fall or not (stuck(v) or any(color[u] and stuck(u) for u in adj[v]))
+
+    def stuck(w: int) -> bool:
+        """The fall rules at a colored w: more open colors than uncolored
+        neighbors, or an open color that no uncolored neighbor may take."""
+        open_colors = full & ~forbidden[w] & ~(1 << color[w])
+        if not open_colors:
+            return False
+        free = reach = 0
+        for u in adj[w]:
+            if not color[u]:
+                free += 1
+                reach |= ~forbidden[u]
+        return open_colors.bit_count() > free or bool(open_colors & ~reach)
 
     def dead_end() -> None:
         nonlocal dead

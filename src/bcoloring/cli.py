@@ -9,12 +9,14 @@ that gives up (CapacityError, as bv does when out of budget) is counted
 in its gave_up instead.
 
 A solve command's --solver names one of its ROUTES.  Without it, --dec
-and fallcol each mean cw, on the given decomposition (an exact one is
-decompose --effort exact-tiny's) or the heuristic search's; without
-either, bcol and bchrom take the automatic route (_Automatic):
-every k is first given to the budgeted b-vertex search (bv); only a
-probe that runs out of budget builds the heuristic decomposition, once
-per request, and goes to the route picked from its width (vc or cw).
+means cw on the given decomposition (an exact one is decompose --effort
+exact-tiny's); without either, every solve command takes the automatic
+route of its problem (_Automatic): every k is first given to the
+budgeted search of bv_solver (bv), the b-vertex search for bcol and
+bchrom and the fall search for fallcol; only a probe that runs out of
+budget builds the heuristic decomposition, once per request, and goes
+to the route picked from its width (vc or cw for b-coloring, cw for fall
+coloring).
 
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored), with n at most
@@ -51,7 +53,7 @@ from .decomposition import (
     module_width,
     validate,
 )
-from .errors import CapacityError, InputError, StructuralError
+from .errors import CapacityError, InputError, StructuralError, listed
 from .graph import Coloring, Graph
 
 EXIT_OK = 0
@@ -229,7 +231,7 @@ def _parse_coloring_lines(lines: Iterable[str], g: Graph) -> Coloring:
         assignment[v] = color
     missing = [v for v in range(1, g.n + 1) if v not in assignment]
     if missing:
-        raise InputError(f"coloring misses vertices {missing}")
+        raise InputError(f"coloring misses vertices {listed(missing)}")
     colors = tuple(assignment[v] for v in range(1, g.n + 1))
     return Coloring(colors, max(colors, default=1))
 
@@ -310,8 +312,9 @@ def _stats(start: float, d=None, max_table=None, width=None) -> dict:
 # witness (Coloring, frozenset of b-vertices) when asked for and found, and
 # the largest DP table when the route has one.  The solver builds the pair
 # and checks it against the definition exactly once: reconstruct_witness
-# for the DP, _try_guess for vc, bv_solver.search for bv, the brute force
-# for the oracle routes and solve_fallcoloring_witness for the fall DP.
+# for the DP, _try_guess for vc, bv_solver.search and bv_solver.fall_search
+# for bv, the brute force for the oracle routes and
+# solve_fallcoloring_witness for the fall DP.
 # The routes pass it on unchanged; a fall coloring's b-vertices are all
 # its vertices.  The bcol cw route is bcol_dp.decide itself.
 
@@ -343,6 +346,12 @@ def _fall_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
     return coloring is not None, found, None
 
 
+def _fall_bv(g: Graph, d, k: int, witness: bool):
+    coloring = bv_solver.fall_search(g, k)
+    found = None if coloring is None else (coloring, frozenset(g.vertices()))
+    return coloring is not None, found if witness else None, None
+
+
 def _fall_oracle(g: Graph, d, k: int, witness: bool):
     coloring = oracle.brute_force_fallcoloring(g, k)
     if coloring is None or not witness:
@@ -352,35 +361,40 @@ def _fall_oracle(g: Graph, d, k: int, witness: bool):
 
 ROUTES = {
     "bcol": {"cw": bcol_dp.decide, "vc": _bcol_vc, "oracle": _bcol_oracle, "bv": _bcol_bv},
-    "fallcol": {"cw": _fall_cw, "oracle": _fall_oracle},
+    "fallcol": {"cw": _fall_cw, "oracle": _fall_oracle, "bv": _fall_bv},
 }
 
 
 class _Automatic:
-    """The automatic bcol route.  Each probe is first the bv search; one
-    that runs out of budget builds the heuristic decomposition, on the
-    first such probe only, and is decided by the route picked for it.
-    solver names what decided the probes: bv while the search settled them
-    all, else that route; d and width are None until a decomposition is
-    built."""
+    """The automatic route of one problem's routes.  Each probe is first
+    the bv search; one that runs out of budget builds the heuristic
+    decomposition, on the first such probe only, and is decided by the
+    route picked for it.  solver names what decided the probes: bv while
+    the search settled them all, else that route; d and width are None
+    until a decomposition is built."""
 
-    def __init__(self) -> None:
+    def __init__(self, routes: dict) -> None:
+        self.routes = routes
         self.d = self.width = None
         self.solver = "bv"
 
     def __call__(self, g: Graph, d, k: int, witness: bool):
         try:
-            return _bcol_bv(g, d, k, witness)
+            return self.routes["bv"](g, d, k, witness)
         except CapacityError:
             pass
         if self.d is None:
             self.d, self.width = _decomposition(g, None)
-            # Prefer the tractable exponent: the vertex-cover solver when
-            # the decomposition is wide but the cover is small, else the
-            # DP on the decomposition.
-            small_cover = vc_solver.vertex_cover_within(g, 12) is not None
-            self.solver = "vc" if self.width > 8 and small_cover else "cw"
-        return ROUTES["bcol"][self.solver](g, self.d, k, witness)
+            # Prefer the tractable exponent: the vertex-cover solver, where
+            # the problem has one, when the decomposition is wide but the
+            # cover is small, else the DP on the decomposition.
+            small_cover = (
+                "vc" in self.routes
+                and self.width > 8
+                and vc_solver.vertex_cover_within(g, 12) is not None
+            )
+            self.solver = "vc" if small_cover else "cw"
+        return self.routes[self.solver](g, self.d, k, witness)
 
 
 SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle", "bv": "bv"}
@@ -413,14 +427,15 @@ def _cmd_solve(args) -> dict:
         raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
     d = width = automatic = None
-    # Without --solver, --dec means cw, and so does fallcol (no automatic route).
-    solver = args.solver or ("cw" if args.dec or problem == "fallcol" else None)
+    routes = ROUTES["bcol" if problem == "bchrom" else problem]
+    # Without --solver, --dec means cw.
+    solver = args.solver or ("cw" if args.dec else None)
     if solver is None:
-        route = automatic = _Automatic()
+        route = automatic = _Automatic(routes)
     else:
         if solver == "cw":
             d, width = _decomposition(g, args.dec)
-        route = ROUTES["bcol" if problem == "bchrom" else problem][solver]
+        route = routes[solver]
     found = max_table = None
     if problem == "bchrom":
         answer, found, max_table = bcol_dp.chi_b(route, g, d, args.witness)

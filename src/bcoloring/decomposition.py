@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import CapacityError, InputError, StructuralError
+from .errors import CapacityError, InputError, StructuralError, listed
 from .graph import Graph
 
 
@@ -291,9 +291,13 @@ def _walk(g: Graph, d: RootedBranchDecomposition) -> Annotation:
     order = [d.leaf_vertex(t) for t in d.leaves()]  # leaf vertices in postorder
     covered = sorted(order)
     if covered != list(range(g.n)):
+        missing = sorted(set(range(g.n)).difference(covered))
+        beyond = [v for v in covered if v >= g.n]
         raise StructuralError(
-            "leaf_map not bijective: decomposition covers "
-            f"{covered}, graph has vertices 0..{g.n - 1}"
+            f"leaf_map not bijective: decomposition covers {len(covered)} vertices, "
+            f"graph has vertices 0..{g.n - 1}"
+            + (f"; missing {listed(missing)}" if missing else "")
+            + (f"; beyond the graph {listed(beyond)}" if beyond else "")
         )
     masks = g.adjacency_masks()
     adj = g._adj

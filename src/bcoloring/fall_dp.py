@@ -88,16 +88,22 @@ def solve_fallcoloring_witness(
     return _decide(g, d, k, witness=True)[1]
 
 
+def _refuted_by_degrees(g: Graph, k: int) -> bool:
+    """True when the degrees alone rule out a fall k-coloring: every vertex
+    must be a b-vertex, so its degree is at least k-1, and one color class
+    is independent only in an edgeless graph.  Raises InputError for
+    k < 1."""
+    if k < 1:
+        raise InputError(f"number of colors must be positive, got {k}")
+    return k > g.min_degree() + 1 or (k == 1 and g.edge_count > 0)
+
+
 def _decide(
     g: Graph, d: RootedBranchDecomposition, k: int, witness: bool
 ) -> tuple[bool, Coloring | None]:
     """The fall-coloring decision at k: the answer, and the witness when
     asked for and found, checked against the definition, else None."""
-    if k < 1:
-        raise InputError(f"number of colors must be positive, got {k}")
-    # Every vertex must be a b-vertex, so its degree is at least k-1; one
-    # color class is independent only in an edgeless graph.
-    if k > g.min_degree() + 1 or (k == 1 and g.edge_count > 0):
+    if _refuted_by_degrees(g, k):
         return False, None
     table = compute_fall_tables(g, d, k, canonical=True)
     if table.accepting not in table.tables[d.root]:

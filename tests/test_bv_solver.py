@@ -1,10 +1,12 @@
-"""The b-vertex-first search (bv_solver.search) and its CLI route.
+"""The b-vertex-first search (bv_solver.search), the fall search
+(bv_solver.fall_search) and their CLI routes.
 
 Exactness is tested with the budget out of the way: at every k the answer
 is the oracle's, and a witness is a b-coloring with exactly one listed
-b-vertex per class.  With the budget at 0 the search gives up at its first
-dead end: --solver bv exits 3, and the automatic route falls back to the
-decomposition rule (tests/test_cli.py::TestCommands).
+b-vertex per class, or a fall coloring.  The fall search also agrees with
+the fall DP on closed-form families too large for the oracle.  With the
+budget at 0 a search gives up at its first dead end: --solver bv exits 3,
+and the automatic route falls back to the decomposition's route.
 """
 
 import hashlib
@@ -15,7 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcoloring import CapacityError, Coloring, Graph, InputError, bv_solver, cli, oracle
+from bcoloring import (
+    CapacityError,
+    Coloring,
+    Graph,
+    InputError,
+    best_decomposition,
+    bv_solver,
+    cli,
+    fall_dp,
+    oracle,
+)
 from bcoloring.cli import ROUTES, format_graph
 from helpers import random_graph
 from test_cli import run
@@ -117,6 +129,125 @@ class TestBudget:
                 bv_solver.search(g, k)
 
 
+def check_fall(g: Graph, k: int) -> bool:
+    """fall_search agrees with the oracle at k; its witness is a fall
+    coloring with k colors.  Returns the answer."""
+    found = bv_solver.fall_search(g, k)
+    assert (found is not None) == (oracle.brute_force_fallcoloring(g, k) is not None), (g, k)
+    if found is not None:
+        assert isinstance(found, Coloring) and found.k == k
+        assert oracle.is_fall_coloring(g, found)
+    return found is not None
+
+
+def rook(m: int) -> Graph:
+    """K_m x K_m: cells of an m x m board, adjacent in a row or a column."""
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    return Graph(
+        m * m,
+        [
+            (a, b)
+            for a in range(m * m)
+            for b in range(a + 1, m * m)
+            if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+        ],
+    )
+
+
+def hypercube(d: int) -> Graph:
+    return Graph(1 << d, [(u, u | 1 << b) for u in range(1 << d) for b in range(d) if not u >> b & 1])
+
+
+def multipartite(parts: tuple[int, ...]) -> Graph:
+    label = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(label)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] != label[v]])
+
+
+class TestFallSearch:
+    def test_seeded_graphs_every_k(self, unbudgeted):
+        rng = random.Random(73)
+        found = 0
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
+            for k in range(1, g.n + 2):
+                found += check_fall(g, k)
+        assert found >= 80  # 87 fall colorings checked
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 8), p=st.floats(0.05, 0.95), seed=st.integers(0, 2**32))
+    def test_property_every_k(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        budget = bv_solver.SEARCH_BUDGET
+        bv_solver.SEARCH_BUDGET = 10**9
+        try:
+            for k in range(1, n + 2):
+                check_fall(g, k)
+        finally:
+            bv_solver.SEARCH_BUDGET = budget
+
+    # C_n has a fall k-coloring iff k = 2 and n is even or k = 3 and 3 | n;
+    # K_m x K_m and a complete multipartite graph with r parts only for
+    # k = m and k = r.  Of the hypercubes only the oracle's Q3 answers are
+    # pinned (k = 2 and 4); Q4 is checked against the DP alone.
+    @pytest.mark.parametrize(
+        "g, feasible",
+        [
+            *((Graph.cycle(n), {k for k in (2, 3) if n % k == 0}) for n in range(30, 41)),
+            (rook(3), {3}),
+            (rook(4), {4}),
+            (hypercube(3), {2, 4}),
+            (hypercube(4), None),
+            (multipartite((2, 3, 4)), {3}),
+            (multipartite((2, 2, 3, 3)), {4}),
+            (multipartite((1, 4)), {2}),
+            (multipartite((3, 3, 3, 1)), {4}),
+        ],
+        ids=[*(f"C{n}" for n in range(30, 41)), "rook3", "rook4", "Q3", "Q4"]
+        + ["K2-3-4", "K2-2-3-3", "K1-4", "K3-3-3-1"],
+    )
+    def test_closed_forms_agree_with_the_dp(self, unbudgeted, g, feasible):
+        d = best_decomposition(g, "heuristic")
+        ks = (2, 3) if g.max_degree() == 2 else range(1, g.min_degree() + 3)
+        for k in ks:
+            found = bv_solver.fall_search(g, k)
+            answer = fall_dp.solve_fallcoloring(g, d, k)
+            assert (found is not None) == answer, k
+            assert feasible is None or answer == (k in feasible), k
+            assert found is None or oracle.is_fall_coloring(g, found)
+
+    def test_k_out_of_range(self):
+        g = Graph.cycle(4)
+        assert bv_solver.fall_search(g, 5) is None
+        assert bv_solver.fall_search(g, 4) is None  # degree 2 < k - 1
+        assert bv_solver.fall_search(Graph.edgeless(3), 1) is not None
+        with pytest.raises(InputError):
+            bv_solver.fall_search(g, 0)
+
+    def test_out_of_budget(self, tmp_path, capsys, monkeypatch):
+        # C_5 at k = 2: not bipartite, refuted only after dead ends.
+        monkeypatch.setattr(bv_solver, "SEARCH_BUDGET", 0)
+        with pytest.raises(CapacityError, match="budget of 0 dead ends"):
+            bv_solver.fall_search(Graph.cycle(5), 2)
+        path = tmp_path / "c5.col"
+        path.write_text(format_graph(Graph.cycle(5)))
+        argv = ["fallcol", "--k", "2", "--graph", str(path), "--solver", "bv"]
+        assert run(capsys, argv)[:2] == (3, None)
+        # The automatic route falls back to the DP on the heuristic decomposition.
+        code, result, _ = run(capsys, argv[:-2])
+        assert (code, result["answer"], result["solver"]) == (0, False, "cw-dp")
+        assert result["stats"]["module_width"] is not None
+
+    def test_default_budget_settles_small_graphs(self):
+        # The selftest sweeps draw graphs of at most 8 vertices; the fall
+        # search settles every k of every one of these within its budget.
+        rng = random.Random(74)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
+            for k in range(1, g.n + 1):
+                bv_solver.fall_search(g, k)
+
+
 class TestResultDigest:
     """Pins search's results, witnesses and give-ups included, at the
     shipped budget: a change of choice order or of budget accounting moves
@@ -144,21 +275,22 @@ class TestResultDigest:
 
 
 class TestRoute:
-    def test_registered_for_bcol_only(self, tmp_path, capsys):
-        assert ROUTES["bcol"]["bv"] is not None and "bv" not in ROUTES["fallcol"]
+    def test_registered_for_both_problems(self, tmp_path, capsys):
+        assert ROUTES["bcol"]["bv"] is not None and ROUTES["fallcol"]["bv"] is not None
         path = tmp_path / "c6.col"
         path.write_text(format_graph(Graph.cycle(6)))
         dec = tmp_path / "c6.dec"
         code, _, _ = run(capsys, ["decompose", "--graph", str(path), "--out", str(dec)])
         assert code == 0
-        # fallcol's --solver takes only fallcol routes: argparse refuses bv.
-        with pytest.raises(SystemExit) as exited:
-            cli.main(["fallcol", "--k", "2", "--solver", "bv", "--graph", str(path)])
-        assert exited.value.code == 2
-        assert capsys.readouterr().out == ""
-        argv = ["bcol", "--k", "2", "--solver", "bv", "--dec", str(dec)]
-        code, result, _ = run(capsys, argv + ["--graph", str(path)])
-        assert (code, result) == (2, None)
+        for argv in (["bcol", "--k", "2"], ["fallcol", "--k", "2"]):
+            # bv takes no decomposition
+            argv += ["--solver", "bv", "--graph", str(path)]
+            code, result, _ = run(capsys, argv + ["--dec", str(dec)])
+            assert (code, result) == (2, None)
+            code, result, _ = run(capsys, argv + ["--witness"])
+            assert (code, result["answer"], result["solver"]) == (0, True, "bv")
+            assert result["stats"]["module_width"] is None
+        assert result["witness"]["coloring"] == [[v, 2 - v % 2] for v in range(1, 7)]
         code, result, _ = run(capsys, ["bchrom", "--graph", str(path), "--solver", "bv"])
         assert (code, result["answer"], result["solver"]) == (0, 3, "bv")
         assert result["stats"]["module_width"] is None
@@ -167,7 +299,11 @@ class TestRoute:
         # Every probe settled by the search: no decomposition is built.
         path = tmp_path / "c5.col"
         path.write_text(format_graph(Graph.cycle(5)))
-        for argv, answer in ((["bchrom"], 3), (["bcol", "--k", "3"], True)):
+        for argv, answer in (
+            (["bchrom"], 3),
+            (["bcol", "--k", "3"], True),
+            (["fallcol", "--k", "3"], False),
+        ):
             code, result, _ = run(capsys, argv + ["--graph", str(path), "--witness"])
             assert (code, result["answer"], result["solver"]) == (0, answer, "bv")
             stats = result["stats"]

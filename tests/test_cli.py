@@ -376,7 +376,11 @@ class TestCommands:
         assert stats["max_table_size"] is None
         path = tmp_path / "p3.col"
         path.write_text(format_graph(Graph.path(3)))
-        code, result, _ = run(capsys, ["fallcol", "--graph", str(path), "--k", "5"])
+        argv = ["fallcol", "--graph", str(path), "--k", "5"]
+        code, result, _ = run(capsys, argv)
+        assert (code, result["answer"], result["solver"]) == (0, False, "bv")
+        assert result["stats"]["decomposition_nodes"] is None
+        code, result, _ = run(capsys, argv + ["--solver", "cw"])
         assert code == 0
         assert result["answer"] is False
         stats = result["stats"]
@@ -412,16 +416,18 @@ class TestCommands:
 
     def test_fallcol_rejects_vc_solver(self, tmp_path, capsys):
         # fallcol's --solver takes the names of ROUTES["fallcol"] only, so
-        # argparse refuses vc and bv before anything is read.
+        # argparse refuses vc before anything is read; bv is the fall search.
         path = tmp_path / "c5.col"
         path.write_text(C5_COL)
-        for solver in ("vc", "bv"):
-            with pytest.raises(SystemExit) as exited:
-                main(["fallcol", "--graph", str(path), "--k", "2", "--solver", solver])
-            assert exited.value.code == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert f"invalid choice: '{solver}'" in captured.err
+        argv = ["fallcol", "--graph", str(path), "--k", "2", "--solver"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["vc"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'vc'" in captured.err
+        code, result, _ = run(capsys, argv + ["bv"])
+        assert (code, result["answer"], result["solver"]) == (0, False, "bv")
 
     def test_solvers_agree(self, tmp_path, capsys):
         path = tmp_path / "star.col"
@@ -645,9 +651,10 @@ class TestCommands:
             ["bcol", "--k", "3", "--solver", "cw"],
             ["bcol", "--k", "3"],
             ["bcol", "--k", "3", "--solver", "vc"],
+            ["fallcol", "--k", "3", "--solver", "cw"],
             ["fallcol", "--k", "3"],
         ],
-        ids=["bcol-cw", "bcol-bv", "bcol-vc", "fallcol-cw"],
+        ids=["bcol-cw", "bcol-bv", "bcol-vc", "fallcol-cw", "fallcol-bv"],
     )
     def test_witness_checked_once(self, tmp_path, capsys, monkeypatch, argv):
         calls = []
@@ -870,7 +877,7 @@ class TestExitCodes:
         assert result is None
         assert "cannot write" in err
 
-    @pytest.mark.parametrize("solver", ["vc", "oracle"])
+    @pytest.mark.parametrize("solver", ["vc", "oracle", "bv"])
     def test_dec_needs_cw_solver(self, tmp_path, capsys, solver):
         path = tmp_path / "star.col"
         path.write_text(STAR13_COL)
@@ -982,6 +989,29 @@ class TestExitCodes:
         assert (code, result) == (2, None)
         quoted = (first + "x" * 100)[:80]
         assert f"line 1: malformed {what} line {quoted!r} (the first 80 of " in err
+        assert len(err) < 300
+
+    @pytest.mark.parametrize("bad", ["coloring", "dec"])
+    def test_long_vertex_lists_cut(self, tmp_path, capsys, bad):
+        # An error naming the vertices a file misses names a few of them
+        # and how many there are, however many it misses.
+        if bad == "coloring":
+            graph = tmp_path / "edgeless.col"
+            graph.write_text("p edge 100000 0\n")
+            path = tmp_path / "one.sol"
+            path.write_text("1 1\n")
+            argv = ["verify", "--mode", "b", "--coloring", str(path)]
+            message = "coloring misses vertices 2, 3, 4, 5, 6 (the first 5 of 99999)"
+        else:
+            graph = tmp_path / "edgeless.col"
+            graph.write_text("p edge 20000 0\n")
+            path = tmp_path / "short.dec"
+            path.write_text(format_decomposition(linear_decomposition(Graph.edgeless(19_999), range(19_999))))
+            argv = ["bcol", "--k", "1", "--dec", str(path)]
+            message = "decomposition covers 19999 vertices, graph has vertices 0..19999; missing 19999"
+        code, result, err = run(capsys, argv + ["--graph", str(graph)])
+        assert (code, result) == (2, None)
+        assert message in err
         assert len(err) < 300
 
     def test_graph_file_lines_numbered_as_text_lines(self, tmp_path):
@@ -1144,11 +1174,17 @@ class TestSelfCheckFailures:
             (
                 oracle,
                 "is_fall_coloring",
-                ["fallcol", "--k", "2", "--witness"],
+                ["fallcol", "--k", "2", "--solver", "cw", "--witness"],
                 "reconstructed witness failed the fall-coloring check",
             ),
+            (
+                oracle,
+                "is_fall_coloring",
+                ["fallcol", "--k", "2"],
+                "fall search witness failed the fall-coloring check",
+            ),
         ],
-        ids=["bcol-cw", "bcol-bv", "bcol-vc", "fallcol-cw"],
+        ids=["bcol-cw", "bcol-bv", "bcol-vc", "fallcol-cw", "fallcol-bv"],
     )
     def test_raises_out_of_main(
         self, tmp_path, capsys, monkeypatch, module, name, argv, message
@@ -1190,6 +1226,23 @@ class TestSelfCheckFailures:
         path.write_text(format_graph(Graph.path(3)))
         argv = ["bcol", "--k", "2", "--solver", route, "--witness", "--graph", str(path)]
         with pytest.raises(RuntimeError, match=message) as caught:
+            main(argv)
+        assert type(caught.value) is RuntimeError
+        assert capsys.readouterr().out == ""
+
+    def test_non_fall_witness_raises_out_of_main(self, tmp_path, capsys, monkeypatch):
+        # The fall route checks its coloring with the real checker: one
+        # color for every vertex, patched in where the search builds it,
+        # fails the check.
+        def one_color(*args, search=bv_solver._need_search, **kwargs):
+            found = search(*args, **kwargs)
+            return found and ([1] * len(found[0]), found[1])
+
+        monkeypatch.setattr(bv_solver, "_need_search", one_color)
+        path = tmp_path / "p3.col"
+        path.write_text(format_graph(Graph.path(3)))
+        argv = ["fallcol", "--k", "2", "--graph", str(path)]
+        with pytest.raises(RuntimeError, match="fall search witness failed") as caught:
             main(argv)
         assert type(caught.value) is RuntimeError
         assert capsys.readouterr().out == ""

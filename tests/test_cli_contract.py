@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from bcoloring import Graph
+from bcoloring import CapacityError, Graph, bv_solver
 from bcoloring.cli import format_graph, main
 
 EXPECTED_PATH = pathlib.Path(__file__).with_name("cli_contract.json")
@@ -100,6 +100,33 @@ def graph_dir(tmp_path_factory) -> pathlib.Path:
 @pytest.mark.parametrize("case", case_ids())
 def test_cli_contract(case, expected, graph_dir):
     assert run_case(case, graph_dir) == expected[case]
+
+
+@pytest.mark.parametrize(
+    "case", [case for case in case_ids() if case.startswith("fallcol-") and "-auto-" in case]
+)
+def test_fallcol_auto_falls_back_to_cw(case, expected, graph_dir, monkeypatch):
+    """A fall search that gives up hands the request to cw on the heuristic
+    decomposition: the document is the cw case's, answer, witness, solver
+    and decomposition stats alike."""
+    cw = expected[case.replace("-auto-", "-cw-")]
+    # With no budget the search gives up at its first dead end.  Only C6
+    # meets one: P4 at k = 3 is refuted by its degrees, and K13 and wide
+    # are settled without a dead end, with cw's answer and witness.
+    monkeypatch.setattr(bv_solver, "SEARCH_BUDGET", 0)
+    got = run_case(case, graph_dir)
+    if case.startswith("fallcol-C6-"):
+        assert got == cw
+    else:
+        assert got["result"]["solver"] == "bv"
+        for key in ("answer", "witness"):
+            assert got["result"][key] == cw["result"][key]
+
+    def gives_up(g, k):
+        raise CapacityError("out of budget")
+
+    monkeypatch.setattr(bv_solver, "fall_search", gives_up)
+    assert run_case(case, graph_dir) == cw
 
 
 if __name__ == "__main__":
