@@ -1,9 +1,10 @@
 """Exact solvers for b-coloring, b-chromatic number, and fall coloring.
 
-The main algorithm is a dynamic program over rooted branch decompositions
-of bounded module-width; a vertex-cover-parameterized solver, a budgeted
-b-vertex-first search (bv_solver) and a brute-force oracle provide
-independent routes to the same answers.
+solve(problem, g, k) is the one entry point.  Its main route is a dynamic
+program over rooted branch decompositions of bounded module-width; a
+vertex-cover-parameterized solver, a budgeted b-vertex-first search
+(bv_solver) and a brute-force oracle provide independent routes to the
+same answers, and without a named route solve picks one (routes.py).
 The DP's building blocks (types, signatures, merge skeletons, class
 partitions) stay in their submodules.
 """
@@ -31,6 +32,7 @@ from .oracle import (
     is_b_coloring,
     is_fall_coloring,
 )
+from .routes import solve
 from .vc_solver import solve_bcoloring_vc, solve_bcoloring_vc_witness
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
     "is_proper",
     "linear_decomposition",
     "module_width",
+    "solve",
     "solve_bcoloring",
     "solve_bcoloring_vc",
     "solve_bcoloring_vc_witness",

@@ -1,22 +1,5 @@
-"""Command-line front end: file formats, solver dispatch, result emission.
-
-The solve commands and selftest reach every solver through one table,
-ROUTES: one route per problem and solver, each returning a witness that has
-been checked once against the definition.  bchrom and selftest's chi_b run
-the library's one downward k loop, bcol_dp.chi_b, over a bcol route.
-selftest compares every route with its problem's oracle route; a call
-that gives up (CapacityError, as bv does when out of budget) is counted
-in its gave_up instead.
-
-A solve command's --solver names one of its ROUTES.  Without it, --dec
-means cw on the given decomposition (an exact one is decompose --effort
-exact-tiny's); without either, every solve command takes the automatic
-route of its problem (_Automatic): every k is first given to the
-budgeted search of bv_solver (bv), the b-vertex search for bcol and
-bchrom and the fall search for fallcol; only a probe that runs out of
-budget builds the heuristic decomposition, once per request, and goes
-to the route picked from its width (vc or cw for b-coloring, cw for fall
-coloring).
+"""Command-line front end to routes.solve: file formats, result emission,
+exit codes.
 
 Graphs are read in DIMACS edge format (`p edge <n> <m>` then exactly m
 `e <u> <v>` lines, 1-indexed, `c` comments ignored), with n at most
@@ -31,8 +14,8 @@ the file is read.
 
 Results go to standard output as a JSON document with sorted keys.  Exit
 codes: 0 = ran (the answer is inside the document), 2 = input error,
-3 = capacity refusal, 1 = a failed self-check of the program (a
-RuntimeError escapes main with its traceback).
+3 = capacity refusal or out of memory, 1 = a failed self-check of the
+program (a RuntimeError escapes main with its traceback).
 """
 
 from __future__ import annotations
@@ -46,7 +29,7 @@ import sys
 import time
 from typing import Iterable, Iterator
 
-from . import bcol_dp, bv_solver, fall_dp, oracle, vc_solver
+from . import oracle, routes
 from .decomposition import (
     RootedBranchDecomposition,
     best_decomposition,
@@ -290,11 +273,7 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-# --- result emission ---------------------------------------------------------
-
-
-def _emit(result: dict) -> None:
-    print(json.dumps(result, sort_keys=True, indent=2))
+# --- command handlers ---------------------------------------------------------
 
 
 def _stats(start: float, d=None, max_table=None, width=None) -> dict:
@@ -306,146 +285,15 @@ def _stats(start: float, d=None, max_table=None, width=None) -> dict:
     }
 
 
-# --- solver routes -------------------------------------------------------------
-#
-# Each route decides one k: route(g, d, k, witness) returns the answer, a
-# witness (Coloring, frozenset of b-vertices) when asked for and found, and
-# the largest DP table when the route has one.  The solver builds the pair
-# and checks it against the definition exactly once: reconstruct_witness
-# for the DP, _try_guess for vc, bv_solver.search and bv_solver.fall_search
-# for bv, the brute force for the oracle routes and
-# solve_fallcoloring_witness for the fall DP.
-# The routes pass it on unchanged; a fall coloring's b-vertices are all
-# its vertices.  The bcol cw route is bcol_dp.decide itself.
-
-
-def _bcol_vc(g: Graph, d, k: int, witness: bool):
-    if not witness:
-        return vc_solver.solve_bcoloring_vc(g, k), None, None
-    found = vc_solver.solve_bcoloring_vc_witness(g, k)
-    return found is not None, found, None
-
-
-def _bcol_bv(g: Graph, d, k: int, witness: bool):
-    found = bv_solver.search(g, k)
-    return found is not None, found if witness else None, None
-
-
-def _bcol_oracle(g: Graph, d, k: int, witness: bool):
-    coloring = oracle.brute_force_bcoloring(g, k)
-    if coloring is None or not witness:
-        return coloring is not None, None, None
-    return True, (coloring, oracle.b_vertices(g, coloring)), None
-
-
-def _fall_cw(g: Graph, d: RootedBranchDecomposition, k: int, witness: bool):
-    if not witness:
-        return fall_dp.solve_fallcoloring(g, d, k), None, None
-    coloring = fall_dp.solve_fallcoloring_witness(g, d, k)
-    found = None if coloring is None else (coloring, frozenset(g.vertices()))
-    return coloring is not None, found, None
-
-
-def _fall_bv(g: Graph, d, k: int, witness: bool):
-    coloring = bv_solver.fall_search(g, k)
-    found = None if coloring is None else (coloring, frozenset(g.vertices()))
-    return coloring is not None, found if witness else None, None
-
-
-def _fall_oracle(g: Graph, d, k: int, witness: bool):
-    coloring = oracle.brute_force_fallcoloring(g, k)
-    if coloring is None or not witness:
-        return coloring is not None, None, None
-    return True, (coloring, frozenset(g.vertices())), None
-
-
-ROUTES = {
-    "bcol": {"cw": bcol_dp.decide, "vc": _bcol_vc, "oracle": _bcol_oracle, "bv": _bcol_bv},
-    "fallcol": {"cw": _fall_cw, "oracle": _fall_oracle, "bv": _fall_bv},
-}
-
-
-class _Automatic:
-    """The automatic route of one problem's routes.  Each probe is first
-    the bv search; one that runs out of budget builds the heuristic
-    decomposition, on the first such probe only, and is decided by the
-    route picked for it.  solver names what decided the probes: bv while
-    the search settled them all, else that route; d and width are None
-    until a decomposition is built."""
-
-    def __init__(self, routes: dict) -> None:
-        self.routes = routes
-        self.d = self.width = None
-        self.solver = "bv"
-
-    def __call__(self, g: Graph, d, k: int, witness: bool):
-        try:
-            return self.routes["bv"](g, d, k, witness)
-        except CapacityError:
-            pass
-        if self.d is None:
-            self.d, self.width = _decomposition(g, None)
-            # Prefer the tractable exponent: the vertex-cover solver, where
-            # the problem has one, when the decomposition is wide but the
-            # cover is small, else the DP on the decomposition.
-            small_cover = (
-                "vc" in self.routes
-                and self.width > 8
-                and vc_solver.vertex_cover_within(g, 12) is not None
-            )
-            self.solver = "vc" if small_cover else "cw"
-        return self.routes[self.solver](g, self.d, k, witness)
-
-
-SOLVER_NAMES = {"cw": "cw-dp", "vc": "vc", "oracle": "oracle", "bv": "bv"}
-
-
-def _decomposition(g: Graph, path: str | None):
-    """A request's decomposition and width: the file's at path, read even
-    for the empty graph, else the heuristic one; none for the empty graph."""
-    if path:
-        d = parse_decomposition(path, g)
-    elif g.n:
-        d = best_decomposition(g, "heuristic")
-    else:
-        return None, None
-    return d, module_width(g, d)
-
-
-# --- command handlers ---------------------------------------------------------
-
-
 def _cmd_solve(args) -> dict:
-    """bcol, bchrom and fallcol: parse the graph, check k, choose the route,
-    solve, emit the route's checked witness, write the stats."""
-    problem = args.command
+    """bcol, bchrom and fallcol: parse the files, solve, emit the result."""
     g = parse_graph(args.graph)
-    k = getattr(args, "k", None)  # bchrom takes no k
-    if k is not None and k < 1:
-        raise InputError(f"k must be positive, got {k}")
-    if args.dec and args.solver not in (None, "cw"):
-        raise InputError(f"--dec is for the cw solver, not --solver {args.solver}")
     start = time.perf_counter()
-    d = width = automatic = None
-    routes = ROUTES["bcol" if problem == "bchrom" else problem]
-    # Without --solver, --dec means cw.
-    solver = args.solver or ("cw" if args.dec else None)
-    if solver is None:
-        route = automatic = _Automatic(routes)
-    else:
-        if solver == "cw":
-            d, width = _decomposition(g, args.dec)
-        route = routes[solver]
-    found = max_table = None
-    if problem == "bchrom":
-        answer, found, max_table = bcol_dp.chi_b(route, g, d, args.witness)
-    elif k <= g.n:  # no coloring has more colors than vertices
-        answer, found, max_table = route(g, d, k, args.witness)
-    else:
-        answer = False
-    if automatic is not None:
-        d, width, solver = automatic.d, automatic.width, automatic.solver
-    stats = _stats(start, d, max_table, width)  # all null without a decomposition
+    d = parse_decomposition(args.dec, g) if args.dec else None
+    k = getattr(args, "k", None)  # bchrom takes no k
+    answer, found, stats = routes.solve(
+        args.command, g, k, solver=args.solver, d=d, witness=args.witness
+    )
     emitted = None
     if found is not None:
         coloring, b_vertices = found
@@ -453,11 +301,13 @@ def _cmd_solve(args) -> dict:
             "coloring": [[v + 1, color] for v, color in enumerate(coloring.colors)],
             "b_vertices": sorted(v + 1 for v in b_vertices),
         }
+    solver = stats.pop("solver")
+    stats["wall_time_s"] = round(time.perf_counter() - start, 6)
     return {
-        "problem": problem,
+        "problem": args.command,
         "k": k,
         "answer": answer,
-        "solver": SOLVER_NAMES[solver],
+        "solver": solver,
         "witness": emitted,
         "stats": stats,
     }
@@ -522,45 +372,34 @@ def _cmd_selftest(args) -> dict:
             if rng.random() < p
         ]
         g = Graph(n, edges)
-        d = best_decomposition(g, "heuristic")
-        compared = []  # (problem, k, oracle's answer, route, its answer, witness)
-        for k in range(1, n + 1):
-            for problem, routes in ROUTES.items():
-                got = {}
-                for name, route in routes.items():
-                    try:
-                        got[name] = route(g, d, k, True)
-                    except CapacityError:  # a budgeted route gave up
-                        gave_up += 1
-                witnesses += sum(found is not None for _, found, _ in got.values())
-                expected = got.pop("oracle")[0]
-                for name, (answer, found, _) in got.items():
-                    compared.append((problem, k, expected, name, answer, found))
-        # chi_b by the one downward k loop on each route, against the oracle
-        expected = oracle.brute_force_chi_b(g)
-        for name, route in ROUTES["bcol"].items():
-            if name != "oracle":
-                try:
-                    chi_b, found, _ = bcol_dp.chi_b(route, g, d, True)
-                except CapacityError:
-                    gave_up += 1
+        # every k of both problems, then chi_b, on every route and the
+        # automatic one; chi_b is compared with brute_force_chi_b
+        requests = [(problem, k) for k in range(1, n + 1) for problem in routes.ROUTES]
+        for problem, k in requests + [("bchrom", None)]:
+            got = {}
+            for solver in (*routes.ROUTES["bcol" if k is None else problem], None):
+                if k is None and solver == "oracle":
                     continue
-                witnesses += found is not None
-                compared.append(("bchrom", None, expected, name, chi_b, found))
-        for problem, k, expected, name, answer, found in compared:
-            checks += 1
-            if answer != expected or (answer and found is None):
-                mismatches.append(
-                    {
-                        "trial": trial,
-                        "problem": problem,
-                        "edges": edges,
-                        "k": k,
-                        "oracle": expected,
-                        name: answer,
-                        "witness": found is not None,
-                    }
-                )
+                try:
+                    got[solver or "auto"] = routes.solve(problem, g, k, solver=solver, witness=True)
+                except CapacityError:  # a budgeted route gave up
+                    gave_up += 1
+            witnesses += sum(found is not None for _, found, _ in got.values())
+            expected = oracle.brute_force_chi_b(g) if k is None else got.pop("oracle")[0]
+            for name, (answer, found, _) in got.items():
+                checks += 1
+                if answer != expected or (answer and found is None):
+                    mismatches.append(
+                        {
+                            "trial": trial,
+                            "problem": problem,
+                            "edges": edges,
+                            "k": k,
+                            "oracle": expected,
+                            name: answer,
+                            "witness": found is not None,
+                        }
+                    )
     return {
         "problem": "selftest",
         "k": None,
@@ -592,10 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, routes in (
-        ("bcol", "decide b-coloring with k colors", ROUTES["bcol"]),
-        ("bchrom", "compute the b-chromatic number", ROUTES["bcol"]),
-        ("fallcol", "decide fall coloring with k colors", ROUTES["fallcol"]),
+    for name, help_text, solvers in (
+        ("bcol", "decide b-coloring with k colors", routes.ROUTES["bcol"]),
+        ("bchrom", "compute the b-chromatic number", routes.ROUTES["bcol"]),
+        ("fallcol", "decide fall coloring with k colors", routes.ROUTES["fallcol"]),
     ):
         solve = subs.add_parser(name, help=help_text)
         solve.add_argument("--graph", required=True)
@@ -603,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
             solve.add_argument("--k", type=int, required=True)
         solve.add_argument("--dec", help="decomposition file to use")
         solve.add_argument("--witness", action="store_true")
-        solve.add_argument("--solver", choices=list(routes))
+        solve.add_argument("--solver", choices=list(solvers))
         solve.set_defaults(handler=_cmd_solve)
 
     decompose = subs.add_parser("decompose", help="build and save a decomposition")
@@ -636,13 +475,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:  # running out of memory is a refusal too
+        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY
     except (InputError, StructuralError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _emit(result)
+    print(json.dumps(result, sort_keys=True, indent=2))
     return EXIT_OK
 
 

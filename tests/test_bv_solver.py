@@ -24,11 +24,12 @@ from bcoloring import (
     InputError,
     best_decomposition,
     bv_solver,
-    cli,
     fall_dp,
     oracle,
+    routes,
 )
-from bcoloring.cli import ROUTES, format_graph
+from bcoloring.cli import format_graph
+from bcoloring.routes import ROUTES
 from helpers import random_graph
 from test_cli import run
 
@@ -316,11 +317,11 @@ class TestRoute:
         monkeypatch.setattr(bv_solver, "SEARCH_BUDGET", 0)
         built = []
 
-        def counted(g, effort, search=cli.best_decomposition):
+        def counted(g, effort, search=routes.best_decomposition):
             built.append(effort)
             return search(g, effort)
 
-        monkeypatch.setattr(cli, "best_decomposition", counted)
+        monkeypatch.setattr(routes, "best_decomposition", counted)
         g = random_graph(random.Random(1), 9, 0.4)  # chi_b 4, m(G) 5
         path = tmp_path / "g.col"
         path.write_text(format_graph(g))

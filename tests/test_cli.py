@@ -20,11 +20,11 @@ from bcoloring import (
     linear_decomposition,
     module_width,
     oracle,
+    routes,
     vc_solver,
 )
 from bcoloring.cli import (
     _MAX_VERTICES,
-    ROUTES,
     build_parser,
     format_decomposition,
     format_graph,
@@ -36,6 +36,7 @@ from bcoloring.cli import (
     parse_graph,
     parse_graph_text,
 )
+from bcoloring.routes import ROUTES
 from helpers import (
     graph_structure,
     outcome,
@@ -749,18 +750,27 @@ class TestOneRequestPath:
         assert calls == [bcol_dp.decide]
         path = tmp_path / "c5.col"
         path.write_text(C5_COL)
-        for solver in ("cw", "vc", "oracle", "bv"):
+        # The automatic route is a fresh routes._Automatic per request.
+        automatic = "automatic"
+
+        def named(route):
+            return automatic if isinstance(route, routes._Automatic) else route
+
+        for solver in ("cw", "vc", "oracle", "bv", None):
             calls.clear()
-            argv = ["bchrom", "--graph", str(path), "--solver", solver, "--witness"]
-            code, result, _ = run(capsys, argv)
+            argv = ["bchrom", "--graph", str(path), "--witness"]
+            code, result, _ = run(capsys, argv + (["--solver", solver] if solver else []))
             assert (code, result["answer"]) == (0, 3)
-            assert calls == [ROUTES["bcol"][solver]]
+            assert [named(route) for route in calls] == [
+                ROUTES["bcol"][solver] if solver else automatic
+            ]
         calls.clear()
         code, result, _ = run(
             capsys, ["selftest", "--n-max", "4", "--trials", "3", "--seed", "5"]
         )
         assert (code, result["answer"]) == (0, True)
-        assert calls == [ROUTES["bcol"][name] for name in ("cw", "vc", "bv")] * 3
+        expected = [ROUTES["bcol"][name] for name in ("cw", "vc", "bv")] + [automatic]
+        assert [named(route) for route in calls] == expected * 3
 
     def test_each_cw_decision_builds_its_tables_once(self, monkeypatch):
         built = []
@@ -783,6 +793,20 @@ class TestOneRequestPath:
 
 
 class TestExitCodes:
+    def test_out_of_memory_is_a_capacity_refusal(self, tmp_path, capsys, monkeypatch):
+        # A request that runs out of memory is refused like any request
+        # past a limit: exit 3, no document, and no traceback.
+        def exhausted(g, d, k, witness):
+            raise MemoryError
+
+        monkeypatch.setitem(ROUTES["bcol"], "bv", exhausted)
+        path = tmp_path / "k2.col"
+        path.write_text(K2_COL)
+        for argv in (["bcol", "--k", "2", "--solver", "bv"], ["bchrom", "--witness"]):
+            code, result, err = run(capsys, argv + ["--graph", str(path)])
+            assert (code, result) == (3, None), argv
+            assert err == "capacity error: out of memory\n", argv
+
     def test_missing_file(self, capsys):
         code, result, err = run(
             capsys, ["bcol", "--graph", "/nonexistent.col", "--k", "2"]

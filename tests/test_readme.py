@@ -34,7 +34,7 @@ def test_library_quick_start_results():
         result = repr(eval(source, namespace))
         assert comment == result or comment.startswith(result + " ("), source
         checked += 1
-    assert checked == 7
+    assert checked == 8
 
 
 def cli_example() -> tuple[str, str, list[str], dict]:
