@@ -14,8 +14,9 @@ the file is read.
 
 Results go to standard output as a JSON document with sorted keys.  Exit
 codes: 0 = ran (the answer is inside the document), 2 = input error,
-3 = capacity refusal or out of memory, 1 = a failed self-check of the
-program (a RuntimeError escapes main with its traceback).
+3 = capacity refusal (a solve that runs out of memory too), 1 = a failed
+self-check of the program (a RuntimeError escapes main with its
+traceback).
 """
 
 from __future__ import annotations
@@ -475,8 +476,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(args)
-    except (CapacityError, MemoryError) as exc:  # running out of memory is a refusal too
-        print(f"capacity error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    except CapacityError as exc:
+        print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (InputError, StructuralError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -124,7 +124,8 @@ def solve(problem: str, g: Graph, k: int | None = None, *, solver: str | None = 
     route.  Returns the answer, the checked witness (Coloring, b-vertices)
     when asked for and found, else None, and the stats the CLI emits, but
     wall_time_s, plus the solver that decided.  Raises InputError for a
-    malformed request, CapacityError past a solver's limit."""
+    malformed request, CapacityError past a solver's limit or when memory
+    runs out."""
     routes = ROUTES.get("bcol" if problem == "bchrom" else problem)
     if routes is None:
         raise InputError(f"unknown problem {problem!r}; choose bcol, bchrom or fallcol")
@@ -138,15 +139,18 @@ def solve(problem: str, g: Graph, k: int | None = None, *, solver: str | None = 
         raise InputError(f"--dec is for the cw solver, not --solver {solver}")
     width = None
     solver = solver or ("cw" if d is not None else None)
-    if solver == "cw":
-        d, width = _decomposition(g, d)
-    route = routes[solver] if solver else _Automatic(routes)
-    if problem == "bchrom":
-        answer, found, max_table = bcol_dp.chi_b(route, g, d, witness)
-    elif k <= g.n:  # no coloring has more colors than vertices
-        answer, found, max_table = route(g, d, k, witness)
-    else:
-        answer, found, max_table = False, None, None
+    try:
+        if solver == "cw":
+            d, width = _decomposition(g, d)
+        route = routes[solver] if solver else _Automatic(routes)
+        if problem == "bchrom":
+            answer, found, max_table = bcol_dp.chi_b(route, g, d, witness)
+        elif k <= g.n:  # no coloring has more colors than vertices
+            answer, found, max_table = route(g, d, k, witness)
+        else:
+            answer, found, max_table = False, None, None
+    except MemoryError:  # running out of memory is a refusal too
+        raise CapacityError("out of memory") from None
     if solver is None:  # what the automatic route built and what decided
         d, width, solver = route.d, route.width, route.solver
     return answer, found, {

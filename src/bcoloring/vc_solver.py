@@ -53,6 +53,29 @@ their extension fails:
     has no candidate: an outside w in N(v) sees b, and a cover vertex w
     is colored already, not b.
 
+Two more rules keep the generators from building what rule (a) rejects:
+
+(d) A cover coloring phi with fewer than k-1 colors admits no guess, so
+    _proper_cover_colorings never builds one.  Two colors c1 and c2 are
+    missing from the cover.  The b-vertex of c1 then lies outside the
+    cover, and all its neighbors are in the cover, so it never sees c2.
+    In the rules' terms: an outside vertex sees only cover colors, at most
+    k-2, so no color has a completer, and by (a) a guess's b-vertices, all
+    in the cover, would have to show all k colors.  The enumeration gives
+    colors in order of first use, so the largest color on the vertices
+    before cover[i] is their number of colors, used; reusing a color
+    there leaves at most used + len(cover) - i - 1 colors on the cover, so
+    when that is below k-1 only the new color used+1 is tried.  A branch
+    cut so reaches fewer than k-1 colors on every leaf, and the colorings
+    kept come in their lexicographic order.
+(e) A b-vertex subset that misses an uncompleted color is rejected by (a),
+    so _antichain_subsets never builds one.  It builds the subsets whose
+    largest vertex is v from the compatible vertices below v; the
+    uncompleted colors not shown by v are passed down as required, and
+    the branch is skipped when the vertices it may still add show not all
+    of them.  Each subset of a skipped branch is one of those vertices'
+    subsets plus v, so it misses a required color.
+
 The rules only omit guesses the extension would fail, and the admitted
 guesses come in the same relative order as in the full enumeration of
 distinctly colored cover subsets, so the first successful guess, and the
@@ -130,9 +153,12 @@ def min_vertex_cover(g: Graph) -> frozenset[int]:
 
 
 def _proper_cover_colorings(g: Graph, cover: list[int], k: int):
-    """The proper colorings of G[cover] with colors 1..k, one per renaming
-    of colors, lexicographically: each vertex takes a color already used
-    or the smallest unused one.
+    """The proper colorings of G[cover] with colors 1..k that use at least
+    k-1 of them, one per renaming of colors, lexicographically: each vertex
+    takes a color already used or the smallest unused one, and only the
+    unused one once reusing a color would leave fewer than k-1 colors on
+    the cover (rule (d)).  At k = len(cover) + 1 that leaves one coloring,
+    every vertex its own color.
 
     Trying only these is exact, and finds the same witness as trying every
     proper coloring in lexicographic order:
@@ -143,22 +169,31 @@ def _proper_cover_colorings(g: Graph, cover: list[int], k: int):
     - the coloring kept here is the lexicographically first of its
       renamings, so it and its guesses come before every other renaming's;
     - hence the first successful guess over all proper colorings already
-      has a coloring kept here.
+      has a coloring kept here: the colorings rule (d) drops admit no
+      guess.
     """
+    if len(cover) < k - 1:
+        return
     assignment: dict[int, int] = {}
     # levels[i]: the colors cover[i] has yet to try on this branch, smallest
     # last, and the largest color on cover[:i].  An explicit stack, since a
     # cover may have thousands of vertices.
     levels: list[tuple[list[int], int]] = []
-    used = 0  # the largest color on cover[:len(levels)]
+    used = 0  # the largest color on cover[:len(levels)], and their count
     while True:
         if len(levels) == len(cover):
             yield dict(assignment)
         else:
-            v = cover[len(levels)]
-            forbidden = {assignment[u] for u in g.neighbors(v) if u in assignment}
-            top = min(k, used + 1)
-            levels.append(([c for c in range(top, 0, -1) if c not in forbidden], used))
+            i = len(levels)
+            if used + len(cover) - i - 1 < k - 1:
+                # Only a new color can still reach k-1 colors; all colors
+                # on cover[:i] are at most used, so it is free.
+                colors = [used + 1]
+            else:
+                v = cover[i]
+                forbidden = {assignment[u] for u in g.neighbors(v) if u in assignment}
+                colors = [c for c in range(min(k, used + 1), 0, -1) if c not in forbidden]
+            levels.append((colors, used))
         while levels and not levels[-1][0]:
             levels.pop()
             assignment.pop(cover[len(levels)], None)
@@ -187,21 +222,26 @@ def _cover_coloring(
     g: Graph, outside: list[int], phi: dict[int, int], k: int
 ) -> _CoverColoring | None:
     """The facts of phi, or None if some outside vertex already sees all k
-    colors: then no guess on phi has a proper extension."""
-    kset = frozenset(range(1, k + 1))
+    colors: then no guess on phi has a proper extension.  What a vertex
+    sees is a bitmask, bit c for color c."""
+    every = (1 << k + 1) - 2  # bits 1..k
     forced = dict(phi)
     completer: dict[int, int] = {}
+    adj = g._adj
     for x in outside:
-        seen = {phi[u] for u in g.neighbors(x)}  # all in the cover
-        if len(seen) == k:
+        seen = 0
+        for u in adj[x]:  # all in the cover
+            seen |= 1 << phi[u]
+        missing = every ^ seen
+        if not missing:
             return None
         # A vertex seeing exactly the other k-1 colors is forced to the
         # missing one; the least such vertex completes that color.
-        if len(seen) == k - 1:
-            (missing,) = kset - seen
-            forced[x] = missing
-            completer.setdefault(missing, x)
-    return _CoverColoring(phi, forced, completer, kset.difference(completer))
+        if not missing & (missing - 1):
+            c = missing.bit_length() - 1
+            forced[x] = c
+            completer.setdefault(c, x)
+    return _CoverColoring(phi, forced, completer, frozenset(range(1, k + 1)).difference(completer))
 
 
 def small_extension_search(
@@ -235,45 +275,64 @@ def small_extension_search(
 def cover_guesses(g: Graph, cover: frozenset[int], k: int):
     """The (facts, b-vertex subset) guesses that rules (a), (b) and (c)
     admit, in a fixed order.  For each proper coloring phi of the cover up
-    to renaming that _cover_coloring does not reject: the subsets of the
-    cover vertices of degree at least k-1 with pairwise distinct colors
-    and pairwise non-nested open neighborhoods that show every uncompleted
-    color, in increasing mask order over those vertices
-    (_antichain_subsets).  A gated vertex's cover index grows with its
-    gated index, so the admitted subsets keep their relative order among
-    all distinctly colored cover subsets."""
+    to renaming, with at least k-1 colors (rule (d)), that _cover_coloring
+    does not reject: the subsets of the cover vertices of degree at least
+    k-1 with pairwise distinct colors and pairwise non-nested open
+    neighborhoods that show every uncompleted color, in increasing mask
+    order over those vertices (_antichain_subsets).  A gated vertex's
+    cover index grows with its gated index, so the admitted subsets keep
+    their relative order among all distinctly colored cover subsets.
+    Which gated vertices are nested does not depend on phi, so it is
+    computed once."""
     cover_list = sorted(cover)
     outside = [x for x in g.vertices() if x not in cover]
     gated = [v for v in cover_list if g.degree(v) >= k - 1]
+    near = [g.neighbors(v) for v in gated]
+    # apart[i]: the mask of the j < i with N(gated[j]) and N(gated[i])
+    # not nested
+    apart = [
+        sum(1 << j for j in range(i) if not (near[i] <= near[j] or near[j] <= near[i]))
+        for i in range(len(gated))
+    ]
+    everyone = (1 << len(gated)) - 1
     for phi in _proper_cover_colorings(g, cover_list, k):
         facts = _cover_coloring(g, outside, phi, k)
-        # No subset of the gated vertices shows a color none of them has.
-        if facts is None or not facts.uncompleted <= {phi[v] for v in gated}:
+        if facts is None:
             continue
-        for chosen in _antichain_subsets(g, gated, phi):
-            if facts.uncompleted <= {phi[v] for v in chosen}:
-                yield facts, frozenset(chosen)
+        colors = [phi[v] for v in gated]
+        classes = [0] * (k + 1)  # classes[c]: the mask of the gated vertices colored c
+        for i, c in enumerate(colors):
+            classes[c] |= 1 << i
+        if not all(everyone & classes[c] for c in facts.uncompleted):
+            continue  # rule (e) at the root
+        for chosen in _antichain_subsets(apart, colors, classes, everyone, facts.uncompleted):
+            yield facts, frozenset(v for i, v in enumerate(gated) if chosen >> i & 1)
 
 
-def _antichain_subsets(g: Graph, vertices: list[int], phi: dict[int, int]):
-    """The subsets of vertices with pairwise distinct colors and pairwise
-    non-nested open neighborhoods, in increasing mask order (bit i for
-    vertices[i]): the empty one, then for each vertex v, each such subset
-    of the vertices before it that differ from v in color and are not
-    nested with it, plus v.  A subset of a sublist keeps its place in
-    mask order.  Each level drops the colors of the levels above, so it
-    recurses at most k + 1 deep, and each call yields at least one
-    subset."""
-    yield ()
-    for i, v in enumerate(vertices):
-        near = g.neighbors(v)
-        rest = [
-            u
-            for u in vertices[:i]
-            if phi[u] != phi[v] and not (near <= g.neighbors(u) or g.neighbors(u) <= near)
-        ]
-        for chosen in _antichain_subsets(g, rest, phi):
-            yield chosen + (v,)
+def _antichain_subsets(
+    apart: list[int], colors: list[int], classes: list[int], mask: int, need: frozenset[int]
+):
+    """The masks of the subsets of mask (bit i for gated vertex i) with
+    pairwise distinct colors and pairwise non-nested open neighborhoods
+    that show every color of need, in increasing order; mask shows them
+    all.  The empty one if need is empty, then for each vertex i of mask,
+    i plus each such subset of the vertices of mask below i that differ
+    from i in color and are not nested with it, showing need less i's
+    color; i is skipped when those vertices do not show it (rule (e)).
+    A subset of a sublist keeps its place in mask order.  Each level drops
+    the colors of the levels above, so it recurses at most k + 1 deep."""
+    if not need:
+        yield 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        i = bit.bit_length() - 1
+        below = mask & apart[i] & ~classes[colors[i]]
+        left = need - {colors[i]}
+        if all(below & classes[c] for c in left):
+            for chosen in _antichain_subsets(apart, colors, classes, below, left):
+                yield chosen | bit
 
 
 def _try_guess(

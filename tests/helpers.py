@@ -49,7 +49,11 @@ recursive generator, one level per cover vertex, the oracle for the
 solver's explicit-stack one.  unfiltered_cover_guesses and
 unfiltered_vc_solve are the solver's guess loop as it was before it
 omitted guesses with two nested b-vertex neighborhoods: the oracle that
-the omission changes no witness.
+the omission changes no witness.  unpruned_cover_guesses is the guess
+enumeration as it was before cover colorings and b-vertex subsets that
+cannot be admitted were pruned in the generators: every coloring, its
+facts built per vertex as reference_cover_coloring does, and every subset
+filtered by the admission test.
 reference_graph and reference_parse_graph_text are Graph's construction
 checks and the DIMACS parser as they were before each became one pass,
 the oracle for their graphs and their error messages; graph_structure
@@ -1229,7 +1233,7 @@ def _distinct_subsets(vertices: list[int], phi: dict[int, int], used=frozenset()
 
 def unfiltered_cover_guesses(g: Graph, cover: frozenset[int], k: int):
     """vc_solver.cover_guesses admitting guesses whose b-vertices have
-    nested open neighborhoods: rules (a) and (b) only."""
+    nested open neighborhoods: rules (a), (b) and (d) only."""
     cover_list = sorted(cover)
     outside = [x for x in g.vertices() if x not in cover]
     gated = [v for v in cover_list if g.degree(v) >= k - 1]
@@ -1239,6 +1243,45 @@ def unfiltered_cover_guesses(g: Graph, cover: frozenset[int], k: int):
             continue
         for chosen in _distinct_subsets(gated, phi):
             if facts.uncompleted <= {phi[v] for v in chosen}:
+                yield facts, frozenset(chosen)
+
+
+def reference_cover_coloring(
+    g: Graph, outside: list[int], phi: dict[int, int], k: int
+) -> vc_solver._CoverColoring | None:
+    """vc_solver._cover_coloring with the colors each outside vertex sees
+    as a set, built per vertex."""
+    kset = frozenset(range(1, k + 1))
+    forced = dict(phi)
+    completer: dict[int, int] = {}
+    for x in outside:
+        seen = {phi[u] for u in g.neighbors(x)}
+        if len(seen) == k:
+            return None
+        if len(seen) == k - 1:
+            (missing,) = kset - seen
+            forced[x] = missing
+            completer.setdefault(missing, x)
+    return vc_solver._CoverColoring(phi, forced, completer, kset.difference(completer))
+
+
+def unpruned_cover_guesses(g: Graph, cover: frozenset[int], k: int):
+    """vc_solver.cover_guesses as a filter over the full enumeration: every
+    proper cover coloring up to renaming (reference_proper_cover_colorings),
+    with its facts built per vertex, and every distinctly colored subset of
+    the gated vertices, kept when rules (a), (b) and (c) admit it."""
+    cover_list = sorted(cover)
+    outside = [x for x in g.vertices() if x not in cover]
+    gated = [v for v in cover_list if g.degree(v) >= k - 1]
+    for phi in reference_proper_cover_colorings(g, cover_list, k):
+        facts = reference_cover_coloring(g, outside, phi, k)
+        if facts is None:
+            continue
+        for chosen in _distinct_subsets(gated, phi):
+            nested = any(
+                g.neighbors(u) <= g.neighbors(v) for u, v in itertools.permutations(chosen, 2)
+            )
+            if facts.uncompleted <= {phi[v] for v in chosen} and not nested:
                 yield facts, frozenset(chosen)
 
 

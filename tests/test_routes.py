@@ -141,6 +141,23 @@ def test_k_above_n_runs_no_route(monkeypatch):
             assert solve(problem, Graph.path(3), 4, solver=solver)[:2] == (False, None)
 
 
+def test_out_of_memory_is_a_capacity_refusal(monkeypatch):
+    # A route that runs out of memory, picked by name, by the automatic
+    # route or by chi_b's loop, ends the request with the documented
+    # refusal, not a MemoryError.
+    def exhausted(g, d, k, witness):
+        raise MemoryError
+
+    for problem in ROUTES:
+        for solver in ROUTES[problem]:
+            monkeypatch.setitem(ROUTES[problem], solver, exhausted)
+    for problem, k in (("bcol", 2), ("bchrom", None), ("fallcol", 2)):
+        for solver in (*ROUTES["bcol" if problem == "bchrom" else problem], None):
+            with pytest.raises(CapacityError, match="^out of memory$") as caught:
+                solve(problem, Graph.cycle(4), k, solver=solver, witness=True)
+            assert caught.value.__cause__ is None and caught.value.__suppress_context__
+
+
 @pytest.mark.parametrize(
     "problem, k, options, message",
     [
