@@ -33,10 +33,31 @@ end.  So a complete assignment is a proper coloring that extends the
 start, with all k colors (search; vc's start shows them all), in which
 each b-vertex sees every color but its own.
 
-Before its main search, search runs the third stage alone, from no color
-at all, to look for any proper k-coloring.  Without one there is no
-b-coloring, and refuting it once is far cheaper than refuting it again
-under every b-vertex set.  Its coloring is then dropped.
+Before its main search, search makes sure that some proper k-coloring
+exists: without one there is no b-coloring, and refuting it once is far
+cheaper than refuting it again under every b-vertex set.  First-fit
+(_first_fit_within: vertices 0..n-1 in order, each given the least color
+no colored neighbor has) proves it in O(n + m) when it needs at most k
+colors.  Only when it needs more does the pre-pass run: the third stage
+alone, from no color at all, which finds a proper k-coloring or refutes
+one.  Either coloring is then dropped.  The certificate changes no
+result:
+- A proper coloring with at most k colors is exactly what a successful
+  pre-pass establishes (it need not use all k: the main search does).
+  By the colors rule below the pre-pass misses none, so where first-fit
+  holds, the pre-pass could only have succeeded or given up.
+- The main search starts from begin() either way, so it makes the same
+  choices and, unless it gives up, returns the same witness or None.
+- A skipped pre-pass meets no dead ends, so the main search keeps at
+  least the budget it had: a search never gives up where it answered
+  before, and may answer where it gave up.
+- vc's calls (no candidates) and fall_search never ran the pre-pass.
+The pre-pass can refute only for k < chi(G).  bcol_dp.chi_b probes k
+from m(G) down to chi_b, and chi_b >= chi (Irving & Manlove 1999: in a
+coloring with chi colors each class has a b-vertex, or recoloring each
+vertex of the class with a color its neighbors lack would use fewer), so
+its probes are never refuted; first-fit certifies most of them, and the
+pre-pass runs on the few where first-fit takes more than k colors.
 
 The search is exact: it misses no b-coloring.
 - Candidates.  A b-vertex has a neighbor in each of the k-1 other
@@ -106,11 +127,13 @@ its coloring (oracle.is_fall_coloring); a failed check raises
 RuntimeError.
 
 Budget.  A dead end is an assignment undone or a candidate refused.  The
-searches of one call to search, or to fall_search, are allowed
-SEARCH_BUDGET dead ends together; the next one raises CapacityError, so
-None means every choice was exhausted.  vc's calls have no budget: its
-guesses bound the search (vc_solver.small_extension_search).  Assigning a vertex v, or undoing it,
-costs O(deg(v) log n): each neighbor's domain, and one heap entry per
+searches of one call to search (the pre-pass, when first-fit does not
+certify k, and the main search), or of one call to fall_search, are
+allowed SEARCH_BUDGET dead ends together; the next one raises
+CapacityError, so None means every choice was exhausted.  vc's calls
+have no budget: its guesses bound the search
+(vc_solver.small_extension_search).  Assigning a vertex v, or undoing
+it, costs O(deg(v) log n): each neighbor's domain, and one heap entry per
 shrunk domain, from which the third stage takes its smallest domain
 lazily.  A refusal costs O(k·Δ), a choice point of the second stage
 O(k·Σ deg(b)) over the b-vertices with an open need to rank those needs
@@ -119,8 +142,10 @@ neighbors show), one of the others O(k) besides its heap entries.  The
 first branch of a search assigns each vertex once, and every other
 assignment ends undone, a dead end, so a budgeted call is
 O((n + SEARCH_BUDGET)·k·Δ·log n) plus the need ranking, at most k(k-1)
-rankings per assignment.  The fall rules cost O(Σ deg(w)) per
-assignment of v, over v and its colored neighbors w.
+rankings per assignment.  First-fit costs O(n + m) per call to search,
+and the pre-pass, when it runs, one more such search.  The fall rules
+cost O(Σ deg(w)) per assignment of v, over v and its colored neighbors
+w.
 """
 
 from __future__ import annotations
@@ -152,9 +177,9 @@ def search(g: Graph, k: int) -> tuple[Coloring, frozenset[int]] | None:
     if k > g.n:
         return None
     twins: dict[frozenset[int], int] = {}  # neighborhood -> its least vertex
-    for v in g.vertices():
-        if g.degree(v) >= k - 1:
-            twins.setdefault(g.neighbors(v), v)
+    for v, near in enumerate(g._adj):
+        if len(near) >= k - 1:
+            twins.setdefault(near, v)
     candidates = list(twins.values())  # increasing, as v was
     if len(candidates) < k:
         return None
@@ -194,10 +219,11 @@ def _need_search(
     """The colors of a proper k-coloring extending start, vertex by vertex,
     and its b-vertices: those of fixed (colored by start) and, if
     candidates are given, k more chosen among them in the first stage,
-    after the proper-coloring pre-pass.  With fall, every colored vertex
-    is a b-vertex and only the third stage runs, under the fall rules.
-    None if the stages of the module docstring find none.  Raises
-    CapacityError after budget dead ends, unless budget is None."""
+    once first-fit or the proper-coloring pre-pass has shown a proper
+    k-coloring.  With fall, every colored vertex is a b-vertex and only
+    the third stage runs, under the fall rules.  None if the stages of
+    the module docstring find none.  Raises CapacityError after budget
+    dead ends, unless budget is None."""
     adj = g._adj
     position = {w: i for i, w in enumerate(candidates)}
     full = (1 << (k + 1)) - 2  # bits 1..k
@@ -355,7 +381,7 @@ def _need_search(
             point = rest_point() if stage == "rest" else point_of()
         return True
 
-    if candidates:
+    if candidates and not _first_fit_within(g, k):
         begin()
         if not run(rest_point):
             return None  # no proper k-coloring
@@ -363,3 +389,20 @@ def _need_search(
     if not run(choice_point):
         return None
     return color, chosen
+
+
+def _first_fit_within(g: Graph, k: int) -> bool:
+    """True if first-fit, coloring vertices 0..n-1 in order each with the
+    least color no colored neighbor has, needs at most k colors: then g
+    has a proper k-coloring.  False as soon as a vertex would need color
+    k + 1.  O(n + m)."""
+    color = [0] * g.n
+    for v, near in enumerate(g._adj):
+        seen = 1  # bit c: a colored neighbor has color c; bit 0 for the uncolored
+        for u in near:
+            seen |= 1 << color[u]
+        c = (~seen & (seen + 1)).bit_length() - 1  # the lowest clear bit
+        if c > k:
+            return False
+        color[v] = c
+    return True

@@ -169,6 +169,27 @@ class RootedBranchDecomposition:
             raise StructuralError(f"nodes unreachable from root: {missing}")
         self._postorder = tuple(reversed(order))
 
+    @classmethod
+    def _caterpillar(cls, order: Sequence[int]) -> RootedBranchDecomposition:
+        """The caterpillar whose leaves follow order along the spine, built
+        field by field: its shape is valid by construction, so __init__'s
+        walk and checks are skipped.  Leaves get ids 0..n-1 in spine order,
+        internal nodes n..2n-2; the internal node n+j-1 covers the prefix
+        order[0..j], with children the node covering order[0..j-1] (leaf 0
+        for j = 1) and leaf j.  The root 2n-2 is last in the postorder 0,
+        1, n, 2, n+1, ..., n-1, 2n-2."""
+        n = len(order)
+        d = cls.__new__(cls)
+        d.root = 2 * n - 2
+        d._children = (None,) * n + tuple(zip((0, *range(n, 2 * n - 2)), range(1, n)))
+        d._leaf_vertex = dict(enumerate(order))
+        postorder = [0] * (2 * n - 1)
+        postorder[1::2] = range(1, n)
+        postorder[2::2] = range(n, 2 * n - 1)
+        d._postorder = tuple(postorder)
+        d._annotation = d._width = None
+        return d
+
     @property
     def node_count(self) -> int:
         return len(self._children)
@@ -402,20 +423,10 @@ def module_width(g: Graph, d: RootedBranchDecomposition) -> int:
 def linear_decomposition(g: Graph, order: Sequence[int]) -> RootedBranchDecomposition:
     """Caterpillar decomposition whose leaves follow `order` along the spine."""
     if sorted(order) != list(range(g.n)):
-        raise InputError(f"order {list(order)} is not a permutation of 0..{g.n - 1}")
-    n = g.n
-    if n == 0:
+        raise InputError(f"order [{listed(order)}] is not a permutation of 0..{g.n - 1}")
+    if g.n == 0:
         raise InputError("cannot decompose the empty graph")
-    if n == 1:
-        return RootedBranchDecomposition([None], {0: order[0]}, root=0)
-    # Leaves get ids 0..n-1 in spine order, internal nodes n..2n-2; the
-    # internal node with id n+j-1 covers the prefix order[0..j].
-    children: list[tuple[int, int] | None] = [None] * (2 * n - 1)
-    leaf_vertex = {i: order[i] for i in range(n)}
-    children[n] = (0, 1)
-    for j in range(2, n):
-        children[n + j - 1] = (n + j - 2, j)
-    return RootedBranchDecomposition(children, leaf_vertex, root=2 * n - 2)
+    return RootedBranchDecomposition._caterpillar(order)
 
 
 # --- decomposition search -------------------------------------------------

@@ -11,6 +11,7 @@ and the automatic route falls back to the decomposition's route.
 
 import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -128,6 +129,74 @@ class TestBudget:
             g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
             for k in range(1, g.n + 1):
                 bv_solver.search(g, k)
+
+
+def traced_search(g: Graph, k: int) -> tuple[object, list[int]]:
+    """search(g, k)'s result ("gave up" on CapacityError), and the dead
+    ends met after each begin() of its need search: [pre-pass, main
+    search] when the pre-pass ran and showed a proper k-coloring."""
+    counts: list[int] = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == bv_solver.__file__:
+            if frame.f_code.co_name == "begin":
+                counts.append(0)
+            elif frame.f_code.co_name == "dead_end":
+                counts[-1] += 1
+
+    sys.setprofile(profile)
+    try:
+        found = bv_solver.search(g, k)
+    except CapacityError:
+        result = "gave up"
+    else:
+        result = None if found is None else (found[0].colors, sorted(found[1]))
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+class TestFirstFitCertificate:
+    """_first_fit_within stands in for the proper-coloring pre-pass: it
+    holds only when a proper k-coloring exists, and skipping the pre-pass
+    where it holds changes no result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 8), p=st.floats(0.05, 0.95), seed=st.integers(0, 2**32))
+    def test_holds_only_with_a_proper_k_coloring(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        chi = next(
+            j for j in range(1, n + 1) if next(oracle._surjective_colorings(g, j), None) is not None
+        )
+        for k in range(1, n + 1):
+            holds = bv_solver._first_fit_within(g, k)
+            if holds:
+                assert chi <= k, (g.edges(), k)
+            if k > g.max_degree():
+                assert holds, (g.edges(), k)  # first-fit never needs more than Δ+1
+
+    def test_same_results_as_always_running_the_pre_pass(self, monkeypatch):
+        rng = random.Random(74)
+        graphs = [random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.9)) for _ in range(150)]
+        certified = refuted = 0
+        for g in graphs:
+            for k in range(1, g.n + 1):
+                result, counts = traced_search(g, k)
+                with monkeypatch.context() as m:
+                    m.setattr(bv_solver, "_first_fit_within", lambda g, k: False)
+                    reference, reference_counts = traced_search(g, k)
+                assert sum(counts) <= sum(reference_counts)
+                if reference == "gave up":
+                    continue  # a skipped pre-pass leaves more budget
+                assert result == reference, (g.edges(), k)
+                if len(reference_counts) == 2:  # the pre-pass found a proper k-coloring
+                    certified += len(counts) == 1
+                    if reference_counts[0] == 0:
+                        assert counts[-1] == reference_counts[-1], (g.edges(), k)
+                elif reference_counts:  # the pre-pass refuted k
+                    refuted += 1
+                    assert counts == reference_counts, (g.edges(), k)
+        assert certified >= 100 and refuted >= 10, (certified, refuted)
 
 
 def check_fall(g: Graph, k: int) -> bool:

@@ -282,8 +282,33 @@ class TestLinearDecomposition:
         assert len(internal) == 3
 
     def test_rejects_non_permutation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"order \[0, 1, 1\] is not a permutation"):
             linear_decomposition(Graph.complete(3), [0, 1, 1])
+        # a long order is quoted by its first few vertices only
+        with pytest.raises(InputError) as refused:
+            linear_decomposition(Graph.edgeless(10000), [0] * 10000)
+        assert len(str(refused.value)) < 100
+
+    def test_fields_match_the_checked_constructor(self):
+        # linear_decomposition builds the caterpillar without __init__'s
+        # walk; the same spine through the checked constructor must give
+        # the same tree, node for node.
+        def checked(order):
+            n = len(order)
+            children = [None] * (2 * n - 1)
+            for j in range(1, n):
+                children[n + j - 1] = (n + j - 2 if j > 1 else 0, j)
+            return RootedBranchDecomposition(children, dict(enumerate(order)), 2 * n - 2)
+
+        rng = random.Random(38)
+        orders = [[0], [0, 1], [1, 0]]
+        for n in range(3, 40):
+            orders.append(rng.sample(range(n), n))
+        for order in orders:
+            d, e = linear_decomposition(Graph.path(len(order)), order), checked(order)
+            fields = ("root", "_children", "_leaf_vertex", "_postorder", "_annotation", "_width")
+            for name in fields:
+                assert getattr(d, name) == getattr(e, name), (order, name)
 
 
 class TestBestDecomposition:
